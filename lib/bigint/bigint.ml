@@ -484,28 +484,113 @@ let trailing_zeros x =
   let rec bit v acc = if v land 1 = 1 then acc else bit (v lsr 1) (acc + 1) in
   (i * limb_bits) + bit v 0
 
-(* Binary GCD: shifts and subtractions only — much cheaper than repeated
-   Knuth division for the small-to-medium operands the LP solver
-   produces. *)
-let gcd a b =
-  let a = abs a and b = abs b in
-  if is_zero a then b
-  else if is_zero b then a
-  else begin
-    let za = trailing_zeros a and zb = trailing_zeros b in
-    let shift = Stdlib.min za zb in
-    let rec go a b =
-      (* invariants: a, b odd and positive *)
-      let c = compare a b in
-      if c = 0 then a
+(* ---------- Lehmer's gcd ----------
+
+   Euclid's quotients are computed on the leading [lehmer_bits] bits of
+   the two operands (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L), and the
+   resulting 2x2 cofactor matrix is applied to the full operands in one
+   linear-combination pass.  Each pass removes about 30 bits and updates
+   two buffers in place, so the loop allocates only on a full division
+   step. *)
+
+let lehmer_bits = 2 * limb_bits
+
+(* Cofactor bound: with |A|, |B| <= 2^31 and A, B of opposite signs,
+   |A*u_i + B*v_i| < 2^61 on 30-bit limbs, so a pass plus its signed
+   carry stays inside a native int. *)
+let cofactor_max = 1 lsl 31
+
+let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
+
+(* Bits [s, s + lehmer_bits) of the magnitude [u.(0 .. len-1)] as a
+   native int; the caller picks [s] so that every higher bit is zero. *)
+let window u len s =
+  let i = s / limb_bits and off = s mod limb_bits in
+  let get k = if k < len then u.(k) else 0 in
+  (get i lsr off)
+  lor (get (i + 1) lsl (limb_bits - off))
+  lor (get (i + 2) lsl ((2 * limb_bits) - off))
+
+(* Knuth's Algorithm L on the leading words [x >= y]: the longest run of
+   quotients that every completion of the truncated operands agrees on,
+   cut short before a cofactor exceeds [cofactor_max].  Returns the
+   cofactors (A, B, C, D) with u' = A*u + B*v and v' = C*u + D*v;
+   B = 0 means not even the first quotient was certain. *)
+let lehmer_cofactors x y =
+  let rec go x y a b c d =
+    if y + c = 0 || y + d = 0 then (a, b, c, d)
+    else begin
+      let q = (x + a) / (y + c) in
+      if q <> (x + b) / (y + d) then (a, b, c, d)
       else begin
-        let a, b = if c > 0 then (a, b) else (b, a) in
-        let d = sub a b in
-        go (shift_right d (trailing_zeros d)) b
+        let c' = a - (q * c) and d' = b - (q * d) in
+        if Stdlib.abs c' > cofactor_max || Stdlib.abs d' > cofactor_max then
+          (a, b, c, d)
+        else go y (x - (q * y)) c d c' d'
       end
-    in
-    shift_left (go (shift_right a za) (shift_right b zb)) shift
+    end
+  in
+  go x y 1 0 0 1
+
+(* u, v <- A*u + B*v, C*u + D*v over limbs [0, n).  Both results are
+   consecutive Euclidean remainders, hence non-negative and below u, so
+   the final signed carries are zero. *)
+let lincomb u v n a b c d =
+  let cu = ref 0 and cv = ref 0 in
+  for i = 0 to n - 1 do
+    let ui = u.(i) and vi = v.(i) in
+    let s = (a * ui) + (b * vi) + !cu in
+    let t = (c * ui) + (d * vi) + !cv in
+    u.(i) <- s land limb_mask;
+    cu := s asr limb_bits;
+    v.(i) <- t land limb_mask;
+    cv := t asr limb_bits
+  done
+
+let rec top_len u n = if n > 0 && u.(n - 1) = 0 then top_len u (n - 1) else n
+
+(* gcd of two non-zero magnitudes.  [u] and [v] are owned buffers of the
+   same capacity holding magnitudes of [lu >= lv] limbs (u >= v), zero
+   above their lengths. *)
+let rec mag_gcd_loop u lu v lv =
+  if lv = 0 then Array.sub u 0 lu
+  else if lu <= 2 then begin
+    (* Both fit in lehmer_bits: finish with native Euclid. *)
+    let native w l = if l = 2 then w.(0) lor (w.(1) lsl limb_bits) else w.(0) in
+    let g = int_gcd (native u lu) (native v lv) in
+    [| g land limb_mask; g lsr limb_bits |]
   end
+  else begin
+    let s = ((lu - 1) * limb_bits) + int_numbits u.(lu - 1) - lehmer_bits in
+    let a, b, c, d =
+      if lu - lv > 1 then (1, 0, 0, 1)
+      else lehmer_cofactors (window u lu s) (window v lv s)
+    in
+    if b = 0 then begin
+      (* Sizes too far apart, or no certain quotient: one full division
+         step (u, v) <- (v, u mod v). *)
+      let _, r = mag_divmod (Array.sub u 0 lu) (Array.sub v 0 lv) in
+      let u' = Array.sub v 0 lv and v' = Array.make lv 0 in
+      Array.blit r 0 v' 0 (Array.length r);
+      mag_gcd_loop u' lv v' (Array.length r)
+    end
+    else begin
+      lincomb u v lu a b c d;
+      mag_gcd_loop u (top_len u lu) v (top_len v lu)
+    end
+  end
+
+let mag_gcd a b =
+  let a, b = if mag_compare a b >= 0 then (a, b) else (b, a) in
+  let la = Array.length a in
+  let v = Array.make la 0 in
+  Array.blit b 0 v 0 (Array.length b);
+  mag_gcd_loop (Array.copy a) la v (Array.length b)
+
+let gcd a b =
+  if a.sign = 0 then abs b
+  else if b.sign = 0 then abs a
+  else make 1 (mag_gcd a.mag b.mag)
 
 (* ---------- string conversion ---------- *)
 

@@ -97,6 +97,16 @@ val pow : t -> int -> t
 (** [pow2 n] is 2{^ n} for [n >= 0]. *)
 val pow2 : int -> t
 
+(** [gcd a b] is the greatest common divisor of [|a|] and [|b|].  The
+    result is never negative, [gcd a 0 = |a|], and [gcd 0 0 = 0].
+
+    Lehmer's algorithm: Euclid's quotients are computed on the leading
+    60 bits of the operands, with cofactors of at most 2{^ 31}.  One
+    linear-combination pass over the 30-bit limbs then applies each
+    batch of quotients.  When the operand sizes differ by more than a
+    limb, or when the leading bits cannot settle even the first
+    quotient, one full division step runs instead.  Native-int Euclid
+    finishes once both operands fit in 2 limbs. *)
 val gcd : t -> t -> t
 
 (** {1 Bit-level operations} *)

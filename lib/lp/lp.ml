@@ -28,19 +28,26 @@ type tableau = {
   basis : int array;   (* basis.(i) = column basic in row i *)
 }
 
-(* Pivot the constraint rows and the maintained objective (z) row. *)
+(* Pivot the constraint rows and the maintained objective (z) row.  Only
+   the pivot row's nonzero columns are touched: a zero entry stays zero
+   under normalisation, and t_ij - f*0 = t_ij leaves every other row's
+   entry in that column as it was.  The tableau is exactly the one a
+   dense pivot produces, so every later pivot choice is unchanged. *)
 let pivot tb zrow ~row ~col =
   let trow = tb.t.(row) in
   let inv = R.inv trow.(col) in
-  for j = 0 to tb.width do
-    trow.(j) <- R.mul trow.(j) inv
+  let nz = ref [] in
+  for j = tb.width downto 0 do
+    if not (R.is_zero trow.(j)) then begin
+      trow.(j) <- R.mul trow.(j) inv;
+      nz := j :: !nz
+    end
   done;
+  let nz = !nz in
   let eliminate (ti : R.t array) =
     let f = ti.(col) in
     if not (R.is_zero f) then
-      for j = 0 to tb.width do
-        ti.(j) <- R.sub ti.(j) (R.mul f trow.(j))
-      done
+      List.iter (fun j -> ti.(j) <- R.sub ti.(j) (R.mul f trow.(j))) nz
   in
   for i = 0 to tb.rows - 1 do
     if i <> row then eliminate tb.t.(i)
@@ -96,23 +103,30 @@ let run_phase tb zrow =
     match entering with
     | None -> `Optimal
     | Some col -> (
-        (* Ratio test; Bland tie-break on the leaving basis variable. *)
+        (* Ratio test; Bland tie-break on the leaving basis variable.  The
+           ratio rhs_i / a_i is kept as the unreduced fraction
+           (num rhs_i * den a_i) / (den rhs_i * num a_i), whose
+           denominator is positive since a_i > 0, and ratios are compared
+           by cross-multiplication: the same order as comparing the
+           reduced rationals, without a gcd. *)
         let best = ref None in
         for i = 0 to tb.rows - 1 do
           let a = tb.t.(i).(col) in
           if R.sign a > 0 then begin
-            let ratio = R.div tb.t.(i).(tb.width) a in
+            let rhs = tb.t.(i).(tb.width) in
+            let n = Bigint.mul (R.num rhs) (R.den a)
+            and d = Bigint.mul (R.den rhs) (R.num a) in
             match !best with
-            | None -> best := Some (ratio, i)
-            | Some (r, i') ->
-                let cmp = R.compare ratio r in
+            | None -> best := Some (n, d, i)
+            | Some (n', d', i') ->
+                let cmp = Bigint.compare (Bigint.mul n d') (Bigint.mul n' d) in
                 if cmp < 0 || (cmp = 0 && tb.basis.(i) < tb.basis.(i')) then
-                  best := Some (ratio, i)
+                  best := Some (n, d, i)
           end
         done;
         match !best with
         | None -> `Unbounded
-        | Some (_, row) ->
+        | Some (_, _, row) ->
             incr pivot_count;
             pivot tb zrow ~row ~col;
             iterate ())

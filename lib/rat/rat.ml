@@ -56,21 +56,29 @@ let max a b = if compare a b >= 0 then a else b
 let neg q = { q with num = B.neg q.num }
 let abs q = if sign q < 0 then neg q else q
 
+(* A zero operand needs no gcd: the other operand is already canonical. *)
 let add a b =
-  if B.equal a.den b.den then canon (B.add a.num b.num) a.den
+  if B.is_zero a.num then b
+  else if B.is_zero b.num then a
+  else if B.equal a.den b.den then canon (B.add a.num b.num) a.den
   else canon (B.add (B.mul a.num b.den) (B.mul b.num a.den)) (B.mul a.den b.den)
 
 let sub a b = add a (neg b)
 
+(* A zero operand or two integers need no gcd either. *)
 let mul a b =
-  (* Cross-reduce before multiplying to keep intermediates small. *)
-  let g1 = B.gcd a.num b.den and g2 = B.gcd b.num a.den in
-  let n1 = if B.is_one g1 then a.num else B.div a.num g1 in
-  let d2 = if B.is_one g1 then b.den else B.div b.den g1 in
-  let n2 = if B.is_one g2 then b.num else B.div b.num g2 in
-  let d1 = if B.is_one g2 then a.den else B.div a.den g2 in
-  let num = B.mul n1 n2 and den = B.mul d1 d2 in
-  if B.is_zero num then zero else { num; den }
+  if B.is_zero a.num || B.is_zero b.num then zero
+  else if B.is_one a.den && B.is_one b.den then
+    { num = B.mul a.num b.num; den = B.one }
+  else begin
+    (* Cross-reduce before multiplying to keep intermediates small. *)
+    let g1 = B.gcd a.num b.den and g2 = B.gcd b.num a.den in
+    let n1 = if B.is_one g1 then a.num else B.div a.num g1 in
+    let d2 = if B.is_one g1 then b.den else B.div b.den g1 in
+    let n2 = if B.is_one g2 then b.num else B.div b.num g2 in
+    let d1 = if B.is_one g2 then a.den else B.div a.den g2 in
+    { num = B.mul n1 n2; den = B.mul d1 d2 }
+  end
 
 let inv q =
   if is_zero q then raise Division_by_zero;
@@ -110,8 +118,8 @@ let of_float x =
   else begin
     let m, e = Float.frexp x in
     (* m in [0.5, 1); m * 2^53 is an exact integer. *)
-    let mi = Int64.of_float (Float.ldexp m 53) in
-    mul_pow2 (of_bigint (B.of_string (Int64.to_string mi))) (e - 53)
+    let mi = Float.to_int (Float.ldexp m 53) in
+    mul_pow2 (of_int mi) (e - 53)
   end
 
 (* [approx q ~bits]: floor of |q| scaled to exactly [bits] significant bits,

@@ -158,6 +158,89 @@ let test_mul_int_large () =
         scalars)
     values
 
+(* ---------- gcd against a Euclid reference ---------- *)
+
+(* Test-only reference: Euclid's algorithm with Bigint.rem. *)
+let rec euclid a b =
+  if Bigint.is_zero b then Bigint.abs a else euclid b (Bigint.rem a b)
+
+let check_gcd msg a b' =
+  check_eq msg (Bigint.to_string (euclid a b')) (Bigint.gcd a b');
+  check_eq (msg ^ " (swapped)")
+    (Bigint.to_string (euclid a b'))
+    (Bigint.gcd b' a)
+
+(* The operand shapes Lehmer's gcd handles by a special path: zero, one,
+   equal operands, powers of two, the 2-limb (60-bit) native cutoff, and
+   sizes more than a limb apart (the division fallback). *)
+let test_gcd_edges () =
+  let p2 = Bigint.pow2 and m1 k = Bigint.pred (Bigint.pow2 k) in
+  let fib n =
+    let rec go a b' n = if n = 0 then a else go b' (Bigint.add a b') (n - 1) in
+    go Bigint.zero Bigint.one n
+  in
+  check_eq "gcd 0 0" "0" (Bigint.gcd Bigint.zero Bigint.zero);
+  check_eq "gcd 0 -7" "7" (Bigint.gcd Bigint.zero (bi (-7)));
+  check_eq "gcd -12 -18" "6" (Bigint.gcd (bi (-12)) (bi (-18)));
+  let big = b "123456789012345678901234567890123456789012345678901234567890" in
+  List.iter
+    (fun (msg, x, y) -> check_gcd msg x y)
+    [
+      ("one", big, Bigint.one);
+      ("equal", big, big);
+      ("equal, opposite signs", big, Bigint.neg big);
+      ("powers of two", p2 700, p2 333);
+      ("power of two vs odd", p2 700, m1 701);
+      ("power of two times big", Bigint.shift_left big 90, p2 120);
+      ("all-ones", m1 900, m1 600);
+      ("at the 60-bit cutoff", m1 60, p2 59);
+      ("just over the cutoff", p2 60, Bigint.succ (p2 59));
+      ("61 vs 59 bits", Bigint.add (p2 60) (bi 12345),
+        Bigint.add (p2 58) (bi 6789));
+      ("two limbs vs three", m1 61, m1 60);
+      ("sizes 31 bits apart", Bigint.mul big (p2 31), Bigint.succ big);
+      ("sizes 400 bits apart", Bigint.pow big 4, Bigint.add big (bi 7));
+      ("one limb vs many", Bigint.pow big 5, bi 999_999_937);
+      (* Every quotient is 1: the longest possible Euclid run. *)
+      ("consecutive Fibonacci", fib 1500, fib 1499);
+    ]
+
+(* A uniformly random magnitude of exactly [bits] bits. *)
+let gen_bits bits =
+  QCheck2.Gen.(
+    let+ chunks =
+      list_size (return ((bits + 29) / 30)) (int_bound ((1 lsl 30) - 1))
+    in
+    let v =
+      List.fold_left
+        (fun acc c -> Bigint.add (Bigint.shift_left acc 30) (bi c))
+        Bigint.zero chunks
+    in
+    let top = Bigint.pow2 (bits - 1) in
+    Bigint.add top (Bigint.rem v top))
+
+(* Operands of 1-1100 bits: a planted common factor times random
+   cofactors of independent sizes (so sizes from equal to hundreds of
+   bits apart), mixed signs, and now and then an all-ones or power-of-two
+   cofactor. *)
+let arb_gcd_pair =
+  QCheck2.Gen.(
+    let shaped =
+      let* bits = int_range 1 800 in
+      let* shape = int_bound 5 in
+      match shape with
+      | 0 -> return (Bigint.pred (Bigint.pow2 bits))
+      | 1 -> return (Bigint.pow2 (bits - 1))
+      | _ -> gen_bits bits
+    in
+    let* g = int_range 1 300 >>= gen_bits in
+    let* x = shaped and* y = shaped in
+    let* sx = bool and* sy = bool in
+    let signed s v = if s then Bigint.neg v else v in
+    return (signed sx (Bigint.mul g x), signed sy (Bigint.mul g y)))
+
+let print_pair (x, y) = Bigint.to_string x ^ ", " ^ Bigint.to_string y
+
 (* ---------- property tests ---------- *)
 
 (* Random decimal strings of widely varying size, signed. *)
@@ -208,6 +291,11 @@ let props =
         ||
         let g = Bigint.gcd a bb in
         Bigint.is_zero (Bigint.rem a g) && Bigint.is_zero (Bigint.rem bb g));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:1000 ~print:print_pair
+         ~name:"gcd agrees with Euclid (1-1100 bits)" arb_gcd_pair (fun (x, y) ->
+           let g = Bigint.gcd x y in
+           Bigint.sign g >= 0 && Bigint.equal g (euclid x y)));
     prop "numbits bound" arb_bigint (fun a ->
         Bigint.is_zero a
         ||
@@ -232,6 +320,7 @@ let suite =
     ("shifts", `Quick, test_shifts);
     ("bit operations", `Quick, test_bits);
     ("gcd/pow", `Quick, test_gcd_pow);
+    ("gcd edge shapes vs Euclid", `Quick, test_gcd_edges);
     ("to_float correct rounding", `Quick, test_to_float_correct_rounding);
   ]
   @ props

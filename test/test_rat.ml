@@ -33,6 +33,23 @@ let test_arith () =
   check_q "mul_pow2 down" "3/4" (Rat.mul_pow2 (qi 3) (-2));
   check_q "mul_pow2 cancel" "3" (Rat.mul_pow2 (Rat.of_ints 3 4) 2)
 
+(* The gcd-free paths (a zero operand, two integers) must return the same
+   canonical values as the general ones. *)
+let test_fast_paths () =
+  let x = Rat.of_ints (-22) 7 in
+  check_q "0 + x" "-22/7" (Rat.add Rat.zero x);
+  check_q "x + 0" "-22/7" (Rat.add x Rat.zero);
+  check_q "0 - x" "22/7" (Rat.sub Rat.zero x);
+  check_q "x - 0" "-22/7" (Rat.sub x Rat.zero);
+  check_q "0 * x" "0" (Rat.mul Rat.zero x);
+  check_q "x * 0" "0" (Rat.mul x Rat.zero);
+  Alcotest.(check bool) "0 * x is canonical zero" true
+    (Rat.equal (Rat.mul x Rat.zero) Rat.zero);
+  check_q "int * int" "-42" (Rat.mul (qi 6) (qi (-7)));
+  Alcotest.(check bool) "int * int stays integer" true
+    (Rat.is_integer (Rat.mul (qi 6) (qi (-7))));
+  check_q "int * frac" "-3" (Rat.mul (qi 21) (Rat.of_ints 1 (-7)))
+
 let test_floor_ceil () =
   let f x = Bigint.to_string (Rat.floor (q x)) in
   let c x = Bigint.to_string (Rat.ceil (q x)) in
@@ -59,6 +76,26 @@ let test_of_float_exact () =
       (3.0, "3");
       (0.1, "3602879701896397/36028797018963968");
       (Float.min_float, "1/44942328371557897693232629769725618340449424473557664318357520289433168951375240783177119330601884005280028469967848339414697442203604155623211857659868531094441973356216371319075554900311523529863270738021251442209537670585615720368478277635206809290837627671146574559986811484619929076208839082406056034304");
+    ];
+  (* Subnormals and the finite extremes: the mantissa path must stay
+     exact for 1-bit and full 53-bit significands at both ends of the
+     exponent range. *)
+  let pow2 = Bigint.pow2 in
+  let frac n d = Bigint.to_string n ^ "/" ^ Bigint.to_string d in
+  List.iter
+    (fun (msg, x, expect) -> check_q msg expect (Rat.of_float x))
+    [
+      ("min subnormal", Int64.float_of_bits 1L, frac Bigint.one (pow2 1074));
+      ("-min subnormal", -.Int64.float_of_bits 1L, "-" ^ frac Bigint.one (pow2 1074));
+      ( "max subnormal",
+        Int64.float_of_bits 0x000f_ffff_ffff_ffffL,
+        frac (Bigint.pred (pow2 52)) (pow2 1074) );
+      ( "max_float",
+        Float.max_float,
+        Bigint.to_string (Bigint.shift_left (Bigint.pred (pow2 53)) 971) );
+      ( "-max_float",
+        -.Float.max_float,
+        Bigint.to_string (Bigint.neg (Bigint.shift_left (Bigint.pred (pow2 53)) 971)) );
     ];
   Alcotest.check_raises "nan" (Invalid_argument "Rat.of_float: not finite")
     (fun () -> ignore (Rat.of_float Float.nan));
@@ -141,6 +178,35 @@ let arb_finite_float =
 let prop name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name gen f)
 
+(* Pairs of rationals with 400-650-bit numerators and denominators, the
+   size of the simplex tableau entries.  Common factors are planted across
+   the operands (a's numerator with b's denominator and vice versa), and
+   now and then the denominators are equal, so every reduction path of
+   add/sub/mul/div has work to do. *)
+let arb_lp_pair =
+  QCheck2.Gen.(
+    let part = int_range 400 450 >>= Test_bigint.gen_bits in
+    let* g = int_range 1 200 >>= Test_bigint.gen_bits
+    and* h = int_range 1 200 >>= Test_bigint.gen_bits in
+    let* n1 = part and* d1 = part and* n2 = part and* d2 = part in
+    let* s1 = bool and* s2 = bool and* same_den = int_bound 3 in
+    let signed s v = if s then Bigint.neg v else v in
+    let a = Rat.make (signed s1 (Bigint.mul g n1)) (Bigint.mul h d1) in
+    let b =
+      if same_den = 0 then Rat.make (signed s2 (Bigint.mul h n2)) (Rat.den a)
+      else Rat.make (signed s2 (Bigint.mul h n2)) (Bigint.mul g d2)
+    in
+    return (a, b))
+
+let canonical r =
+  Bigint.sign (Rat.den r) > 0
+  && Bigint.is_one (Test_bigint.euclid (Rat.num r) (Rat.den r))
+
+(* [r = n / d] for an unreduced fraction with [d > 0], checked by
+   cross-multiplication (no gcd involved). *)
+let denotes r n d =
+  Bigint.equal (Bigint.mul (Rat.num r) d) (Bigint.mul n (Rat.den r))
+
 let props =
   let req = Rat.equal in
   [
@@ -172,6 +238,21 @@ let props =
     prop "floor <= x < floor+1" arb_rat (fun a ->
         let f = Rat.of_bigint (Rat.floor a) in
         Rat.compare f a <= 0 && Rat.compare a (Rat.add f Rat.one) < 0);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200 ~name:"canonical form at LP sizes (400-650 bits)"
+         arb_lp_pair (fun (a, b) ->
+           let open Bigint.Infix in
+           let an = Rat.num a and ad = Rat.den a and bn = Rat.num b and bd = Rat.den b in
+           let sum = Rat.add a b and diff = Rat.sub a b
+           and prod = Rat.mul a b and quot = Rat.div a b in
+           List.for_all canonical [ sum; diff; prod; quot ]
+           && denotes sum ((an * bd) + (bn * ad)) (ad * bd)
+           && denotes diff ((an * bd) - (bn * ad)) (ad * bd)
+           && denotes prod (an * bn) (ad * bd)
+           && (* b's sign moves to the quotient's numerator *)
+           denotes quot
+             (Bigint.mul_int (an * bd) (Bigint.sign bn))
+             (ad * Bigint.abs bn)));
     prop "approx contract" (QCheck2.Gen.pair arb_rat (QCheck2.Gen.int_range 1 80))
       (fun (a, bits) ->
         Rat.is_zero a
@@ -190,6 +271,7 @@ let suite =
     ("canonical form", `Quick, test_canonical_form);
     ("parsing", `Quick, test_parsing);
     ("arithmetic", `Quick, test_arith);
+    ("gcd-free fast paths", `Quick, test_fast_paths);
     ("floor/ceil/trunc", `Quick, test_floor_ceil);
     ("decimal strings", `Quick, test_decimal_string);
     ("of_float exact", `Quick, test_of_float_exact);

@@ -287,6 +287,68 @@ let test_mini_config_sanity () =
       Alcotest.(check bool) "pieces >= 1" true (cfg.Rlibm.Config.pieces >= 1))
     Oracle.all
 
+(* ---------- polynomial stage pin ---------- *)
+
+(* Generate.solve on the mini universe must keep returning exactly these
+   artifacts.  The exact LP's arithmetic (gcd algorithm, sparse pivots,
+   ratio test) may change only in ways that leave every simplex vertex,
+   and so every coefficient bit, where it was; this pin catches any
+   change that moves one.  The strings render sv_data with %h. *)
+let pinned_solves =
+  [
+    ( Oracle.Exp2,
+      [
+        ( Polyeval.Horner,
+          "data=[0x1p+0;0x1.62c75fb60a906p-1;0x1.efbb0dc7cf33dp-3;0x1.9fa8e43b1e797p-5;0x1.d3f1111c10d42p-7] \
+           degrees=4 rounds=1 specials=[]" );
+        ( Polyeval.EstrinFma,
+          "data=[0x1p+0;0x1.62c75fb60a905p-1;0x1.efbb0dc7cf33dp-3;0x1.9fa8e43b1e796p-5;0x1.d3f1111c10d43p-7] \
+           degrees=4 rounds=1 specials=[]" );
+      ] );
+    ( Oracle.Log,
+      (let log_pin =
+         "data=[0x0p+0;0x1.fff39b83ab2dp-1;-0x1.f39b83ab2cf02p-2|0x1.38dd56a8e67f7p-12;0x1.f7b6c7ce9224fp-1;-0x1.1a9de6b831ee3p-2] \
+          degrees=2,2 rounds=1,1 specials=[]"
+       in
+       [ (Polyeval.Horner, log_pin); (Polyeval.EstrinFma, log_pin) ]) );
+  ]
+
+let render_solved (sv : Rlibm.Generate.solved) =
+  let join sep f a = String.concat sep (List.map f (Array.to_list a)) in
+  Printf.sprintf "data=[%s] degrees=%s rounds=%s specials=[%s]"
+    (join "|" (join ";" (Printf.sprintf "%h")) sv.Rlibm.Generate.sv_data)
+    (join "," string_of_int sv.Rlibm.Generate.sv_degrees)
+    (join "," string_of_int sv.Rlibm.Generate.sv_rounds)
+    (String.concat ";"
+       (List.map
+          (fun (k, v) -> Printf.sprintf "%Lx:%h" k v)
+          sv.Rlibm.Generate.sv_specials))
+
+let test_solve_pinned () =
+  Cache.with_persistence false (fun () ->
+      List.iter
+        (fun (func, cases) ->
+          let cfg = Rlibm.Config.mini_for func in
+          let family =
+            Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout cfg)
+              ~pieces:cfg.Rlibm.Config.pieces
+              ~table_bits:cfg.Rlibm.Config.table_bits
+          in
+          let built =
+            Rlibm.Constraints.build ~cfg ~family
+              ~inputs:(Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin)
+          in
+          List.iter
+            (fun (scheme, want) ->
+              let name =
+                Oracle.name func ^ "/" ^ Polyeval.scheme_name scheme
+              in
+              match Rlibm.Generate.solve ~cfg ~scheme ~func ~built () with
+              | Error e -> Alcotest.failf "%s: %s" name (Diag.Error.to_string e)
+              | Ok sv -> Alcotest.(check string) name want (render_solved sv))
+            cases)
+        pinned_solves)
+
 let suite =
   [
     ("odd rounding interval", `Quick, test_interval_odd);
@@ -305,4 +367,5 @@ let suite =
       test_reduced_interval_budget_per_direction );
     ("constraint building", `Quick, test_build_merges_and_covers);
     ("mini config", `Quick, test_mini_config_sanity);
+    ("Generate.solve pinned (exp2, log)", `Quick, test_solve_pinned);
   ]

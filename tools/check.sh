@@ -15,7 +15,9 @@
 # and smoke-check the fault-injection substrate (an injected-ENOSPC warm
 # exits through the typed store-io code; a process aborted at a mutating
 # store operation leaves a store that fsck repairs with nothing
-# quarantined and a resumed run completes bit-identically).
+# quarantined and a resumed run completes bit-identically), and run the
+# repository benchmark's own tests (every workload prints every metric
+# BENCHMARK.json names, and its correctness gate catches a flipped bit).
 # Usage: tools/check.sh [N]   (N = fan-out width, default 4)
 set -eu
 
@@ -369,6 +371,9 @@ dune exec --no-build bin/rlibm_gen.exe -- fsck \
 grep -q ', 0 quarantined, 0 stale temps,' "$faultdir/fsck-clean.out" \
   || { echo "resumed store has findings:"; cat "$faultdir/fsck-clean.out"; exit 1; }
 echo "injected ENOSPC exits 3 typed; kill-point resume bit-identical, fsck clean"
+
+echo "== benchmark self-tests =="
+python3 perfbench/test_bench.py
 
 rm -rf "$tracedir" "$faultdir"
 echo "== OK =="
