@@ -55,20 +55,22 @@ let generate_sampled ?log ~(cfg : Rlibm.Config.t) ~scheme ~count ~seed func =
 (* Binary search over the sorted native-int special table.  Returns the
    index of [key], or -1.  Keys are the (wrapped) [Int64.to_int] of the
    input patterns — the same injective mapping used when the array was
-   sorted, so the probe is order-consistent for every format width. *)
-let find_special (keys : int array) (key : int) =
-  let lo = ref 0 and hi = ref (Array.length keys - 1) and found = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let k = Array.unsafe_get keys mid in
-    if k = key then begin
-      found := mid;
-      lo := !hi + 1
-    end
-    else if k < key then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
+   sorted, so the probe is order-consistent for every format width.  The
+   search is branch-free: its trip count depends only on the table size,
+   and each step moves [base] by a comparison bit; only the final hit
+   test, almost always a miss, branches on the key. *)
+let[@inline] find_special (keys : int array) (key : int) =
+  let n = Array.length keys in
+  if n = 0 then -1
+  else begin
+    let base = ref 0 and len = ref n in
+    while !len > 1 do
+      let half = !len lsr 1 in
+      base := !base + (half * Bool.to_int (Array.unsafe_get keys (!base + half) <= key));
+      len := !len - half
+    done;
+    if Array.unsafe_get keys !base = key then !base else -1
+  end
 
 (* The generated double-precision implementation: special table, analytic
    shortcut, then range reduction / polynomial / output compensation. *)
@@ -118,11 +120,11 @@ type kscratch = {
   mutable kpr : floatarray;  (* polynomial arguments, packed per piece *)
   mutable kv : floatarray;  (* polynomial results, packed per piece *)
   mutable kc : floatarray;  (* log-family compensation addend *)
-  mutable kn : int array;  (* exp-family compensation exponent *)
+  mutable kn : int array;  (* exp-family power-of-two table index *)
   mutable kp : int array;  (* piece index; -1 = settled in the first pass *)
-  mutable kidx : int array;  (* element positions grouped by piece *)
-  mutable kcount : int array;  (* per-piece group size *)
-  mutable koff : int array;  (* per-piece group start *)
+  mutable kidx : int array;  (* element positions grouped by slot *)
+  mutable kcount : int array;  (* per-slot group size; slot p + 1 = piece p *)
+  mutable koff : int array;  (* per-slot group start *)
 }
 
 let kscratch_key =
@@ -139,7 +141,7 @@ let kscratch_key =
         koff = [||];
       })
 
-let ensure_kscratch ks len npieces =
+let ensure_kscratch ks len slots =
   if Float.Array.length ks.kr < len then begin
     ks.kr <- Float.Array.create len;
     ks.kpr <- Float.Array.create len;
@@ -149,32 +151,57 @@ let ensure_kscratch ks len npieces =
     ks.kp <- Array.make len 0;
     ks.kidx <- Array.make len 0
   end;
-  if Array.length ks.kcount < npieces then begin
-    ks.kcount <- Array.make npieces 0;
-    ks.koff <- Array.make npieces 0
+  if Array.length ks.kcount < slots then begin
+    ks.kcount <- Array.make slots 0;
+    ks.koff <- Array.make slots 0
   end
 
-(* [eval_bits_into g ~src ~dst ~lo ~hi] is [eval_bits] over the chunk
-   [\[lo, hi)] of [src], bit for bit, with zero per-element allocation:
+(* The double a finite pattern [b] of the decoder's format denotes, equal
+   to [Softfp.to_float]: the integer significand (hidden bit set unless
+   the exponent field is 0) times a signed table weight, one correctly
+   rounded (for ebits <= 11, exact) multiply.  Weights of 0.0 mark
+   exponent fields below double range, which take the exact ldexp
+   route; only formats with ebits >= 12 have them. *)
+let[@inline] decode (d : Rlibm.Reduction.decoder) b =
+  let se = (b lsr d.d_fw) land ((2 * d.d_emask) + 1) in
+  let be = se land d.d_emask in
+  let m = b land ((1 lsl d.d_fw) - 1) lor ((1 lsl d.d_fw) * Bool.to_int (be <> 0)) in
+  let s = Array.unsafe_get d.d_scale se in
+  if s <> 0.0 then float_of_int m *. s
+  else
+    let v = Float.ldexp (float_of_int m) (be + Bool.to_int (be = 0) - d.d_bias - d.d_fw) in
+    if se > d.d_emask then -.v else v
 
-   pass 1  decode each pattern in native ints (no [Softfp.to_float],
-           which routes through Rat), probe the sorted special table,
-           run the family shortcut inlined from [Reduction.kernel], and
-           for surviving elements run [Reduction.reduce_into] through a
-           single reused scratch record, recording (piece, r,
-           compensation parameter);
-   pass 2  group the surviving element positions by piece (counting
-           sort — the piece partition is contiguous-ish but not exactly,
-           so a gather is needed for piece counts > 1);
+let decode_bits d x = decode d (Int64.to_int x)
+
+(* [eval_bits_into g ~src ~dst ~lo ~hi] is [eval_bits] over the chunk
+   [\[lo, hi)] of [src], bit for bit, with zero per-element allocation;
+   the common path makes no out-of-line call and takes no data-dependent
+   branch:
+
+   pass 1  for every element, decode through [g.decode] and run the
+           family's shortcut tests and range reduction inline from the
+           [Reduction.kernel] constants.  The shortcut outcome is a few
+           comparison bits: they index the settled value in a small
+           constant table (stored unconditionally; pass 3 overwrites it
+           for polynomial elements) and force the piece to -1 through
+           [piece lor (-settled)].  A settled element's reduction is
+           computed and discarded.  A second loop then lets NaN/Inf and
+           special-table inputs override the result: rare, hence
+           predictable, branches;
+   pass 2  counting-sort the positions by piece, with slot 0 for the
+           settled elements, so neither loop branches;
    pass 3  per piece, gather the reduced inputs into a packed buffer,
            run the degree-specialized batch evaluator
-           ({!Polyeval.eval_into}) once over the whole group, and
-           scatter the compensated results.
+           ({!Polyeval.eval_into}) once over the group, and scatter the
+           compensated results: [v *. 2^n] through the power-of-two
+           tables, or [c +. v].
 
-   The polynomial values and the compensation are the same double
-   operations, on the same values, in the same order as the scalar path,
-   so the contract "bit-identical to [eval_bits]" is structural; the
-   test suite enforces it exhaustively. *)
+   Reduction and compensation give the same doubles as the scalar path
+   ([Reduction.reduce_into], [oc]): the same operations on the same
+   values, or exact equivalents for decode, the log family's k and m,
+   and the scaling by 2^n.  The test suite enforces "bit-identical to
+   [eval_bits]" exhaustively. *)
 let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
   if
     lo < 0 || hi < lo
@@ -185,185 +212,148 @@ let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
   if len > 0 then begin
     let npieces = Array.length g.pieces in
     let ks = Domain.DLS.get kscratch_key in
-    ensure_kscratch ks len npieces;
+    ensure_kscratch ks len (npieces + 1);
     let kr = ks.kr and kc = ks.kc and kn = ks.kn and kp = ks.kp in
-    let tin = g.cfg.tin in
-    let fw = tin.Softfp.prec - 1 in
-    let w = Softfp.width tin in
-    let fmask = (1 lsl fw) - 1 in
-    let emask = (1 lsl tin.Softfp.ebits) - 1 in
-    let bias = Softfp.emax tin in
-    let sub_e = Softfp.emin tin - fw in
-    let hidden = 1 lsl fw in
-    let spec_keys = g.spec_keys and spec_vals = g.spec_vals in
-    let s = Rlibm.Reduction.scratch () in
-    let reduce_into = g.family.Rlibm.Reduction.reduce_into in
-    (* Pass 1, specialized per family so the shortcut constants live in
-       registers.  The decode mirrors [Softfp.to_float] exactly: the
-       mantissa ldexp is exact for every supported format (prec <= 53),
-       and out-of-double-range exponents round identically. *)
+    let d = g.decode in
+    let fw = d.Rlibm.Reduction.d_fw and emask = d.Rlibm.Reduction.d_emask in
+    let fmask = (1 lsl fw) - 1 and sign_shift = Softfp.width g.cfg.tin - 1 in
+    let pieces = g.family.Rlibm.Reduction.pieces in
+    let fpieces = float_of_int pieces in
     (match g.family.Rlibm.Reduction.kernel with
     | Rlibm.Reduction.Exp_kernel ek ->
         let scale = ek.Rlibm.Reduction.ek_scale in
         let hi_cut = ek.Rlibm.Reduction.ek_hi_cut in
         let low_cut = ek.Rlibm.Reduction.ek_lo_cut in
         let near_cut = ek.Rlibm.Reduction.ek_near_cut in
-        let v_huge = ek.Rlibm.Reduction.ek_huge in
-        let v_tiny = ek.Rlibm.Reduction.ek_tiny in
-        let v_above = ek.Rlibm.Reduction.ek_above_one in
-        let v_below = ek.Rlibm.Reduction.ek_below_one in
+        let settled_v = ek.Rlibm.Reduction.ek_settled in
+        let n_lo = ek.Rlibm.Reduction.ek_n_lo in
         for o = 0 to len - 1 do
-          let b = Int64.to_int (Bigarray.Array1.unsafe_get src (lo + o)) in
-          let fr = b land fmask in
-          let be = (b lsr fw) land emask in
-          let neg = (b lsr (w - 1)) land 1 = 1 in
-          if be = emask then begin
-            Array.unsafe_set kp o (-1);
-            Bigarray.Array1.unsafe_set dst (lo + o)
-              (if fr <> 0 then Float.nan
-               else if neg then 0.0
-               else Float.infinity)
-          end
-          else begin
-            let si = find_special spec_keys b in
-            if si >= 0 then begin
-              Array.unsafe_set kp o (-1);
-              Bigarray.Array1.unsafe_set dst (lo + o)
-                (Array.unsafe_get spec_vals si)
-            end
-            else begin
-              let x =
-                if be = 0 then
-                  if fr = 0 then if neg then -0.0 else 0.0
-                  else
-                    let v = Float.ldexp (float_of_int fr) sub_e in
-                    if neg then -.v else v
-                else
-                  let v =
-                    Float.ldexp (float_of_int (hidden lor fr)) (be - bias - fw)
-                  in
-                  if neg then -.v else v
-              in
-              let t = x *. scale in
-              if t > hi_cut then begin
-                Array.unsafe_set kp o (-1);
-                Bigarray.Array1.unsafe_set dst (lo + o) v_huge
-              end
-              else if t < low_cut then begin
-                Array.unsafe_set kp o (-1);
-                Bigarray.Array1.unsafe_set dst (lo + o) v_tiny
-              end
-              else if x <> 0.0 && Float.abs t < near_cut then begin
-                Array.unsafe_set kp o (-1);
-                Bigarray.Array1.unsafe_set dst (lo + o)
-                  (if x > 0.0 then v_above else v_below)
-              end
-              else begin
-                s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- x;
-                reduce_into s;
-                Array.unsafe_set kp o s.Rlibm.Reduction.spiece;
-                Float.Array.unsafe_set kr o
-                  s.Rlibm.Reduction.sf.Rlibm.Reduction.sr;
-                Array.unsafe_set kn o s.Rlibm.Reduction.sn
-              end
-            end
-          end
+          let x = decode d (Int64.to_int (Bigarray.Array1.unsafe_get src (lo + o))) in
+          let t = x *. scale in
+          let c_hi = Bool.to_int (t > hi_cut) and c_lo = Bool.to_int (t < low_cut) in
+          let c_near = Bool.to_int (x <> 0.0) land Bool.to_int (Float.abs t < near_cut) in
+          Bigarray.Array1.unsafe_set dst (lo + o)
+            (Array.unsafe_get settled_v
+               (c_hi + (2 * c_lo) + (c_near * (3 + Bool.to_int (x > 0.0)))));
+          (* Reduction.reduce_into, exponential family *)
+          let ti = int_of_float t in
+          let n = ti - Bool.to_int (t < float_of_int ti) in
+          let r = Float.abs (t -. float_of_int n) in
+          let p = int_of_float (r *. fpieces) in
+          Array.unsafe_set kp o
+            ((p - Bool.to_int (p >= pieces)) lor -(c_hi lor c_lo lor c_near));
+          Float.Array.unsafe_set kr o r;
+          Array.unsafe_set kn o (n - n_lo)
         done
-    | Rlibm.Reduction.Log_kernel ->
+    | Rlibm.Reduction.Log_kernel lk ->
+        let tbl = lk.Rlibm.Reduction.lk_table in
+        let tsize = float_of_int (Array.length tbl) in
+        let inv_tsize = 1.0 /. tsize in
+        let k_scale = lk.Rlibm.Reduction.lk_scale in
+        let k_exact = lk.Rlibm.Reduction.lk_exact in
+        let settled_v = lk.Rlibm.Reduction.lk_settled in
+        (* Exponent fields whose k = be - bias is a normal double's take k
+           and m straight from the fields; for ebits <= 11 that is every
+           nonzero field.  Zeros and subnormals take the reference
+           reduction. *)
+        let bias = d.Rlibm.Reduction.d_bias in
+        let be_lo = if bias - 1022 > 1 then bias - 1022 else 1 in
+        let mscale = Float.ldexp 1.0 (-fw) in
+        let s = Rlibm.Reduction.scratch () in
+        let reduce_into = g.family.Rlibm.Reduction.reduce_into in
         for o = 0 to len - 1 do
           let b = Int64.to_int (Bigarray.Array1.unsafe_get src (lo + o)) in
-          let fr = b land fmask in
-          let be = (b lsr fw) land emask in
-          let neg = (b lsr (w - 1)) land 1 = 1 in
-          if be = emask then begin
-            Array.unsafe_set kp o (-1);
-            Bigarray.Array1.unsafe_set dst (lo + o)
-              (if fr <> 0 then Float.nan
-               else if neg then Float.nan
-               else Float.infinity)
+          let be = (b lsr fw) land emask and neg = (b lsr sign_shift) land 1 in
+          let zero = Bool.to_int (b land ((1 lsl sign_shift) - 1) = 0) in
+          let settled = neg lor zero in
+          Bigarray.Array1.unsafe_set dst (lo + o)
+            (Array.unsafe_get settled_v (neg lor (zero lsl 1)));
+          if be >= be_lo && be <= bias + 1023 then begin
+            (* Reduction.reduce_into, logarithm family: x = 2^k * m *)
+            let m = float_of_int (b land fmask lor (fmask + 1)) *. mscale in
+            let j = int_of_float ((m -. 1.0) *. tsize) in
+            let f = 1.0 +. (float_of_int j *. inv_tsize) in
+            let r = (m -. f) /. f in
+            let kf = float_of_int (be - bias) in
+            Float.Array.unsafe_set kr o r;
+            Float.Array.unsafe_set kc o
+              (if k_exact then kf +. tbl.(j) else Float.fma kf k_scale tbl.(j));
+            let p = int_of_float (r *. tsize *. fpieces) in
+            Array.unsafe_set kp o ((p - Bool.to_int (p >= pieces)) lor -settled)
           end
           else begin
-            let si = find_special spec_keys b in
-            if si >= 0 then begin
-              Array.unsafe_set kp o (-1);
-              Bigarray.Array1.unsafe_set dst (lo + o)
-                (Array.unsafe_get spec_vals si)
-            end
-            else if be = 0 && fr = 0 then begin
-              (* x = +/-0: the log shortcut's [x = 0.0] branch *)
-              Array.unsafe_set kp o (-1);
-              Bigarray.Array1.unsafe_set dst (lo + o) Float.neg_infinity
-            end
-            else if neg then begin
-              Array.unsafe_set kp o (-1);
-              Bigarray.Array1.unsafe_set dst (lo + o) Float.nan
-            end
-            else begin
-              let x =
-                if be = 0 then Float.ldexp (float_of_int fr) sub_e
-                else
-                  Float.ldexp (float_of_int (hidden lor fr)) (be - bias - fw)
-              in
-              s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- x;
-              reduce_into s;
-              Array.unsafe_set kp o s.Rlibm.Reduction.spiece;
-              Float.Array.unsafe_set kr o
-                s.Rlibm.Reduction.sf.Rlibm.Reduction.sr;
-              Float.Array.unsafe_set kc o
-                s.Rlibm.Reduction.sf.Rlibm.Reduction.sc
-            end
+            s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- decode d b;
+            reduce_into s;
+            Array.unsafe_set kp o (s.Rlibm.Reduction.spiece lor -settled);
+            Float.Array.unsafe_set kr o s.Rlibm.Reduction.sf.Rlibm.Reduction.sr;
+            Float.Array.unsafe_set kc o s.Rlibm.Reduction.sf.Rlibm.Reduction.sc
           end
         done);
-    (* Pass 2: counting sort of the surviving positions by piece. *)
-    let kcount = ks.kcount and koff = ks.koff and kidx = ks.kidx in
-    Array.fill kcount 0 npieces 0;
+    let neg_inf_v = if Funcspec.is_exp_family g.family.func then 0.0 else Float.nan in
+    let spec_keys = g.spec_keys and spec_vals = g.spec_vals in
     for o = 0 to len - 1 do
-      let p = Array.unsafe_get kp o in
-      if p >= 0 then kcount.(p) <- kcount.(p) + 1
-    done;
-    let acc = ref 0 in
-    for p = 0 to npieces - 1 do
-      koff.(p) <- !acc;
-      acc := !acc + kcount.(p)
-    done;
-    for o = 0 to len - 1 do
-      let p = Array.unsafe_get kp o in
-      if p >= 0 then begin
-        Array.unsafe_set kidx koff.(p) o;
-        koff.(p) <- koff.(p) + 1
+      let b = Int64.to_int (Bigarray.Array1.unsafe_get src (lo + o)) in
+      let si = find_special spec_keys b in
+      if (b lsr fw) land emask = emask then begin
+        Array.unsafe_set kp o (-1);
+        Bigarray.Array1.unsafe_set dst (lo + o)
+          (if b land fmask <> 0 then Float.nan
+           else if (b lsr sign_shift) land 1 = 1 then neg_inf_v
+           else Float.infinity)
+      end
+      else if si >= 0 then begin
+        Array.unsafe_set kp o (-1);
+        Bigarray.Array1.unsafe_set dst (lo + o) (Array.unsafe_get spec_vals si)
       end
     done;
+    (* Pass 2: counting sort of the positions by slot kp + 1. *)
+    let slots = npieces + 1 in
+    let kcount = ks.kcount and koff = ks.koff and kidx = ks.kidx in
+    Array.fill kcount 0 slots 0;
+    for o = 0 to len - 1 do
+      let q = Array.unsafe_get kp o + 1 in
+      Array.unsafe_set kcount q (Array.unsafe_get kcount q + 1)
+    done;
+    let acc = ref 0 in
+    for q = 0 to slots - 1 do
+      koff.(q) <- !acc;
+      acc := !acc + kcount.(q)
+    done;
+    for o = 0 to len - 1 do
+      let q = Array.unsafe_get kp o + 1 in
+      let at = Array.unsafe_get koff q in
+      Array.unsafe_set kidx at o;
+      Array.unsafe_set koff q (at + 1)
+    done;
     (* Pass 3: per piece — gather, batch-evaluate, compensate, scatter.
-       [koff.(p)] now points one past the group's end. *)
+       [koff.(p + 1)] now points one past piece p's group. *)
     let kpr = ks.kpr and kv = ks.kv in
-    let scheme = g.scheme in
-    let is_exp =
-      match g.family.Rlibm.Reduction.kernel with
-      | Rlibm.Reduction.Exp_kernel _ -> true
-      | Rlibm.Reduction.Log_kernel -> false
-    in
     for p = 0 to npieces - 1 do
-      let m = kcount.(p) in
+      let m = kcount.(p + 1) in
       if m > 0 then begin
-        let base = koff.(p) - m in
+        let base = koff.(p + 1) - m in
         for t = 0 to m - 1 do
           Float.Array.unsafe_set kpr t
             (Float.Array.unsafe_get kr (Array.unsafe_get kidx (base + t)))
         done;
-        Polyeval.eval_into scheme g.pieces.(p).Polyeval.data ~src:kpr ~dst:kv
+        Polyeval.eval_into g.scheme g.pieces.(p).Polyeval.data ~src:kpr ~dst:kv
           ~lo:0 ~hi:m;
-        if is_exp then
-          for t = 0 to m - 1 do
-            let o = Array.unsafe_get kidx (base + t) in
-            Bigarray.Array1.unsafe_set dst (lo + o)
-              (Float.ldexp (Float.Array.unsafe_get kv t) (Array.unsafe_get kn o))
-          done
-        else
-          for t = 0 to m - 1 do
-            let o = Array.unsafe_get kidx (base + t) in
-            Bigarray.Array1.unsafe_set dst (lo + o)
-              (Float.Array.unsafe_get kc o +. Float.Array.unsafe_get kv t)
-          done
+        match g.family.Rlibm.Reduction.kernel with
+        | Rlibm.Reduction.Exp_kernel ek ->
+            let pow = ek.Rlibm.Reduction.ek_pow and pow_lo = ek.Rlibm.Reduction.ek_pow_lo in
+            for t = 0 to m - 1 do
+              let o = Array.unsafe_get kidx (base + t) in
+              let i = Array.unsafe_get kn o in
+              Bigarray.Array1.unsafe_set dst (lo + o)
+                (Float.Array.unsafe_get kv t *. Array.unsafe_get pow i
+                *. Array.unsafe_get pow_lo i)
+            done
+        | Rlibm.Reduction.Log_kernel _ ->
+            for t = 0 to m - 1 do
+              let o = Array.unsafe_get kidx (base + t) in
+              Bigarray.Array1.unsafe_set dst (lo + o)
+                (Float.Array.unsafe_get kc o +. Float.Array.unsafe_get kv t)
+            done
       end
     done
   end

@@ -88,6 +88,10 @@ val create_dst : int -> dst_buf
     buffer. *)
 val eval_bits_into : t -> src:src_buf -> dst:dst_buf -> lo:int -> hi:int -> unit
 
+(** [decode_bits d x] is the batch kernel's decode of the finite pattern
+    [x] through the table [d]; it equals [Softfp.to_float]. *)
+val decode_bits : Rlibm.Reduction.decoder -> int64 -> float
+
 (** {1 Verification} *)
 
 type verify_report = {

@@ -267,6 +267,7 @@ let solve_piece ?(log = fun _ -> ()) ~scheme ~degree ~max_rounds ~max_specials
 type generated = {
   cfg : Config.t;
   family : Reduction.t;
+  decode : Reduction.decoder;  (* the batch kernel's decode of cfg.tin *)
   scheme : Polyeval.scheme;
   pieces : Polyeval.compiled array;
   specials : (int64, float) Hashtbl.t;  (* input bits -> double result *)
@@ -429,6 +430,7 @@ let assemble ~(cfg : Config.t) ~scheme ~func
   {
     cfg;
     family;
+    decode = Reduction.decoder cfg.tin;
     scheme;
     pieces;
     specials;

@@ -37,6 +37,9 @@ val solve_piece :
 type generated = {
   cfg : Config.t;
   family : Reduction.t;
+  decode : Reduction.decoder;
+      (** the batch kernel's decode table for [cfg.tin] (the reduction
+          sees only the output format) *)
   scheme : Polyeval.scheme;
   pieces : Polyeval.compiled array;  (** one compiled evaluator per piece *)
   specials : (int64, float) Hashtbl.t;

@@ -55,22 +55,48 @@ type scratch = { sf : scratch_floats; mutable spiece : int; mutable sn : int }
 let scratch () =
   { sf = { sx = 0.0; sr = 0.0; sc = 0.0 }; spiece = 0; sn = 0 }
 
-(* Constants a batch kernel needs to inline the analytic shortcut and the
-   output compensation without calling the option-allocating closures.
-   The log family needs no constants: its shortcut tests only the sign
-   and its compensation is [sc +. v]. *)
+(* Closure-free constants of the batch kernel, built once per [make];
+   documented in the interface. *)
 type exp_consts = {
-  ek_scale : float;  (* log2 base *)
-  ek_hi_cut : float;  (* emax + 1.1: overflow threshold on t *)
-  ek_lo_cut : float;  (* deep-underflow threshold on t *)
-  ek_near_cut : float;  (* |t| below this (x <> 0): result hugs 1 *)
-  ek_huge : float;
-  ek_tiny : float;
-  ek_above_one : float;
-  ek_below_one : float;
+  ek_scale : float;
+  ek_hi_cut : float;
+  ek_lo_cut : float;
+  ek_near_cut : float;
+  ek_settled : float array;
+  ek_n_lo : int;
+  ek_pow : float array;
+  ek_pow_lo : float array;
 }
 
-type kernel = Exp_kernel of exp_consts | Log_kernel
+type log_consts = {
+  lk_table : float array;
+  lk_scale : float;
+  lk_exact : bool;
+  lk_settled : float array;
+}
+
+type kernel = Exp_kernel of exp_consts | Log_kernel of log_consts
+
+(* Layout in the interface.  A weight overflows to inf only where every
+   significand is >= 1, so the product is inf, correctly rounded. *)
+type decoder = { d_fw : int; d_bias : int; d_emask : int; d_scale : float array }
+
+(* 2^e without an out-of-line Float.ldexp in the normal range; with the
+   table loops (unboxed stores) this keeps set-up time flat. *)
+let[@inline] pow2 e =
+  if e < -1022 || e > 1023 then Float.ldexp 1.0 e
+  else Int64.float_of_bits (Int64.shift_left (Int64.of_int (e + 1023)) 52)
+
+let decoder (fmt : Softfp.fmt) =
+  let fw = fmt.Softfp.prec - 1 and bias = Softfp.emax fmt in
+  let emask = (1 lsl fmt.Softfp.ebits) - 1 in
+  let d_scale = Array.make (2 * (emask + 1)) 0.0 in
+  for se = 0 to (2 * emask) + 1 do
+    let be = se land emask in
+    let w = pow2 ((if be = 0 then 1 else be) - bias - fw) in
+    d_scale.(se) <- (if se > emask then -.w else w)
+  done;
+  { d_fw = fw; d_bias = bias; d_emask = emask; d_scale }
 
 type t = {
   func : Oracle.func;
@@ -120,16 +146,21 @@ let exp_family func ~scale ~out_fmt ~pieces =
   in
   (* The hot-path body.  [reduce] below re-reads the results out of the
      scratch record, so the two entry points cannot drift: every float
-     operation runs here, once. *)
+     operation runs here, once.  Genlibm's batch kernel inlines the same
+     expressions.  floor t is truncation plus a fix-up (no out-of-line
+     Float.floor); [abs] maps the t - n = -0.0 of t = -0.0 to the +0.0
+     that t -. floor t gives (r is never negative otherwise).  r <= 1, so
+     p <= pieces and the clamp below is min (pieces - 1) p. *)
+  let fpieces = float_of_int pieces in
   let reduce_into (s : scratch) =
-    let x = s.sf.sx in
-    let t = x *. scale in
-    let n = Float.floor t in
-    let r = t -. n in
+    let t = s.sf.sx *. scale in
+    let ti = int_of_float t in
+    let n = ti - Bool.to_int (t < float_of_int ti) in
+    let r = Float.abs (t -. float_of_int n) in
     s.sf.sr <- r;
-    s.sn <- int_of_float n;
-    s.spiece <-
-      Stdlib.min (pieces - 1) (int_of_float (r *. float_of_int pieces))
+    s.sn <- n;
+    let p = int_of_float (r *. fpieces) in
+    s.spiece <- p - Bool.to_int (p >= pieces)
   in
   let reduce x =
     let s = scratch () in
@@ -143,6 +174,19 @@ let exp_family func ~scale ~out_fmt ~pieces =
       oc_inv = (fun q -> Rat.mul_pow2 q (-n));
     }
   in
+  (* 2^n as a two-factor product, one factor per table: exactly 2^n
+     when that is a normal double; otherwise an exact shift by 2^(n -/+
+     512) and one rounding multiply, so v *. hi *. lo rounds once, like
+     [ldexp v n], for every n in [-1534, 1535] (every format with
+     ebits <= 11). *)
+  let n_lo = int_of_float (Float.floor lo_cut) in
+  let n_hi = int_of_float (Float.floor (emax +. 1.1)) in
+  let pow = Array.make (n_hi - n_lo + 1) 0.0 and pow_lo = Array.make (n_hi - n_lo + 1) 0.0 in
+  for n = n_lo to n_hi do
+    let a = if n < -1022 then n + 512 else if n > 1023 then n - 512 else n in
+    pow.(n - n_lo) <- pow2 a;
+    pow_lo.(n - n_lo) <- pow2 (n - a)
+  done;
   let kernel =
     Exp_kernel
       {
@@ -150,10 +194,10 @@ let exp_family func ~scale ~out_fmt ~pieces =
         ek_hi_cut = emax +. 1.1;
         ek_lo_cut = lo_cut;
         ek_near_cut = near_cut;
-        ek_huge = v_huge;
-        ek_tiny = v_tiny;
-        ek_above_one = v_above_one;
-        ek_below_one = v_below_one;
+        ek_settled = [| 0.0; v_huge; v_tiny; v_below_one; v_above_one |];
+        ek_n_lo = n_lo;
+        ek_pow = pow;
+        ek_pow_lo = pow_lo;
       }
   in
   {
@@ -221,6 +265,7 @@ let log_table func ~table_bits =
 let log_family func ~k_scale ~k_exact ~pieces ~table_bits =
   let tbl = log_table func ~table_bits in
   let tsize = float_of_int (1 lsl table_bits) in
+  let inv_tsize = 1.0 /. tsize and fpieces = float_of_int pieces in
   let shortcut x =
     if x = 0.0 then Some Float.neg_infinity
     else if x < 0.0 then Some Float.nan
@@ -247,14 +292,14 @@ let log_family func ~k_scale ~k_exact ~pieces ~table_bits =
     in
     let k = e - 1023 - if scaled then 54 else 0 in
     let j = int_of_float ((m -. 1.0) *. tsize) in
-    let f = 1.0 +. (float_of_int j /. tsize) in
+    let f = 1.0 +. (float_of_int j *. inv_tsize) in
     let r = (m -. f) /. f in
     let kf = float_of_int k in
     s.sf.sr <- r;
     s.sf.sc <- (if k_exact then kf +. tbl.(j) else Float.fma kf k_scale tbl.(j));
-    s.spiece <-
-      Stdlib.min (pieces - 1)
-        (int_of_float (r *. tsize *. float_of_int pieces))
+    (* r < 2^-J, so p <= pieces: the clamp is min (pieces - 1) p *)
+    let p = int_of_float (r *. tsize *. fpieces) in
+    s.spiece <- p - Bool.to_int (p >= pieces)
   in
   let reduce x =
     let s = scratch () in
@@ -269,7 +314,16 @@ let log_family func ~k_scale ~k_exact ~pieces ~table_bits =
     }
   in
   let params = Log_params { table_bits; table = tbl; k_scale; k_exact } in
-  { func; pieces; params; kernel = Log_kernel; shortcut; reduce; reduce_into }
+  let kernel =
+    Log_kernel
+      {
+        lk_table = tbl;
+        lk_scale = k_scale;
+        lk_exact = k_exact;
+        lk_settled = [| 0.0; Float.nan; Float.neg_infinity; Float.neg_infinity |];
+      }
+  in
+  { func; pieces; params; kernel; shortcut; reduce; reduce_into }
 
 let make func ~out_fmt ~pieces ~table_bits =
   match (Funcspec.get func).Funcspec.family with

@@ -54,25 +54,49 @@ type scratch = {
 
 val scratch : unit -> scratch
 
-(** Constants a batch kernel needs to inline the analytic shortcut and
-    the output compensation of the exponential family without going
-    through the option-allocating {!t.shortcut} closure. *)
+(** Closure-free constants of the batch kernel, built once by {!make}:
+    settled values in small tables indexed by comparison bits, so the
+    kernel's classification takes no data-dependent branch. *)
 type exp_consts = {
   ek_scale : float;  (** log2 of the base: t = x * ek_scale *)
-  ek_hi_cut : float;  (** t above this overflows: return [ek_huge] *)
-  ek_lo_cut : float;  (** t below this underflows: return [ek_tiny] *)
-  ek_near_cut : float;
-      (** 0 < |t| below this: return [ek_above_one] / [ek_below_one] *)
-  ek_huge : float;
-  ek_tiny : float;
-  ek_above_one : float;
-  ek_below_one : float;
+  ek_hi_cut : float;  (** t above this overflows *)
+  ek_lo_cut : float;  (** t below this underflows *)
+  ek_near_cut : float;  (** 0 < |t| below this: the result hugs 1 *)
+  ek_settled : float array;
+      (** the shortcut's results, by index: 1 overflow, 2 underflow,
+          3 just below 1 (x < 0), 4 just above 1 (x > 0); 0 is unused *)
+  ek_n_lo : int;  (** smallest [n = floor t] of a polynomial-path input *)
+  ek_pow : float array;
+  ek_pow_lo : float array;
+      (** [v *. ek_pow.(i) *. ek_pow_lo.(i)] is [ldexp v (ek_n_lo + i)],
+          bit for bit: [ek_pow_lo.(i)] is 1.0 wherever [2^n] is a normal
+          double, and otherwise an exact power-of-two shift lets the
+          second multiply round once *)
 }
 
-(** Family tag for batch kernels.  [Log_kernel] carries nothing: the log
-    shortcut tests only [x <= 0.0] and its compensation is
-    [scratch.sf.sc +. v]. *)
-type kernel = Exp_kernel of exp_consts | Log_kernel
+type log_consts = {
+  lk_table : float array;  (** T[j], 2^J entries *)
+  lk_scale : float;  (** log_b 2 *)
+  lk_exact : bool;  (** [k * lk_scale] is exact (log2) *)
+  lk_settled : float array;
+      (** the shortcut's results, indexed by [neg lor (zero lsl 1)]:
+          NaN for negative inputs, -inf for zeros; 0 is unused *)
+}
+
+type kernel = Exp_kernel of exp_consts | Log_kernel of log_consts
+
+(** Decode table of an input format for the batch kernel: [d_scale],
+    indexed by the sign and exponent fields [b lsr d_fw], holds the
+    signed weight [+/-2^(max(be, 1) - d_bias - d_fw)] of the integer
+    significand; [0.0] (only for [ebits >= 12]) where it underflows. *)
+type decoder = {
+  d_fw : int;  (** fraction width, [prec - 1] *)
+  d_bias : int;
+  d_emask : int;  (** the all-ones exponent field *)
+  d_scale : float array;
+}
+
+val decoder : Softfp.fmt -> decoder
 
 type t = {
   func : Oracle.func;

@@ -3,8 +3,10 @@
    pattern of a mini format (NaN, infinities, zeros, subnormals,
    specials and shortcut inputs included) for every scheme on both
    families, Serve.eval_batch_into at -j 1 and -j 4, the allocation-free
-   reduction scratch against the allocating wrapper, and seeded sampled
-   binary32 batches (multi-piece counting-sort path). *)
+   reduction scratch against the allocating wrapper, seeded sampled
+   binary32 batches (multi-piece counting-sort path), the truncation
+   floor at t = -0.0, the table decode against Softfp.to_float, and
+   batch shapes of the branch-free classification. *)
 
 let tiny_cfg =
   {
@@ -235,23 +237,29 @@ let test_reduce_into_matches_reduce () =
               Alcotest.(check int)
                 (Printf.sprintf "%s piece at %h" (Oracle.name func) x)
                 red.Rlibm.Reduction.piece s.Rlibm.Reduction.spiece;
-              (* the inline compensation of the kernel form must be the
-                 same double operation as the oc closure *)
-              let v = 1.5 in
-              let oc_scalar = red.Rlibm.Reduction.oc v in
-              let oc_kernel =
-                match fam.Rlibm.Reduction.kernel with
-                | Rlibm.Reduction.Exp_kernel _ ->
-                    Float.ldexp v s.Rlibm.Reduction.sn
-                | Rlibm.Reduction.Log_kernel ->
-                    s.Rlibm.Reduction.sf.Rlibm.Reduction.sc +. v
-              in
-              if
-                not
-                  (Int64.equal
-                     (Int64.bits_of_float oc_scalar)
-                     (Int64.bits_of_float oc_kernel))
-              then Alcotest.failf "%s: oc mismatch at %h" (Oracle.name func) x
+              (* the table compensation of the kernel form must be the
+                 same double as the oc closure *)
+              List.iter
+                (fun v ->
+                  let oc_scalar = red.Rlibm.Reduction.oc v in
+                  let oc_kernel =
+                    match fam.Rlibm.Reduction.kernel with
+                    | Rlibm.Reduction.Exp_kernel ek ->
+                        let i = s.Rlibm.Reduction.sn - ek.Rlibm.Reduction.ek_n_lo in
+                        v *. ek.Rlibm.Reduction.ek_pow.(i)
+                        *. ek.Rlibm.Reduction.ek_pow_lo.(i)
+                    | Rlibm.Reduction.Log_kernel _ ->
+                        s.Rlibm.Reduction.sf.Rlibm.Reduction.sc +. v
+                  in
+                  if
+                    not
+                      (Int64.equal
+                         (Int64.bits_of_float oc_scalar)
+                         (Int64.bits_of_float oc_kernel))
+                  then
+                    Alcotest.failf "%s: oc mismatch at %h, v = %h"
+                      (Oracle.name func) x v)
+                [ 1.5; 0x1.fffffffffffffp0; 0x1.0000000000001p-1; -1.25 ]
             end
           end)
         (all_patterns tiny))
@@ -259,29 +267,182 @@ let test_reduce_into_matches_reduce () =
 
 (* ---------- sampled binary32 (multi-piece, wide exponents) ---------- *)
 
-let test_binary32_sampled func =
-  let cfg = Rlibm.Config.float32_for func in
-  let r, sampled =
-    Genlibm.generate_sampled ~cfg ~scheme:Polyeval.EstrinFma ~count:250
-      ~seed:11 func
-  in
-  match r with
-  | Error msg ->
-      Alcotest.failf "%s binary32 sampled generation failed: %s"
-        (Oracle.name func)
-        (Diag.Error.to_string msg)
-  | Ok g ->
-      let name = Printf.sprintf "%s/binary32" (Oracle.name func) in
-      check_bit_identity (name ^ " sampled") g sampled;
-      (* a fresh seeded batch over the whole 32-bit pattern space:
-         non-finite rows, patterns the generator never saw, every
-         piece of the piecewise polynomial *)
-      let st = Random.State.make [| 2026 |] in
-      let batch =
-        Array.init 4096 (fun _ ->
-            Random.State.int64 st (Int64.shift_left 1L 32))
+let b32_cache = Hashtbl.create 2
+
+let generate_b32 func =
+  match Hashtbl.find_opt b32_cache func with
+  | Some r -> r
+  | None ->
+      let cfg = Rlibm.Config.float32_for func in
+      let r =
+        match
+          Genlibm.generate_sampled ~cfg ~scheme:Polyeval.EstrinFma ~count:250
+            ~seed:11 func
+        with
+        | Error msg, _ ->
+            Alcotest.failf "%s binary32 sampled generation failed: %s"
+              (Oracle.name func)
+              (Diag.Error.to_string msg)
+        | Ok g, sampled -> (g, sampled)
       in
-      check_bit_identity (name ^ " random batch") g batch
+      Hashtbl.replace b32_cache func r;
+      r
+
+let test_binary32_sampled func =
+  let g, sampled = generate_b32 func in
+  let name = Printf.sprintf "%s/binary32" (Oracle.name func) in
+  check_bit_identity (name ^ " sampled") g sampled;
+  (* a fresh seeded batch over the whole 32-bit pattern space:
+     non-finite rows, patterns the generator never saw, every
+     piece of the piecewise polynomial *)
+  let st = Random.State.make [| 2026 |] in
+  let batch =
+    Array.init 4096 (fun _ -> Random.State.int64 st (Int64.shift_left 1L 32))
+  in
+  check_bit_identity (name ^ " random batch") g batch
+
+(* ---------- the floor replacement at t = -0.0 and negative integers ---------- *)
+
+let test_reduce_negative_zero () =
+  let s = Rlibm.Reduction.scratch () in
+  let reduce fam x =
+    s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- x;
+    fam.Rlibm.Reduction.reduce_into s;
+    (Int64.bits_of_float s.Rlibm.Reduction.sf.Rlibm.Reduction.sr, s.Rlibm.Reduction.sn)
+  in
+  List.iter
+    (fun func ->
+      let fam =
+        Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout tiny_cfg) ~pieces:2
+          ~table_bits:3
+      in
+      let scale =
+        match fam.Rlibm.Reduction.params with
+        | Rlibm.Reduction.Exp_params { log2_base } -> log2_base
+        | Rlibm.Reduction.Log_params _ -> Alcotest.fail "not an exponential"
+      in
+      let name = Oracle.name func in
+      List.iter
+        (fun x ->
+          let r, n = reduce fam x in
+          Alcotest.(check int64) (Printf.sprintf "%s r at %h" name x) 0L r;
+          Alcotest.(check int) (Printf.sprintf "%s n at %h" name x) 0 n)
+        [ -0.0; 0.0 ];
+      (* inputs where t = x * scale is exactly a negative integer *)
+      let hits = ref 0 in
+      for k = 1 to 40 do
+        let x0 = -.float_of_int k /. scale in
+        List.iter
+          (fun x ->
+            let t = x *. scale in
+            if t < 0.0 && Float.is_integer t then begin
+              incr hits;
+              let r, n = reduce fam x in
+              Alcotest.(check int64) (Printf.sprintf "%s r at t = %g" name t) 0L r;
+              Alcotest.(check int) (Printf.sprintf "%s n at t = %g" name t)
+                (int_of_float t) n
+            end)
+          [ x0; Float.pred x0; Float.succ x0 ]
+      done;
+      if !hits = 0 then Alcotest.failf "%s: no input with integer t" name)
+    [ Oracle.Exp; Oracle.Exp2; Oracle.Exp10 ]
+
+(* ---------- the kernel's table decode = Softfp.to_float ---------- *)
+
+let test_decode_exact () =
+  List.iter
+    (fun (ebits, prec) ->
+      let fmt = Softfp.make_fmt ~ebits ~prec in
+      let d = Rlibm.Reduction.decoder fmt in
+      Softfp.iter_finite fmt (fun x ->
+          let want = Int64.bits_of_float (Softfp.to_float fmt x) in
+          let got = Int64.bits_of_float (Genlibm.decode_bits d x) in
+          if not (Int64.equal want got) then
+            Alcotest.failf "(%d, %d) pattern %Lx: to_float %Lx, decode %Lx" ebits
+              prec x want got))
+    [ (5, 8); (5, 11); (8, 8); (11, 4); (12, 4) ];
+  (* the last two formats reach the table's edge cases *)
+  let scales ebits = (Rlibm.Reduction.decoder (Softfp.make_fmt ~ebits ~prec:4)).d_scale in
+  Alcotest.(check bool) "(11, 4) has subnormal-double weights" true
+    (Array.exists (fun w -> w <> 0.0 && Float.abs w < 0x1p-1022) (scales 11));
+  Alcotest.(check bool) "(12, 4) has ldexp entries" true
+    (Array.exists (fun w -> w = 0.0) (scales 12))
+
+(* ---------- batch shapes of the branch-free classification ---------- *)
+
+let test_batch_shapes () =
+  let shortcut g x =
+    Softfp.is_finite g.Rlibm.Generate.cfg.Rlibm.Config.tin x
+    && g.Rlibm.Generate.family.Rlibm.Reduction.shortcut
+         (Softfp.to_float g.Rlibm.Generate.cfg.Rlibm.Config.tin x)
+       <> None
+  in
+  let by_value fmt a =
+    let a = Array.copy a in
+    Array.sort (fun x y -> compare (Softfp.ordinal fmt x) (Softfp.ordinal fmt y)) a;
+    a
+  in
+  let check_chunks name g patterns len =
+    let n = Array.length patterns in
+    let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
+    Array.iteri (fun i x -> Bigarray.Array1.set src i x) patterns;
+    let lo = ref 0 in
+    while !lo < n do
+      let hi = Stdlib.min n (!lo + len) in
+      Genlibm.eval_bits_into g ~src ~dst ~lo:!lo ~hi;
+      lo := hi
+    done;
+    Array.iteri
+      (fun i x ->
+        let s = Int64.bits_of_float (Genlibm.eval_bits g x) in
+        let k = Int64.bits_of_float (Bigarray.Array1.get dst i) in
+        if not (Int64.equal s k) then
+          Alcotest.failf "%s, chunks of %d: input %Lx: scalar %Lx, kernel %Lx" name
+            len x s k)
+      patterns
+  in
+  List.iter
+    (fun func ->
+      let g = generate_ok func Polyeval.Horner in
+      let name = Oracle.name func in
+      let all = all_patterns tiny in
+      let settled =
+        Array.of_list
+          (List.filter (fun x -> (not (Softfp.is_finite tiny x)) || shortcut g x)
+             (Array.to_list all))
+      in
+      let poly =
+        Array.of_list
+          (List.filter
+             (fun x ->
+               Softfp.is_finite tiny x
+               && (not (Hashtbl.mem g.Rlibm.Generate.specials x))
+               && not (shortcut g x))
+             (Array.to_list all))
+      in
+      Alcotest.(check bool) (name ^ " has shortcut inputs") true
+        (Array.exists (shortcut g) settled);
+      check_bit_identity (name ^ " all settled") g settled;
+      check_bit_identity (name ^ " all polynomial") g poly;
+      check_bit_identity (name ^ " sorted") g (by_value tiny all);
+      check_chunks name g all 1;
+      check_chunks name g all 2;
+      (* multi-piece: binary32 exp2 has 16 pieces, log2 at binary32 one,
+         so the log family also runs a three-piece tiny generation *)
+      let g32, sampled = generate_b32 func in
+      check_bit_identity (name ^ " binary32 sorted") g32 (by_value Softfp.binary32 sampled);
+      check_chunks (name ^ " binary32") g32 sampled 2;
+      let cfg3 = { tiny_cfg with Rlibm.Config.pieces = 3 } in
+      match Genlibm.generate ~cfg:cfg3 ~scheme:Polyeval.Horner func with
+      | Ok g3 ->
+          Alcotest.(check int) (name ^ " three pieces") 3
+            (Array.length g3.Rlibm.Generate.pieces);
+          check_bit_identity (name ^ " three pieces") g3 all;
+          check_bit_identity (name ^ " three pieces, sorted") g3 (by_value tiny all)
+      | Error e ->
+          Alcotest.failf "%s three-piece generation failed: %s" name
+            (Diag.Error.to_string e))
+    [ Oracle.Exp2; Oracle.Log2 ]
 
 let suite =
   List.map
@@ -304,4 +465,7 @@ let suite =
       ( "log2/binary32 sampled batches",
         `Slow,
         fun () -> test_binary32_sampled Oracle.Log2 );
+      ("reduce_into at t = -0.0 and negative integers", `Quick, test_reduce_negative_zero);
+      ("table decode = Softfp.to_float", `Quick, test_decode_exact);
+      ("batch shapes: settled, polynomial, sorted, pieces, chunks", `Slow, test_batch_shapes);
     ]

@@ -9,7 +9,7 @@
 # -j 1 and -j N; a warm snapshot loads from exactly one store entry),
 # and smoke-check the batch kernels (scalar-vs-kernel timings reported,
 # serve-throughput JSON artifact matches its schema, every row
-# bit-identical), and smoke-check sharded oracle warming (single-shard
+# bit-identical and at most 0.03 minor words per element), and smoke-check sharded oracle warming (single-shard
 # warms resume into a full run that loads — never recomputes — the
 # published shards; a re-run hits every shard and the whole table),
 # and smoke-check the fault-injection substrate (an injected-ENOSPC warm
@@ -168,8 +168,11 @@ for row in doc["results"]:
         assert key in row, f"missing row key {key!r}"
     assert row["bit_identical"] is True, row
     assert row["kernel_ns_per_eval"] > 0.0, row
+    # Per-chunk constants only (about 0.02 at -j 4, batch 2^10): a table
+    # built per call or a float boxed per element breaks this bound.
+    assert row["kernel_minor_words_per_eval"] <= 0.03, row
 EOF
-echo "kernel timings reported, serve-throughput JSON schema OK"
+echo "kernel timings reported, serve-throughput JSON schema OK, minor words <= 0.03/eval"
 
 echo "== sharded oracle warm smoke =="
 sharddir=$(mktemp -d)
