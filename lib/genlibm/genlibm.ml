@@ -125,6 +125,7 @@ type kscratch = {
   mutable kidx : int array;  (* element positions grouped by slot *)
   mutable kcount : int array;  (* per-slot group size; slot p + 1 = piece p *)
   mutable koff : int array;  (* per-slot group start *)
+  kred : Rlibm.Reduction.scratch;  (* reference reduction of log zeros/subnormals *)
 }
 
 let kscratch_key =
@@ -139,6 +140,7 @@ let kscratch_key =
         kidx = [||];
         kcount = [||];
         koff = [||];
+        kred = Rlibm.Reduction.scratch ();
       })
 
 let ensure_kscratch ks len slots =
@@ -258,8 +260,8 @@ let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
            reduction. *)
         let bias = d.Rlibm.Reduction.d_bias in
         let be_lo = if bias - 1022 > 1 then bias - 1022 else 1 in
-        let mscale = Float.ldexp 1.0 (-fw) in
-        let s = Rlibm.Reduction.scratch () in
+        let mscale = d.Rlibm.Reduction.d_mscale in
+        let s = ks.kred in
         let reduce_into = g.family.Rlibm.Reduction.reduce_into in
         for o = 0 to len - 1 do
           let b = Int64.to_int (Bigarray.Array1.unsafe_get src (lo + o)) in

@@ -1,13 +1,13 @@
 (* Fixed-size domain pool with deterministic chunked fan-out.
 
-   A fan-out splits [0, n) into a static chunk grid (depending only on n
-   and the job count), queues one task per chunk, and lets the pool's
-   workers *and the calling domain* drain the queue; the caller then
-   blocks until every chunk of its batch has completed.  Chunk results
-   land in per-chunk slots and are concatenated in chunk-index order, so
-   scheduling never influences the output.  All cross-domain publication
-   happens under the pool mutex, which gives the necessary happens-before
-   edges for the result slots. *)
+   A fan-out splits [0, n) into a static chunk grid (depending only on
+   n, the job count and the caller's grain), queues one task per chunk,
+   and lets the pool's workers *and the calling domain* drain the queue;
+   the caller then blocks until every chunk of its batch has completed.
+   Chunks write disjoint index ranges of one result, so scheduling never
+   influences the output.  All cross-domain publication happens under
+   the pool mutex, which gives the necessary happens-before edges for
+   the result slots. *)
 
 (* ---------- job count ---------- *)
 
@@ -166,21 +166,26 @@ let chunk_factor = 8
 (* Chunk k of c over n items: [k*n/c, (k+1)*n/c). *)
 let chunk_lo n c k = k * n / c
 let chunk_hi n c k = (k + 1) * n / c
-let chunk_count j n = Stdlib.min n (j * chunk_factor)
 
-(* Fan [n] items out as [c] chunk tasks; [body k lo hi] fills chunk k's
-   result slot.  The exception of the lowest-numbered failing chunk is
+(* The static grid: at most [j * chunk_factor] chunks, and never so many
+   that a chunk holds fewer than [grain] items.  [None] (fewer than two
+   chunks) means the caller runs the whole range itself. *)
+let grid ~grain n =
+  let j = jobs () and grain = Stdlib.max 1 grain in
+  if j <= 1 || n < 2 * grain then None
+  else Some (j, Stdlib.min (j * chunk_factor) (n / grain))
+
+(* Fan [n] items out as [c] chunk tasks; [body lo hi] fills chunk
+   [\[lo, hi)].  The exception of the lowest-numbered failing chunk is
    re-raised after the whole batch has finished, so no worker is ever
    abandoned mid-write. *)
-let fan_out j n body =
-  let c = chunk_count j n in
+let fan_out j c n body =
   Diag.event ~level:Diag.Debug "parallel.fan-out" (fun () ->
       [ ("jobs", Diag.Int j); ("items", Diag.Int n); ("chunks", Diag.Int c) ]);
   let failed = Array.make c None in
   let tasks =
     Array.init c (fun k () ->
-        let lo = chunk_lo n c k and hi = chunk_hi n c k in
-        try body k lo hi
+        try body (chunk_lo n c k) (chunk_hi n c k)
         with e -> failed.(k) <- Some (e, Printexc.get_raw_backtrace ()))
   in
   run_tasks (ensure_pool j) tasks;
@@ -188,8 +193,7 @@ let fan_out j n body =
     (function
       | Some (e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ())
-    failed;
-  c
+    failed
 
 (* map_array / init write chunk results straight into one preallocated
    result array — per-chunk slice arrays plus the final [Array.concat]
@@ -199,37 +203,21 @@ let fan_out j n body =
    chunk covering index 0 starts at 1.  Chunks write disjoint ranges;
    the pool mutex publishes the writes back to the driver. *)
 
-let map_array ?(min = 2) f a =
-  let n = Array.length a in
-  let j = jobs () in
-  if j <= 1 || n < min || n <= 1 then Array.map f a
-  else begin
-    let out = Array.make n (f a.(0)) in
-    let _c =
-      fan_out j n (fun _k lo hi ->
-          for i = (if lo = 0 then 1 else lo) to hi - 1 do
-            out.(i) <- f a.(i)
-          done)
-    in
-    out
-  end
-
-let init ?(min = 2) n f =
-  let j = jobs () in
-  if j <= 1 || n < min || n <= 1 then Array.init n f
-  else begin
-    let out = Array.make n (f 0) in
-    let _c =
-      fan_out j n (fun _k lo hi ->
+let init ?(grain = 1) n f =
+  match grid ~grain n with
+  | None -> Array.init n f
+  | Some (j, c) ->
+      let out = Array.make n (f 0) in
+      fan_out j c n (fun lo hi ->
           for i = (if lo = 0 then 1 else lo) to hi - 1 do
             out.(i) <- f i
-          done)
-    in
-    out
-  end
+          done);
+      out
 
-let iter_chunks ?(min = 2) n f =
-  let j = jobs () in
-  if n <= 0 then ()
-  else if j <= 1 || n < min || n <= 1 then f 0 n
-  else ignore (fan_out j n (fun _k lo hi -> f lo hi))
+let map_array ?grain f a = init ?grain (Array.length a) (fun i -> f a.(i))
+
+let iter_chunks ?(grain = 1) n f =
+  if n > 0 then
+    match grid ~grain n with
+    | None -> f 0 n
+    | Some (j, c) -> fan_out j c n f

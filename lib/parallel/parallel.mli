@@ -6,16 +6,28 @@
     verification, the benchmark grid) uses to fan that work out across
     OCaml 5 domains.
 
+    {2 Grain}
+
+    Every combinator takes [?grain] (default [1]; values below 1 count
+    as 1): the smallest chunk worth handing to another domain.  A fan-out wakes workers and takes
+    the pool mutex several times per chunk — microseconds that swamp a
+    chunk of cheap work — so callers with cheap per-item [f] pass the
+    item count below which running on the calling domain is faster.
+    The combinator runs sequentially on the calling domain, as one
+    sweep over [\[0, n)], when [jobs () = 1] or [n < 2 * grain];
+    otherwise it splits into [c = min (jobs () * 8) (n / grain)]
+    chunks, so every chunk holds at least [grain] items.
+
     {2 Determinism contract}
 
     Work on [n] items is split into chunks by a static partition that
-    depends only on [n] and the job count; chunk [k] covers
+    depends only on [n], the job count and [grain]; chunk [k] covers
     [\[k*n/c, (k+1)*n/c)].  Workers may execute chunks in any order, but
-    results are always merged in chunk-index order, so for a pure [f] the
-    output is bit-identical to the sequential path regardless of the
-    worker count or scheduling.  With [jobs () = 1] no domain is ever
-    spawned and every combinator degrades to its exact [Stdlib.Array]
-    sequential equivalent on the calling domain.
+    every chunk writes its own disjoint index range, so for a pure [f]
+    the output is bit-identical to the sequential path regardless of the
+    worker count, the grain or scheduling.  On the sequential path no
+    domain is ever spawned and every combinator degrades to its exact
+    [Stdlib.Array] equivalent on the calling domain.
 
     {2 Requirements on [f]}
 
@@ -47,27 +59,25 @@ val set_jobs : int -> unit
     outright — the flag always wins over the environment). *)
 val default_jobs : unit -> int
 
-(** [map_array ?min f a] is [Array.map f a], fanned out when
-    [jobs () > 1] and [Array.length a >= min] (default [2]: parallel
-    whenever possible).  [min] exists so callers with very cheap [f] can
-    skip the fan-out overhead on small arrays.  Chunks write disjoint
-    ranges of a single preallocated result array (no per-chunk slices,
-    no concatenation copy); the driver evaluates [f a.(0)] first as the
-    allocation seed. *)
-val map_array : ?min:int -> ('a -> 'b) -> 'a array -> 'b array
+(** [map_array ?grain f a] is [Array.map f a], fanned out under the
+    grain rule above.  Chunks write disjoint ranges of a single
+    preallocated result array (no per-chunk slices, no concatenation
+    copy); the driver evaluates [f a.(0)] first as the allocation
+    seed. *)
+val map_array : ?grain:int -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [init ?min n f] is [Array.init n f] with the same fan-out rule and
+(** [init ?grain n f] is [Array.init n f] with the same fan-out rule and
     the same direct-write merge; chunks tabulate disjoint index
     ranges. *)
-val init : ?min:int -> int -> (int -> 'a) -> 'a array
+val init : ?grain:int -> int -> (int -> 'a) -> 'a array
 
-(** [iter_chunks ?min n f] partitions [0..n-1] into the static chunk
+(** [iter_chunks ?grain n f] partitions [0..n-1] into the static chunk
     grid and calls [f lo hi] for each half-open range [\[lo, hi)].
-    Sequentially ([jobs () = 1] or [n < min]) this is the single call
-    [f 0 n].  [f] must treat each index independently (fill disjoint
-    slots of a preallocated array) for the determinism contract to
-    hold. *)
-val iter_chunks : ?min:int -> int -> (int -> int -> unit) -> unit
+    Sequentially ([jobs () = 1] or [n < 2 * grain]) this is the single
+    call [f 0 n] on the calling domain; [n = 0] calls nothing.  [f] must
+    treat each index independently (fill disjoint slots of a
+    preallocated array) for the determinism contract to hold. *)
+val iter_chunks : ?grain:int -> int -> (int -> int -> unit) -> unit
 
 (** Join and discard the worker pool (idempotent; registered with
     [at_exit]).  The next fan-out rebuilds it. *)

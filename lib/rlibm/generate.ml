@@ -86,11 +86,11 @@ let solve_piece ?(log = fun _ -> ()) ~scheme ~degree ~max_rounds ~max_specials
      interval arrays — never the working [lo]/[hi] fields, which the
      driver mutates between sweeps), and the violated list is collected
      in ascending index order, so the result is identical at any job
-     count.  Small pieces skip the fan-out: a sweep below ~2k points is
-     cheaper than the queue round-trip. *)
+     count.  A chunk below ~1k points is cheaper to sweep than to queue,
+     so pieces under 2048 points run on the driver. *)
   let validate (compiled : Polyeval.compiled) =
     let ok =
-      Parallel.init ~min:2048 n (fun i ->
+      Parallel.init ~grain:1024 n (fun i ->
           let v = compiled.Polyeval.eval pts.(i).Constraints.r in
           orig_lo.(i) <= v && v <= orig_hi.(i))
     in

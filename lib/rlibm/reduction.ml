@@ -79,7 +79,13 @@ type kernel = Exp_kernel of exp_consts | Log_kernel of log_consts
 
 (* Layout in the interface.  A weight overflows to inf only where every
    significand is >= 1, so the product is inf, correctly rounded. *)
-type decoder = { d_fw : int; d_bias : int; d_emask : int; d_scale : float array }
+type decoder = {
+  d_fw : int;
+  d_bias : int;
+  d_emask : int;
+  d_scale : float array;
+  d_mscale : float;
+}
 
 (* 2^e without an out-of-line Float.ldexp in the normal range; with the
    table loops (unboxed stores) this keeps set-up time flat. *)
@@ -96,7 +102,7 @@ let decoder (fmt : Softfp.fmt) =
     let w = pow2 ((if be = 0 then 1 else be) - bias - fw) in
     d_scale.(se) <- (if se > emask then -.w else w)
   done;
-  { d_fw = fw; d_bias = bias; d_emask = emask; d_scale }
+  { d_fw = fw; d_bias = bias; d_emask = emask; d_scale; d_mscale = pow2 (-fw) }
 
 type t = {
   func : Oracle.func;

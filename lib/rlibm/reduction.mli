@@ -94,6 +94,9 @@ type decoder = {
   d_bias : int;
   d_emask : int;  (** the all-ones exponent field *)
   d_scale : float array;
+  d_mscale : float;
+      (** [2^-d_fw]: scales an integer significand with its hidden bit
+          to the [\[1, 2)] mantissa *)
 }
 
 val decoder : Softfp.fmt -> decoder

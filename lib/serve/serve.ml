@@ -122,7 +122,7 @@ let stored_matches specs stored =
 
 (* The name index is first-entry-wins, so a duplicate function in the
    spec list would silently shadow every later (func, scheme, cfg)
-   behind the first: [find]/[eval_batch] would serve a different
+   behind the first: [find]/[eval_batch_into] would serve a different
    polynomial than the caller requested.  Reject the ambiguity up
    front. *)
 let duplicate_func specs =
@@ -226,16 +226,32 @@ let build ?log ?(strict = false) specs =
                (Diag.Error.to_string e));
           rebuild ())
 
-(* Both batch entry points drive the same chunked kernel sweep: the
-   static Parallel chunk grid partitions [0, n), each chunk runs the
+(* The smallest chunk worth handing to another domain.  A fan-out costs
+   a few microseconds (queueing, waking a worker, the pool mutex per
+   chunk) against ~20 ns per element of kernel work, so small requests
+   run on the caller.  Measured on a 2-core x86_64 VM, exp2/horner at
+   -j 2, microseconds per call:
+
+     batch   16 chunks   on the caller   2 chunks
+        64         5.5             1.3        4.9
+       256        16.3             5.4        8.6
+       512        18.5            10.6       22.4
+      1024        31.9            32.4       21.3
+      4096        60.2            84.4       55.2
+
+   With a grain of 512, batches below 1024 run inline, 1024 splits in
+   two, and at -j 2 batches from 2^13 on get the full 16 chunks. *)
+let serve_grain = 512
+
+(* The static Parallel chunk grid partitions [0, n), each chunk runs the
    zero-allocation Genlibm kernel over its disjoint slice of the
    buffers, and since Genlibm.eval_bits_into is bit-identical to
    eval_bits per element, the output is bit-identical to the scalar
-   path at every job count. *)
+   path at every job count and every batch size. *)
 let eval_entry_chunked (e : entry) ~src ~dst n =
   Diag.event ~level:Diag.Debug "serve.batch-eval" (fun () ->
       [ ("func", Diag.String (Oracle.name e.e_func)); ("n", Diag.Int n) ]);
-  Parallel.iter_chunks n (fun lo hi ->
+  Parallel.iter_chunks ~grain:serve_grain n (fun lo hi ->
       Genlibm.eval_bits_into e.e_impl ~src ~dst ~lo ~hi)
 
 let eval_batch_into t func ~src ~dst =
@@ -249,19 +265,3 @@ let eval_batch_into t func ~src ~dst =
       if Bigarray.Array1.dim dst < n then
         invalid_arg "Serve.eval_batch_into: dst is shorter than src";
       eval_entry_chunked e ~src ~dst n
-
-(* Compatibility wrapper over the kernel path: array in, array out. *)
-let eval_batch t func inputs =
-  match find t func with
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Serve.eval_batch: %s is not in this snapshot"
-           (Oracle.name func))
-  | Some e ->
-      let n = Array.length inputs in
-      let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
-      for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set src i (Array.unsafe_get inputs i)
-      done;
-      eval_entry_chunked e ~src ~dst n;
-      Array.init n (fun i -> Bigarray.Array1.unsafe_get dst i)

@@ -17,10 +17,11 @@
     with {!Rlibm.Reduction.install_table}, so assembly never consults
     the table store or the oracle.
 
-    {!eval_batch_into} fans a batch of input bit patterns out over the
-    {!Parallel} pool, each chunk running the zero-allocation batch
-    kernel ({!Genlibm.eval_bits_into}) over its disjoint slice of the
-    caller-owned buffers.  The kernel is bit-identical to
+    {!eval_batch_into} runs the zero-allocation batch kernel
+    ({!Genlibm.eval_bits_into}) over caller-owned buffers.  A small
+    request (below 1024 elements) runs on the calling domain; a larger
+    one fans out over the {!Parallel} pool, each chunk (at least 512
+    elements) sweeping its disjoint slice.  The kernel is bit-identical to
     {!Genlibm.eval_bits} per element and the {!Parallel} determinism
     contract applies, so results are bit-identical to the scalar path
     for every job count ([-j 1] is one sequential kernel sweep). *)
@@ -82,15 +83,11 @@ val find : t -> Oracle.func -> entry option
 (** [eval_batch_into t func ~src ~dst] evaluates the served
     implementation of [func] on every pattern of [src], writing
     [dst.{i}] for each [i] in [\[0, dim src)].  The serving hot path:
-    chunks of the batch run the zero-allocation kernel concurrently
+    below 1024 elements one kernel sweep on the calling domain, above
+    it chunks of the batch run the zero-allocation kernel concurrently
     into disjoint slices of [dst]; results are bit-identical to
-    {!Genlibm.eval_bits} at every job count.
+    {!Genlibm.eval_bits} at every job count and batch size.
     @raise Invalid_argument when the snapshot does not serve [func] or
     [dst] is shorter than [src]. *)
 val eval_batch_into :
   t -> Oracle.func -> src:Genlibm.src_buf -> dst:Genlibm.dst_buf -> unit
-
-(** [eval_batch t func inputs] is the array-in/array-out compatibility
-    wrapper over {!eval_batch_into} (copies through kernel buffers).
-    @raise Invalid_argument when the snapshot does not serve [func]. *)
-val eval_batch : t -> Oracle.func -> int64 array -> float array

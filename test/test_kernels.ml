@@ -5,8 +5,9 @@
    families, Serve.eval_batch_into at -j 1 and -j 4, the allocation-free
    reduction scratch against the allocating wrapper, seeded sampled
    binary32 batches (multi-piece counting-sort path), the truncation
-   floor at t = -0.0, the table decode against Softfp.to_float, and
-   batch shapes of the branch-free classification. *)
+   floor at t = -0.0, the table decode against Softfp.to_float, batch
+   shapes of the branch-free classification, and zero minor-heap
+   allocation per call. *)
 
 let tiny_cfg =
   {
@@ -368,6 +369,38 @@ let test_decode_exact () =
   Alcotest.(check bool) "(12, 4) has ldexp entries" true
     (Array.exists (fun w -> w = 0.0) (scales 12))
 
+(* ---------- no allocation per call ---------- *)
+
+(* A 64-element request is the common serving case: after the first call
+   has sized the per-domain scratch, a call must not touch the minor
+   heap at all — not per element, and not per call either.  Zeros and
+   subnormals are included so the log family's reference-reduction
+   fallback runs too. *)
+let test_kernel_allocation_free () =
+  let n = 64 and calls = 200 in
+  let st = Random.State.make [| 64 |] in
+  let inputs =
+    Array.init n (fun i ->
+        if i < 4 then Int64.of_int i
+        else Int64.of_int (Random.State.int st (1 lsl Softfp.width tiny)))
+  in
+  let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
+  Array.iteri (fun i x -> Bigarray.Array1.set src i x) inputs;
+  List.iter
+    (fun (func, scheme) ->
+      let g = generate_ok func scheme in
+      Genlibm.eval_bits_into g ~src ~dst ~lo:0 ~hi:n;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        Genlibm.eval_bits_into g ~src ~dst ~lo:0 ~hi:n
+      done;
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s/%s minor words over %d calls" (Oracle.name func)
+           (Polyeval.scheme_name scheme) calls)
+        0.0 words)
+    [ (Oracle.Exp2, Polyeval.Horner); (Oracle.Log, Polyeval.EstrinFma) ]
+
 (* ---------- batch shapes of the branch-free classification ---------- *)
 
 let test_batch_shapes () =
@@ -468,4 +501,5 @@ let suite =
       ("reduce_into at t = -0.0 and negative integers", `Quick, test_reduce_negative_zero);
       ("table decode = Softfp.to_float", `Quick, test_decode_exact);
       ("batch shapes: settled, polynomial, sorted, pieces, chunks", `Slow, test_batch_shapes);
+      ("no minor allocation per 64-element call", `Slow, test_kernel_allocation_free);
     ]

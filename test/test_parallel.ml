@@ -17,33 +17,56 @@ let test_map_empty_and_tiny () =
       Alcotest.(check (array int)) "n < chunks" [| 1; 2; 3 |]
         (Parallel.map_array succ [| 0; 1; 2 |]))
 
+(* Every grain gives the sequential result, at every job count: the
+   grains straddle the inline cutoff (n < 2 * grain) and the chunk cap. *)
+let grains = [ 1; 7; 300; 2499; 2500; 4096 ]
+
 let test_map_matches_sequential () =
   let a = Array.init 10_000 (fun i -> i) in
   let expect = Array.map (fun x -> (x * x) + 1) a in
   List.iter
     (fun j ->
       with_jobs j (fun () ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "squares at -j %d" j)
-            expect
-            (Parallel.map_array (fun x -> (x * x) + 1) a)))
+          List.iter
+            (fun grain ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "squares at -j %d, grain %d" j grain)
+                expect
+                (Parallel.map_array ~grain (fun x -> (x * x) + 1) a))
+            grains))
     [ 1; 2; 4; 7 ]
 
 let test_init_matches_sequential () =
   let expect = Array.init 4999 (fun i -> 3 * i) in
-  with_jobs 4 (fun () ->
-      Alcotest.(check (array int)) "init" expect (Parallel.init 4999 (fun i -> 3 * i)))
+  List.iter
+    (fun j ->
+      with_jobs j (fun () ->
+          List.iter
+            (fun grain ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "init at -j %d, grain %d" j grain)
+                expect
+                (Parallel.init ~grain 4999 (fun i -> 3 * i)))
+            grains))
+    [ 1; 2; 4; 7 ]
 
 let test_iter_chunks_covers () =
   with_jobs 4 (fun () ->
-      let n = 7777 in
-      let seen = Array.make n 0 in
-      Parallel.iter_chunks n (fun lo hi ->
-          for i = lo to hi - 1 do
-            seen.(i) <- seen.(i) + 1
-          done);
-      Alcotest.(check bool) "each index exactly once" true
-        (Array.for_all (( = ) 1) seen);
+      List.iter
+        (fun grain ->
+          List.iter
+            (fun n ->
+              let seen = Array.make n 0 in
+              Parallel.iter_chunks ~grain n (fun lo hi ->
+                  for i = lo to hi - 1 do
+                    seen.(i) <- seen.(i) + 1
+                  done);
+              Alcotest.(check bool)
+                (Printf.sprintf "grain %d, n %d: each index exactly once" grain n)
+                true
+                (Array.for_all (( = ) 1) seen))
+            [ 0; 1; (2 * grain) - 1; 2 * grain; (2 * grain) + 1; 7777 ])
+        [ 1; 100 ];
       Parallel.iter_chunks 0 (fun _ _ -> Alcotest.fail "chunk on empty range"))
 
 exception Boom of int
@@ -98,6 +121,52 @@ let test_sequential_path () =
         (Array.for_all (( = ) self) domains);
       Parallel.iter_chunks 100 (fun lo hi ->
           Alcotest.(check (pair int int)) "single chunk" (0, 100) (lo, hi)))
+
+(* ---------- grain ---------- *)
+
+(* The chunks [iter_chunks ~grain n] hands out, in ascending order, with
+   the domain that ran each one. *)
+let chunks_of ~grain n =
+  let m = Mutex.create () and seen = ref [] in
+  Parallel.iter_chunks ~grain n (fun lo hi ->
+      let d = (Domain.self () :> int) in
+      Mutex.protect m (fun () -> seen := (lo, hi, d) :: !seen));
+  List.sort compare !seen
+
+let test_grain_small_inline () =
+  with_jobs 4 (fun () ->
+      let self = (Domain.self () :> int) in
+      List.iter
+        (fun (grain, n) ->
+          match chunks_of ~grain n with
+          | [ (0, hi, d) ] when hi = n ->
+              Alcotest.(check int)
+                (Printf.sprintf "grain %d, n %d on the caller" grain n)
+                self d
+          | cs ->
+              Alcotest.failf "grain %d, n %d: %d chunks, expected f 0 n once"
+                grain n (List.length cs))
+        [ (1, 1); (64, 1); (64, 127); (512, 64); (512, 1023) ])
+
+let test_grain_chunk_sizes () =
+  List.iter
+    (fun j ->
+      with_jobs j (fun () ->
+          List.iter
+            (fun (grain, n) ->
+              let cs = chunks_of ~grain n in
+              Alcotest.(check bool)
+                (Printf.sprintf "-j %d grain %d n %d: >= 2 chunks" j grain n)
+                true
+                (List.length cs >= 2 && List.length cs <= j * 8);
+              List.iter
+                (fun (lo, hi, _) ->
+                  if hi - lo < grain then
+                    Alcotest.failf "-j %d grain %d n %d: chunk [%d, %d) too small"
+                      j grain n lo hi)
+                cs)
+            [ (1, 2); (64, 128); (64, 129); (100, 7777); (512, 1024); (512, 1 lsl 16) ]))
+    [ 2; 4; 7 ]
 
 (* ---------- RLIBM_JOBS parsing ---------- *)
 
@@ -204,6 +273,8 @@ let suite =
     ("pool reuse and resize", `Quick, test_pool_reuse);
     ("-j 1 sequential path", `Quick, test_sequential_path);
     ("RLIBM_JOBS parsing and fallback", `Quick, test_jobs_env_fallback);
+    ("grain: small n runs f 0 n on the caller", `Quick, test_grain_small_inline);
+    ("grain: every chunk holds >= grain items", `Quick, test_grain_chunk_sizes);
     ("determinism log2/estrin -j1 vs -j4", `Slow, check_determinism Oracle.Log2 Polyeval.Estrin);
     ("determinism exp2/estrin-fma -j1 vs -j4", `Slow, check_determinism Oracle.Exp2 Polyeval.EstrinFma);
   ]

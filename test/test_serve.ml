@@ -1,7 +1,8 @@
 (* The servable snapshot layer: build / persist / load round-trips, the
    warm-load store footprint (exactly one snapshot entry, no oracle or
    polynomial stage activity), and the batched evaluator's determinism
-   contract (bit-identical to scalar eval_bits at every job count). *)
+   contract (bit-identical to scalar eval_bits at every job count and
+   batch size, with small requests served on the calling domain). *)
 
 let tiny_cfg =
   {
@@ -53,12 +54,20 @@ let build_ok specs =
 
 let bits_of = Array.map Int64.bits_of_float
 
+(* Array in, array out through the serving entry point. *)
+let serve_batch snap func inputs =
+  let n = Array.length inputs in
+  let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
+  Array.iteri (fun i x -> Bigarray.Array1.set src i x) inputs;
+  Serve.eval_batch_into snap func ~src ~dst;
+  Array.init n (fun i -> Bigarray.Array1.get dst i)
+
 let test_cold_warm_roundtrip () =
   with_cache_dir (fun _dir ->
       let cold = build_ok specs in
       Alcotest.(check int) "entries" 2 (List.length (Serve.entries cold));
       let inputs = Genlibm.inputs_exhaustive tiny in
-      let out_cold = Serve.eval_batch cold Oracle.Exp2 inputs in
+      let out_cold = serve_batch cold Oracle.Exp2 inputs in
       (* Second build: must load from the store, touching exactly one
          entry of exactly one kind — no oracle, interval, constraint or
          polynomial stage activity of any sort. *)
@@ -71,50 +80,71 @@ let test_cold_warm_roundtrip () =
       | kinds ->
           Alcotest.failf "warm load touched kinds [%s]"
             (String.concat "; " (List.map fst kinds)));
-      let out_warm = Serve.eval_batch warm Oracle.Exp2 inputs in
+      let out_warm = serve_batch warm Oracle.Exp2 inputs in
       Alcotest.(check bool) "warm results bit-identical" true
         (bits_of out_cold = bits_of out_warm);
-      let out_log = Serve.eval_batch warm Oracle.Log2 inputs in
+      let out_log = serve_batch warm Oracle.Log2 inputs in
       Alcotest.(check int) "log batch length" (Array.length inputs)
         (Array.length out_log))
+
+(* Batches straddling the serving grain: inline below 1024 elements, two
+   chunks at 1024, the full grid at 2^16.  Inputs are seeded draws over
+   every pattern of the format, so each size mixes NaN/Inf, zeros,
+   shortcut and polynomial rows. *)
+let batch_sizes = [ 1; 63; 64; 511; 1023; 1024; 1025; 1 lsl 16 ]
+
+let seeded_inputs n =
+  let st = Random.State.make [| 1414; n |] in
+  Array.init n (fun _ -> Int64.of_int (Random.State.int st (1 lsl Softfp.width tiny)))
 
 let test_batch_matches_scalar_at_any_j () =
   with_cache_dir (fun _dir ->
       let snap = build_ok specs in
-      let inputs = Genlibm.inputs_exhaustive tiny in
       List.iter
         (fun func ->
-          let e =
-            match Serve.find snap func with
-            | Some e -> e
-            | None -> Alcotest.failf "%s missing" (Oracle.name func)
-          in
-          let scalar =
-            Array.map (fun x -> Genlibm.eval_bits e.Serve.e_impl x) inputs
-          in
-          let b1 =
-            with_jobs 1 (fun () -> Serve.eval_batch snap func inputs)
-          in
-          let b4 =
-            with_jobs 4 (fun () -> Serve.eval_batch snap func inputs)
-          in
-          Alcotest.(check bool)
-            (Oracle.name func ^ " -j1 = scalar")
-            true
-            (bits_of b1 = bits_of scalar);
-          Alcotest.(check bool)
-            (Oracle.name func ^ " -j4 = -j1")
-            true
-            (bits_of b4 = bits_of b1))
+          let impl = (Option.get (Serve.find snap func)).Serve.e_impl in
+          List.iter
+            (fun inputs ->
+              let n = Array.length inputs in
+              let scalar = bits_of (Array.map (Genlibm.eval_bits impl) inputs) in
+              List.iter
+                (fun j ->
+                  let got = bits_of (with_jobs j (fun () -> serve_batch snap func inputs)) in
+                  Array.iteri
+                    (fun i s ->
+                      if not (Int64.equal s got.(i)) then
+                        Alcotest.failf "%s n=%d -j %d: input %Lx: scalar %Lx, served %Lx"
+                          (Oracle.name func) n j inputs.(i) s got.(i))
+                    scalar)
+                [ 1; 4 ])
+            (Genlibm.inputs_exhaustive tiny :: List.map seeded_inputs batch_sizes))
         [ Oracle.Exp2; Oracle.Log2 ])
+
+(* A small request never touches the domain pool; a bulk one fans out
+   exactly once. *)
+let test_small_requests_stay_inline () =
+  with_cache_dir (fun _dir ->
+      let snap = build_ok specs in
+      let fan_outs n =
+        let inputs = seeded_inputs n in
+        let sink, drain = Diag.memory_sink ~min_level:Diag.Debug () in
+        Diag.with_sinks [ sink ] (fun () ->
+            with_jobs 4 (fun () ->
+                ignore (serve_batch snap Oracle.Exp2 inputs : float array));
+            List.length
+              (List.filter
+                 (fun ev -> ev.Diag.ev_name = "parallel.fan-out")
+                 (drain ())))
+      in
+      Alcotest.(check int) "64 elements: no fan-out" 0 (fan_outs 64);
+      Alcotest.(check int) "2^16 elements: one fan-out" 1 (fan_outs (1 lsl 16)))
 
 let test_unknown_func_rejected () =
   with_cache_dir (fun _dir ->
       let snap = build_ok [ (Oracle.Exp2, Polyeval.Horner, tiny_cfg) ] in
       Alcotest.check_raises "not in snapshot"
-        (Invalid_argument "Serve.eval_batch: log10 is not in this snapshot")
-        (fun () ->
-          ignore (Serve.eval_batch snap Oracle.Log10 [| 0L |] : float array)))
+        (Invalid_argument "Serve.eval_batch_into: log10 is not in this snapshot")
+        (fun () -> ignore (serve_batch snap Oracle.Log10 [| 0L |] : float array)))
 
 (* Lookups are per-function, so a spec list naming one function twice
    must be rejected up front — before the fix the second entry was
@@ -183,4 +213,5 @@ let suite =
     ("cold build / warm load round-trip", `Slow, test_cold_warm_roundtrip);
     ("batch = scalar at -j 1 and -j 4", `Slow, test_batch_matches_scalar_at_any_j);
     ("unknown function rejected", `Slow, test_unknown_func_rejected);
+    ("small requests stay on the caller", `Slow, test_small_requests_stay_inline);
   ]

@@ -9,7 +9,9 @@
 # -j 1 and -j N; a warm snapshot loads from exactly one store entry),
 # and smoke-check the batch kernels (scalar-vs-kernel timings reported,
 # serve-throughput JSON artifact matches its schema, every row
-# bit-identical and at most 0.03 minor words per element), and smoke-check sharded oracle warming (single-shard
+# bit-identical at a fanned-out 2^10 batch and at a 2^6 batch served on
+# the calling domain, and at most 0.03 minor words per element at 2^10),
+# and smoke-check sharded oracle warming (single-shard
 # warms resume into a full run that loads — never recomputes — the
 # published shards; a re-run hits every shard and the whole table),
 # and smoke-check the fault-injection substrate (an injected-ENOSPC warm
@@ -111,10 +113,10 @@ echo "interrupted run resumed from stage 3, output bit-identical"
 echo "== servable snapshot smoke =="
 servedir=$(mktemp -d)
 serve1=$(mktemp) && serveN=$(mktemp) && servestats=$(mktemp)
-servebench=$(mktemp) && benchjson=$(mktemp)
+servebench=$(mktemp) && benchjson=$(mktemp) && smalljson=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson"
+       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir"' EXIT
 # Cold build at -j 1: resolves through the pipeline, persists the
 # snapshot, and cross-checks every batched result against the scalar
@@ -145,13 +147,26 @@ RLIBM_CACHE_DIR="$servedir" dune exec --no-build bin/rlibm_gen.exe -- serve \
   -j "$N" > /dev/null 2> "$servebench"
 grep -Eq 'bench: scalar [0-9.]+ ns/eval, kernel [0-9.]+ ns/eval' "$servebench" \
   || { echo "no kernel timings reported:"; cat "$servebench"; exit 1; }
-# Throughput harness: quick grid, small batch, JSON artifact.  The run
-# exits non-zero if any kernel result differs from the scalar path.
+# Throughput harness: quick grid, JSON artifact, at a 2^10 batch (fanned
+# out over the pool) and a 2^6 batch (served on the calling domain).
+# Each run exits non-zero if any kernel result differs from the scalar
+# path.
 RLIBM_CACHE_DIR="$servedir" dune exec --no-build bench/main.exe -- \
   --serve-bench --quick --serve-batch-pow 10 --serve-json "$benchjson" \
   -j "$N" > /dev/null
-python3 - "$benchjson" <<'EOF'
+RLIBM_CACHE_DIR="$servedir" dune exec --no-build bench/main.exe -- \
+  --serve-bench --quick --serve-batch-pow 6 --serve-json "$smalljson" \
+  -j "$N" > /dev/null
+python3 - "$benchjson" "$smalljson" <<'EOF'
 import json, sys
+with open(sys.argv[2]) as f:
+    small = json.load(f)
+assert small["kind"] == "serve-throughput", small["kind"]
+assert small["batch_pow"] == 6, small["batch_pow"]
+assert small["results"], "no small-batch result rows"
+for row in small["results"]:
+    assert row["batch"] == 64, row
+    assert row["bit_identical"] is True, row
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 for key in ("schema_version", "kind", "timestamp", "commit", "host",
@@ -172,14 +187,14 @@ for row in doc["results"]:
     # built per call or a float boxed per element breaks this bound.
     assert row["kernel_minor_words_per_eval"] <= 0.03, row
 EOF
-echo "kernel timings reported, serve-throughput JSON schema OK, minor words <= 0.03/eval"
+echo "kernel timings reported, serve-throughput JSON schema OK, minor words <= 0.03/eval, 2^6 batches bit-identical"
 
 echo "== sharded oracle warm smoke =="
 sharddir=$(mktemp -d)
 shardout=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
+       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson" \
        "$shardout"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir"' EXIT
 # Half-run: warm two of the four oracle shards, one invocation each (the
@@ -223,7 +238,7 @@ echo "== machine-readable stdout smoke (--gen-json) =="
 genjson=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
+       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson" \
        "$shardout" "$genjson"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir"' EXIT
 dune exec --no-build bench/main.exe -- --gen-json /dev/stdout --quick \
@@ -253,7 +268,7 @@ tracegen=$(mktemp -d)
 tracecold=$(mktemp) && tracewarm=$(mktemp) && tracenone=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" \
+       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson" \
        "$shardout" "$genjson" "$tracecold" "$tracewarm" "$tracenone"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir" \
        "$tracegen"' EXIT
