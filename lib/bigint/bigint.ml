@@ -244,8 +244,14 @@ let mag_shift_right a k =
   end
 
 let int_numbits n =
-  let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + 1) in
-  go n 0
+  let n = ref n and k = ref 0 in
+  if !n lsr 32 <> 0 then (n := !n lsr 32; k := 32);
+  if !n lsr 16 <> 0 then (n := !n lsr 16; k := !k + 16);
+  if !n lsr 8 <> 0 then (n := !n lsr 8; k := !k + 8);
+  if !n lsr 4 <> 0 then (n := !n lsr 4; k := !k + 4);
+  if !n lsr 2 <> 0 then (n := !n lsr 2; k := !k + 2);
+  if !n lsr 1 <> 0 then (n := !n lsr 1; k := !k + 1);
+  !k + !n
 
 let mag_numbits a =
   let la = Array.length a in

@@ -122,6 +122,9 @@ val shift_right : t -> int -> t
     [numbits zero = 0]. *)
 val numbits : t -> int
 
+(** [int_numbits n] is [numbits (of_int n)] for a native [n >= 0]. *)
+val int_numbits : int -> int
+
 (** [testbit x k] is bit [k] of the magnitude [|x|]. *)
 val testbit : t -> int -> bool
 

@@ -362,13 +362,7 @@ let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
 
 (* ---------- rounding of results ---------- *)
 
-let round_result fmt mode v =
-  if Float.is_nan v then Softfp.nan_bits fmt
-  else if v = Float.infinity then Softfp.inf_bits fmt ~neg:false
-  else if v = Float.neg_infinity then Softfp.inf_bits fmt ~neg:true
-  else if v = 0.0 then
-    if 1.0 /. v < 0.0 then Softfp.neg_zero_bits fmt else Softfp.zero_bits fmt
-  else Softfp.of_rat fmt mode (Rat.of_float v)
+let round_result = Softfp.round_float
 
 (* ---------- verification ---------- *)
 
@@ -422,11 +416,12 @@ let verify ?(narrow = true) (g : t) ~(inputs : int64 array) =
   let tin = g.cfg.tin in
   let tout = Rlibm.Config.tout g.cfg in
   let narrow_fmts =
-    List.init
+    Array.init
       (Softfp.width tin - (tin.Softfp.ebits + 2) + 1)
       (fun i ->
         Softfp.make_fmt ~ebits:tin.Softfp.ebits ~prec:(2 + i))
   in
+  let modes = Array.of_list Softfp.all_standard_modes in
   let verdicts =
     Parallel.map_array
       (fun x ->
@@ -460,24 +455,25 @@ let verify ?(narrow = true) (g : t) ~(inputs : int64 array) =
             if not (Int64.equal y_impl y_true) then
               { v_skip with v_checked = true; v_wrong34 = true; v_memo = memo }
             else begin
-              let nc = ref 0 and wn = ref 0 in
+              let wn = ref 0 in
               if narrow then
-                List.iter
-                  (fun f ->
-                    List.iter
-                      (fun mode ->
-                        incr nc;
-                        let direct = round_result f mode v in
-                        let doubled =
-                          Softfp.narrow ~src:tout ~dst:f mode y_true
-                        in
-                        if not (Int64.equal direct doubled) then incr wn)
-                      Softfp.all_standard_modes)
-                  narrow_fmts;
+                for i = 0 to Array.length narrow_fmts - 1 do
+                  let f = narrow_fmts.(i) in
+                  for k = 0 to Array.length modes - 1 do
+                    let mode = modes.(k) in
+                    if
+                      not
+                        (Int64.equal (round_result f mode v)
+                           (Softfp.narrow ~src:tout ~dst:f mode y_true))
+                    then incr wn
+                  done
+                done;
               {
                 v_checked = true;
                 v_wrong34 = false;
-                v_narrow_checks = !nc;
+                v_narrow_checks =
+                  (if narrow then Array.length narrow_fmts * Array.length modes
+                   else 0);
                 v_wrong_narrow = !wn;
                 v_memo = memo;
               }

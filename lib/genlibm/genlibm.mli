@@ -55,7 +55,8 @@ val eval_bits : t -> int64 -> float
 val eval_float : t -> float -> float
 
 (** [round_result fmt mode v] rounds a double function result into a
-    format, with NaN/infinity/signed-zero handling. *)
+    format, with NaN/infinity/signed-zero handling: {!Softfp.round_float}
+    under the name the verification callers use. *)
 val round_result : Softfp.fmt -> Softfp.mode -> float -> Softfp.bits
 
 (** {1 Batch kernel}

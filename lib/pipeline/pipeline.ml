@@ -100,6 +100,17 @@ let verdict_key ?(narrow = true) ~cfg ~scheme func =
     (if narrow then 1 else 0)
     v_verdict
 
+(* Layout version of the marshalled lp-seed payload (an Lp.system_result:
+   round 1's LP outcome, see Generate.first_round_lp).  The seed is not
+   part of the poly key, so a change to the round-1 LP itself (the
+   solver, mono_bits, the point conversion) must bump both this and
+   v_poly. *)
+let v_lp_seed = 1
+
+let lp_seed_key ~cfg ~piece ~degree func =
+  Printf.sprintf "%s-pc%d-d%d-lps-v%d" (constraints_key ~cfg func) piece degree
+    v_lp_seed
+
 (* ---------- events ---------- *)
 
 type status = Hit | Rebuilt
@@ -176,24 +187,25 @@ let stage_span stage key body =
     body
   |> fst
 
-(* Load-or-compute-and-publish, with the event bookkeeping. *)
+(* Load-or-compute-and-publish. *)
+let load_or_compute ~kind ~key compute =
+  match Cache.load ~kind ~key with
+  | Ok (Some v) -> (v, Hit)
+  | Ok None | Error _ ->
+      (* Absent, or a corrupt entry the store already counted and
+         quarantined: recompute and republish — the self-healing path.
+         A failed publish is not fatal (the store emitted its own
+         warning, and the collector reports it to drivers that care);
+         the value still flows downstream. *)
+      let v = compute () in
+      note_store_error (Cache.store ~kind ~key v);
+      (v, Rebuilt)
+
+(* A stage's load-or-compute, with the event bookkeeping. *)
 let staged ?log ~stage ~key compute =
-  let kind = stage_name stage in
   stage_span stage key (fun () ->
       let t0 = Unix.gettimeofday () in
-      let v, status =
-        match Cache.load ~kind ~key with
-        | Ok (Some v) -> (v, Hit)
-        | Ok None | Error _ ->
-            (* Absent, or a corrupt entry the store already counted and
-               quarantined: recompute and republish — the self-healing
-               path.  A failed publish is not fatal (the store emitted
-               its own warning, and the collector reports it to drivers
-               that care); the value still flows downstream. *)
-            let v = compute () in
-            note_store_error (Cache.store ~kind ~key v);
-            (v, Rebuilt)
-      in
+      let v, status = load_or_compute ~kind:(stage_name stage) ~key compute in
       record ?log stage key status (Unix.gettimeofday () -. t0);
       (v, status))
 
@@ -403,10 +415,28 @@ let constraints_stage ?log ~(cfg : Rlibm.Config.t) func =
 
 (* ---------- stage 4: LP polynomial per scheme ---------- *)
 
+(* Round 1's LP per (piece, degree), content-keyed under the constraint
+   set: the first scheme of a function publishes it, every later scheme
+   loads it instead of re-solving (kind "lp-seed"). *)
+let lp_seed ~cfg func ~piece ~degree points =
+  let v, status =
+    load_or_compute ~kind:"lp-seed" ~key:(lp_seed_key ~cfg ~piece ~degree func)
+      (fun () -> Rlibm.Generate.first_round_lp ~degree points)
+  in
+  Diag.event "lp.seed" (fun () ->
+      [
+        ("func", Diag.String (Oracle.name func));
+        ("piece", Diag.Int piece);
+        ("degree", Diag.Int degree);
+        ("status", Diag.String (status_name status));
+      ]);
+  (v : Lp.system_result)
+
 let solved_stage ?log ~cfg ~scheme func =
   (staged ?log ~stage:Poly ~key:(poly_key ~cfg ~scheme func) (fun () ->
        let built = constraints_stage ?log ~cfg func in
-       Rlibm.Generate.solve ?log ~cfg ~scheme ~func ~built ())
+       Rlibm.Generate.solve ?log ~first_round:(lp_seed ~cfg func) ~cfg ~scheme
+         ~func ~built ())
     : (Rlibm.Generate.solved, Diag.Error.t) result)
 
 let generate ?log ~cfg ~scheme func =

@@ -88,6 +88,21 @@ val verdict_key :
   Oracle.func ->
   string
 
+(** {2 Round-1 LP seeds}
+
+    The polynomial stage's first LP solve per (piece, degree) — see
+    {!Rlibm.Generate.first_round_lp} — depends on the constraint set,
+    not on the scheme.  It is stored as its own artifact (kind
+    ["lp-seed"], payload [Lp.system_result]) keyed by
+    {!constraints_key} + piece + degree + a layout version, so the
+    first scheme generated for a function publishes it and every later
+    scheme loads it instead of solving again.  Each use emits a Diag
+    event ["lp.seed"] with [func], [piece], [degree] and
+    [status] ([hit] / [rebuilt]). *)
+
+val lp_seed_key :
+  cfg:Rlibm.Config.t -> piece:int -> degree:int -> Oracle.func -> string
+
 (** {1 Observability} *)
 
 type status = Hit | Rebuilt

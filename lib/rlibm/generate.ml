@@ -31,6 +31,25 @@ let copy_points pts =
     (fun (p : Constraints.point) -> { p with Constraints.xs = p.xs })
     pts
 
+let powers_of degree = Array.init (degree + 1) Fun.id
+
+let lp_points pts idxs =
+  Array.map
+    (fun i ->
+      let p = pts.(i) in
+      { Lp.x = Rat.of_float p.Constraints.r;
+        lo = Rat.of_float p.Constraints.lo;
+        hi = Rat.of_float p.Constraints.hi })
+    idxs
+
+(* Round 1 of [solve_piece]: the LP over the piece's original intervals,
+   with no warm-start working set and no objective tilt, before any
+   scheme-specific validation.  A pure function of the points and the
+   degree, shared by every scheme. *)
+let first_round_lp ~degree (points : Constraints.point array) =
+  Lp.solve_interval_system ~mono_bits:64 ~powers:(powers_of degree)
+    (lp_points points (Array.init (Array.length points) Fun.id))
+
 (* Solve one piece at a fixed degree.
 
    Validation always runs against the *original* rounding intervals — the
@@ -45,8 +64,13 @@ let copy_points pts =
    ships and its violated inputs become the special cases — this is how
    the artifact's generator "searches for a polynomial with the minimum
    number of special inputs". *)
-let solve_piece ?(log = fun _ -> ()) ~scheme ~degree ~max_rounds ~max_specials
-    (points : Constraints.point array) =
+let solve_piece ?(log = fun _ -> ()) ?first_round ~scheme ~degree ~max_rounds
+    ~max_specials (points : Constraints.point array) =
+  let first_round =
+    match first_round with
+    | Some f -> f
+    | None -> fun () -> first_round_lp ~degree points
+  in
   let n = Array.length points in
   let pts = copy_points points in
   let orig_lo = Array.map (fun (p : Constraints.point) -> p.lo) points in
@@ -57,7 +81,7 @@ let solve_piece ?(log = fun _ -> ()) ~scheme ~degree ~max_rounds ~max_specials
   let degenerate = Array.init n (fun i -> orig_lo.(i) = orig_hi.(i)) in
   let active = Array.make n true in
   (* [points] arrive sorted by reduced input, so neighbours are adjacent. *)
-  let powers = Array.init (degree + 1) Fun.id in
+  let powers = powers_of degree in
   let inputs_of idxs =
     List.concat_map (fun i -> pts.(i).Constraints.xs) idxs
   in
@@ -151,25 +175,21 @@ let solve_piece ?(log = fun _ -> ()) ~scheme ~degree ~max_rounds ~max_specials
         Array.of_list
           (List.filter (fun i -> active.(i)) (List.init n Fun.id))
       in
-      let lp_points =
-        Array.map
-          (fun i ->
-            let p = pts.(i) in
-            { Lp.x = Rat.of_float p.Constraints.r;
-              lo = Rat.of_float p.Constraints.lo;
-              hi = Rat.of_float p.Constraints.hi })
-          act_idx
+      let solve_round () =
+        let pos_of_global = Hashtbl.create 64 in
+        Array.iteri (fun pos g -> Hashtbl.replace pos_of_global g pos) act_idx;
+        let initial_working =
+          List.filter_map
+            (fun g -> Hashtbl.find_opt pos_of_global g)
+            !warm_global
+        in
+        Lp.solve_interval_system ~initial_working ~tilt:(random_tilt ())
+          ~mono_bits:64 ~powers (lp_points pts act_idx)
       in
-      let pos_of_global = Hashtbl.create 64 in
-      Array.iteri (fun pos g -> Hashtbl.replace pos_of_global g pos) act_idx;
-      let initial_working =
-        List.filter_map (fun g -> Hashtbl.find_opt pos_of_global g) !warm_global
-      in
-      let tilt = if round = 1 then None else Some (random_tilt ()) in
-      match
-        Lp.solve_interval_system ~initial_working ?tilt ~mono_bits:64 ~powers
-          lp_points
-      with
+      (* Round 1 has every point active and nothing shrunk yet, so
+         act_idx is the identity and the caller's [first_round] stands
+         in for the solve. *)
+      match if round = 1 then first_round () else solve_round () with
       | Lp.Unsat ->
           log
             (Printf.sprintf "degree %d: LP infeasible at round %d" degree round);
@@ -296,7 +316,7 @@ type solved = {
 (* Pure stage body: solve every piece over an already-built constraint
    set.  All randomness (vertex tilt, dither) is seeded per piece and
    degree, so the result is a deterministic function of the inputs. *)
-let solve ?(log = fun _ -> ()) ~(cfg : Config.t) ~scheme ~func
+let solve ?(log = fun _ -> ()) ?first_round ~(cfg : Config.t) ~scheme ~func
     ~(built : Constraints.build_result) () =
   let tin = cfg.tin and tout = Config.tout cfg in
   let decoded_result x =
@@ -360,7 +380,12 @@ let solve ?(log = fun _ -> ()) ~(cfg : Config.t) ~scheme ~func
                  (Oracle.name func) (Polyeval.scheme_name scheme) pi d
                  (Array.length pts));
             match
-              solve_piece ~log ~scheme ~degree:d ~max_rounds:cfg.max_rounds
+              solve_piece ~log
+                ?first_round:
+                  (Option.map
+                     (fun f () -> f ~piece:pi ~degree:d pts)
+                     first_round)
+                ~scheme ~degree:d ~max_rounds:cfg.max_rounds
                 ~max_specials:cfg.max_specials pts
             with
             | Done { compiled = c; specials = sp; rounds = r } ->

@@ -25,8 +25,19 @@ type piece_outcome =
           intervals outright, as opposed to the round/special budget
           running out *)
 
+(** [first_round_lp ~degree points] is round 1 of {!solve_piece}: the LP
+    over the points' original intervals, with no warm-start working set
+    and no objective tilt.  It depends only on [points] and [degree] —
+    not on the scheme, and not on the tilt RNG — so every scheme of a
+    function can share one solve per (piece, degree). *)
+val first_round_lp :
+  degree:int -> Constraints.point array -> Lp.system_result
+
+(** [first_round] supplies round 1's LP result; it must equal
+    [first_round_lp ~degree points] (default: that call). *)
 val solve_piece :
   ?log:(string -> unit) ->
+  ?first_round:(unit -> Lp.system_result) ->
   scheme:Polyeval.scheme ->
   degree:int ->
   max_rounds:int ->
@@ -80,9 +91,16 @@ type solved = {
     deterministic function of the arguments at every job count.
     [Error] is typed: [Lp_infeasible] when the terminal degree's LP
     rejected the original intervals outright, [Budget_exhausted] when
-    the degree/round/special budgets ran out. *)
+    the degree/round/special budgets ran out.
+
+    [first_round ~piece ~degree points] supplies each round-1 LP result
+    (see {!first_round_lp}, the default); the staged pipeline passes a
+    load-or-compute through its store, so a function's second scheme
+    reuses the first scheme's solves. *)
 val solve :
   ?log:(string -> unit) ->
+  ?first_round:
+    (piece:int -> degree:int -> Constraints.point array -> Lp.system_result) ->
   cfg:Config.t ->
   scheme:Polyeval.scheme ->
   func:Oracle.func ->

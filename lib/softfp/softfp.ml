@@ -160,13 +160,76 @@ let of_rat fmt mode q =
     end
   end
 
+(* ---------- encode (correct rounding from a native dyadic) ----------
+
+   The same rounding as [of_rat], for a value m * 2^e whose significand
+   fits a native int: every double and every finite pattern of a format
+   (prec <= 61) is one.  Shifts and masks instead of Rat/Bigint — this is
+   what exhaustive verification runs dozens of times per input. *)
+
+let of_dyadic fmt mode ~neg m e =
+  if m < 0 then invalid_arg "Softfp.of_dyadic: negative significand";
+  if m = 0 then (if neg then neg_zero_bits fmt else zero_bits fmt)
+  else begin
+    let nb = B.int_numbits m in
+    let emin = emin fmt in
+    (* The value lies in [2^top, 2^(top+1)); the result's ulp is
+       2^quantum, fixed at the subnormal quantum below emin. *)
+    let top = nb - 1 + e in
+    let quantum = (if top < emin then emin else top) - fmt.prec + 1 in
+    let s = quantum - e in
+    (* kept = floor (m * 2^e / 2^quantum); rbit is the first dropped bit,
+       sticky whether any later one is set.  s <= 0 is exact (and keeps
+       at most prec bits); s > nb drops every bit below the round bit. *)
+    let kept = if s <= 0 then m lsl -s else if s > nb then 0 else m lsr s in
+    let rbit = s >= 1 && s <= nb && (m lsr (s - 1)) land 1 = 1 in
+    let sticky = s > nb || (s >= 2 && m land ((1 lsl (s - 1)) - 1) <> 0) in
+    let inexact = rbit || sticky in
+    let incr =
+      match mode with
+      | RNE -> rbit && (sticky || kept land 1 = 1)
+      | RNA -> rbit
+      | RTZ -> false
+      | RTU -> inexact && not neg
+      | RTD -> inexact && neg
+      | RTO -> inexact && kept land 1 = 0
+    in
+    let kept = if incr then kept + 1 else kept in
+    if kept = 0 then (if neg then neg_zero_bits fmt else zero_bits fmt)
+    else begin
+      let nbk = B.int_numbits kept in
+      let res_exp = nbk + quantum - 1 in
+      if res_exp > emax fmt then overflow_bits fmt mode ~neg
+      else begin
+        let befrac =
+          if res_exp < emin then kept
+          else begin
+            (* A carry out of the top bit leaves a trailing zero, so the
+               right shift is exact. *)
+            let shift = fmt.prec - nbk in
+            let mant = if shift >= 0 then kept lsl shift else kept lsr -shift in
+            ((res_exp - emin) lsl fwidth fmt) + mant
+          end
+        in
+        Int64.of_int (((if neg then 1 else 0) lsl (width fmt - 1)) lor befrac)
+      end
+    end
+  end
+
 let round_float fmt mode x =
   if Float.is_nan x then nan_bits fmt
   else if x = Float.infinity then inf_bits fmt ~neg:false
   else if x = Float.neg_infinity then inf_bits fmt ~neg:true
-  else if x = 0.0 then
-    if 1.0 /. x = Float.neg_infinity then neg_zero_bits fmt else zero_bits fmt
-  else of_rat fmt mode (Rat.of_float x)
+  else begin
+    (* IEEE binary64 fields: a subnormal (or zero) has no hidden bit and
+       the fixed exponent -1074. *)
+    let b = Int64.bits_of_float x in
+    let neg = Int64.compare b 0L < 0 in
+    let be = Int64.to_int (Int64.shift_right_logical b 52) land 0x7ff in
+    let f = Int64.to_int b land 0xF_FFFF_FFFF_FFFF in
+    if be = 0 then of_dyadic fmt mode ~neg f (-1074)
+    else of_dyadic fmt mode ~neg (f lor 0x10_0000_0000_0000) (be - 1075)
+  end
 
 let to_float fmt b =
   match classify fmt b with
@@ -218,7 +281,14 @@ let narrow ~src ~dst mode b =
   | NaN -> nan_bits dst
   | Inf -> inf_bits dst ~neg:(sign_bit src b)
   | Zero -> if sign_bit src b then neg_zero_bits dst else zero_bits dst
-  | Subnormal | Normal -> of_rat dst mode (to_rat src b)
+  | Subnormal ->
+      let sg, _, f = to_fields src b in
+      of_dyadic dst mode ~neg:(sg = 1) f (emin src - fwidth src)
+  | Normal ->
+      let sg, be, f = to_fields src b in
+      of_dyadic dst mode ~neg:(sg = 1)
+        ((1 lsl fwidth src) lor f)
+        (be - bias src - fwidth src)
 
 (* ---------- native bridges ---------- *)
 

@@ -5,7 +5,9 @@
     representation from 10 bits up to 34 bits, (b) round exact rational
     values under all five standard rounding modes plus the non-standard
     {e round-to-odd} mode, and (c) enumerate small formats exhaustively.
-    This module provides all of that on top of exact {!Rat} arithmetic.
+    This module provides all of that: rationals round through exact {!Rat}
+    arithmetic, doubles and format patterns through a native-integer path
+    that agrees with it bit for bit.
 
     A format is a sign bit, [ebits] exponent bits and [prec - 1] fraction
     bits (so [prec] counts the hidden bit, as usual: binary32 is
@@ -89,8 +91,15 @@ val to_rat : fmt -> bits -> Rat.t
     odd), matching the double-rounding construction's needs. *)
 val of_rat : fmt -> mode -> Rat.t -> bits
 
-(** [round_float fmt mode x] rounds a finite double.  NaN maps to NaN and
-    infinities to same-signed infinities. *)
+(** [of_dyadic fmt mode ~neg m e] rounds [(-1)^neg * m * 2^e] exactly as
+    {!of_rat} rounds that rational, but in native integers (no {!Rat} or
+    {!Bigint} arithmetic).  [m = 0] gives the zero of sign [neg].
+    @raise Invalid_argument when [m < 0]. *)
+val of_dyadic : fmt -> mode -> neg:bool -> int -> int -> bits
+
+(** [round_float fmt mode x] rounds a double (through {!of_dyadic}), keeping
+    the sign of zero.  NaN maps to NaN and infinities to same-signed
+    infinities. *)
 val round_float : fmt -> mode -> float -> bits
 
 (** [to_float fmt b] is the double nearest to the decoded value (exact
@@ -125,7 +134,8 @@ val count_finite : fmt -> int
 
 (** [narrow ~src ~dst mode b] re-rounds a value of format [src] into the
     (typically narrower) format [dst] — the "double rounding" step of
-    RLibm-All.  Infinities and NaN map to their [dst] counterparts. *)
+    RLibm-All — through {!of_dyadic}.  Zeros keep their sign; infinities
+    and NaN map to their [dst] counterparts. *)
 val narrow : src:fmt -> dst:fmt -> mode -> bits -> bits
 
 (** {1 binary32/64 bridges} *)

@@ -493,6 +493,190 @@ let test_warm_reports_failures () =
       Alcotest.(check int) "healthy warm skips nothing" 0
         (List.length ok.Pipeline.wm_failed))
 
+(* ---------- round-1 LP seeds shared across schemes ---------- *)
+
+let seed_funcs = [ Oracle.Exp2; Oracle.Log ]
+let seed_specs = List.map (fun f -> (f, Polyeval.EstrinFma, tiny_cfg)) seed_funcs
+
+let verified_ok ~scheme func =
+  match Pipeline.verified ~cfg:tiny_cfg ~scheme func with
+  | Ok _ -> ()
+  | Error err ->
+      Alcotest.failf "%s/%s failed: %s" (Oracle.name func)
+        (Polyeval.scheme_name scheme) (Diag.Error.to_string err)
+
+let count_events name evs =
+  List.length (List.filter (fun ev -> ev.Diag.ev_name = name) evs)
+
+let seed_statuses evs =
+  List.filter_map
+    (fun ev ->
+      if ev.Diag.ev_name = "lp.seed" then
+        List.assoc_opt "status" ev.Diag.ev_fields
+      else None)
+    evs
+
+(* The estrin-fma generation's store artifacts, as bytes: both
+   functions' poly and verdict entries and the served snapshot. *)
+let second_scheme_artifacts () =
+  (match Serve.build seed_specs with
+  | Ok _ -> ()
+  | Error err -> Alcotest.failf "serve build: %s" (Diag.Error.to_string err));
+  List.concat_map
+    (fun f ->
+      [
+        Pipeline.poly_key ~cfg:tiny_cfg ~scheme:Polyeval.EstrinFma f;
+        Pipeline.verdict_key ~cfg:tiny_cfg ~scheme:Polyeval.EstrinFma f;
+      ])
+    seed_funcs
+  @ [ Serve.snapshot_key seed_specs ]
+  |> List.map (fun k -> (k, read_file (Cache.path_of_key k)))
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+let lp_seed_files d =
+  Sys.readdir d |> Array.to_list
+  |> List.filter (fun name ->
+         contains ~sub:"-lps-" name && not (contains ~sub:".corrupt-" name))
+  |> List.sort compare
+
+(* The first scheme of a function publishes its round-1 LP solves; the
+   second scheme loads every one of them, solves no LP at all, and its
+   artifacts are byte-identical to a fresh-store run of that scheme
+   alone — at -j 1 and -j 4. *)
+let test_lp_seed_shared () =
+  let saved_jobs = Parallel.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.set_jobs saved_jobs)
+    (fun () ->
+      let reference =
+        in_fresh_dir (fun _d ->
+            Parallel.set_jobs 1;
+            Rlibm.Constraints.clear_memory_cache ();
+            List.iter (verified_ok ~scheme:Polyeval.EstrinFma) seed_funcs;
+            second_scheme_artifacts ())
+      in
+      List.iter
+        (fun jobs ->
+          in_fresh_dir (fun _d ->
+              Parallel.set_jobs jobs;
+              Rlibm.Constraints.clear_memory_cache ();
+              let sink, drain = Diag.memory_sink ~min_level:Diag.Debug () in
+              Diag.with_sinks [ sink ] (fun () ->
+                  List.iter (verified_ok ~scheme:Polyeval.Horner) seed_funcs);
+              let evs = drain () in
+              (* the sink sees LP solves when there are any *)
+              Alcotest.(check bool)
+                (Printf.sprintf "-j %d: first scheme solves LPs" jobs)
+                true
+                (count_events "lp.solved" evs > 0);
+              let first = seed_statuses evs in
+              Alcotest.(check bool)
+                (Printf.sprintf "-j %d: first scheme solves every seed" jobs)
+                true
+                (first <> []
+                && List.for_all (( = ) (Diag.String "rebuilt")) first);
+              Cache.reset_stats ();
+              let sink, drain = Diag.memory_sink ~min_level:Diag.Debug () in
+              Diag.with_sinks [ sink ] (fun () ->
+                  List.iter (verified_ok ~scheme:Polyeval.EstrinFma) seed_funcs);
+              let evs = drain () in
+              Alcotest.(check int)
+                (Printf.sprintf "-j %d: second scheme solves no LP" jobs)
+                0
+                (count_events "lp.solved" evs);
+              let second = seed_statuses evs in
+              Alcotest.(check bool)
+                (Printf.sprintf "-j %d: second scheme only hits seeds" jobs)
+                true
+                (second <> []
+                && List.for_all (( = ) (Diag.String "hit")) second);
+              (match List.assoc_opt "lp-seed" (Cache.stats_by_kind ()) with
+              | Some st ->
+                  Alcotest.(check int) "no lp-seed miss" 0 st.Cache.misses;
+                  Alcotest.(check int) "one hit per seed event"
+                    (List.length second) st.Cache.hits
+              | None -> Alcotest.fail "no lp-seed store traffic");
+              Alcotest.(check (list (pair string string)))
+                (Printf.sprintf
+                   "-j %d: poly, verdict, snapshot bytes = fresh-store run"
+                   jobs)
+                reference
+                (second_scheme_artifacts ());
+              (* and the seeded polynomials are the ones an unseeded
+                 Generate.solve finds *)
+              List.iter
+                (fun func ->
+                  let cfg = tiny_cfg and scheme = Polyeval.EstrinFma in
+                  let built = Pipeline.constraints_stage ~cfg func in
+                  let oracle = built.Rlibm.Constraints.oracle in
+                  match
+                    ( Rlibm.Generate.solve ~cfg ~scheme ~func ~built (),
+                      Pipeline.generate ~cfg ~scheme func )
+                  with
+                  | Ok sv, Ok g ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "-j %d: %s seeded = unseeded" jobs
+                           (Oracle.name func))
+                        true
+                        (fingerprint
+                           (Rlibm.Generate.assemble ~cfg ~scheme ~func ~oracle
+                              sv)
+                        = fingerprint g)
+                  | _ -> Alcotest.fail "generation failed")
+                seed_funcs))
+        [ 1; 4 ])
+
+(* A corrupted seed is quarantined, re-solved and republished, and the
+   polynomial built on it is the fresh-store one. *)
+let test_lp_seed_corrupt () =
+  let fresh =
+    in_fresh_dir (fun _d ->
+        let _, fp, rep = run_pass ~scheme:Polyeval.EstrinFma () in
+        (fp, rep))
+  in
+  in_fresh_dir (fun d ->
+      ignore (run_pass ~scheme:Polyeval.Horner ());
+      let seeds = lp_seed_files d in
+      Alcotest.(check bool) "horner published seeds" true (seeds <> []);
+      let original = List.map (fun f -> read_file (Filename.concat d f)) seeds in
+      List.iter
+        (fun f ->
+          let path = Filename.concat d f in
+          let bytes = Bytes.of_string (read_file path) in
+          let i = Bytes.length bytes - 1 in
+          Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lxor 0xff));
+          let oc = open_out_bin path in
+          output_bytes oc bytes;
+          close_out oc)
+        seeds;
+      Cache.reset_stats ();
+      let sink, drain = Diag.memory_sink ~min_level:Diag.Info () in
+      let _, fp, rep =
+        Diag.with_sinks [ sink ] (fun () ->
+            run_pass ~scheme:Polyeval.EstrinFma ())
+      in
+      (match List.assoc_opt "lp-seed" (Cache.stats_by_kind ()) with
+      | Some st ->
+          Alcotest.(check int) "every corrupt seed rejected"
+            (List.length seeds) st.Cache.corrupt_rejected
+      | None -> Alcotest.fail "no lp-seed store traffic");
+      Alcotest.(check bool) "corrupt seeds rebuilt" true
+        (List.for_all (( = ) (Diag.String "rebuilt")) (seed_statuses (drain ())));
+      Alcotest.(check int) "each quarantined aside" (List.length seeds)
+        (Sys.readdir d |> Array.to_list
+        |> List.filter (fun n ->
+               contains ~sub:"-lps-" n && contains ~sub:".corrupt-" n)
+        |> List.length);
+      Alcotest.(check bool) "republished seeds = originals" true
+        (List.map (fun f -> read_file (Filename.concat d f)) seeds = original);
+      Alcotest.(check bool) "same polynomial and verdict as a fresh store"
+        true
+        ((fp, rep) = fresh))
+
 let suite =
   [
     ("key invalidation graph", `Quick, test_keys);
@@ -508,4 +692,8 @@ let suite =
     ("concurrent warmers fill one store cooperatively", `Slow,
      test_shard_concurrent);
     ("warm reports skipped generations", `Slow, test_warm_reports_failures);
+    ("second scheme reuses lp-seeds, byte-identical", `Slow,
+     test_lp_seed_shared);
+    ("corrupt lp-seed quarantined and recomputed", `Slow,
+     test_lp_seed_corrupt);
   ]

@@ -160,6 +160,220 @@ let test_iter_finite_count () =
   Alcotest.(check int) "count matches" (count_finite small) !n;
   Alcotest.(check int) "count formula" (2 * 7 * 4) !n
 
+(* ---------- native rounding = Rat reference ----------
+
+   [round_float] and [narrow] round through the native-int [of_dyadic];
+   [of_rat] on the exact rational value is the reference they must match
+   bit for bit, signed zeros included. *)
+
+let all_modes = RTO :: all_standard_modes
+
+let ref_round_float fmt mode x =
+  if Float.is_nan x then nan_bits fmt
+  else if Float.abs x = Float.infinity then inf_bits fmt ~neg:(x < 0.0)
+  else if x = 0.0 then
+    if Float.sign_bit x then neg_zero_bits fmt else zero_bits fmt
+  else of_rat fmt mode (Rat.of_float x)
+
+let ref_narrow ~src ~dst mode b =
+  match classify src b with
+  | NaN -> nan_bits dst
+  | Inf -> inf_bits dst ~neg:(sign_bit src b)
+  | Zero -> if sign_bit src b then neg_zero_bits dst else zero_bits dst
+  | Subnormal | Normal -> of_rat dst mode (to_rat src b)
+
+let fmt_name f = Printf.sprintf "(%d,%d)" f.ebits f.prec
+
+(* Compare every (format, mode) of [fmts] on [xs]; fail on the first
+   mismatch with enough context to replay it. *)
+let check_round_float fmts xs =
+  List.iter
+    (fun fmt ->
+      Array.iter
+        (fun x ->
+          List.iter
+            (fun mode ->
+              let want = ref_round_float fmt mode x
+              and got = round_float fmt mode x in
+              if not (Int64.equal want got) then
+                Alcotest.failf "round_float %s %s %h: native 0x%Lx, Rat 0x%Lx"
+                  (fmt_name fmt) (mode_to_string mode) x got want)
+            all_modes)
+        xs)
+    fmts
+
+let diff_fmts =
+  List.map
+    (fun (ebits, prec) -> make_fmt ~ebits ~prec)
+    [ (5, 3); (5, 11); (8, 8); (8, 26); (11, 4); (12, 4); (11, 52) ]
+
+(* Every finite pattern of the mini universe's 15-bit round-to-odd target
+   narrowed into each (5, 2..10) format under every mode — the exact set
+   of re-roundings exhaustive verification performs. *)
+let test_narrow_exhaustive_mini () =
+  let src = make_fmt ~ebits:5 ~prec:10 in
+  let dsts = List.init 9 (fun i -> make_fmt ~ebits:5 ~prec:(2 + i)) in
+  let n = ref 0 in
+  iter_finite src (fun b ->
+      (* [to_rat] once per pattern: [ref_narrow] inlined *)
+      let zero = classify src b = Zero in
+      let q = if zero then Rat.zero else to_rat src b in
+      List.iter
+        (fun dst ->
+          List.iter
+            (fun mode ->
+              incr n;
+              let want =
+                if zero then ref_narrow ~src ~dst mode b
+                else of_rat dst mode q
+              and got = narrow ~src ~dst mode b in
+              if not (Int64.equal want got) then
+                Alcotest.failf "narrow %s -> %s %s 0x%Lx: native 0x%Lx, Rat 0x%Lx"
+                  (fmt_name src) (fmt_name dst) (mode_to_string mode) b got
+                  want)
+            all_modes)
+        dsts);
+  Alcotest.(check int) "every pattern x format x mode" (31744 * 9 * 6) !n
+
+(* Doubles aimed at every rounding case of each format: uniform bit
+   patterns, double subnormals, values spread over the format's range,
+   exact ties at every drop position (down to half the smallest
+   subnormal and below), and the overflow / underflow boundaries with
+   their neighbours — each with both signs. *)
+let test_round_float_seeded () =
+  let rng = Random.State.make [| 0x50f7; 15 |] in
+  let bits53 () = Random.State.bits rng lor (Random.State.bits rng lsl 30) in
+  let both l = List.concat_map (fun x -> [ x; -.x ]) l in
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  let uniform =
+    List.init 2000 (fun _ -> Int64.float_of_bits (Random.State.int64 rng Int64.max_int))
+  in
+  let subnormals =
+    List.init 500 (fun _ ->
+        Int64.float_of_bits (Int64.of_int (bits53 () land 0xF_FFFF_FFFF_FFFF)))
+  in
+  check_round_float diff_fmts (Array.of_list (both (uniform @ subnormals)));
+  List.iter
+    (fun fmt ->
+      let p = fmt.prec and emin = emin fmt and emax = emax fmt in
+      let spread =
+        List.init 1000 (fun _ ->
+            let m = bits53 () land ((1 lsl 53) - 1) lor (1 lsl 52) in
+            let e = emin - p - 4 + Random.State.int rng (emax - emin + p + 8) in
+            Float.ldexp (Float.of_int m) (e - 52))
+      in
+      (* A tie drops d bits reading 10...0.  At the subnormal quantum
+         2^(emin - p + 1), d ranges over 1..53 (d = 53 is exactly half the
+         smallest subnormal); in the normal range a full double drops
+         53 - p bits, at any exponent. *)
+      let quantum = emin - p + 1 in
+      let tie d =
+        if d >= 53 then 1 lsl 52
+        else
+          (bits53 () land ((1 lsl (53 - d)) - 1)) lsl d
+          lor (1 lsl (d - 1))
+          lor (1 lsl 52)
+      in
+      let sub_ties =
+        List.concat_map
+          (fun d ->
+            List.init 8 (fun _ -> Float.ldexp (Float.of_int (tie d)) (quantum - d)))
+          (List.init 53 (fun i -> i + 1))
+      in
+      let normal_ties =
+        if p >= 53 then []
+        else
+          List.init 400 (fun _ ->
+              let e = emin + Random.State.int rng (emax - emin + 1) in
+              Float.ldexp (Float.of_int (tie (53 - p))) (e - 52))
+      in
+      let boundaries =
+        List.concat_map around
+          [
+            (* max finite + half an ulp: the overflow threshold *)
+            Float.ldexp (Float.of_int ((1 lsl (p + 1)) - 1)) (emax - p);
+            Float.ldexp (Float.of_int ((1 lsl p) - 1)) (emax - p + 1);
+            Float.ldexp 1.0 (emax + 1);
+            (* half the smallest subnormal, the smallest subnormal, the
+               smallest normal *)
+            Float.ldexp 1.0 (quantum - 1);
+            Float.ldexp 1.0 quantum;
+            Float.ldexp 1.0 emin;
+          ]
+        |> List.filter Float.is_finite
+      in
+      check_round_float [ fmt ]
+        (Array.of_list (both (spread @ sub_ties @ normal_ties @ boundaries))))
+    diff_fmts
+
+(* Random finite patterns (and the boundary patterns) of every format in
+   the list, narrowed into every other one. *)
+let test_narrow_seeded () =
+  let rng = Random.State.make [| 0x4a77; 15 |] in
+  List.iter
+    (fun src ->
+      (* finite patterns of one sign (count_finite overflows at width 63) *)
+      let half = ((1 lsl src.ebits) - 1) lsl (src.prec - 1) in
+      let pats =
+        [
+          zero_bits src; neg_zero_bits src;
+          min_subnormal_bits src ~neg:false; min_subnormal_bits src ~neg:true;
+          max_finite_bits src ~neg:false; max_finite_bits src ~neg:true;
+          inf_bits src ~neg:false; inf_bits src ~neg:true; nan_bits src;
+        ]
+        @ List.init 300 (fun _ ->
+              let o = Random.State.full_int rng half in
+              of_ordinal src (if Random.State.bool rng then o else -o - 1))
+      in
+      List.iter
+        (fun dst ->
+          List.iter
+            (fun b ->
+              List.iter
+                (fun mode ->
+                  let want = ref_narrow ~src ~dst mode b
+                  and got = narrow ~src ~dst mode b in
+                  if not (Int64.equal want got) then
+                    Alcotest.failf
+                      "narrow %s -> %s %s 0x%Lx: native 0x%Lx, Rat 0x%Lx"
+                      (fmt_name src) (fmt_name dst) (mode_to_string mode) b
+                      got want)
+                all_modes)
+            pats)
+        diff_fmts)
+    diff_fmts
+
+(* The core on its whole domain: significands up to max_int (62 bits),
+   exponents across every format's range and beyond. *)
+let test_of_dyadic_seeded () =
+  let rng = Random.State.make [| 0xd7ad; 15 |] in
+  List.iter
+    (fun fmt ->
+      for _ = 1 to 1500 do
+        let m =
+          Int64.to_int (Int64.shift_right_logical (Random.State.bits64 rng) 2)
+          lsr Random.State.int rng 62
+        in
+        let span = emax fmt + fmt.prec + 70 in
+        let e = Random.State.int rng (2 * span) - span in
+        let neg = Random.State.bool rng in
+        List.iter
+          (fun mode ->
+            let q = Rat.mul_pow2 (Rat.of_int m) e in
+            let want =
+              if m = 0 then if neg then neg_zero_bits fmt else zero_bits fmt
+              else of_rat fmt mode (if neg then Rat.neg q else q)
+            and got = of_dyadic fmt mode ~neg m e in
+            if not (Int64.equal want got) then
+              Alcotest.failf "of_dyadic %s %s m=%d e=%d neg=%b: 0x%Lx, Rat 0x%Lx"
+                (fmt_name fmt) (mode_to_string mode) m e neg got want)
+          all_modes
+      done)
+    diff_fmts;
+  Alcotest.check_raises "negative significand"
+    (Invalid_argument "Softfp.of_dyadic: negative significand") (fun () ->
+      ignore (of_dyadic binary16 RNE ~neg:false (-1) 0))
+
 (* ---------- property tests ---------- *)
 
 let arb_rat_small =
@@ -236,5 +450,11 @@ let suite =
     ("underflow per mode", `Quick, test_underflow_modes);
     ("succ/pred navigation", `Quick, test_succ_pred);
     ("finite enumeration", `Quick, test_iter_finite_count);
+    ("native narrow = Rat, mini target exhaustive", `Quick,
+     test_narrow_exhaustive_mini);
+    ("native round_float = Rat, seeded doubles", `Quick,
+     test_round_float_seeded);
+    ("native narrow = Rat, seeded patterns", `Quick, test_narrow_seeded);
+    ("of_dyadic = of_rat, seeded", `Quick, test_of_dyadic_seeded);
   ]
   @ props

@@ -4,7 +4,9 @@
 # -j N), smoke-check that a poisoned oracle cache is rejected and
 # regenerated without changing a single output bit, smoke-check the
 # staged pipeline (cold run vs warm run vs interrupted-then-resumed run:
-# bit-identical output, zero stage rebuilds when warm), and smoke-check
+# bit-identical output, zero stage rebuilds when warm; a second scheme on
+# the same store loads the first scheme's lp-seed LP solves and prints
+# what a fresh-store run prints), and smoke-check
 # the servable snapshot layer (batched eval bit-identical to scalar at
 # -j 1 and -j N; a warm snapshot loads from exactly one store entry),
 # and smoke-check the batch kernels (scalar-vs-kernel timings reported,
@@ -66,12 +68,12 @@ ls "$cachedir"/*.corrupt-* > /dev/null \
 echo "poisoned cache rejected, quarantined, and regenerated bit-identically"
 
 echo "== staged pipeline smoke (cold / warm / resume) =="
-stagedir=$(mktemp -d) && resumedir=$(mktemp -d)
+stagedir=$(mktemp -d) && resumedir=$(mktemp -d) && seeddir=$(mktemp -d)
 coldg=$(mktemp) && warmg=$(mktemp) && resumedg=$(mktemp)
-stageout=$(mktemp) && warmstats=$(mktemp)
+stageout=$(mktemp) && warmstats=$(mktemp) && seedg=$(mktemp) && seedstats=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
-       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats"
-     rm -rf "$cachedir" "$stagedir" "$resumedir"' EXIT
+       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" "$seedg" "$seedstats"
+     rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir"' EXIT
 # Cold run: every stage rebuilt and persisted.
 RLIBM_CACHE_DIR="$stagedir" dune exec --no-build bin/rlibm_gen.exe -- generate \
   --func exp2 --scheme estrin-fma --ebits 4 --prec 7 --verify > "$coldg"
@@ -109,15 +111,28 @@ RLIBM_CACHE_DIR="$resumedir" dune exec --no-build bin/rlibm_gen.exe -- generate 
   --func exp2 --scheme estrin-fma --ebits 4 --prec 7 --verify > "$resumedg"
 diff "$coldg" "$resumedg"
 echo "interrupted run resumed from stage 3, output bit-identical"
+# Second scheme on one store: the first scheme publishes every round-1
+# LP solve as an lp-seed artifact, the second loads them (lp-seed hits,
+# no lp-seed misses) and prints exactly what a fresh-store run of it
+# prints.
+RLIBM_CACHE_DIR="$seeddir" dune exec --no-build bin/rlibm_gen.exe -- generate \
+  --func exp2 --scheme horner --ebits 4 --prec 7 --verify > /dev/null
+RLIBM_CACHE_DIR="$seeddir" dune exec --no-build bin/rlibm_gen.exe -- generate \
+  --func exp2 --scheme estrin-fma --ebits 4 --prec 7 --verify --cache-stats \
+  > "$seedg" 2> "$seedstats"
+grep -Eq '^ *lp-seed +[1-9][0-9]* hits, 0 misses' "$seedstats" \
+  || { echo "second scheme did not reuse the lp-seeds:"; cat "$seedstats"; exit 1; }
+diff "$coldg" "$seedg"
+echo "second scheme: lp-seed hits only, output = fresh-store run"
 
 echo "== servable snapshot smoke =="
 servedir=$(mktemp -d)
 serve1=$(mktemp) && serveN=$(mktemp) && servestats=$(mktemp)
 servebench=$(mktemp) && benchjson=$(mktemp) && smalljson=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
-       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
+       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" "$seedg" "$seedstats" \
        "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson"
-     rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir"' EXIT
+     rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir" "$servedir"' EXIT
 # Cold build at -j 1: resolves through the pipeline, persists the
 # snapshot, and cross-checks every batched result against the scalar
 # eval path bit for bit.
@@ -193,10 +208,10 @@ echo "== sharded oracle warm smoke =="
 sharddir=$(mktemp -d)
 shardout=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
-       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
+       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" "$seedg" "$seedstats" \
        "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson" \
        "$shardout"
-     rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir"' EXIT
+     rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir" "$servedir" "$sharddir"' EXIT
 # Half-run: warm two of the four oracle shards, one invocation each (the
 # distributed / killed-warmer shape).  All warm narration lives on
 # stderr, so the shard-status greps below read the stderr capture.
@@ -237,10 +252,10 @@ echo "== machine-readable stdout smoke (--gen-json) =="
 # may leak into the stream.
 genjson=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
-       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
+       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" "$seedg" "$seedstats" \
        "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson" \
        "$shardout" "$genjson"
-     rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir"' EXIT
+     rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir" "$servedir" "$sharddir"' EXIT
 dune exec --no-build bench/main.exe -- --gen-json /dev/stdout --quick \
   -j "$N" > "$genjson" 2> /dev/null
 python3 - "$genjson" <<'EOF'
@@ -267,10 +282,10 @@ rm -rf "$tracedir" && mkdir -p "$tracedir"
 tracegen=$(mktemp -d)
 tracecold=$(mktemp) && tracewarm=$(mktemp) && tracenone=$(mktemp)
 trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
-       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" \
+       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" "$seedg" "$seedstats" \
        "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson" \
        "$shardout" "$genjson" "$tracecold" "$tracewarm" "$tracenone"
-     rm -rf "$cachedir" "$stagedir" "$resumedir" "$servedir" "$sharddir" \
+     rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir" "$servedir" "$sharddir" \
        "$tracegen"' EXIT
 RLIBM_CACHE_DIR="$tracegen" dune exec --no-build bin/rlibm_gen.exe -- generate \
   --func exp2 --scheme estrin-fma --ebits 4 --prec 7 --verify \
