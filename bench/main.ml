@@ -28,8 +28,9 @@
                                                     function, in a fresh
                                                     store directory)
      dune exec bench/main.exe -- --serve-bench     (serving hot path:
-                                                    scalar batch vs the
-                                                    zero-allocation kernel,
+                                                    scalar DAG reference vs
+                                                    the zero-allocation
+                                                    kernel,
                                                     ns/eval + evals/sec +
                                                     minor words/eval)
      dune exec bench/main.exe -- --serve-json PATH (write the serve-bench
@@ -111,23 +112,28 @@ let print_table1 grid =
 (* ---------- E2: Table 2 and Figure 6 ---------- *)
 
 (* Timing methodology: every generated function is evaluated over the same
-   sweep of valid polynomial-path inputs (the shared range reduction and
-   output compensation are part of the measured path, as in the paper's
-   rdtscp harness; the per-input special-table branch is excluded because
-   our table is a hash lookup, not the artifact's two-instruction compare
-   chain).  One Bechamel sample evaluates the whole sweep; the analyzer's
-   OLS estimate divided by the sweep size gives ns/call. *)
+   sweep of valid polynomial-path inputs through the served batch kernel
+   (Genlibm.eval_bits_into), one sweep per call on the calling domain.
+   The shared decode, special-table probe, range reduction and output
+   compensation are part of the measured path, as in the paper's rdtscp
+   harness (whose special-case check is a two-instruction compare chain
+   rather than our binary search).  One Bechamel sample evaluates the
+   whole sweep; the analyzer's OLS estimate divided by the sweep size
+   gives ns/call. *)
 
 let sweep_inputs (g : Rlibm.Generate.generated) =
   let tin = g.Rlibm.Generate.cfg.Rlibm.Config.tin in
   let acc = ref [] in
   Softfp.iter_finite tin (fun b ->
-      let xf = Softfp.to_float tin b in
       if
-        g.Rlibm.Generate.family.Rlibm.Reduction.shortcut xf = None
+        g.Rlibm.Generate.family.Rlibm.Reduction.shortcut (Softfp.to_float tin b)
+        = None
         && not (Hashtbl.mem g.Rlibm.Generate.specials b)
-      then acc := xf :: !acc);
-  Array.of_list !acc
+      then acc := b :: !acc);
+  let xs = Array.of_list !acc in
+  let src = Genlibm.create_src (Array.length xs) in
+  Array.iteri (Bigarray.Array1.set src) xs;
+  src
 
 let bench_tests grid =
   List.filter_map
@@ -135,19 +141,15 @@ let bench_tests grid =
       match e.gen with
       | Error _ -> None
       | Ok g ->
-          let xs = sweep_inputs g in
+          let src = sweep_inputs g in
+          let n = Bigarray.Array1.dim src in
+          let dst = Genlibm.create_dst n in
           let name =
             Printf.sprintf "%s/%s" (Oracle.name e.func)
               (Polyeval.scheme_name e.scheme)
           in
-          let run () =
-            let acc = ref 0.0 in
-            for i = 0 to Array.length xs - 1 do
-              acc := !acc +. Genlibm.eval_float g (Array.unsafe_get xs i)
-            done;
-            !acc
-          in
-          Some ((e.func, e.scheme, Array.length xs), Test.make ~name (Staged.stage run)))
+          let run () = Genlibm.eval_bits_into g ~src ~dst ~lo:0 ~hi:n in
+          Some ((e.func, e.scheme, n), Test.make ~name (Staged.stage run)))
     grid
 
 let run_bechamel tests =
@@ -311,31 +313,29 @@ let count_post_process_wrong (horner_g : Rlibm.Generate.generated) scheme
   in
   if Array.exists (fun c -> c = None) adapted then None
   else begin
-    let adapted = Array.map Option.get adapted in
+    (* The Horner function re-evaluated under [scheme], through the
+       served kernel. *)
+    let post =
+      { horner_g with Rlibm.Generate.scheme; pieces = Array.map Option.get adapted }
+    in
+    let n = Array.length inputs in
+    let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
+    Array.iteri (Bigarray.Array1.set src) inputs;
+    Genlibm.eval_bits_into post ~src ~dst ~lo:0 ~hi:n;
     let wrong = ref 0 in
-    Array.iter
-      (fun x ->
+    Array.iteri
+      (fun i x ->
         if
           Softfp.is_finite tin x
-          && not (Hashtbl.mem horner_g.Rlibm.Generate.specials x)
-        then begin
-          let xf = Softfp.to_float tin x in
-          match horner_g.Rlibm.Generate.family.Rlibm.Reduction.shortcut xf with
-          | Some _ -> ()
-          | None -> (
-              let red =
-                horner_g.Rlibm.Generate.family.Rlibm.Reduction.reduce xf
-              in
-              let v =
-                red.Rlibm.Reduction.oc
-                  (adapted.(red.Rlibm.Reduction.piece).Polyeval.eval
-                     red.Rlibm.Reduction.r)
-              in
-              let y_impl = Genlibm.round_result tout Softfp.RTO v in
-              match Hashtbl.find_opt horner_g.Rlibm.Generate.oracle x with
-              | Some y_true when not (Int64.equal y_impl y_true) -> incr wrong
-              | _ -> ())
-        end)
+          && (not (Hashtbl.mem horner_g.Rlibm.Generate.specials x))
+          && horner_g.Rlibm.Generate.family.Rlibm.Reduction.shortcut
+               (Softfp.to_float tin x)
+             = None
+        then
+          let y_impl = Genlibm.round_result tout Softfp.RTO dst.{i} in
+          match Hashtbl.find_opt horner_g.Rlibm.Generate.oracle x with
+          | Some y_true when not (Int64.equal y_impl y_true) -> incr wrong
+          | _ -> ())
       inputs;
     Some !wrong
   end
@@ -640,9 +640,10 @@ let write_shard_json path ~jobs ~shards rows =
 
 (* ---------- serve-path throughput: scalar vs batch kernel ---------- *)
 
-(* Measures the serving hot path end to end: scalar = the pre-kernel
-   batch loop (Parallel.map_array of Genlibm.eval_bits, one closure
-   dispatch + boxed decode + allocating reduction per element), kernel =
+(* Measures the serving hot path end to end: scalar = the reference
+   path (Parallel.map_array of Genlibm.eval_bits: Softfp decode, the
+   reference reduction and a walk of the piece's Expr DAG per element),
+   the one the kernel is checked against bit for bit; kernel =
    Serve.eval_batch_into (chunked zero-allocation batch kernels into a
    caller-owned Bigarray).  Both run at the harness's -j; the kernel
    path's minor-heap allocation is additionally measured per eval at

@@ -379,7 +379,7 @@ let serve_cmd =
                 inputs;
               if !bad > 0 then begin
                 Printf.eprintf
-                  "%s: %d batched results differ from scalar eval_bits\n"
+                  "%s: %d batched results differ from the eval_bits reference\n"
                   (Oracle.name func) !bad;
                 exit 1
               end;
@@ -443,8 +443,10 @@ let serve_cmd =
       value & flag
       & info [ "check-scalar" ]
           ~doc:
-            "Re-evaluate every input through the scalar eval path and fail \
-             unless the batched results are bit-identical.")
+            "Re-evaluate every input through the scalar reference path \
+             (Genlibm.eval_bits: the polynomial's DAG, not the serving \
+             kernel) and fail unless the batched results are \
+             bit-identical.")
   in
   let print_bits =
     Arg.(
@@ -457,7 +459,7 @@ let serve_cmd =
       value & flag
       & info [ "bench" ]
           ~doc:
-            "Time the batch on the scalar eval path and on the \
+            "Time the batch on the scalar reference path and on the \
              zero-allocation kernel path and report ns/eval and the \
              speedup on stderr (stdout stays job-count-invariant).")
   in

@@ -15,8 +15,9 @@
 
 let count_wrong_post_process g scheme inputs =
   (* Re-compile each piece of the Horner-generated function under [scheme]
-     (for Knuth this adapts the coefficients as a post-process), then count
-     inputs whose result leaves the round-to-odd rounding interval. *)
+     (for Knuth this adapts the coefficients as a post-process), evaluate
+     the result through the served kernel, then count inputs whose result
+     leaves the round-to-odd rounding interval. *)
   let tin = g.Rlibm.Generate.cfg.Rlibm.Config.tin in
   let tout = Rlibm.Config.tout g.Rlibm.Generate.cfg in
   let adapted =
@@ -26,29 +27,27 @@ let count_wrong_post_process g scheme inputs =
   in
   if Array.exists (fun c -> c = None) adapted then None
   else begin
-    let adapted = Array.map Option.get adapted in
+    let post =
+      { g with Rlibm.Generate.scheme; pieces = Array.map Option.get adapted }
+    in
+    let n = Array.length inputs in
+    let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
+    Array.iteri (Bigarray.Array1.set src) inputs;
+    Genlibm.eval_bits_into post ~src ~dst ~lo:0 ~hi:n;
     let wrong = ref 0 in
-    Array.iter
-      (fun x ->
+    Array.iteri
+      (fun i x ->
         if
           Softfp.is_finite tin x
-          && not (Hashtbl.mem g.Rlibm.Generate.specials x)
-        then begin
-          let xf = Softfp.to_float tin x in
-          match g.Rlibm.Generate.family.Rlibm.Reduction.shortcut xf with
-          | Some _ -> ()
-          | None -> (
-              let red = g.Rlibm.Generate.family.Rlibm.Reduction.reduce xf in
-              let v =
-                red.Rlibm.Reduction.oc
-                  (adapted.(red.Rlibm.Reduction.piece).Polyeval.eval
-                     red.Rlibm.Reduction.r)
-              in
-              let y_impl = Genlibm.round_result tout Softfp.RTO v in
-              match Hashtbl.find_opt g.Rlibm.Generate.oracle x with
-              | Some y_true when not (Int64.equal y_impl y_true) -> incr wrong
-              | _ -> ())
-        end)
+          && (not (Hashtbl.mem g.Rlibm.Generate.specials x))
+          && g.Rlibm.Generate.family.Rlibm.Reduction.shortcut
+               (Softfp.to_float tin x)
+             = None
+        then
+          let y_impl = Genlibm.round_result tout Softfp.RTO dst.{i} in
+          match Hashtbl.find_opt g.Rlibm.Generate.oracle x with
+          | Some y_true when not (Int64.equal y_impl y_true) -> incr wrong
+          | _ -> ())
       inputs;
     Some !wrong
   end

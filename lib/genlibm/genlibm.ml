@@ -72,8 +72,10 @@ let[@inline] find_special (keys : int array) (key : int) =
     if Array.unsafe_get keys !base = key then !base else -1
   end
 
-(* The generated double-precision implementation: special table, analytic
-   shortcut, then range reduction / polynomial / output compensation. *)
+(* The reference implementation: special table, analytic shortcut, then
+   the reference range reduction, the piece's DAG ({!Expr.eval_float})
+   and the reference output compensation.  The batch kernel below is
+   what runs; this is what it must equal. *)
 let eval_bits (g : t) (x : int64) =
   let tin = g.cfg.tin in
   match Softfp.classify tin x with
@@ -90,17 +92,12 @@ let eval_bits (g : t) (x : int64) =
         match g.family.shortcut xf with
         | Some v -> v
         | None ->
-            let red = g.family.reduce xf in
-            red.oc (g.pieces.(red.piece).Polyeval.eval red.r))
-
-(* Fast path used by the benchmarks: skips the special-table lookup cost
-   difference across schemes by keeping the exact same control flow. *)
-let eval_float (g : t) (xf : float) =
-  match g.family.shortcut xf with
-  | Some v -> v
-  | None ->
-      let red = g.family.reduce xf in
-      red.oc (g.pieces.(red.piece).Polyeval.eval red.r)
+            let s = Rlibm.Reduction.scratch () in
+            s.sf.sx <- xf;
+            g.family.reduce_into s;
+            let p = g.pieces.(s.spiece) in
+            Rlibm.Reduction.compensate g.family s
+              (Expr.eval_float p.Polyeval.expr ~data:p.Polyeval.data s.sf.sr))
 
 (* ---------- batch kernel ---------- *)
 
@@ -199,11 +196,13 @@ let decode_bits d x = decode d (Int64.to_int x)
            compensated results: [v *. 2^n] through the power-of-two
            tables, or [c +. v].
 
-   Reduction and compensation give the same doubles as the scalar path
-   ([Reduction.reduce_into], [oc]): the same operations on the same
-   values, or exact equivalents for decode, the log family's k and m,
-   and the scaling by 2^n.  The test suite enforces "bit-identical to
-   [eval_bits]" exhaustively. *)
+   Reduction and compensation give the same doubles as the reference
+   ([Reduction.reduce_into], [Reduction.compensate]): the same
+   operations on the same values, or exact equivalents for decode, the
+   log family's k and m, and the scaling by 2^n.  The test suite
+   enforces "bit-identical to [eval_bits]" exhaustively, and [verify]
+   checks this kernel's results, so the verified code is the served
+   code. *)
 let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
   if
     lo < 0 || hi < lo
@@ -360,6 +359,23 @@ let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
     done
   end
 
+(* The smallest chunk worth handing to another domain.  A fan-out costs
+   a few microseconds (queueing, waking a worker, the pool mutex per
+   chunk) against ~20 ns per element of kernel work, so small requests
+   run on the caller.  Measured on a 2-core x86_64 VM, exp2/horner at
+   -j 2, microseconds per call:
+
+     batch   16 chunks   on the caller   2 chunks
+        64         5.5             1.3        4.9
+       256        16.3             5.4        8.6
+       512        18.5            10.6       22.4
+      1024        31.9            32.4       21.3
+      4096        60.2            84.4       55.2
+
+   With a grain of 512, batches below 1024 run inline, 1024 splits in
+   two, and at -j 2 batches from 2^13 on get the full 16 chunks. *)
+let kernel_grain = 512
+
 (* ---------- rounding of results ---------- *)
 
 let round_result = Softfp.round_float
@@ -407,12 +423,19 @@ let v_skip =
       mode agrees with double-rounding the oracle result — i.e. the
       RLibm-All guarantee holds for the generated function.
 
-   The per-input checks fan out across the domain pool: [g.specials] and
-   [g.oracle] are only read inside the sweep (fresh oracle results are
-   returned in the verdicts and memoized on the driver afterwards, in
-   input order), and the report is a sum of per-input counts, so the
-   verdict is identical for every job count. *)
+   The doubles checked are the served ones: one [eval_bits_into] sweep
+   over all inputs, chunked as [Serve] chunks a batch.  The
+   per-input checks then fan out across the domain pool: [g.oracle] is
+   only read inside the sweep (fresh oracle results are returned in the
+   verdicts and memoized on the driver afterwards, in input order), and
+   the report is a sum of per-input counts, so the verdict is identical
+   for every job count. *)
 let verify ?(narrow = true) (g : t) ~(inputs : int64 array) =
+  let n = Array.length inputs in
+  let src = create_src n and dst = create_dst n in
+  Array.iteri (Bigarray.Array1.unsafe_set src) inputs;
+  Parallel.iter_chunks ~grain:kernel_grain n (fun lo hi ->
+      eval_bits_into g ~src ~dst ~lo ~hi);
   let tin = g.cfg.tin in
   let tout = Rlibm.Config.tout g.cfg in
   let narrow_fmts =
@@ -423,11 +446,11 @@ let verify ?(narrow = true) (g : t) ~(inputs : int64 array) =
   in
   let modes = Array.of_list Softfp.all_standard_modes in
   let verdicts =
-    Parallel.map_array
-      (fun x ->
+    Parallel.init n (fun i ->
+        let x = inputs.(i) in
         if not (Softfp.is_finite tin x) then v_skip
         else begin
-          let v = eval_bits g x in
+          let v = Bigarray.Array1.unsafe_get dst i in
           let xq = Softfp.to_rat tin x in
           if not (Oracle.domain_ok g.family.func xq) then begin
             (* Logarithm of zero / a negative number: the expected results
@@ -480,7 +503,6 @@ let verify ?(narrow = true) (g : t) ~(inputs : int64 array) =
             end
           end
         end)
-      inputs
   in
   let checked = ref 0 in
   let wrong34 = ref 0 and wrong_narrow = ref 0 and narrow_checks = ref 0 in

@@ -46,13 +46,15 @@ val generate_sampled :
 
 (** {1 Evaluation} *)
 
-(** Full implementation path on an input bit pattern of [cfg.tin],
-    including NaN/infinity semantics and the special table. *)
+(** The reference implementation on one input bit pattern of [cfg.tin]:
+    NaN/infinity semantics, {!Softfp.to_float} decode, the special
+    table, the analytic shortcut, {!Rlibm.Reduction.t.reduce_into}, the
+    piece's {!Expr} DAG ({!Expr.eval_float}) and
+    {!Rlibm.Reduction.compensate}.  It shares no evaluation code with
+    the batch kernel {!eval_bits_into}, which must equal it bit for bit
+    (enforced by the test suite); it is the test and cross-check
+    reference, not a serving path. *)
 val eval_bits : t -> int64 -> float
-
-(** The benchmarked kernel: shortcut check, range reduction, polynomial,
-    output compensation — identical control flow for every scheme. *)
-val eval_float : t -> float -> float
 
 (** [round_result fmt mode v] rounds a double function result into a
     format, with NaN/infinity/signed-zero handling: {!Softfp.round_float}
@@ -89,6 +91,10 @@ val create_dst : int -> dst_buf
     buffer. *)
 val eval_bits_into : t -> src:src_buf -> dst:dst_buf -> lo:int -> hi:int -> unit
 
+(** The {!Parallel} grain of kernel sweeps: the smallest chunk worth
+    handing to another domain.  [Serve] and {!verify} chunk with it. *)
+val kernel_grain : int
+
 (** [decode_bits d x] is the batch kernel's decode of the finite pattern
     [x] through the table [d]; it equals [Softfp.to_float]. *)
 val decode_bits : Rlibm.Reduction.decoder -> int64 -> float
@@ -106,7 +112,9 @@ type verify_report = {
 
 val pp_verify_report : Format.formatter -> verify_report -> unit
 
-(** [verify g ~inputs] checks, for every finite input: the double output
+(** [verify g ~inputs] evaluates every input through the served batch
+    kernel {!eval_bits_into} — so the verified code is the code that
+    ships — and checks, for every finite input: the double output
     rounds (round-to-odd) to the oracle's result in the widened target,
     and — unless [narrow] is [false] — rounding it directly into every
     supported representation under every standard mode matches

@@ -1,9 +1,11 @@
 (* The four evaluation configurations of the paper plus Horner+FMA.
 
-   Each scheme is defined twice on purpose: once as an Expr DAG (reference
-   semantics + cost model) and once as a specialized closure used by the
-   benchmarks.  The test suite checks bit-for-bit agreement between the
-   two on random inputs, so the specializations cannot drift. *)
+   Each scheme is defined twice on purpose: once as an Expr DAG (the
+   reference semantics, the cost model and the code generator's input)
+   and once as the degree-specialized batch loops of [eval_into], the
+   only runnable form — generation validates with it and serving runs
+   it.  The test suite checks bit-for-bit agreement between the two on
+   random inputs, so the specializations cannot drift. *)
 
 type scheme = Horner | HornerFma | Knuth | Estrin | EstrinFma
 
@@ -27,75 +29,23 @@ let scheme_of_name = function
 
 let fma = Float.fma
 
-(* ---------- direct evaluators ---------- *)
+(* ---------- DAG builders ---------- *)
 
-let horner c x =
-  let n = Array.length c in
-  match n with
-  | 0 -> 0.0
-  | 1 -> c.(0)
-  | 2 -> c.(0) +. (x *. c.(1))
-  | 3 -> c.(0) +. (x *. (c.(1) +. (x *. c.(2))))
-  | 4 -> c.(0) +. (x *. (c.(1) +. (x *. (c.(2) +. (x *. c.(3))))))
-  | 5 ->
-      c.(0)
-      +. (x *. (c.(1) +. (x *. (c.(2) +. (x *. (c.(3) +. (x *. c.(4))))))))
-  | 6 ->
-      c.(0)
-      +. (x
-         *. (c.(1)
-            +. (x
-               *. (c.(2) +. (x *. (c.(3) +. (x *. (c.(4) +. (x *. c.(5))))))))
-         ))
-  | 7 ->
-      c.(0)
-      +. (x
-         *. (c.(1)
-            +. (x
-               *. (c.(2)
-                  +. (x
-                     *. (c.(3)
-                        +. (x *. (c.(4) +. (x *. (c.(5) +. (x *. c.(6))))))))
-               ))))
-  | _ ->
-      let acc = ref c.(n - 1) in
-      for i = n - 2 downto 0 do
-        acc := c.(i) +. (x *. !acc)
-      done;
-      !acc
+let horner_expr ~use_fma degree =
+  let open Expr in
+  let rec build i acc =
+    if i < 0 then acc
+    else
+      build (i - 1)
+        (if use_fma then Fma (acc, Var, Const i)
+         else Add (Const i, Mul (acc, Var)))
+  in
+  if degree = 0 then Const 0 else build (degree - 1) (Const degree)
 
-let horner_fma c x =
-  let n = Array.length c in
-  match n with
-  | 0 -> 0.0
-  | 1 -> c.(0)
-  | 2 -> fma x c.(1) c.(0)
-  | 3 -> fma x (fma x c.(2) c.(1)) c.(0)
-  | 4 -> fma x (fma x (fma x c.(3) c.(2)) c.(1)) c.(0)
-  | 5 -> fma x (fma x (fma x (fma x c.(4) c.(3)) c.(2)) c.(1)) c.(0)
-  | 6 ->
-      fma x (fma x (fma x (fma x (fma x c.(5) c.(4)) c.(3)) c.(2)) c.(1))
-        c.(0)
-  | 7 ->
-      fma x
-        (fma x
-           (fma x (fma x (fma x (fma x c.(6) c.(5)) c.(4)) c.(3)) c.(2))
-           c.(1))
-        c.(0)
-  | _ ->
-      let acc = ref c.(n - 1) in
-      for i = n - 2 downto 0 do
-        acc := fma x !acc c.(i)
-      done;
-      !acc
-
-(* Estrin without fma, specialized per degree.  The pairing follows
-   Algorithm 1 of the paper: v_i = u_{2i} + u_{2i+1} x, then recurse on
-   y = x^2; a trailing even coefficient passes through unpaired. *)
-
-let estrin_generic ~use_fma c x =
-  let pair a b x = if use_fma then fma b x a else a +. (b *. x) in
-  let rec go (v : float array) x =
+let estrin_expr ~use_fma degree =
+  let open Expr in
+  let pair lo hi x = if use_fma then Fma (hi, x, lo) else Add (lo, Mul (hi, x)) in
+  let rec go (v : Expr.t array) x =
     let n = Array.length v in
     if n = 1 then v.(0)
     else begin
@@ -105,113 +55,54 @@ let estrin_generic ~use_fma c x =
             if (2 * i) + 1 < n then pair v.(2 * i) v.((2 * i) + 1) x
             else v.(2 * i))
       in
-      go w (x *. x)
+      go w (Mul (x, x))
     end
   in
-  if Array.length c = 0 then 0.0 else go c x
+  go (Array.init (degree + 1) (fun i -> Const i)) Var
 
-let estrin c x =
-  match Array.length c with
-  | 0 -> 0.0
-  | 1 -> c.(0)
-  | 2 -> c.(0) +. (c.(1) *. x)
-  | 3 ->
-      (* degree 2 *)
-      let t0 = c.(0) +. (c.(1) *. x) in
-      t0 +. (c.(2) *. (x *. x))
-  | 4 ->
-      (* degree 3 *)
-      let t0 = c.(0) +. (c.(1) *. x) in
-      let t1 = c.(2) +. (c.(3) *. x) in
-      t0 +. (t1 *. (x *. x))
-  | 5 ->
-      (* degree 4 *)
-      let t0 = c.(0) +. (c.(1) *. x) in
-      let t1 = c.(2) +. (c.(3) *. x) in
-      let y = x *. x in
-      let s = t0 +. (t1 *. y) in
-      s +. (c.(4) *. (y *. y))
-  | 6 ->
-      (* degree 5 *)
-      let t0 = c.(0) +. (c.(1) *. x) in
-      let t1 = c.(2) +. (c.(3) *. x) in
-      let t2 = c.(4) +. (c.(5) *. x) in
-      let y = x *. x in
-      let s = t0 +. (t1 *. y) in
-      s +. (t2 *. (y *. y))
-  | 7 ->
-      (* degree 6 *)
-      let t0 = c.(0) +. (c.(1) *. x) in
-      let t1 = c.(2) +. (c.(3) *. x) in
-      let t2 = c.(4) +. (c.(5) *. x) in
-      let y = x *. x in
-      let s0 = t0 +. (t1 *. y) in
-      let s1 = t2 +. (c.(6) *. y) in
-      s0 +. (s1 *. (y *. y))
-  | _ -> estrin_generic ~use_fma:false c x
-
-let estrin_fma c x =
-  match Array.length c with
-  | 0 -> 0.0
-  | 1 -> c.(0)
-  | 2 -> fma c.(1) x c.(0)
-  | 3 ->
-      let t0 = fma c.(1) x c.(0) in
-      fma c.(2) (x *. x) t0
-  | 4 ->
-      let t0 = fma c.(1) x c.(0) in
-      let t1 = fma c.(3) x c.(2) in
-      fma t1 (x *. x) t0
-  | 5 ->
-      let t0 = fma c.(1) x c.(0) in
-      let t1 = fma c.(3) x c.(2) in
-      let y = x *. x in
-      let s = fma t1 y t0 in
-      fma c.(4) (y *. y) s
-  | 6 ->
-      let t0 = fma c.(1) x c.(0) in
-      let t1 = fma c.(3) x c.(2) in
-      let t2 = fma c.(5) x c.(4) in
-      let y = x *. x in
-      let s = fma t1 y t0 in
-      fma t2 (y *. y) s
-  | 7 ->
-      let t0 = fma c.(1) x c.(0) in
-      let t1 = fma c.(3) x c.(2) in
-      let t2 = fma c.(5) x c.(4) in
-      let y = x *. x in
-      let s0 = fma t1 y t0 in
-      let s1 = fma c.(6) y t2 in
-      fma s1 (y *. y) s0
-  | _ -> estrin_generic ~use_fma:true c x
-
-(* Knuth's adapted forms: equations (3), (5) and (8). *)
-let eval_knuth ~degree (a : float array) x =
+let knuth_expr degree =
+  let open Expr in
   match degree with
   | 4 ->
-      let y = ((x +. a.(0)) *. x) +. a.(1) in
-      (((y +. x +. a.(2)) *. y) +. a.(3)) *. a.(4)
+      let y = Add (Mul (Add (Var, Const 0), Var), Const 1) in
+      Mul (Add (Mul (Add (Add (y, Var), Const 2), y), Const 3), Const 4)
   | 5 ->
-      let t = x +. a.(0) in
-      let y = t *. t in
-      (((((y +. a.(1)) *. y) +. a.(2)) *. (x +. a.(3))) +. a.(4)) *. a.(5)
+      let t = Add (Var, Const 0) in
+      let y = Mul (t, t) in
+      let inner = Add (Mul (Add (y, Const 1), y), Const 2) in
+      Mul (Add (Mul (inner, Add (Var, Const 3)), Const 4), Const 5)
   | 6 ->
-      let z = ((x +. a.(0)) *. x) +. a.(1) in
-      let w = ((x +. a.(2)) *. z) +. a.(3) in
-      (((w +. z +. a.(4)) *. w) +. a.(5)) *. a.(6)
-  | _ -> invalid_arg "Polyeval.eval_knuth: degree must be 4, 5 or 6"
+      let z = Add (Mul (Add (Var, Const 0), Var), Const 1) in
+      let w = Add (Mul (Add (Var, Const 2), z), Const 3) in
+      Mul (Add (Mul (Add (Add (w, z), Const 4), w), Const 5), Const 6)
+  | _ -> invalid_arg "Polyeval.scheme_expr: Knuth needs degree 4, 5 or 6"
+
+let scheme_expr scheme ~degree =
+  match scheme with
+  | Horner -> horner_expr ~use_fma:false degree
+  | HornerFma -> horner_expr ~use_fma:true degree
+  | Estrin -> estrin_expr ~use_fma:false degree
+  | EstrinFma -> estrin_expr ~use_fma:true degree
+  | Knuth -> knuth_expr degree
 
 (* ---------- batch evaluators ---------- *)
 
 (* One loop per (scheme, length): the coefficient loads are hoisted out of
-   the loop into locals, and the loop body is the *textually identical*
-   float expression of the scalar evaluator above, so the batch result is
-   bit-for-bit the scalar result (enforced by the test suite).  The
-   [floatarray] src/dst keep every element unboxed; with the coefficients
-   in locals the specialized bodies perform no per-element allocation.
+   the loop into locals, and the loop body performs the DAG's operations
+   above in the DAG's order, so every result is bit-for-bit
+   [Expr.eval_float] of the scheme's DAG (enforced by the test suite).
+   The [floatarray] src/dst keep every element unboxed; with the
+   coefficients in locals the specialized bodies perform no per-element
+   allocation.
 
    Lengths above 7 never occur in generated functions (Config.max_degree
-   is 6); the generic fallbacks only exist so the batch API is total. *)
+   is 6); they walk the DAG itself, which keeps the batch API total. *)
+
+let dag_into e (c : float array) (src : floatarray) (dst : floatarray) lo hi =
+  for i = lo to hi - 1 do
+    Float.Array.unsafe_set dst i
+      (Expr.eval_float e ~data:c (Float.Array.unsafe_get src i))
+  done
 
 let horner_into (c : float array) (src : floatarray) (dst : floatarray) lo hi =
   match Array.length c with
@@ -269,15 +160,7 @@ let horner_into (c : float array) (src : floatarray) (dst : floatarray) lo hi =
                       +. (x
                          *. (c3 +. (x *. (c4 +. (x *. (c5 +. (x *. c6))))))))))))
       done
-  | n ->
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let acc = ref c.(n - 1) in
-        for k = n - 2 downto 0 do
-          acc := c.(k) +. (x *. !acc)
-        done;
-        Float.Array.unsafe_set dst i !acc
-      done
+  | n -> dag_into (horner_expr ~use_fma:false (n - 1)) c src dst lo hi
 
 let horner_fma_into (c : float array) (src : floatarray) (dst : floatarray) lo
     hi =
@@ -326,15 +209,7 @@ let horner_fma_into (c : float array) (src : floatarray) (dst : floatarray) lo
         Float.Array.unsafe_set dst i
           (fma x (fma x (fma x (fma x (fma x (fma x c6 c5) c4) c3) c2) c1) c0)
       done
-  | n ->
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let acc = ref c.(n - 1) in
-        for k = n - 2 downto 0 do
-          acc := fma x !acc c.(k)
-        done;
-        Float.Array.unsafe_set dst i !acc
-      done
+  | n -> dag_into (horner_expr ~use_fma:true (n - 1)) c src dst lo hi
 
 let estrin_into (c : float array) (src : floatarray) (dst : floatarray) lo hi =
   match Array.length c with
@@ -397,11 +272,7 @@ let estrin_into (c : float array) (src : floatarray) (dst : floatarray) lo hi =
         let s1 = t2 +. (c6 *. y) in
         Float.Array.unsafe_set dst i (s0 +. (s1 *. (y *. y)))
       done
-  | _ ->
-      for i = lo to hi - 1 do
-        Float.Array.unsafe_set dst i
-          (estrin_generic ~use_fma:false c (Float.Array.unsafe_get src i))
-      done
+  | n -> dag_into (estrin_expr ~use_fma:false (n - 1)) c src dst lo hi
 
 let estrin_fma_into (c : float array) (src : floatarray) (dst : floatarray) lo
     hi =
@@ -465,11 +336,7 @@ let estrin_fma_into (c : float array) (src : floatarray) (dst : floatarray) lo
         let s1 = fma c6 y t2 in
         Float.Array.unsafe_set dst i (fma s1 (y *. y) s0)
       done
-  | _ ->
-      for i = lo to hi - 1 do
-        Float.Array.unsafe_set dst i
-          (estrin_generic ~use_fma:true c (Float.Array.unsafe_get src i))
-      done
+  | n -> dag_into (estrin_expr ~use_fma:true (n - 1)) c src dst lo hi
 
 let knuth_into (a : float array) (src : floatarray) (dst : floatarray) lo hi =
   match Array.length a - 1 with
@@ -572,62 +439,6 @@ let adapt_knuth (u : float array) =
       if finite a then Some a else None
   | _ -> None
 
-(* ---------- DAG builders ---------- *)
-
-let horner_expr ~use_fma degree =
-  let open Expr in
-  let rec build i acc =
-    if i < 0 then acc
-    else
-      build (i - 1)
-        (if use_fma then Fma (acc, Var, Const i)
-         else Add (Const i, Mul (acc, Var)))
-  in
-  if degree = 0 then Const 0 else build (degree - 1) (Const degree)
-
-let estrin_expr ~use_fma degree =
-  let open Expr in
-  let pair lo hi x = if use_fma then Fma (hi, x, lo) else Add (lo, Mul (hi, x)) in
-  let rec go (v : Expr.t array) x =
-    let n = Array.length v in
-    if n = 1 then v.(0)
-    else begin
-      let half = (n + 1) / 2 in
-      let w =
-        Array.init half (fun i ->
-            if (2 * i) + 1 < n then pair v.(2 * i) v.((2 * i) + 1) x
-            else v.(2 * i))
-      in
-      go w (Mul (x, x))
-    end
-  in
-  go (Array.init (degree + 1) (fun i -> Const i)) Var
-
-let knuth_expr degree =
-  let open Expr in
-  match degree with
-  | 4 ->
-      let y = Add (Mul (Add (Var, Const 0), Var), Const 1) in
-      Mul (Add (Mul (Add (Add (y, Var), Const 2), y), Const 3), Const 4)
-  | 5 ->
-      let t = Add (Var, Const 0) in
-      let y = Mul (t, t) in
-      let inner = Add (Mul (Add (y, Const 1), y), Const 2) in
-      Mul (Add (Mul (inner, Add (Var, Const 3)), Const 4), Const 5)
-  | 6 ->
-      let z = Add (Mul (Add (Var, Const 0), Var), Const 1) in
-      let w = Add (Mul (Add (Var, Const 2), z), Const 3) in
-      Mul (Add (Mul (Add (Add (w, z), Const 4), w), Const 5), Const 6)
-  | _ -> invalid_arg "Polyeval.scheme_expr: Knuth needs degree 4, 5 or 6"
-
-let scheme_expr scheme ~degree =
-  match scheme with
-  | Horner -> horner_expr ~use_fma:false degree
-  | HornerFma -> horner_expr ~use_fma:true degree
-  | Estrin -> estrin_expr ~use_fma:false degree
-  | EstrinFma -> estrin_expr ~use_fma:true degree
-  | Knuth -> knuth_expr degree
-
 (* ---------- compilation ---------- *)
 
 type compiled = {
@@ -635,74 +446,27 @@ type compiled = {
   degree : int;
   data : float array;
   expr : Expr.t;
-  eval : float -> float;
 }
 
 let compile scheme coeffs =
   (* Snapshot the coefficients: the generator's dither loop reuses its
-     candidate buffer across trials, and compiled evaluators run on other
-     domains during parallel validation — [data]/[eval] must not alias a
+     candidate buffer across trials, so [data] must not alias a
      caller-mutated array. *)
-  let coeffs = Array.copy coeffs in
   let degree = Array.length coeffs - 1 in
   if degree < 0 then None
   else
-    match scheme with
-    | Horner ->
-        Some
-          {
-            scheme;
-            degree;
-            data = coeffs;
-            expr = horner_expr ~use_fma:false degree;
-            eval = horner coeffs;
-          }
-    | HornerFma ->
-        Some
-          {
-            scheme;
-            degree;
-            data = coeffs;
-            expr = horner_expr ~use_fma:true degree;
-            eval = horner_fma coeffs;
-          }
-    | Estrin ->
-        Some
-          {
-            scheme;
-            degree;
-            data = coeffs;
-            expr = estrin_expr ~use_fma:false degree;
-            eval = estrin coeffs;
-          }
-    | EstrinFma ->
-        Some
-          {
-            scheme;
-            degree;
-            data = coeffs;
-            expr = estrin_expr ~use_fma:true degree;
-            eval = estrin_fma coeffs;
-          }
-    | Knuth -> (
-        match adapt_knuth coeffs with
-        | None -> None
-        | Some alphas ->
-            Some
-              {
-                scheme;
-                degree;
-                data = alphas;
-                expr = knuth_expr degree;
-                eval = eval_knuth ~degree alphas;
-              })
+    Option.map
+      (fun data -> { scheme; degree; data; expr = scheme_expr scheme ~degree })
+      (match scheme with
+      | Knuth -> adapt_knuth coeffs
+      | Horner | HornerFma | Estrin | EstrinFma -> Some (Array.copy coeffs))
 
 (* Rebuild a compiled evaluator from a previously compiled [data] array
    (e.g. one loaded from the persistent artifact store).  For the dense
    schemes this is just [compile]; for Knuth the array already holds the
    *adapted* constants, so re-running the adaptation would be wrong — the
-   evaluator is rebuilt around the constants directly, bit-identical to
-   the original compilation. *)
+   constants are installed directly, bit-identical to the original
+   compilation. *)
 let of_data scheme data =
   match scheme with
   | Horner | HornerFma | Estrin | EstrinFma -> compile scheme data
@@ -710,16 +474,7 @@ let of_data scheme data =
       let degree = Array.length data - 1 in
       if degree < 4 || degree > 6 || not (Array.for_all Float.is_finite data)
       then None
-      else
-        let data = Array.copy data in
-        Some
-          {
-            scheme;
-            degree;
-            data;
-            expr = knuth_expr degree;
-            eval = eval_knuth ~degree data;
-          }
+      else Some { scheme; degree; data = Array.copy data; expr = knuth_expr degree }
 
 let cost c = Expr.cost c.expr
 

@@ -6,12 +6,12 @@
 
     A polynomial is given by its dense coefficients in increasing-power
     order ([c.(k)] multiplies [x^k]).  {!compile} turns (scheme, coeffs)
-    into an executable double-precision evaluator with scheme-specific
-    constants: the coefficients themselves, or Knuth's adapted
-    coefficients.  Every compiled evaluator agrees bit-for-bit with the
-    reference DAG semantics in {!Expr} (enforced by the test suite), so the
-    validation step of the generation pipeline sees exactly what runs at
-    benchmark time. *)
+    into the scheme's constants — the coefficients themselves, or Knuth's
+    adapted coefficients — and its {!Expr} DAG, the reference semantics.
+    {!eval_into} is the one runnable evaluator: it agrees bit-for-bit
+    with the DAG (enforced by the test suite), and both the validation
+    step of the generation pipeline and the serving kernel run it, so
+    generation sees exactly what ships. *)
 
 type scheme = Horner | HornerFma | Knuth | Estrin | EstrinFma
 
@@ -27,11 +27,10 @@ type compiled = {
   degree : int;
   data : float array;
       (** dense coefficients, or Knuth's adapted coefficients *)
-  expr : Expr.t;  (** reference semantics and cost model *)
-  eval : float -> float;  (** fast evaluator, bit-identical to [expr] *)
+  expr : Expr.t;  (** reference semantics, cost model and codegen input *)
 }
 
-(** [compile scheme coeffs] prepares an evaluator.  Returns [None] when the
+(** [compile scheme coeffs] prepares a polynomial for [scheme].  Returns [None] when the
     scheme cannot handle the polynomial: Knuth adaptation is defined for
     degrees 4–6 only (RLibm never generates higher degrees; lower ones are
     cheap already) and requires the adapted coefficients to be finite. *)
@@ -42,39 +41,28 @@ val compile : scheme -> float array -> compiled option
     artifact store).  Unlike {!compile}, [data] holds the scheme's
     {e compiled} constants: for Knuth these are the already-adapted
     coefficients, which are installed directly instead of re-running the
-    adaptation.  The rebuilt evaluator is bit-identical to the original.
+    adaptation.  The rebuilt polynomial is bit-identical to the original.
     [None] when the data cannot belong to a valid compilation of the
     scheme (Knuth outside degrees 4–6, non-finite constants). *)
 val of_data : scheme -> float array -> compiled option
 
 val cost : compiled -> Expr.cost
 
-(** {1 Direct evaluators} *)
-
-val horner : float array -> float -> float
-val horner_fma : float array -> float -> float
-val estrin : float array -> float -> float
-val estrin_fma : float array -> float -> float
-
-(** [eval_knuth ~degree alphas x] evaluates the adapted forms of equations
-    (3), (5) and (8) of the paper.  [degree] must be 4, 5 or 6 and
-    [alphas] must have [degree + 1] entries. *)
-val eval_knuth : degree:int -> float array -> float -> float
-
 (** {1 Batch evaluators}
 
-    The serving hot path.  [eval_into scheme data ~src ~dst ~lo ~hi]
-    evaluates the scheme's polynomial — [data] is a
+    The only runnable evaluator: generation validates candidates with
+    it and the serving kernel runs it.  [eval_into scheme data ~src ~dst
+    ~lo ~hi] evaluates the scheme's polynomial — [data] is a
     {!compiled}[.data] array: dense coefficients, or Knuth's adapted
     constants — on [src.(i)] for every [i] in [\[lo, hi)], writing the
     results to [dst.(i)].  Each (scheme, length) pair gets its own loop
-    with the coefficients hoisted into locals and a loop body that is the
-    textually identical float expression of the corresponding scalar
-    evaluator, so every result is bit-for-bit equal to
-    [compiled.eval src.(i)] (enforced by the test suite) while the loop
+    with the coefficients hoisted into locals and a loop body that
+    performs the DAG's operations in the DAG's order, so every result is
+    bit-for-bit [Expr.eval_float (scheme_expr scheme ~degree) ~data
+    src.(i)] — the DAG (enforced by the test suite) — while the loop
     performs no per-element allocation, closure dispatch, or coefficient
-    reload.  Lengths above 7 fall back to a generic path (never produced
-    by generation, where degrees stop at 6).
+    reload.  Lengths above 7 walk the DAG itself (never produced by
+    generation, where degrees stop at 6).
     @raise Invalid_argument for [Knuth] data outside lengths 5–7. *)
 val eval_into :
   scheme ->

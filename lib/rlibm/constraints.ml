@@ -25,27 +25,34 @@ type build_result = {
   oracle : (int64, int64) Hashtbl.t;  (* input bits -> round-to-odd bits *)
 }
 
+(* Exact inverse of the idealized output compensation of the element
+   [reduce_into] left in [s]: q / 2^n, or q - c. *)
+let oc_inv (family : Reduction.t) (s : Reduction.scratch) q =
+  match family.params with
+  | Reduction.Exp_params _ -> Rat.mul_pow2 q (-s.sn)
+  | Reduction.Log_params _ -> Rat.sub q (Rat.of_float s.sf.sc)
+
 (* Pull [iv] back through the output compensation: exact inverse first,
    then nudge the double endpoints until the real OC maps them inside the
    target interval.  Returns None when no double survives. *)
-let reduced_interval (red : Reduction.reduced) (iv : Intervals.t) =
+let reduced_interval ~oc ~oc_inv (iv : Intervals.t) =
   let inside v = iv.Intervals.lo <= v && v <= iv.Intervals.hi in
-  let g_lo = ref (Rat.to_float_dir Rat.Up (red.oc_inv (Rat.of_float iv.Intervals.lo))) in
-  let g_hi = ref (Rat.to_float_dir Rat.Down (red.oc_inv (Rat.of_float iv.Intervals.hi))) in
+  let g_lo = ref (Rat.to_float_dir Rat.Up (oc_inv (Rat.of_float iv.Intervals.lo))) in
+  let g_hi = ref (Rat.to_float_dir Rat.Down (oc_inv (Rat.of_float iv.Intervals.hi))) in
   (* Each direction gets its own nudge budget: with a single shared
      budget a hard lower boundary drains it before the upper fix-up runs,
      misclassifying a recoverable constraint as infeasible. *)
   let budget_lo = ref 256 in
-  while !budget_lo > 0 && !g_lo <= !g_hi && not (inside (red.oc !g_lo)) do
+  while !budget_lo > 0 && !g_lo <= !g_hi && not (inside (oc !g_lo)) do
     g_lo := Float.succ !g_lo;
     decr budget_lo
   done;
   let budget_hi = ref 256 in
-  while !budget_hi > 0 && !g_lo <= !g_hi && not (inside (red.oc !g_hi)) do
+  while !budget_hi > 0 && !g_lo <= !g_hi && not (inside (oc !g_hi)) do
     g_hi := Float.pred !g_hi;
     decr budget_hi
   done;
-  if !g_lo <= !g_hi && inside (red.oc !g_lo) && inside (red.oc !g_hi)
+  if !g_lo <= !g_hi && inside (oc !g_lo) && inside (oc !g_hi)
   then Some (!g_lo, !g_hi)
   else None
 
@@ -220,12 +227,16 @@ let combine ~(cfg : Config.t) ~(family : Reduction.t)
   let prep =
     Parallel.map_array
       (fun ri ->
-        let xf = Softfp.to_float tin ri.ri_x in
+        let s = Reduction.scratch () in
+        s.sf.sx <- Softfp.to_float tin ri.ri_x;
+        family.reduce_into s;
         let iv = { Intervals.lo = ri.ri_lo; hi = ri.ri_hi } in
-        let red = family.reduce xf in
-        match reduced_interval red iv with
+        match
+          reduced_interval ~oc:(Reduction.compensate family s)
+            ~oc_inv:(oc_inv family s) iv
+        with
         | None -> P_special
-        | Some (lo, hi) -> P_point { piece = red.piece; r = red.r; lo; hi })
+        | Some (lo, hi) -> P_point { piece = s.spiece; r = s.sf.sr; lo; hi })
       rivals
   in
   let specials = ref [] in

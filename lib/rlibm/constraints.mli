@@ -34,12 +34,17 @@ type build_result = {
           input *)
 }
 
-(** [reduced_interval red iv] pulls [iv] back through [red]'s output
-    compensation: exact rational inverse first, then the
-    AdjHigher/AdjLower fix-up loop of CalculateL' against the actual
-    double OC.  [None] when no double reduced value maps inside [iv]. *)
+(** [reduced_interval ~oc ~oc_inv iv] pulls [iv] back through an
+    element's output compensation: the exact rational inverse [oc_inv]
+    of the idealized compensation first, then the AdjHigher/AdjLower
+    fix-up loop of CalculateL' against the actual double compensation
+    [oc] ({!Reduction.compensate}).  [None] when no double reduced value
+    maps inside [iv]. *)
 val reduced_interval :
-  Reduction.reduced -> Intervals.t -> (float * float) option
+  oc:(float -> float) ->
+  oc_inv:(Rat.t -> Rat.t) ->
+  Intervals.t ->
+  (float * float) option
 
 (** [build ~cfg ~family ~inputs] assembles the merged constraint set for
     the given input patterns (finite ones; others are ignored).

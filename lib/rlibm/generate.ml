@@ -105,22 +105,31 @@ let solve_piece ?(log = fun _ -> ()) ?first_round ~scheme ~degree ~max_rounds
     t
   in
   (* Validate a compiled candidate against the original intervals: the
-     per-round sweep over every reduced point, fanned out across the
-     domain pool.  Only immutable data is touched ([r] and the original
-     interval arrays — never the working [lo]/[hi] fields, which the
-     driver mutates between sweeps), and the violated list is collected
-     in ascending index order, so the result is identical at any job
-     count.  A chunk below ~1k points is cheaper to sweep than to queue,
-     so pieces under 2048 points run on the driver. *)
-  let validate (compiled : Polyeval.compiled) =
-    let ok =
-      Parallel.init ~grain:1024 n (fun i ->
-          let v = compiled.Polyeval.eval pts.(i).Constraints.r in
-          orig_lo.(i) <= v && v <= orig_hi.(i))
-    in
+     per-round sweep over every reduced point runs the serving
+     evaluator ([Polyeval.eval_into]) over the packed reduced inputs
+     [rs], fanned out across the domain pool, into [vals].  Only
+     immutable data is read ([rs] and the original interval arrays —
+     never the working [lo]/[hi] fields, which the driver mutates
+     between sweeps), chunks write disjoint slots of [vals], and the
+     violated list is collected in ascending index order, so the result
+     is identical at any job count.  A chunk below ~1k points is
+     cheaper to sweep than to queue, so pieces under 2048 points run on
+     the driver.  [vals] holds the values of the last candidate
+     validated. *)
+  let rs = Float.Array.init n (fun i -> pts.(i).Constraints.r) in
+  let vals = Float.Array.create n in
+  let eval_values (compiled : Polyeval.compiled) =
+    Parallel.iter_chunks ~grain:1024 n (fun lo hi ->
+        Polyeval.eval_into scheme compiled.Polyeval.data ~src:rs ~dst:vals ~lo
+          ~hi)
+  in
+  let validate compiled =
+    eval_values compiled;
     let violated = ref [] in
     for i = n - 1 downto 0 do
-      if not ok.(i) then violated := i :: !violated
+      let v = Float.Array.get vals i in
+      if not (orig_lo.(i) <= v && v <= orig_hi.(i)) then
+        violated := i :: !violated
     done;
     !violated
   in
@@ -261,10 +270,13 @@ let solve_piece ?(log = fun _ -> ()) ?first_round ~scheme ~degree ~max_rounds
                     incr radius
                   done
                 in
+                (* Dithering leaves the last trial's values in [vals];
+                   the directions come from the chosen candidate's. *)
+                eval_values compiled;
                 List.iter
                   (fun i ->
                     let p = pts.(i) in
-                    let v = compiled.Polyeval.eval p.Constraints.r in
+                    let v = Float.Array.get vals i in
                     let up = Float.is_nan v || v < orig_lo.(i) in
                     if active.(i) && not degenerate.(i) then begin
                       if up then

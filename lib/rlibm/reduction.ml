@@ -25,13 +25,6 @@
    compensation (Constraints.reduced_interval), mirroring CalculateL' of
    the RLibm papers. *)
 
-type reduced = {
-  r : float;  (** reduced input — the polynomial's argument *)
-  piece : int;  (** sub-domain index in [0, pieces) *)
-  oc : float -> float;  (** actual double output compensation *)
-  oc_inv : Rat.t -> Rat.t;  (** exact inverse of the idealized oc *)
-}
-
 type params =
   | Exp_params of { log2_base : float }
   | Log_params of {
@@ -112,8 +105,6 @@ type t = {
   shortcut : float -> float option;
       (* analytic fast path (deep overflow/underflow, domain errors);
          [Some v] bypasses the polynomial entirely *)
-  reduce : float -> reduced;
-      (* valid on finite inputs for which [shortcut] returned [None] *)
   reduce_into : scratch -> unit;
       (* allocation-free variant: reads [sf.sx], writes [sf.sr],
          [spiece], and [sn] (exp) / [sf.sc] (log) *)
@@ -150,9 +141,7 @@ let exp_family func ~scale ~out_fmt ~pieces =
       Some (if x > 0.0 then v_above_one else v_below_one)
     else None
   in
-  (* The hot-path body.  [reduce] below re-reads the results out of the
-     scratch record, so the two entry points cannot drift: every float
-     operation runs here, once.  Genlibm's batch kernel inlines the same
+  (* The hot-path body; Genlibm's batch kernel inlines the same
      expressions.  floor t is truncation plus a fix-up (no out-of-line
      Float.floor); [abs] maps the t - n = -0.0 of t = -0.0 to the +0.0
      that t -. floor t gives (r is never negative otherwise).  r <= 1, so
@@ -167,18 +156,6 @@ let exp_family func ~scale ~out_fmt ~pieces =
     s.sn <- n;
     let p = int_of_float (r *. fpieces) in
     s.spiece <- p - Bool.to_int (p >= pieces)
-  in
-  let reduce x =
-    let s = scratch () in
-    s.sf.sx <- x;
-    reduce_into s;
-    let n = s.sn in
-    {
-      r = s.sf.sr;
-      piece = s.spiece;
-      oc = (fun v -> Float.ldexp v n);
-      oc_inv = (fun q -> Rat.mul_pow2 q (-n));
-    }
   in
   (* 2^n as a two-factor product, one factor per table: exactly 2^n
      when that is a normal double; otherwise an exact shift by 2^(n -/+
@@ -212,7 +189,6 @@ let exp_family func ~scale ~out_fmt ~pieces =
     params = Exp_params { log2_base = scale };
     kernel;
     shortcut;
-    reduce;
     reduce_into;
   }
 
@@ -307,18 +283,6 @@ let log_family func ~k_scale ~k_exact ~pieces ~table_bits =
     let p = int_of_float (r *. tsize *. fpieces) in
     s.spiece <- p - Bool.to_int (p >= pieces)
   in
-  let reduce x =
-    let s = scratch () in
-    s.sf.sx <- x;
-    reduce_into s;
-    let c = s.sf.sc in
-    {
-      r = s.sf.sr;
-      piece = s.spiece;
-      oc = (fun v -> c +. v);
-      oc_inv = (fun q -> Rat.sub q (Rat.of_float c));
-    }
-  in
   let params = Log_params { table_bits; table = tbl; k_scale; k_exact } in
   let kernel =
     Log_kernel
@@ -329,7 +293,7 @@ let log_family func ~k_scale ~k_exact ~pieces ~table_bits =
         lk_settled = [| 0.0; Float.nan; Float.neg_infinity; Float.neg_infinity |];
       }
   in
-  { func; pieces; params; kernel; shortcut; reduce; reduce_into }
+  { func; pieces; params; kernel; shortcut; reduce_into }
 
 let make func ~out_fmt ~pieces ~table_bits =
   match (Funcspec.get func).Funcspec.family with
@@ -337,3 +301,11 @@ let make func ~out_fmt ~pieces ~table_bits =
       exp_family func ~scale:log2_base ~out_fmt ~pieces
   | Funcspec.Log_family { k_scale; k_exact } ->
       log_family func ~k_scale ~k_exact ~pieces ~table_bits
+
+(* The reference output compensation of the element [reduce_into] left
+   in [s]: the exact scaling [v * 2^n], or the double addition [c + v].
+   The batch kernel's table forms must agree with it bit for bit. *)
+let compensate t (s : scratch) v =
+  match t.params with
+  | Exp_params _ -> Float.ldexp v s.sn
+  | Log_params _ -> s.sf.sc +. v

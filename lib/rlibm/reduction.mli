@@ -16,13 +16,6 @@
     intervals are validated against the {e actual} double output
     compensation (see {!Constraints.reduced_interval}). *)
 
-type reduced = {
-  r : float;  (** reduced input — the polynomial's argument *)
-  piece : int;  (** sub-domain index in [[0, pieces)] *)
-  oc : float -> float;  (** actual double output compensation *)
-  oc_inv : Rat.t -> Rat.t;  (** exact inverse of the idealized oc *)
-}
-
 (** Everything a code generator needs to re-emit the reduction. *)
 type params =
   | Exp_params of { log2_base : float }
@@ -111,14 +104,20 @@ type t = {
           exponentials, domain errors for the logarithms; [Some v]
           bypasses the polynomial entirely, and [v] rounds correctly in
           every representation and mode *)
-  reduce : float -> reduced;
-      (** defined on finite doubles for which [shortcut] returns [None] *)
   reduce_into : scratch -> unit;
-      (** allocation-free [reduce]: reads the input from [sf.sx] and
-          writes [sf.sr] and [spiece], plus [sn] (exp family) or [sf.sc]
-          (log family).  [reduce] is a thin wrapper around this body, so
-          the two entry points are bit-identical by construction. *)
+      (** the reference range reduction, defined on finite doubles for
+          which [shortcut] returns [None]: reads the input from [sf.sx]
+          and writes the reduced input [sf.sr] and the sub-domain index
+          [spiece] in [\[0, pieces)], plus [sn] (exp family) or [sf.sc]
+          (log family) for {!compensate}.  Allocation-free. *)
 }
+
+(** [compensate t s v] is the actual double output compensation of the
+    element {!t.reduce_into} left in [s], applied to the polynomial
+    value [v]: [ldexp v sn] for the exponentials, [sc +. v] for the
+    logarithms.  The batch kernel's table forms ([ek_pow], [lk_table])
+    agree with it bit for bit. *)
+val compensate : t -> scratch -> float -> float
 
 (** [make func ~out_fmt ~pieces ~table_bits] builds the reduction family
     for [func], dispatching on the {!Funcspec} registry's family record;

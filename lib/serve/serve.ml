@@ -226,32 +226,16 @@ let build ?log ?(strict = false) specs =
                (Diag.Error.to_string e));
           rebuild ())
 
-(* The smallest chunk worth handing to another domain.  A fan-out costs
-   a few microseconds (queueing, waking a worker, the pool mutex per
-   chunk) against ~20 ns per element of kernel work, so small requests
-   run on the caller.  Measured on a 2-core x86_64 VM, exp2/horner at
-   -j 2, microseconds per call:
-
-     batch   16 chunks   on the caller   2 chunks
-        64         5.5             1.3        4.9
-       256        16.3             5.4        8.6
-       512        18.5            10.6       22.4
-      1024        31.9            32.4       21.3
-      4096        60.2            84.4       55.2
-
-   With a grain of 512, batches below 1024 run inline, 1024 splits in
-   two, and at -j 2 batches from 2^13 on get the full 16 chunks. *)
-let serve_grain = 512
 
 (* The static Parallel chunk grid partitions [0, n), each chunk runs the
    zero-allocation Genlibm kernel over its disjoint slice of the
-   buffers, and since Genlibm.eval_bits_into is bit-identical to
-   eval_bits per element, the output is bit-identical to the scalar
-   path at every job count and every batch size. *)
+   buffers — the chunking Genlibm.verify checks — so the output is
+   bit-identical to the verified results and to the eval_bits
+   reference at every job count and every batch size. *)
 let eval_entry_chunked (e : entry) ~src ~dst n =
   Diag.event ~level:Diag.Debug "serve.batch-eval" (fun () ->
       [ ("func", Diag.String (Oracle.name e.e_func)); ("n", Diag.Int n) ]);
-  Parallel.iter_chunks ~grain:serve_grain n (fun lo hi ->
+  Parallel.iter_chunks ~grain:Genlibm.kernel_grain n (fun lo hi ->
       Genlibm.eval_bits_into e.e_impl ~src ~dst ~lo ~hi)
 
 let eval_batch_into t func ~src ~dst =

@@ -21,10 +21,11 @@
     ({!Genlibm.eval_bits_into}) over caller-owned buffers.  A small
     request (below 1024 elements) runs on the calling domain; a larger
     one fans out over the {!Parallel} pool, each chunk (at least 512
-    elements) sweeping its disjoint slice.  The kernel is bit-identical to
-    {!Genlibm.eval_bits} per element and the {!Parallel} determinism
-    contract applies, so results are bit-identical to the scalar path
-    for every job count ([-j 1] is one sequential kernel sweep). *)
+    elements) sweeping its disjoint slice.  This kernel is the code
+    {!Genlibm.verify} checks, it is bit-identical to the DAG reference
+    {!Genlibm.eval_bits} per element, and the {!Parallel} determinism
+    contract applies, so results are bit-identical to the reference for
+    every job count ([-j 1] is one sequential kernel sweep). *)
 
 (** One served function: the request that produced it and the assembled
     runnable implementation. *)
@@ -85,7 +86,8 @@ val find : t -> Oracle.func -> entry option
     [dst.{i}] for each [i] in [\[0, dim src)].  The serving hot path:
     below 1024 elements one kernel sweep on the calling domain, above
     it chunks of the batch run the zero-allocation kernel concurrently
-    into disjoint slices of [dst]; results are bit-identical to
+    into disjoint slices of [dst]; results are the ones
+    {!Genlibm.verify} checks, bit-identical to the DAG reference
     {!Genlibm.eval_bits} at every job count and batch size.
     @raise Invalid_argument when the snapshot does not serve [func] or
     [dst] is shorter than [src]. *)

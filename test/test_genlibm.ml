@@ -58,6 +58,62 @@ let test_log2_estrin () = ignore (check_verified Oracle.Log2 Polyeval.Estrin)
 let test_exp_estrin_fma () = ignore (check_verified Oracle.Exp Polyeval.EstrinFma)
 let test_log10_estrin_fma () = ignore (check_verified Oracle.Log10 Polyeval.EstrinFma)
 
+(* [verify] must check the served kernel, not a second evaluator: a
+   copy of the function whose kernel constants differ in one entry —
+   while the reference path's own tables stay as they are — must fail
+   verification. *)
+let test_verify_sees_kernel () =
+  let xs = Lazy.force inputs in
+  let wrong g =
+    let rep = Genlibm.verify g ~inputs:xs in
+    rep.Genlibm.wrong34 + rep.Genlibm.wrong_narrow
+  in
+  let with_kernel (g : Rlibm.Generate.generated) kernel =
+    { g with Rlibm.Generate.family = { g.Rlibm.Generate.family with Rlibm.Reduction.kernel } }
+  in
+  (* exp2: the power-of-two factor of a polynomial-path input in
+     [1/4, 1), whose result is far from overflow and underflow *)
+  let g = generate_ok Oracle.Exp2 Polyeval.Horner in
+  Alcotest.(check int) "exp2 original" 0 (wrong g);
+  let fam = g.Rlibm.Generate.family in
+  let x =
+    List.find
+      (fun x ->
+        Softfp.is_finite tiny x
+        && (not (Hashtbl.mem g.Rlibm.Generate.specials x))
+        &&
+        let xf = Softfp.to_float tiny x in
+        xf >= 0.25 && xf < 1.0)
+      (Array.to_list xs)
+  in
+  let s = Rlibm.Reduction.scratch () in
+  s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- Softfp.to_float tiny x;
+  fam.Rlibm.Reduction.reduce_into s;
+  (match fam.Rlibm.Reduction.kernel with
+  | Rlibm.Reduction.Exp_kernel ek ->
+      let pow_lo = Array.copy ek.Rlibm.Reduction.ek_pow_lo in
+      let i = s.Rlibm.Reduction.sn - ek.Rlibm.Reduction.ek_n_lo in
+      pow_lo.(i) <- 2.0 *. pow_lo.(i);
+      let tampered =
+        with_kernel g (Rlibm.Reduction.Exp_kernel { ek with ek_pow_lo = pow_lo })
+      in
+      Alcotest.(check bool) "exp2 tampered ek_pow_lo is caught" true
+        (wrong tampered > 0)
+  | Rlibm.Reduction.Log_kernel _ -> Alcotest.fail "exp2 has an exp kernel");
+  (* log2: one entry of the table T[j] *)
+  let g = generate_ok Oracle.Log2 Polyeval.Horner in
+  Alcotest.(check int) "log2 original" 0 (wrong g);
+  match g.Rlibm.Generate.family.Rlibm.Reduction.kernel with
+  | Rlibm.Reduction.Log_kernel lk ->
+      let tbl = Array.copy lk.Rlibm.Reduction.lk_table in
+      tbl.(1) <- tbl.(1) +. 1.0;
+      let tampered =
+        with_kernel g (Rlibm.Reduction.Log_kernel { lk with lk_table = tbl })
+      in
+      Alcotest.(check bool) "log2 tampered lk_table is caught" true
+        (wrong tampered > 0)
+  | Rlibm.Reduction.Exp_kernel _ -> Alcotest.fail "log2 has a log kernel"
+
 let test_nonfinite_inputs () =
   let g = generate_ok Oracle.Exp2 Polyeval.Horner in
   Alcotest.(check bool) "nan -> nan" true
@@ -120,35 +176,45 @@ let test_post_process_pitfall () =
     with _ -> max_int
   in
   let post_wrong = ref 0 in
-  Array.iter
-    (fun piece ->
-      match Polyeval.compile Polyeval.Knuth piece.Polyeval.data with
-      | None -> ()
-      | Some adapted ->
-          (* count verification failures of the post-adapted polynomial *)
-          let tout = Rlibm.Config.tout tiny_cfg in
-          Array.iter
-            (fun x ->
-              if
-                Softfp.is_finite tiny x
-                && not (Hashtbl.mem g.Rlibm.Generate.specials x)
-              then begin
-                let xf = Softfp.to_float tiny x in
-                match g.Rlibm.Generate.family.Rlibm.Reduction.shortcut xf with
-                | Some _ -> ()
-                | None ->
-                    let red = g.Rlibm.Generate.family.Rlibm.Reduction.reduce xf in
-                    if red.Rlibm.Reduction.piece = 0 then begin
-                      let v = red.Rlibm.Reduction.oc (adapted.Polyeval.eval red.Rlibm.Reduction.r) in
-                      let y_impl = Genlibm.round_result tout Softfp.RTO v in
-                      match Hashtbl.find_opt g.Rlibm.Generate.oracle x with
-                      | Some y_true when not (Int64.equal y_impl y_true) ->
-                          incr post_wrong
-                      | _ -> ()
-                    end
-              end)
-            (Lazy.force inputs))
-    [| g.Rlibm.Generate.pieces.(0) |];
+  (match Polyeval.compile Polyeval.Knuth g.Rlibm.Generate.pieces.(0).Polyeval.data with
+  | None -> ()
+  | Some adapted ->
+      (* count verification failures of the post-adapted polynomial on
+         piece 0, evaluated through the served kernel *)
+      let post =
+        {
+          g with
+          Rlibm.Generate.scheme = Polyeval.Knuth;
+          pieces = Array.map (fun _ -> adapted) g.Rlibm.Generate.pieces;
+        }
+      in
+      let tout = Rlibm.Config.tout tiny_cfg in
+      let xs = Lazy.force inputs in
+      let n = Array.length xs in
+      let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
+      Array.iteri (Bigarray.Array1.set src) xs;
+      Genlibm.eval_bits_into post ~src ~dst ~lo:0 ~hi:n;
+      let s = Rlibm.Reduction.scratch () in
+      Array.iteri
+        (fun i x ->
+          if
+            Softfp.is_finite tiny x
+            && not (Hashtbl.mem g.Rlibm.Generate.specials x)
+          then begin
+            let xf = Softfp.to_float tiny x in
+            if g.Rlibm.Generate.family.Rlibm.Reduction.shortcut xf = None then begin
+              s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- xf;
+              g.Rlibm.Generate.family.Rlibm.Reduction.reduce_into s;
+              if s.Rlibm.Reduction.spiece = 0 then begin
+                let y_impl = Genlibm.round_result tout Softfp.RTO dst.{i} in
+                match Hashtbl.find_opt g.Rlibm.Generate.oracle x with
+                | Some y_true when not (Int64.equal y_impl y_true) ->
+                    incr post_wrong
+                | _ -> ()
+              end
+            end
+          end)
+        xs);
   (* integrated never needs more specials than post-processing produces
      wrong results + the original special budget *)
   Alcotest.(check bool)
@@ -219,6 +285,7 @@ let suite =
     ("log2/estrin exhaustive", `Slow, test_log2_estrin);
     ("exp/estrin-fma exhaustive", `Slow, test_exp_estrin_fma);
     ("log10/estrin-fma exhaustive", `Slow, test_log10_estrin_fma);
+    ("verify sees the served kernel", `Slow, test_verify_sees_kernel);
     ("non-finite inputs", `Slow, test_nonfinite_inputs);
     ("exact identities", `Slow, test_exact_identities);
     ("round_result non-finite", `Quick, test_round_result_nonfinite);

@@ -1,9 +1,9 @@
 (* Bit-identity of the zero-allocation batch layer against the scalar
-   evaluation path: Genlibm.eval_bits_into vs eval_bits over every bit
-   pattern of a mini format (NaN, infinities, zeros, subnormals,
-   specials and shortcut inputs included) for every scheme on both
-   families, Serve.eval_batch_into at -j 1 and -j 4, the allocation-free
-   reduction scratch against the allocating wrapper, seeded sampled
+   reference path (the DAG): Genlibm.eval_bits_into vs eval_bits over
+   every bit pattern of a mini format (NaN, infinities, zeros,
+   subnormals, specials and shortcut inputs included) for every scheme
+   on both families, Serve.eval_batch_into at -j 1 and -j 4, the
+   kernel's table compensation against Reduction.compensate, seeded sampled
    binary32 batches (multi-piece counting-sort path), the truncation
    floor at t = -0.0, the table decode against Softfp.to_float, batch
    shapes of the branch-free classification, and zero minor-heap
@@ -86,26 +86,7 @@ let test_exhaustive func scheme () =
   let name =
     Printf.sprintf "%s/%s" (Oracle.name func) (Polyeval.scheme_name scheme)
   in
-  let patterns = all_patterns tiny in
-  check_bit_identity name g patterns;
-  (* eval_float is the same shortcut/reduce/poly path, minus the special
-     table: it must agree with eval_bits on every non-special finite
-     input. *)
-  Array.iter
-    (fun x ->
-      if
-        Softfp.is_finite tiny x
-        && not (Hashtbl.mem g.Rlibm.Generate.specials x)
-      then begin
-        let b = Int64.bits_of_float (Genlibm.eval_bits g x) in
-        let f =
-          Int64.bits_of_float (Genlibm.eval_float g (Softfp.to_float tiny x))
-        in
-        if not (Int64.equal b f) then
-          Alcotest.failf "%s: input %Lx: eval_bits %Lx, eval_float %Lx" name x
-            b f
-      end)
-    patterns
+  check_bit_identity name g (all_patterns tiny)
 
 (* ---------- chunk windows ---------- *)
 
@@ -213,9 +194,9 @@ let test_serve_batch_into_jobs () =
             [ 1; 4 ])
         [ Oracle.Exp2; Oracle.Log2 ])
 
-(* ---------- allocation-free reduction = allocating wrapper ---------- *)
+(* ---------- kernel table compensation = Reduction.compensate ---------- *)
 
-let test_reduce_into_matches_reduce () =
+let test_kernel_compensation () =
   let out_fmt = Rlibm.Config.tout tiny_cfg in
   List.iter
     (fun func ->
@@ -226,23 +207,13 @@ let test_reduce_into_matches_reduce () =
           if Softfp.is_finite tiny b then begin
             let x = Softfp.to_float tiny b in
             if fam.Rlibm.Reduction.shortcut x = None then begin
-              let red = fam.Rlibm.Reduction.reduce x in
               s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- x;
               fam.Rlibm.Reduction.reduce_into s;
-              if
-                not
-                  (Int64.equal
-                     (Int64.bits_of_float red.Rlibm.Reduction.r)
-                     (Int64.bits_of_float s.Rlibm.Reduction.sf.Rlibm.Reduction.sr))
-              then Alcotest.failf "%s: r mismatch at %h" (Oracle.name func) x;
-              Alcotest.(check int)
-                (Printf.sprintf "%s piece at %h" (Oracle.name func) x)
-                red.Rlibm.Reduction.piece s.Rlibm.Reduction.spiece;
               (* the table compensation of the kernel form must be the
-                 same double as the oc closure *)
+                 same double as the reference compensation *)
               List.iter
                 (fun v ->
-                  let oc_scalar = red.Rlibm.Reduction.oc v in
+                  let oc_ref = Rlibm.Reduction.compensate fam s v in
                   let oc_kernel =
                     match fam.Rlibm.Reduction.kernel with
                     | Rlibm.Reduction.Exp_kernel ek ->
@@ -255,7 +226,7 @@ let test_reduce_into_matches_reduce () =
                   if
                     not
                       (Int64.equal
-                         (Int64.bits_of_float oc_scalar)
+                         (Int64.bits_of_float oc_ref)
                          (Int64.bits_of_float oc_kernel))
                   then
                     Alcotest.failf "%s: oc mismatch at %h, v = %h"
@@ -489,9 +460,9 @@ let suite =
       ("chunk window leaves other slots untouched", `Slow, test_window_untouched);
       ("chunk bounds rejected", `Slow, test_bounds_rejected);
       ("serve batch kernel at -j 1 and -j 4", `Slow, test_serve_batch_into_jobs);
-      ( "reduce_into = reduce (all families)",
+      ( "table compensation = compensate (all families)",
         `Quick,
-        test_reduce_into_matches_reduce );
+        test_kernel_compensation );
       ( "exp2/binary32 sampled batches",
         `Slow,
         fun () -> test_binary32_sampled Oracle.Exp2 );

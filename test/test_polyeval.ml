@@ -1,5 +1,5 @@
-(* Tests for the evaluation schemes: bit-exact agreement between the fast
-   closures and the reference DAG semantics, Knuth adaptation identities,
+(* Tests for the evaluation schemes: bit-exact agreement between the batch
+   evaluator and the reference DAG semantics, Knuth adaptation identities,
    operation counts from the paper, and the cubic solver. *)
 
 let powers n = Array.init n Fun.id
@@ -46,6 +46,12 @@ let prop_cubic_random =
          in
          residual /. scale < 1e-8))
 
+(* [eval_into] on one point. *)
+let eval1 scheme data x =
+  let dst = Float.Array.make 1 0.0 in
+  Polyeval.eval_into scheme data ~src:(Float.Array.make 1 x) ~dst ~lo:0 ~hi:1;
+  Float.Array.get dst 0
+
 (* ---------- paper's running example ---------- *)
 
 let test_paper_example () =
@@ -63,7 +69,7 @@ let test_paper_example () =
           Alcotest.(check (float 1e-9))
             (Printf.sprintf "u(%g)" x)
             (Rat.to_float (dense_exact u (Rat.of_float x)))
-            (Polyeval.eval_knuth ~degree:4 a x))
+            (eval1 Polyeval.Knuth a x))
         [ -2.0; -0.5; 0.0; 0.3; 1.0; 2.5 ]
 
 (* ---------- op counts from the paper ---------- *)
@@ -111,7 +117,7 @@ let test_depth_ordering () =
         (depth Polyeval.Knuth <= depth Polyeval.Horner))
     [ 4; 5; 6 ]
 
-(* ---------- bit-exact agreement: closures vs DAG ---------- *)
+(* ---------- bit-exact agreement: batch evaluator vs DAG ---------- *)
 
 let arb_coeffs_and_x =
   QCheck2.Gen.(
@@ -119,6 +125,58 @@ let arb_coeffs_and_x =
     let* coeffs = array_size (return (d + 1)) (float_range (-4.0) 4.0) in
     let* x = float_range (-2.0) 2.0 in
     return (coeffs, x))
+
+let prop_eval_into_matches_dag scheme =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:600
+       ~name:
+         (Printf.sprintf "%s eval_into = DAG semantics"
+            (Polyeval.scheme_name scheme))
+       QCheck2.Gen.(
+         let* d = int_range 0 10 in
+         let* coeffs = array_size (return (d + 1)) (float_range (-4.0) 4.0) in
+         let* xs = array_size (int_range 1 17) (float_range (-2.0) 2.0) in
+         let* lo = int_range 0 3 in
+         return (coeffs, xs, lo))
+       (fun (coeffs, xs, lo) ->
+         match Polyeval.compile scheme coeffs with
+         | None ->
+             scheme = Polyeval.Knuth
+             && (Array.length coeffs - 1 < 4
+                || Array.length coeffs - 1 > 6
+                || coeffs.(Array.length coeffs - 1) = 0.0
+                || Polyeval.adapt_knuth coeffs = None)
+         | Some c ->
+             let n = Array.length xs in
+             (* pad the window on both sides: slots outside [lo, hi)
+                must keep their sentinel *)
+             let len = lo + n + 1 in
+             let src = Float.Array.make len 0.0 in
+             let dst = Float.Array.make len Float.nan in
+             Array.iteri (fun i x -> Float.Array.set src (lo + i) x) xs;
+             Polyeval.eval_into scheme c.Polyeval.data ~src ~dst ~lo
+               ~hi:(lo + n);
+             let ok = ref (Float.is_nan (Float.Array.get dst (len - 1))) in
+             if lo > 0 then
+               ok := !ok && Float.is_nan (Float.Array.get dst (lo - 1));
+             Array.iteri
+               (fun i x ->
+                 let want =
+                   Int64.bits_of_float
+                     (Expr.eval_float c.Polyeval.expr ~data:c.Polyeval.data x)
+                 in
+                 let got =
+                   Int64.bits_of_float (Float.Array.get dst (lo + i))
+                 in
+                 ok := !ok && Int64.equal want got)
+               xs;
+             !ok))
+
+(* ---------- bit-exact agreement: one-input calls ---------- *)
+
+(* The scalar closure over a compiled polynomial: [eval_into] on a
+   one-slot window, the path a one-input request takes. *)
+let scalar_closure c = eval1 c.Polyeval.scheme c.Polyeval.data
 
 let prop_closure_matches_dag scheme =
   QCheck_alcotest.to_alcotest
@@ -136,15 +194,15 @@ let prop_closure_matches_dag scheme =
                 || coeffs.(Array.length coeffs - 1) = 0.0
                 || Polyeval.adapt_knuth coeffs = None)
          | Some c ->
-             let fast = c.Polyeval.eval x in
+             let fast = scalar_closure c x in
              let reference =
                Expr.eval_float c.Polyeval.expr ~data:c.Polyeval.data x
              in
              Int64.equal (Int64.bits_of_float fast)
                (Int64.bits_of_float reference)))
 
-(* ---------- bit-exact agreement: batch kernel vs closures ---------- *)
-
+(* A window of any length and offset gives every element the value it
+   gets alone. *)
 let prop_eval_into_matches_closure scheme =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:400
@@ -162,8 +220,6 @@ let prop_eval_into_matches_closure scheme =
          | None -> true
          | Some c ->
              let n = Array.length xs in
-             (* pad the window on both sides: slots outside [lo, hi)
-                must keep their sentinel *)
              let len = lo + n + 1 in
              let src = Float.Array.make len 0.0 in
              let dst = Float.Array.make len Float.nan in
@@ -175,7 +231,7 @@ let prop_eval_into_matches_closure scheme =
                ok := !ok && Float.is_nan (Float.Array.get dst (lo - 1));
              Array.iteri
                (fun i x ->
-                 let want = Int64.bits_of_float (c.Polyeval.eval x) in
+                 let want = Int64.bits_of_float (scalar_closure c x) in
                  let got =
                    Int64.bits_of_float (Float.Array.get dst (lo + i))
                  in
@@ -261,7 +317,7 @@ let test_estrin_matches_algorithm1 () =
   let y = x *. x in
   let w0 = fma v1 y v0 and w1 = fma v3 y v2 in
   let expect = fma w1 (y *. y) w0 in
-  Alcotest.(check (float 0.0)) "trace" expect (Polyeval.estrin_fma c x)
+  Alcotest.(check (float 0.0)) "trace" expect (eval1 Polyeval.EstrinFma c x)
 
 let suite =
   [
@@ -278,5 +334,6 @@ let suite =
   ]
   @ List.map prop_closure_matches_dag Polyeval.all_schemes
   @ List.map prop_eval_into_matches_closure Polyeval.all_schemes
+  @ List.map prop_eval_into_matches_dag Polyeval.all_schemes
   @ List.map prop_exact_value_is_dense
       [ Polyeval.Horner; Polyeval.HornerFma; Polyeval.Estrin; Polyeval.EstrinFma ]

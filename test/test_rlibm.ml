@@ -53,26 +53,32 @@ let test_interval_rejects_nonfinite () =
 let family f =
   Rlibm.Reduction.make f ~out_fmt:tout ~pieces:2 ~table_bits:4
 
+(* The reference reduction of [x]: the reduced input, and the output
+   compensation of that element. *)
+let reduce fam x =
+  let s = Rlibm.Reduction.scratch () in
+  s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- x;
+  fam.Rlibm.Reduction.reduce_into s;
+  (s.Rlibm.Reduction.sf.Rlibm.Reduction.sr, Rlibm.Reduction.compensate fam s)
+
 let test_exp2_reduction_identity () =
   let fam = family Oracle.Exp2 in
   List.iter
     (fun x ->
-      let red = fam.Rlibm.Reduction.reduce x in
+      let r, oc = reduce fam x in
       (* reconstruct: oc(2^r) should equal 2^x up to double rounding *)
-      let v = red.Rlibm.Reduction.oc (Float.exp2 red.Rlibm.Reduction.r) in
+      let v = oc (Float.exp2 r) in
       Alcotest.(check bool)
         (Printf.sprintf "2^%h" x)
         true
         (Float.abs (v -. Float.exp2 x) <= 1e-10 *. Float.exp2 x);
-      Alcotest.(check bool) "r in [0,1)" true
-        (red.Rlibm.Reduction.r >= 0.0 && red.Rlibm.Reduction.r < 1.0))
+      Alcotest.(check bool) "r in [0,1)" true (r >= 0.0 && r < 1.0))
     [ 0.0; 0.5; 3.25; -2.75; 7.9; -12.0625 ]
 
 let test_exp2_exact_fraction () =
   let fam = family Oracle.Exp2 in
   (* for exp2 the reduced input is exactly x - floor x *)
-  let red = fam.Rlibm.Reduction.reduce 3.625 in
-  Alcotest.(check (float 0.0)) "frac" 0.625 red.Rlibm.Reduction.r
+  Alcotest.(check (float 0.0)) "frac" 0.625 (fst (reduce fam 3.625))
 
 let test_exp_shortcuts () =
   let fam = family Oracle.Exp in
@@ -135,11 +141,10 @@ let test_log_reduction_identity () =
       let fam = family f in
       List.iter
         (fun x ->
-          let red = fam.Rlibm.Reduction.reduce x in
-          let r = red.Rlibm.Reduction.r in
+          let r, oc = reduce fam x in
           Alcotest.(check bool) "r in [0, 2^-J)" true (r >= 0.0 && r < 1.0 /. 16.0);
           (* oc(log_b(1+r)) ~ log_b(x) *)
-          let v = red.Rlibm.Reduction.oc (reference (1.0 +. r)) in
+          let v = oc (reference (1.0 +. r)) in
           Alcotest.(check bool)
             (Printf.sprintf "%s %h: %h vs %h" (Oracle.name f) x v (reference x))
             true
@@ -168,19 +173,23 @@ let test_reduced_interval_exponential () =
   (* Exponential OC is exact scaling: the reduced interval must map back
      exactly inside. *)
   let fam = family Oracle.Exp2 in
-  let red = fam.Rlibm.Reduction.reduce 5.3 in
+  let s = Rlibm.Reduction.scratch () in
+  s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- 5.3;
+  fam.Rlibm.Reduction.reduce_into s;
+  let oc = Rlibm.Reduction.compensate fam s in
+  let oc_inv q = Rat.mul_pow2 q (-s.Rlibm.Reduction.sn) in
   let y =
     Oracle.correctly_round Oracle.Exp2 (Rat.of_float 5.3) ~fmt:tout
       ~mode:Softfp.RTO
   in
   let iv = Rlibm.Intervals.of_round_to_odd tout y in
-  match Rlibm.Constraints.reduced_interval red iv with
+  match Rlibm.Constraints.reduced_interval ~oc ~oc_inv iv with
   | None -> Alcotest.fail "reduced interval must exist"
   | Some (lo, hi) ->
       Alcotest.(check bool) "nonempty" true (lo <= hi);
       List.iter
         (fun v ->
-          let out = red.Rlibm.Reduction.oc v in
+          let out = oc v in
           Alcotest.(check bool)
             (Printf.sprintf "oc %h inside" v)
             true
@@ -193,13 +202,18 @@ let test_reduced_interval_log () =
   let fam = family Oracle.Log2 in
   List.iter
     (fun x ->
-      let red = fam.Rlibm.Reduction.reduce x in
+      let s = Rlibm.Reduction.scratch () in
+      s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- x;
+      fam.Rlibm.Reduction.reduce_into s;
+      let oc = Rlibm.Reduction.compensate fam s in
+      let c = s.Rlibm.Reduction.sf.Rlibm.Reduction.sc in
+      let oc_inv q = Rat.sub q (Rat.of_float c) in
       let y =
         Oracle.correctly_round Oracle.Log2 (Rat.of_float x) ~fmt:tout
           ~mode:Softfp.RTO
       in
       let iv = Rlibm.Intervals.of_round_to_odd tout y in
-      match Rlibm.Constraints.reduced_interval red iv with
+      match Rlibm.Constraints.reduced_interval ~oc ~oc_inv iv with
       | None -> () (* possible for degenerate intervals; fine *)
       | Some (lo, hi) ->
           Alcotest.(check bool) "nonempty" true (lo <= hi);
@@ -208,7 +222,7 @@ let test_reduced_interval_log () =
               Alcotest.(check bool)
                 (Printf.sprintf "log2 %h: oc %h inside" x v)
                 true
-                (Rlibm.Intervals.contains iv (red.Rlibm.Reduction.oc v)))
+                (Rlibm.Intervals.contains iv (oc v)))
             [ lo; hi ])
     [ 1.17; 3.0; 9.5; 1000.0; 0.0625; 0.7 ]
 
@@ -228,10 +242,7 @@ let test_reduced_interval_budget_per_direction () =
        above it, so both directions have repair work to do *)
     if Rat.compare q mid <= 0 then Rat.sub q shift else Rat.add q shift
   in
-  let red =
-    { Rlibm.Reduction.r = 0.0; piece = 0; oc = (fun v -> v); oc_inv }
-  in
-  match Rlibm.Constraints.reduced_interval red iv with
+  match Rlibm.Constraints.reduced_interval ~oc:Fun.id ~oc_inv iv with
   | None ->
       Alcotest.fail
         "feasible constraint misclassified: the upper fix-up was starved"

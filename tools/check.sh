@@ -7,9 +7,10 @@
 # bit-identical output, zero stage rebuilds when warm; a second scheme on
 # the same store loads the first scheme's lp-seed LP solves and prints
 # what a fresh-store run prints), and smoke-check
-# the servable snapshot layer (batched eval bit-identical to scalar at
-# -j 1 and -j N; a warm snapshot loads from exactly one store entry),
-# and smoke-check the batch kernels (scalar-vs-kernel timings reported,
+# the servable snapshot layer (batched eval bit-identical to the scalar
+# DAG reference, Genlibm.eval_bits, at -j 1 and -j N; a warm snapshot
+# loads from exactly one store entry), and smoke-check the batch kernels
+# (reference-vs-kernel timings reported,
 # serve-throughput JSON artifact matches its schema, every row
 # bit-identical at a fanned-out 2^10 batch and at a 2^6 batch served on
 # the calling domain, and at most 0.03 minor words per element at 2^10),
@@ -135,7 +136,7 @@ trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir" "$servedir"' EXIT
 # Cold build at -j 1: resolves through the pipeline, persists the
 # snapshot, and cross-checks every batched result against the scalar
-# eval path bit for bit.
+# DAG reference (Genlibm.eval_bits) bit for bit.
 RLIBM_CACHE_DIR="$servedir" dune exec --no-build bin/rlibm_gen.exe -- serve \
   --func exp2 --func log2 --ebits 4 --prec 7 --check-scalar -j 1 > "$serve1"
 # Warm load at -j N: stdout (per-function result digests + scalar
@@ -154,9 +155,10 @@ fi
 echo "snapshot: batched eval bit-identical at -j 1 and -j $N, warm load = 1 store entry"
 
 echo "== batch kernel smoke =="
-# serve --bench reports scalar-vs-kernel timings on stderr (stdout must
-# stay job-count-invariant for the diff above); the run also re-checks
-# the batched results against the scalar path (--check-scalar).
+# serve --bench reports timings of the scalar DAG reference and of the
+# kernel on stderr (stdout must stay job-count-invariant for the diff
+# above); the run also re-checks the batched results against the
+# reference (--check-scalar).
 RLIBM_CACHE_DIR="$servedir" dune exec --no-build bin/rlibm_gen.exe -- serve \
   --func exp2 --func log2 --ebits 4 --prec 7 --check-scalar --bench \
   -j "$N" > /dev/null 2> "$servebench"
@@ -165,7 +167,7 @@ grep -Eq 'bench: scalar [0-9.]+ ns/eval, kernel [0-9.]+ ns/eval' "$servebench" \
 # Throughput harness: quick grid, JSON artifact, at a 2^10 batch (fanned
 # out over the pool) and a 2^6 batch (served on the calling domain).
 # Each run exits non-zero if any kernel result differs from the scalar
-# path.
+# DAG reference (Genlibm.eval_bits).
 RLIBM_CACHE_DIR="$servedir" dune exec --no-build bench/main.exe -- \
   --serve-bench --quick --serve-batch-pow 10 --serve-json "$benchjson" \
   -j "$N" > /dev/null
