@@ -410,17 +410,12 @@ let print_correctness grid =
 
 (* ---------- staged-generation timings (cold vs warm store) ---------- *)
 
-(* End-to-end pipeline wall time per function — generate + verify through
-   lib/pipeline — measured twice against a fresh store directory: cold
-   (every stage rebuilt) and warm (every stage loaded; zero oracle
-   evaluations, zero LP solves).  The in-process oracle memo is dropped
-   between the runs so the warm figure measures the disk path. *)
-
-let rebuilt_stages () =
-  List.length
-    (List.filter
-       (fun e -> e.Pipeline.ev_status = Pipeline.Rebuilt)
-       (Pipeline.events ()))
+(* End-to-end pipeline wall time per function — every stage through
+   verify, via Pipeline.run_stages — measured twice against a fresh store
+   directory: cold (every stage rebuilt) and warm (every stage loaded;
+   zero oracle evaluations, zero LP solves).  The in-process oracle memo
+   is dropped between the runs so the warm figure measures the disk
+   path. *)
 
 type gen_timing = {
   g_func : Oracle.func;
@@ -449,10 +444,15 @@ let measure_generation funcs =
           let cfg = Rlibm.Config.mini_for func in
           let timed () =
             Rlibm.Constraints.clear_memory_cache ();
-            Pipeline.reset_events ();
             let t0 = Unix.gettimeofday () in
-            let r = Pipeline.verified ~cfg ~scheme func in
-            (Unix.gettimeofday () -. t0, rebuilt_stages (), r)
+            let events, r = Pipeline.run_stages ~cfg ~scheme func in
+            let rebuilt =
+              List.length
+                (List.filter
+                   (fun e -> e.Pipeline.ev_status = Pipeline.Rebuilt)
+                   events)
+            in
+            (Unix.gettimeofday () -. t0, rebuilt, r)
           in
           let cold_s, cold_rebuilt, cold = timed () in
           let warm_s, warm_rebuilt, warm = timed () in

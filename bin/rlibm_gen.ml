@@ -51,8 +51,8 @@ let table_bits_arg =
 (* ---------- generate ---------- *)
 
 let generate_cmd =
-  let run func scheme ebits prec pieces table_bits verify verbose jobs
-      cache_dir cache_stats log_level trace =
+  let run func scheme ebits prec pieces table_bits verify jobs cache_dir
+      cache_stats log_level trace =
     let func = require_func func in
     Cli.set_jobs jobs;
     Cli.install_diag ~jobs:(Parallel.jobs ()) ~level:log_level ~trace ();
@@ -61,9 +61,6 @@ let generate_cmd =
     if cache_stats then at_exit (fun () -> Cli.report_cache_stats true);
     let cfg = cfg_for func ~ebits ~prec ~pieces ~table_bits in
     let tin = cfg.Rlibm.Config.tin in
-    let log =
-      if verbose then fun s -> Printf.eprintf "%s\n%!" s else fun _ -> ()
-    in
     Printf.printf "generating %s / %s for %d-bit inputs (%d finite values)\n%!"
       (Oracle.name func)
       (Polyeval.scheme_name scheme)
@@ -82,7 +79,7 @@ let generate_cmd =
         g.Rlibm.Generate.pieces
     in
     if verify then begin
-      match Pipeline.verified ~log ~cfg ~scheme func with
+      match Pipeline.verified ~cfg ~scheme func with
       | Error err -> Cli.exit_error err
       | Ok (g, rep) ->
           print_generated g;
@@ -99,7 +96,7 @@ let generate_cmd =
                  })
     end
     else begin
-      match Pipeline.generate ~log ~cfg ~scheme func with
+      match Pipeline.generate ~cfg ~scheme func with
       | Error err -> Cli.exit_error err
       | Ok g -> print_generated g
     end
@@ -109,11 +106,6 @@ let generate_cmd =
       value & flag
       & info [ "verify" ] ~doc:"Exhaustively verify the generated function.")
   in
-  let verbose =
-    Arg.(
-      value & flag
-      & info [ "verbose"; "v" ] ~doc:"Log the generation loop and stage status.")
-  in
   Cmd.v
     (Cmd.info "generate"
        ~doc:
@@ -121,28 +113,25 @@ let generate_cmd =
           staged pipeline (resumes from the last completed persisted stage)")
     Term.(
       const run $ Cli.func_arg $ Cli.scheme_arg $ Cli.ebits_arg $ Cli.prec_arg
-      $ pieces_arg $ table_bits_arg $ verify $ verbose $ Cli.jobs_arg
+      $ pieces_arg $ table_bits_arg $ verify $ Cli.jobs_arg
       $ Cli.cache_dir_arg $ Cli.cache_stats_arg $ Cli.log_level_arg
       $ Cli.trace_arg)
 
 (* ---------- stages ---------- *)
 
 let stages_cmd =
-  let run func scheme ebits prec pieces table_bits verbose jobs cache_dir
-      cache_stats log_level trace =
+  let run func scheme ebits prec pieces table_bits jobs cache_dir cache_stats
+      log_level trace =
     let func = require_func func in
     Cli.set_jobs jobs;
     Cli.install_diag ~jobs:(Parallel.jobs ()) ~level:log_level ~trace ();
     Cli.set_cache_dir cache_dir;
     let cfg = cfg_for func ~ebits ~prec ~pieces ~table_bits in
-    let log =
-      if verbose then fun s -> Printf.eprintf "%s\n%!" s else fun _ -> ()
-    in
     Printf.printf "pipeline stages for %s / %s (%d-bit inputs):\n%!"
       (Oracle.name func)
       (Polyeval.scheme_name scheme)
       (Softfp.width cfg.Rlibm.Config.tin);
-    let events, result = Pipeline.run_stages ~log ~cfg ~scheme func in
+    let events, result = Pipeline.run_stages ~cfg ~scheme func in
     List.iter
       (fun ev -> Printf.printf "  %s\n" (Format.asprintf "%a" Pipeline.pp_event ev))
       events;
@@ -162,9 +151,6 @@ let stages_cmd =
                  wrong_narrow = rep.Genlibm.wrong_narrow;
                })
   in
-  let verbose =
-    Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Log stage execution.")
-  in
   Cmd.v
     (Cmd.info "stages"
        ~doc:
@@ -173,7 +159,7 @@ let stages_cmd =
           resume / invalidation report")
     Term.(
       const run $ Cli.func_arg $ Cli.scheme_arg $ Cli.ebits_arg $ Cli.prec_arg
-      $ pieces_arg $ table_bits_arg $ verbose $ Cli.jobs_arg
+      $ pieces_arg $ table_bits_arg $ Cli.jobs_arg
       $ Cli.cache_dir_arg $ Cli.cache_stats_arg $ Cli.log_level_arg
       $ Cli.trace_arg)
 
@@ -225,11 +211,7 @@ let warm_cmd =
       | s, None -> Printf.sprintf ", %d oracle shards" s
       | s, Some k -> Printf.sprintf ", oracle shard %d/%d only" k s);
     let report =
-      match
-        Pipeline.warm
-          ~log:(fun s -> Printf.eprintf "  %s\n%!" s)
-          ~schemes ~through ~shards ?only_shard pairs
-      with
+      match Pipeline.warm ~schemes ~through ~shards ?only_shard pairs with
       | Ok report -> report
       | Error err -> Cli.exit_error err
     in
@@ -313,15 +295,12 @@ let warm_cmd =
 
 let serve_cmd =
   let run funcs scheme ebits prec pieces table_bits count seed check_scalar
-      print_bits bench strict_snapshot verbose jobs cache_dir cache_stats
-      log_level trace =
+      print_bits bench strict_snapshot jobs cache_dir cache_stats log_level
+      trace =
     Cli.set_jobs jobs;
     Cli.install_diag ~jobs:(Parallel.jobs ()) ~level:log_level ~trace ();
     Cli.set_cache_dir cache_dir;
     if cache_stats then at_exit (fun () -> Cli.report_cache_stats true);
-    let log =
-      if verbose then fun s -> Printf.eprintf "%s\n%!" s else fun _ -> ()
-    in
     let funcs = if funcs = [] then Oracle.all else funcs in
     let specs =
       List.map
@@ -332,7 +311,7 @@ let serve_cmd =
        bit-identical at every -j (tools/check.sh diffs it). *)
     Printf.eprintf "building snapshot of %d functions (-j %d)\n%!"
       (List.length specs) (Parallel.jobs ());
-    match Serve.build ~log ~strict:strict_snapshot specs with
+    match Serve.build ~strict:strict_snapshot specs with
     | Error err -> Cli.exit_error err
     | Ok snap ->
         Printf.printf "snapshot %s (%d functions)\n" (Serve.key snap)
@@ -473,11 +452,6 @@ let serve_cmd =
              degradation (regenerate through the pipeline under a \
              diagnostic warning).")
   in
-  let verbose =
-    Arg.(
-      value & flag
-      & info [ "verbose"; "v" ] ~doc:"Log snapshot resolution on stderr.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -489,9 +463,9 @@ let serve_cmd =
     Term.(
       const run $ Cli.func_list_arg $ Cli.scheme_arg $ Cli.ebits_arg
       $ Cli.prec_arg $ pieces_arg $ table_bits_arg $ count $ seed
-      $ check_scalar $ print_bits $ bench $ strict_snapshot $ verbose
-      $ Cli.jobs_arg $ Cli.cache_dir_arg $ Cli.cache_stats_arg
-      $ Cli.log_level_arg $ Cli.trace_arg)
+      $ check_scalar $ print_bits $ bench $ strict_snapshot $ Cli.jobs_arg
+      $ Cli.cache_dir_arg $ Cli.cache_stats_arg $ Cli.log_level_arg
+      $ Cli.trace_arg)
 
 (* ---------- fsck ---------- *)
 

@@ -63,7 +63,10 @@ val log_level_conv : Diag.level Cmdliner.Arg.conv
 
 val log_level_arg : Diag.level Cmdliner.Term.t
 (** [--log-level LEVEL], default {!Diag.Warn}: verbosity of the
-    human-readable diagnostic stream on stderr. *)
+    human-readable diagnostic stream on stderr — the one progress
+    channel.  [info] shows stage, store and shard activity,
+    ["gen.degree"] and ["serve.snapshot"]; [debug] adds the per-round
+    ["gen.round"] and ["lp.round"] events. *)
 
 val trace_arg : string option Cmdliner.Term.t
 (** [--trace FILE]: also write every diagnostic event as JSON Lines to

@@ -9,11 +9,21 @@
     {!Error.t} and exceptions survive only at the [bin/]–[bench/]
     boundary, where [Cli] renders them uniformly with {!Error.exit_code}.
     Progress as {e data}: stage begin/end with timing and hit/rebuilt
-    status, cache hit/miss/corrupt-quarantined, shard publish/load,
+    status, cache hit/miss/corrupt-quarantined, shard publish/load/done,
     parallel fan-out and serve batch evals are emitted as typed records
     through pluggable {!sink}s — none by default beyond a warn-level
     stderr sink, a human-readable stderr sink at [--log-level], and a
-    schema-versioned JSONL trace file via [--trace FILE].
+    schema-versioned JSONL trace file via [--trace FILE].  This is the
+    only progress channel: no layer takes a string-logging callback.
+    The generate / validate / constrain loop speaks four events of its
+    own — ["gen.degree"] (Info: func, scheme, piece, degree,
+    constraints), ["gen.round"] (Debug: degree, round, outcome
+    [infeasible|violated], violated), ["lp.round"] (Debug: round,
+    outcome, violations, working) — and snapshot resolution speaks
+    ["serve.snapshot"] (Info: key, status
+    [loaded|persisted|stale|mismatch|rejected]).  What the old
+    [--verbose] flags printed is [--log-level info] (or [debug] for
+    the per-round lines).
 
     {b Determinism.}  Sinks observe the computation; they never influence
     it.  No artifact byte, store key, or stdout product line may depend

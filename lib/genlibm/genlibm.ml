@@ -42,13 +42,13 @@ let inputs_sampled fmt ~count ~seed =
 
 (* ---------- generation ---------- *)
 
-let generate ?log ~(cfg : Rlibm.Config.t) ~scheme func =
+let generate ~(cfg : Rlibm.Config.t) ~scheme func =
   let inputs = inputs_exhaustive cfg.tin in
-  Rlibm.Generate.run ?log ~cfg ~scheme ~func ~inputs ()
+  Rlibm.Generate.run ~cfg ~scheme ~func ~inputs ()
 
-let generate_sampled ?log ~(cfg : Rlibm.Config.t) ~scheme ~count ~seed func =
+let generate_sampled ~(cfg : Rlibm.Config.t) ~scheme ~count ~seed func =
   let inputs = inputs_sampled cfg.tin ~count ~seed in
-  (Rlibm.Generate.run ?log ~cfg ~scheme ~func ~inputs (), inputs)
+  (Rlibm.Generate.run ~cfg ~scheme ~func ~inputs (), inputs)
 
 (* ---------- evaluation ---------- *)
 

@@ -27,7 +27,6 @@ val inputs_sampled : Softfp.fmt -> count:int -> seed:int -> int64 array
 (** [generate ~cfg ~scheme func] runs the pipeline over every finite
     input of [cfg.tin]. *)
 val generate :
-  ?log:(string -> unit) ->
   cfg:Rlibm.Config.t ->
   scheme:Polyeval.scheme ->
   Oracle.func ->
@@ -36,7 +35,6 @@ val generate :
 (** Sampled-input variant for wide formats; also returns the inputs used,
     for verification. *)
 val generate_sampled :
-  ?log:(string -> unit) ->
   cfg:Rlibm.Config.t ->
   scheme:Polyeval.scheme ->
   count:int ->

@@ -289,8 +289,8 @@ let round_bits q bits =
     R.mul_pow2 (R.of_bigint (if R.sign q < 0 then Bigint.neg m else m)) e
   end
 
-let solve_interval_system ?(max_added_per_round = 16) ?(log = fun _ -> ())
-    ?(initial_working = []) ?tilt ?mono_bits ~powers points =
+let solve_interval_system ?(max_added_per_round = 16) ?(initial_working = [])
+    ?tilt ?mono_bits ~powers points =
   let d = Array.length powers in
   let n_points = Array.length points in
   if n_points = 0 then Sat (Array.make d R.zero, [])
@@ -367,6 +367,15 @@ let solve_interval_system ?(max_added_per_round = 16) ?(log = fun _ -> ())
        monotone-growth termination argument still applies. *)
     let max_working = 4 * (d + 2) in
     let pruned_once : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+    let round_event round outcome violations =
+      Diag.event ~level:Diag.Debug "lp.round" (fun () ->
+          [
+            ("round", Diag.Int round);
+            ("outcome", Diag.String outcome);
+            ("violations", Diag.Int violations);
+            ("working", Diag.Int (Hashtbl.length working));
+          ])
+    in
     let rec loop round =
       let prune_allowed = round <= 40 in
       let rows =
@@ -385,10 +394,7 @@ let solve_interval_system ?(max_added_per_round = 16) ?(log = fun _ -> ())
       in
       match solved with
       | Infeasible ->
-          log
-            (Printf.sprintf
-               "lp: infeasible with %d working constraints (round %d)"
-               (Hashtbl.length working) round);
+          round_event round "infeasible" 0;
           Unsat
       | Unbounded ->
           (* Cannot happen: delta is bounded by the narrowest interval. *)
@@ -457,10 +463,7 @@ let solve_interval_system ?(max_added_per_round = 16) ?(log = fun _ -> ())
                     end)
                   !stale
               end;
-              log
-                (Printf.sprintf
-                   "lp: round %d: %d violations, working set now %d" round
-                   (List.length vs) (Hashtbl.length working));
+              round_event round "violated" (List.length vs);
               loop (round + 1))
     in
     loop 1

@@ -51,10 +51,12 @@ type system_result =
     violated constraints join the working set per iteration (the batch
     grows geometrically when many rounds are needed, so infeasibility of
     large systems is detected quickly).  [initial_working] warm-starts the
-    working set, typically from a previous [Sat]. *)
+    working set, typically from a previous [Sat].  Every round that does
+    not converge emits a Debug {!Diag} event ["lp.round"] with [round],
+    [outcome] ([infeasible] / [violated]), [violations] and [working]
+    (the working-set size after the round). *)
 val solve_interval_system :
   ?max_added_per_round:int ->
-  ?log:(string -> unit) ->
   ?initial_working:int list ->
   ?tilt:Rat.t array ->
   ?mono_bits:int ->

@@ -9,8 +9,10 @@
    - Each stage function recursively obtains its upstream artifact
      *inside* its compute closure, so a warm deep stage never touches
      the stages above it.
-   - Everything here runs on the driver domain (the bodies fan out
-     through Parallel internally), so the event log is a plain ref. *)
+   - Internally each stage returns its own stage event (key,
+     hit/rebuilt, seconds) next to the artifact; [run_stages] reports
+     those values directly, and the Diag "stage" span renders the same
+     outcome for sinks. *)
 
 type stage = Oracle | Intervals | Constraints | Poly | Verdict
 
@@ -122,11 +124,20 @@ type event = {
   ev_seconds : float;
 }
 
-let events_rev = ref []
-let events () = List.rev !events_rev
-let reset_events () = events_rev := []
-
 let status_name = function Hit -> "hit" | Rebuilt -> "rebuilt"
+
+let pp_event fmt ev =
+  Format.fprintf fmt "%-11s  %-7s  %8.3fs  %s" (stage_name ev.ev_stage)
+    (status_name ev.ev_status) ev.ev_seconds ev.ev_key
+
+(* The outcome of one stage execution that started at [t0]. *)
+let stage_event stage key status t0 =
+  {
+    ev_stage = stage;
+    ev_key = key;
+    ev_status = status;
+    ev_seconds = Unix.gettimeofday () -. t0;
+  }
 
 (* ---------- publish-failure collection ----------
 
@@ -155,37 +166,19 @@ let collect_store_errors f =
       let v = f () in
       (v, List.rev !acc))
 
-(* The one emission point for per-stage outcomes: the in-process event
-   list (what [events] / [pp_event] / the bench harness consume), the
-   optional human log line, and the structured diag stream are three
-   renderings of the same record. *)
-let record ?log stage key status seconds =
-  let ev = { ev_stage = stage; ev_key = key; ev_status = status; ev_seconds = seconds } in
-  events_rev := ev :: !events_rev;
-  (match log with
-  | Some f ->
-      f
-        (Printf.sprintf "stage %-11s %-7s %7.3fs  %s" (stage_name stage)
-           (status_name status) seconds key)
-  | None -> ())
-
-let pp_event fmt ev =
-  Format.fprintf fmt "%-11s  %-7s  %8.3fs  %s" (stage_name ev.ev_stage)
-    (match ev.ev_status with Hit -> "hit" | Rebuilt -> "rebuilt")
-    ev.ev_seconds ev.ev_key
-
 (* Wrap one stage execution in a diag span: a ["stage.begin"] record
    before, a ["stage.end"] record carrying seconds + hit/rebuilt after.
-   Body runs bare when no sink listens. *)
+   Body runs bare when no sink listens.  [body] returns the artifact and
+   its stage event. *)
 let stage_span stage key body =
   Diag.span "stage"
     (fun () ->
       [
         ("stage", Diag.String (stage_name stage)); ("key", Diag.String key);
       ])
-    ~result:(fun (_, status) -> [ ("status", Diag.String (status_name status)) ])
+    ~result:(fun (_, ev) ->
+      [ ("status", Diag.String (status_name ev.ev_status)) ])
     body
-  |> fst
 
 (* Load-or-compute-and-publish. *)
 let load_or_compute ~kind ~key compute =
@@ -201,13 +194,12 @@ let load_or_compute ~kind ~key compute =
       note_store_error (Cache.store ~kind ~key v);
       (v, Rebuilt)
 
-(* A stage's load-or-compute, with the event bookkeeping. *)
-let staged ?log ~stage ~key compute =
+(* A stage's load-or-compute: the artifact and its stage event. *)
+let staged ~stage ~key compute =
   stage_span stage key (fun () ->
       let t0 = Unix.gettimeofday () in
       let v, status = load_or_compute ~kind:(stage_name stage) ~key compute in
-      record ?log stage key status (Unix.gettimeofday () -. t0);
-      (v, status))
+      (v, stage_event stage key status t0))
 
 (* ---------- shared per-config plumbing ---------- *)
 
@@ -257,7 +249,7 @@ let range_incomplete ~(cfg : Rlibm.Config.t) ~(family : Rlibm.Reduction.t)
 (* The validated body: shard arguments are known to be in range here.
    [run_oracle ~shards:1] is also what the deeper stages call
    internally, so their compute closures never see a shard error. *)
-let run_oracle ?log ~shards ?only_shard ~(cfg : Rlibm.Config.t) func =
+let run_oracle ~shards ?only_shard ~(cfg : Rlibm.Config.t) func =
   let tin = cfg.Rlibm.Config.tin and tout = Rlibm.Config.tout cfg in
   let key = oracle_key ~cfg func in
   let span_key =
@@ -277,9 +269,7 @@ let run_oracle ?log ~shards ?only_shard ~(cfg : Rlibm.Config.t) func =
           if computed > 0 then
             note_store_error
               (Rlibm.Constraints.persist_oracle_table ~func ~tin ~tout);
-          let status = if computed = 0 then Hit else Rebuilt in
-          record ?log Oracle key status (Unix.gettimeofday () -. t0);
-          status
+          if computed = 0 then Hit else Rebuilt
         end
         else begin
           let family = family_of ~cfg func in
@@ -303,17 +293,9 @@ let run_oracle ?log ~shards ?only_shard ~(cfg : Rlibm.Config.t) func =
                       ("count", Diag.Int shards);
                       ("status", Diag.String status);
                       ("entries", Diag.Int entries);
+                      ("seconds", Diag.Float (Unix.gettimeofday () -. st0));
                       ("key", Diag.String skey);
-                    ]);
-                match log with
-                | Some f ->
-                    f
-                      (Printf.sprintf
-                         "oracle shard %d/%d %-7s %7.3fs  %6d entries  %s" k
-                         shards status
-                         (Unix.gettimeofday () -. st0)
-                         entries skey)
-                | None -> ()
+                    ])
               in
               if not (range_incomplete ~cfg ~family ~inputs ~oracle ~lo ~hi)
               then
@@ -358,60 +340,52 @@ let run_oracle ?log ~shards ?only_shard ~(cfg : Rlibm.Config.t) func =
                     installed := !installed + Array.length pairs;
                     shard_line "rebuilt" (Array.length pairs))
             indices;
-          match only_shard with
-          | Some k ->
-              let status = if !computed = 0 then Hit else Rebuilt in
-              record ?log Oracle
-                (oracle_shard_key ~cfg ~shards ~index:k func)
-                status
-                (Unix.gettimeofday () -. t0);
-              status
-          | None ->
-              (* Republish the assembled whole-table artifact whenever
-                 any shard contributed, so downstream stages and
-                 unsharded runs keep loading the single merged entry
-                 they always have. *)
-              if !installed > 0 then
-                note_store_error
-                  (Rlibm.Constraints.persist_oracle_table ~func ~tin ~tout);
-              let status = if !computed = 0 then Hit else Rebuilt in
-              record ?log Oracle key status (Unix.gettimeofday () -. t0);
-              status
+          (* Republish the assembled whole-table artifact whenever any
+             shard contributed, so downstream stages and unsharded runs
+             keep loading the single merged entry they always have. *)
+          if only_shard = None && !installed > 0 then
+            note_store_error
+              (Rlibm.Constraints.persist_oracle_table ~func ~tin ~tout);
+          if !computed = 0 then Hit else Rebuilt
         end
       in
-      (oracle, status))
+      (oracle, stage_event Oracle span_key status t0))
 
-let oracle_stage ?log ?(shards = 1) ?only_shard ~(cfg : Rlibm.Config.t) func =
+let oracle_stage ?(shards = 1) ?only_shard ~(cfg : Rlibm.Config.t) func =
   if shards < 1 then Error (Diag.Error.Shard_range { index = 0; count = shards })
   else
     match only_shard with
     | Some k when k < 0 || k >= shards ->
         Error (Diag.Error.Shard_range { index = k; count = shards })
-    | _ -> Ok (run_oracle ?log ~shards ?only_shard ~cfg func)
+    | _ -> Ok (fst (run_oracle ~shards ?only_shard ~cfg func))
 
 (* ---------- stage 2: rounding intervals ---------- *)
 
-let intervals_stage ?log ~cfg func =
-  staged ?log ~stage:Intervals ~key:(intervals_key ~cfg func) (fun () ->
-      let oracle = run_oracle ?log ~shards:1 ~cfg func in
+let intervals_staged ~cfg func =
+  staged ~stage:Intervals ~key:(intervals_key ~cfg func) (fun () ->
+      let oracle, _ = run_oracle ~shards:1 ~cfg func in
       Rlibm.Constraints.rounding_intervals ~cfg ~family:(family_of ~cfg func)
         ~inputs:(inputs_of cfg) ~oracle)
+
+let intervals_stage ~cfg func = fst (intervals_staged ~cfg func)
 
 (* ---------- stage 3: reduced, merged constraints ---------- *)
 
 (* Persisted payload: the per-piece points and the immediate specials.
    The oracle table is stage 1's artifact, re-attached on the way out. *)
-let constraints_stage ?log ~(cfg : Rlibm.Config.t) func =
-  let points, immediate_specials =
-    staged ?log ~stage:Constraints ~key:(constraints_key ~cfg func) (fun () ->
-        let rivals = intervals_stage ?log ~cfg func in
+let constraints_staged ~(cfg : Rlibm.Config.t) func =
+  let (points, immediate_specials), ev =
+    staged ~stage:Constraints ~key:(constraints_key ~cfg func) (fun () ->
+        let rivals = intervals_stage ~cfg func in
         Rlibm.Constraints.combine ~cfg ~family:(family_of ~cfg func) ~rivals)
   in
   let oracle =
     Rlibm.Constraints.oracle_table ~func ~tin:cfg.Rlibm.Config.tin
       ~tout:(Rlibm.Config.tout cfg)
   in
-  { Rlibm.Constraints.points; immediate_specials; oracle }
+  ({ Rlibm.Constraints.points; immediate_specials; oracle }, ev)
+
+let constraints_stage ~cfg func = fst (constraints_staged ~cfg func)
 
 (* ---------- stage 4: LP polynomial per scheme ---------- *)
 
@@ -432,59 +406,51 @@ let lp_seed ~cfg func ~piece ~degree points =
       ]);
   (v : Lp.system_result)
 
-let solved_stage ?log ~cfg ~scheme func =
-  (staged ?log ~stage:Poly ~key:(poly_key ~cfg ~scheme func) (fun () ->
-       let built = constraints_stage ?log ~cfg func in
-       Rlibm.Generate.solve ?log ~first_round:(lp_seed ~cfg func) ~cfg ~scheme
+let solved_stage ~cfg ~scheme func =
+  (staged ~stage:Poly ~key:(poly_key ~cfg ~scheme func) (fun () ->
+       let built = constraints_stage ~cfg func in
+       Rlibm.Generate.solve ~first_round:(lp_seed ~cfg func) ~cfg ~scheme
          ~func ~built ())
-    : (Rlibm.Generate.solved, Diag.Error.t) result)
+    : (Rlibm.Generate.solved, Diag.Error.t) result * event)
 
-let generate ?log ~cfg ~scheme func =
-  match solved_stage ?log ~cfg ~scheme func with
-  | Error _ as e -> e
-  | Ok sv ->
-      let oracle =
-        Rlibm.Constraints.oracle_table ~func ~tin:cfg.Rlibm.Config.tin
-          ~tout:(Rlibm.Config.tout cfg)
-      in
-      Ok (Rlibm.Generate.assemble ~cfg ~scheme ~func ~oracle sv)
+let assemble ~cfg ~scheme func solved =
+  Result.map
+    (Rlibm.Generate.assemble ~cfg ~scheme ~func
+       ~oracle:
+         (Rlibm.Constraints.oracle_table ~func ~tin:cfg.Rlibm.Config.tin
+            ~tout:(Rlibm.Config.tout cfg)))
+    solved
+
+let generate ~cfg ~scheme func =
+  assemble ~cfg ~scheme func (fst (solved_stage ~cfg ~scheme func))
 
 (* ---------- stage 5: verified function ---------- *)
 
-let verified ?log ?(narrow = true) ~cfg ~scheme func =
-  match generate ?log ~cfg ~scheme func with
-  | Error _ as e -> e
-  | Ok g ->
-      let report =
-        (staged ?log ~stage:Verdict
-           ~key:(verdict_key ~narrow ~cfg ~scheme func) (fun () ->
-             Genlibm.verify ~narrow g ~inputs:(inputs_of cfg))
-          : Genlibm.verify_report)
-      in
-      Ok (g, report)
+let verdict_staged ~narrow ~cfg ~scheme func g =
+  (staged ~stage:Verdict ~key:(verdict_key ~narrow ~cfg ~scheme func)
+     (fun () -> Genlibm.verify ~narrow g ~inputs:(inputs_of cfg))
+    : Genlibm.verify_report * event)
+
+let verified ?(narrow = true) ~cfg ~scheme func =
+  Result.map
+    (fun g -> (g, fst (verdict_staged ~narrow ~cfg ~scheme func g)))
+    (generate ~cfg ~scheme func)
 
 (* ---------- drivers ---------- *)
 
-(* One explicit pass over every stage, keeping the first event each
-   stage emitted during its own step (deeper steps may re-emit upstream
-   hits; those duplicates are dropped). *)
-let run_stages ?log ?(narrow = true) ~cfg ~scheme func =
-  let mark = List.length !events_rev in
-  ignore (run_oracle ?log ~shards:1 ~cfg func : (int64, int64) Hashtbl.t);
-  ignore
-    (intervals_stage ?log ~cfg func
-      : Rlibm.Constraints.rounding_interval array);
-  ignore (constraints_stage ?log ~cfg func : Rlibm.Constraints.build_result);
-  let result = verified ?log ~narrow ~cfg ~scheme func in
-  let fresh =
-    List.filteri (fun i _ -> i >= mark) (List.rev !events_rev)
-  in
-  let per_stage =
-    List.filter_map
-      (fun stage -> List.find_opt (fun ev -> ev.ev_stage = stage) fresh)
-      all_stages
-  in
-  (per_stage, result)
+(* One explicit pass over every stage, in pipeline order, reporting the
+   event of each stage's own step (deeper steps find their upstream
+   artifacts already warm). *)
+let run_stages ?(narrow = true) ~cfg ~scheme func =
+  let _, oracle = run_oracle ~shards:1 ~cfg func in
+  let _, intervals = intervals_staged ~cfg func in
+  let _, constraints = constraints_staged ~cfg func in
+  let solved, poly = solved_stage ~cfg ~scheme func in
+  match assemble ~cfg ~scheme func solved with
+  | Error _ as e -> ([ oracle; intervals; constraints; poly ], e)
+  | Ok g ->
+      let report, verdict = verdict_staged ~narrow ~cfg ~scheme func g in
+      ([ oracle; intervals; constraints; poly; verdict ], Ok (g, report))
 
 type warm_report = {
   wm_entries : (Oracle.func * int) list;
@@ -492,7 +458,7 @@ type warm_report = {
   wm_store_failed : (Oracle.func * Diag.Error.t) list;
 }
 
-let warm ?log ?(schemes = Polyeval.paper_schemes) ?(through = Verdict)
+let warm ?(schemes = Polyeval.paper_schemes) ?(through = Verdict)
     ?(shards = 1) ?only_shard pairs =
   if shards < 1 then Error (Diag.Error.Shard_range { index = 0; count = shards })
   else
@@ -514,16 +480,14 @@ let warm ?log ?(schemes = Polyeval.paper_schemes) ?(through = Verdict)
             (fun (func, cfg) ->
               let count, errs =
                 collect_store_errors (fun () ->
-                    let oracle =
-                      run_oracle ?log ~shards ?only_shard ~cfg func
-                    in
+                    let oracle, _ = run_oracle ~shards ?only_shard ~cfg func in
                     if depth >= rank Intervals then
                       ignore
-                        (intervals_stage ?log ~cfg func
+                        (intervals_stage ~cfg func
                           : Rlibm.Constraints.rounding_interval array);
                     if depth >= rank Constraints then
                       ignore
-                        (constraints_stage ?log ~cfg func
+                        (constraints_stage ~cfg func
                           : Rlibm.Constraints.build_result);
                     if depth >= rank Poly then
                       List.iter
@@ -531,36 +495,20 @@ let warm ?log ?(schemes = Polyeval.paper_schemes) ?(through = Verdict)
                           let outcome =
                             if depth >= rank Verdict then
                               Result.map ignore
-                                (verified ?log ~cfg ~scheme func)
+                                (verified ~cfg ~scheme func)
                             else
                               Result.map ignore
-                                (generate ?log ~cfg ~scheme func)
+                                (generate ~cfg ~scheme func)
                           in
                           match outcome with
                           | Ok () -> ()
                           | Error err ->
-                              failed := (func, scheme, err) :: !failed;
-                              (match log with
-                              | Some f ->
-                                  f
-                                    (Printf.sprintf
-                                       "%s/%s: generation failed: %s"
-                                       (Oracle.name func)
-                                       (Polyeval.scheme_name scheme)
-                                       (Diag.Error.to_string err))
-                              | None -> ()))
+                              failed := (func, scheme, err) :: !failed)
                         schemes;
                     Hashtbl.length oracle)
               in
               List.iter
-                (fun e ->
-                  store_failed := (func, e) :: !store_failed;
-                  match log with
-                  | Some f ->
-                      f
-                        (Printf.sprintf "%s: store publish failed: %s"
-                           (Oracle.name func) (Diag.Error.to_string e))
-                  | None -> ())
+                (fun e -> store_failed := (func, e) :: !store_failed)
                 errs;
               (func, count))
             pairs

@@ -107,6 +107,9 @@ val lp_seed_key :
 
 type status = Hit | Rebuilt
 
+(** One stage execution's outcome, as {!run_stages} reports it.  Every
+    stage execution also runs inside a Diag ["stage"] span whose
+    ["stage.end"] record carries the same status. *)
 type event = {
   ev_stage : stage;
   ev_key : string;
@@ -114,10 +117,6 @@ type event = {
   ev_seconds : float;  (** load / compute+publish wall time *)
 }
 
-val events : unit -> event list
-(** Every stage execution of this process so far, in execution order. *)
-
-val reset_events : unit -> unit
 val pp_event : Format.formatter -> event -> unit
 
 (** {1 Stages}
@@ -129,7 +128,6 @@ val pp_event : Format.formatter -> event -> unit
     evaluations and zero LP solves. *)
 
 val oracle_stage :
-  ?log:(string -> unit) ->
   ?shards:int ->
   ?only_shard:int ->
   cfg:Rlibm.Config.t ->
@@ -151,17 +149,17 @@ val oracle_stage :
     every [-j].  [only_shard] restricts the invocation to that single
     shard and skips the merge/republish — the distributed-driver mode;
     the returned table is then possibly partial.  [Error (Shard_range _)]
-    when [shards < 1] or [only_shard] is outside [\[0, shards)]. *)
+    when [shards < 1] or [only_shard] is outside [\[0, shards)].  Each
+    shard emits an Info Diag event ["shard.done"] with [index], [count],
+    [status] ([hit] / [rebuilt]), [entries], [seconds] and [key]. *)
 
 val intervals_stage :
-  ?log:(string -> unit) ->
   cfg:Rlibm.Config.t ->
   Oracle.func ->
   Rlibm.Constraints.rounding_interval array
 (** Stage 2: CalcRndIntervals over the oracle table. *)
 
 val constraints_stage :
-  ?log:(string -> unit) ->
   cfg:Rlibm.Config.t ->
   Oracle.func ->
   Rlibm.Constraints.build_result
@@ -169,7 +167,6 @@ val constraints_stage :
     The returned record shares the stage-1 oracle table. *)
 
 val generate :
-  ?log:(string -> unit) ->
   cfg:Rlibm.Config.t ->
   scheme:Polyeval.scheme ->
   Oracle.func ->
@@ -180,7 +177,6 @@ val generate :
     property of the knobs, not of the run). *)
 
 val verified :
-  ?log:(string -> unit) ->
   ?narrow:bool ->
   cfg:Rlibm.Config.t ->
   scheme:Polyeval.scheme ->
@@ -192,7 +188,6 @@ val verified :
 (** {1 Drivers} *)
 
 val run_stages :
-  ?log:(string -> unit) ->
   ?narrow:bool ->
   cfg:Rlibm.Config.t ->
   scheme:Polyeval.scheme ->
@@ -219,7 +214,6 @@ type warm_report = {
 }
 
 val warm :
-  ?log:(string -> unit) ->
   ?schemes:Polyeval.scheme list ->
   ?through:stage ->
   ?shards:int ->
@@ -234,8 +228,8 @@ val warm :
     regardless of [through] (a deeper stage would trigger the very
     whole-universe computation the shard split avoids).
     [Error (Shard_range _)] when the shard request is outside the grid.
-    Generation failures are logged and skipped — warming stays
-    best-effort — but every skip is reported typed in [wm_failed], and
+    Generation failures are skipped — warming stays best-effort — but
+    every skip is reported typed in [wm_failed], and
     every failed publish in [wm_store_failed], so drivers (CI warm jobs
     in particular) can fail loudly instead of silently half-filling the
     store. *)

@@ -64,8 +64,8 @@ let first_round_lp ~degree (points : Constraints.point array) =
    ships and its violated inputs become the special cases — this is how
    the artifact's generator "searches for a polynomial with the minimum
    number of special inputs". *)
-let solve_piece ?(log = fun _ -> ()) ?first_round ~scheme ~degree ~max_rounds
-    ~max_specials (points : Constraints.point array) =
+let solve_piece ?first_round ~scheme ~degree ~max_rounds ~max_specials
+    (points : Constraints.point array) =
   let first_round =
     match first_round with
     | Some f -> f
@@ -171,6 +171,15 @@ let solve_piece ?(log = fun _ -> ()) ?first_round ~scheme ~degree ~max_rounds
      with Exit -> ());
     !best_local
   in
+  let round_event round outcome violated =
+    Diag.event ~level:Diag.Debug "gen.round" (fun () ->
+        [
+          ("degree", Diag.Int degree);
+          ("round", Diag.Int round);
+          ("outcome", Diag.String outcome);
+          ("violated", Diag.Int violated);
+        ])
+  in
   let rec loop round =
     let finish ?(lp_infeasible = false) () =
       match !best with
@@ -200,8 +209,7 @@ let solve_piece ?(log = fun _ -> ()) ?first_round ~scheme ~degree ~max_rounds
          in for the solve. *)
       match if round = 1 then first_round () else solve_round () with
       | Lp.Unsat ->
-          log
-            (Printf.sprintf "degree %d: LP infeasible at round %d" degree round);
+          round_event round "infeasible" 0;
           finish ~lp_infeasible:(round = 1) ()
       | Lp.Sat (coeffs_rat, working) -> (
           warm_global := List.map (fun pos -> act_idx.(pos)) working;
@@ -287,9 +295,7 @@ let solve_piece ?(log = fun _ -> ()) ?first_round ~scheme ~degree ~max_rounds
                     end
                     else nudge_neighbours i up)
                   !violated;
-                log
-                  (Printf.sprintf "degree %d round %d: %d violated inputs"
-                     degree round n_viol);
+                round_event round "violated" n_viol;
                 loop (round + 1)
               end))
     end
@@ -328,7 +334,7 @@ type solved = {
 (* Pure stage body: solve every piece over an already-built constraint
    set.  All randomness (vertex tilt, dither) is seeded per piece and
    degree, so the result is a deterministic function of the inputs. *)
-let solve ?(log = fun _ -> ()) ?first_round ~(cfg : Config.t) ~scheme ~func
+let solve ?first_round ~(cfg : Config.t) ~scheme ~func
     ~(built : Constraints.build_result) () =
   let tin = cfg.tin and tout = Config.tout cfg in
   let decoded_result x =
@@ -387,12 +393,16 @@ let solve ?(log = fun _ -> ()) ?first_round ~(cfg : Config.t) ~scheme ~func
                        max_degree = cfg.max_degree;
                      })
           else begin
-            log
-              (Printf.sprintf "%s/%s piece %d: trying degree %d (%d constraints)"
-                 (Oracle.name func) (Polyeval.scheme_name scheme) pi d
-                 (Array.length pts));
+            Diag.event "gen.degree" (fun () ->
+                [
+                  ("func", Diag.String (Oracle.name func));
+                  ("scheme", Diag.String (Polyeval.scheme_name scheme));
+                  ("piece", Diag.Int pi);
+                  ("degree", Diag.Int d);
+                  ("constraints", Diag.Int (Array.length pts));
+                ]);
             match
-              solve_piece ~log
+              solve_piece
                 ?first_round:
                   (Option.map
                      (fun f () -> f ~piece:pi ~degree:d pts)
@@ -479,13 +489,13 @@ let assemble ~(cfg : Config.t) ~scheme ~func
     n_constraints = sv.sv_n_constraints;
   }
 
-let run ?log ~(cfg : Config.t) ~scheme ~func ~(inputs : int64 array) () =
+let run ~(cfg : Config.t) ~scheme ~func ~(inputs : int64 array) () =
   let tout = Config.tout cfg in
   let family =
     Reduction.make func ~out_fmt:tout ~pieces:cfg.pieces
       ~table_bits:cfg.table_bits
   in
   let built = Constraints.build ~cfg ~family ~inputs in
-  match solve ?log ~cfg ~scheme ~func ~built () with
+  match solve ~cfg ~scheme ~func ~built () with
   | Error _ as e -> e
   | Ok sv -> Ok (assemble ~cfg ~scheme ~func ~oracle:built.oracle sv)

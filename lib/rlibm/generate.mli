@@ -34,9 +34,11 @@ val first_round_lp :
   degree:int -> Constraints.point array -> Lp.system_result
 
 (** [first_round] supplies round 1's LP result; it must equal
-    [first_round_lp ~degree points] (default: that call). *)
+    [first_round_lp ~degree points] (default: that call).  Every round
+    that does not finish the piece emits a Debug {!Diag} event
+    ["gen.round"] with [degree], [round], [outcome] ([infeasible] /
+    [violated]) and [violated] (inputs the candidate missed). *)
 val solve_piece :
-  ?log:(string -> unit) ->
   ?first_round:(unit -> Lp.system_result) ->
   scheme:Polyeval.scheme ->
   degree:int ->
@@ -93,12 +95,14 @@ type solved = {
     rejected the original intervals outright, [Budget_exhausted] when
     the degree/round/special budgets ran out.
 
+    Each degree tried emits an Info {!Diag} event ["gen.degree"] with
+    [func], [scheme], [piece], [degree] and [constraints].
+
     [first_round ~piece ~degree points] supplies each round-1 LP result
     (see {!first_round_lp}, the default); the staged pipeline passes a
     load-or-compute through its store, so a function's second scheme
     reuses the first scheme's solves. *)
 val solve :
-  ?log:(string -> unit) ->
   ?first_round:
     (piece:int -> degree:int -> Constraints.point array -> Lp.system_result) ->
   cfg:Config.t ->
@@ -127,7 +131,6 @@ val assemble :
     identifies the piece that could not be satisfied within [cfg]'s
     degree/round/special budgets (see {!solve}). *)
 val run :
-  ?log:(string -> unit) ->
   cfg:Config.t ->
   scheme:Polyeval.scheme ->
   func:Oracle.func ->

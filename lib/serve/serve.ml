@@ -136,7 +136,7 @@ let duplicate_func specs =
        false))
     specs
 
-let build ?log ?(strict = false) specs =
+let build ?(strict = false) specs =
   match duplicate_func specs with
   | Some (f, _, _) ->
       Error
@@ -150,7 +150,10 @@ let build ?log ?(strict = false) specs =
            })
   | None -> (
       let key = snapshot_key specs in
-      let logf s = match log with Some f -> f s | None -> () in
+      let snapshot_event status =
+        Diag.event "serve.snapshot" (fun () ->
+            [ ("key", Diag.String key); ("status", Diag.String status) ])
+      in
       let rebuild () =
         Diag.span "serve.build"
           (fun () ->
@@ -162,7 +165,7 @@ let build ?log ?(strict = false) specs =
             let rec resolve acc = function
               | [] -> Ok (List.rev acc)
               | (f, scheme, cfg) :: rest -> (
-                  match Pipeline.generate ?log ~cfg ~scheme f with
+                  match Pipeline.generate ~cfg ~scheme f with
                   | Error _ as e -> e
                   | Ok g ->
                       let se =
@@ -180,7 +183,7 @@ let build ?log ?(strict = false) specs =
             | Error e -> Error e
             | Ok stored ->
                 ignore (Cache.store ~kind:"snapshot" ~key stored);
-                logf (Printf.sprintf "snapshot %s: resolved and persisted" key);
+                snapshot_event "persisted";
                 Ok (mk key (List.map assemble_stored stored)))
       in
       match
@@ -190,16 +193,13 @@ let build ?log ?(strict = false) specs =
       | Ok (Some stored) when stored_matches specs stored -> (
           try
             let t = mk key (List.map assemble_stored stored) in
-            logf (Printf.sprintf "snapshot %s: loaded" key);
+            snapshot_event "loaded";
             Ok t
           with Invalid_argument _ ->
-            logf
-              (Printf.sprintf "snapshot %s: stale stored entry; rebuilding" key);
+            snapshot_event "stale";
             rebuild ())
       | Ok (Some _) ->
-          logf
-            (Printf.sprintf "snapshot %s: stored entries mismatch; rebuilding"
-               key);
+          snapshot_event "mismatch";
           rebuild ()
       | Ok None -> rebuild ()
       | Error e when strict ->
@@ -207,8 +207,7 @@ let build ?log ?(strict = false) specs =
              surfaced as the typed error rather than silently rebuilt.
              The store has already quarantined the file, so a retry
              rebuilds cleanly. *)
-          logf
-            (Printf.sprintf "snapshot %s: %s" key (Diag.Error.to_string e));
+          snapshot_event "rejected";
           Error e
       | Error e ->
           (* Graceful degradation (default): the corrupt or unreadable
@@ -221,9 +220,6 @@ let build ?log ?(strict = false) specs =
                 ("key", Diag.String key);
                 ("error", Diag.String (Diag.Error.to_string e));
               ]);
-          logf
-            (Printf.sprintf "snapshot %s: %s; regenerating" key
-               (Diag.Error.to_string e));
           rebuild ())
 
 

@@ -65,9 +65,13 @@ val snapshot_key :
     With [strict:true] (the [--strict-snapshot] CLI flag) the typed
     error surfaces instead — for deployments that would rather go down
     than spend an unbounded regeneration at startup; the quarantine
-    makes an immediate retry rebuild cleanly. *)
+    makes an immediate retry rebuild cleanly.
+
+    Snapshot resolution emits an Info Diag event ["serve.snapshot"] with
+    [key] and [status]: [loaded], [persisted] (after a rebuild),
+    [stale] or [mismatch] (a stored snapshot was unusable and is being
+    rebuilt), or [rejected] (strict mode surfaced the store error). *)
 val build :
-  ?log:(string -> unit) ->
   ?strict:bool ->
   (Oracle.func * Polyeval.scheme * Rlibm.Config.t) list ->
   (t, Diag.Error.t) result

@@ -677,6 +677,112 @@ let test_lp_seed_corrupt () =
         true
         ((fp, rep) = fresh))
 
+(* The generation loop reports on the Diag stream only.  A cold
+   generate + verify of exp2 (then exp10, whose degree-4 round 1 misses
+   an input and sends the loop into tilted re-solves) under a Debug sink
+   shows the loop's typed events in pipeline order, every [gen.round]
+   carries its coordinates, and the sink changes no artifact bit: the
+   fingerprints and verdicts equal a sink-free run's at -j 1 and -j 4. *)
+let test_loop_events () =
+  let saved_jobs = Parallel.jobs () in
+  let cold_run () =
+    in_fresh_dir (fun _d ->
+        Rlibm.Constraints.clear_memory_cache ();
+        List.map
+          (fun func ->
+            match
+              Pipeline.verified ~cfg:tiny_cfg ~scheme:Polyeval.EstrinFma func
+            with
+            | Ok (g, rep) -> (fingerprint g, rep)
+            | Error err ->
+                Alcotest.failf "%s: %s" (Oracle.name func)
+                  (Diag.Error.to_string err))
+          [ Oracle.Exp2; Oracle.Exp10 ])
+  in
+  (* Each record's name, with the stage spelled out on both ends of a
+     stage span ([stage.end] names its stage only through the span id). *)
+  let labels evs =
+    let stage_of_span = Hashtbl.create 16 in
+    List.map
+      (fun (ev : Diag.ev) ->
+        match (ev.Diag.ev_name, ev.Diag.ev_span) with
+        | "stage.begin", Some id ->
+            let stage =
+              match List.assoc_opt "stage" ev.Diag.ev_fields with
+              | Some (Diag.String st) -> st
+              | _ -> "?"
+            in
+            Hashtbl.replace stage_of_span id stage;
+            "stage.begin " ^ stage
+        | "stage.end", Some id ->
+            "stage.end "
+            ^ Option.value ~default:"?" (Hashtbl.find_opt stage_of_span id)
+        | name, _ -> name)
+      evs
+  in
+  let rec subsequence want got =
+    match (want, got) with
+    | [], _ -> true
+    | _, [] -> false
+    | w :: ws, g :: gs -> subsequence (if w = g then ws else want) gs
+  in
+  Fun.protect
+    ~finally:(fun () -> Parallel.set_jobs saved_jobs)
+    (fun () ->
+      Parallel.set_jobs 1;
+      let reference = Diag.with_sinks [] cold_run in
+      List.iter
+        (fun jobs ->
+          Parallel.set_jobs jobs;
+          let sink, drain = Diag.memory_sink ~min_level:Diag.Debug () in
+          let traced = Diag.with_sinks [ sink ] cold_run in
+          let evs = drain () in
+          Alcotest.(check bool)
+            (Printf.sprintf
+               "-j %d: oracle .. gen.degree .. gen.round .. verdict" jobs)
+            true
+            (subsequence
+               [
+                 "stage.begin oracle"; "gen.degree"; "gen.round";
+                 "stage.end verdict";
+               ]
+               (labels evs));
+          let rounds =
+            List.filter (fun ev -> ev.Diag.ev_name = "gen.round") evs
+          in
+          List.iter
+            (fun (ev : Diag.ev) ->
+              List.iter
+                (fun field ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "gen.round carries %s" field)
+                    true
+                    (List.mem_assoc field ev.Diag.ev_fields))
+                [ "degree"; "round"; "outcome" ];
+              Alcotest.(check bool) "gen.round outcome" true
+                (List.mem
+                   (List.assoc "outcome" ev.Diag.ev_fields)
+                   [ Diag.String "infeasible"; Diag.String "violated" ]))
+            rounds;
+          Alcotest.(check (list string))
+            "both round outcomes seen" [ "infeasible"; "violated" ]
+            (List.sort_uniq compare
+               (List.filter_map
+                  (fun (ev : Diag.ev) ->
+                    match List.assoc_opt "outcome" ev.Diag.ev_fields with
+                    | Some (Diag.String o) -> Some o
+                    | _ -> None)
+                  rounds));
+          Alcotest.(check bool)
+            (Printf.sprintf "-j %d: traced run = untraced reference" jobs)
+            true (traced = reference);
+          if jobs > 1 then
+            Alcotest.(check bool)
+              (Printf.sprintf "-j %d: untraced run = untraced reference" jobs)
+              true
+              (Diag.with_sinks [] cold_run = reference))
+        [ 1; 4 ])
+
 let suite =
   [
     ("key invalidation graph", `Quick, test_keys);
@@ -696,4 +802,6 @@ let suite =
      test_lp_seed_shared);
     ("corrupt lp-seed quarantined and recomputed", `Slow,
      test_lp_seed_corrupt);
+    ("generation loop speaks typed events, artifacts unchanged", `Slow,
+     test_loop_events);
   ]

@@ -215,8 +215,9 @@ trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
        "$shardout"
      rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir" "$servedir" "$sharddir"' EXIT
 # Half-run: warm two of the four oracle shards, one invocation each (the
-# distributed / killed-warmer shape).  All warm narration lives on
-# stderr, so the shard-status greps below read the stderr capture.
+# distributed / killed-warmer shape).  Per-shard status is the typed
+# shard.done event, rendered on stderr at --log-level info, so the
+# shard-status greps below read the stderr capture.
 RLIBM_CACHE_DIR="$sharddir" dune exec --no-build bin/rlibm_gen.exe -- warm \
   --func exp2 --through oracle --shard 0/4 --ebits 4 --prec 7 2> /dev/null
 RLIBM_CACHE_DIR="$sharddir" dune exec --no-build bin/rlibm_gen.exe -- warm \
@@ -225,9 +226,11 @@ RLIBM_CACHE_DIR="$sharddir" dune exec --no-build bin/rlibm_gen.exe -- warm \
 # compute only shards 2-3.
 RLIBM_CACHE_DIR="$sharddir" dune exec --no-build bin/rlibm_gen.exe -- warm \
   --func exp2 --through oracle --shards 4 --ebits 4 --prec 7 \
-  --cache-stats 2> "$shardout"
-for want in 'oracle shard 0/4 hit' 'oracle shard 1/4 hit' \
-            'oracle shard 2/4 rebuilt' 'oracle shard 3/4 rebuilt'; do
+  --cache-stats --log-level info 2> "$shardout"
+for want in 'shard.done index=0 count=4 status=hit' \
+            'shard.done index=1 count=4 status=hit' \
+            'shard.done index=2 count=4 status=rebuilt' \
+            'shard.done index=3 count=4 status=rebuilt'; do
   grep -q "$want" "$shardout" \
     || { echo "resume expected '$want':"; cat "$shardout"; exit 1; }
 done
@@ -235,8 +238,9 @@ grep -Eq '^ *oracle-shard +2 hits, 2 misses' "$shardout" \
   || { echo "expected 2 shard loads + 2 computes:"; cat "$shardout"; exit 1; }
 # Fully warm re-run: the republished whole table covers every shard.
 RLIBM_CACHE_DIR="$sharddir" dune exec --no-build bin/rlibm_gen.exe -- warm \
-  --func exp2 --through oracle --shards 4 --ebits 4 --prec 7 2> "$shardout"
-[ "$(grep -c 'oracle shard [0-3]/4 hit' "$shardout")" -eq 4 ] \
+  --func exp2 --through oracle --shards 4 --ebits 4 --prec 7 \
+  --log-level info 2> "$shardout"
+[ "$(grep -c 'shard.done index=[0-3] count=4 status=hit' "$shardout")" -eq 4 ] \
   || { echo "warm re-run expected 4 shard hits:"; cat "$shardout"; exit 1; }
 if grep -q 'rebuilt' "$shardout"; then
   echo "warm re-run recomputed a shard:"; cat "$shardout"; exit 1
@@ -321,9 +325,17 @@ def load(path):
 def stage_ends(events):
     return [e for e in events if e["ev"] == "stage.end"]
 
+def count(events, name):
+    return sum(1 for e in events if e["ev"] == name)
+
 cold_h, cold = load(sys.argv[1])
 warm_h, warm = load(sys.argv[2])
 assert cold_h["jobs"] == 1, cold_h["jobs"]
+# The generation loop speaks typed events: a cold run tries at least one
+# degree and reports its rounds; a warm run solves no LP, so it has none.
+for name in ("gen.degree", "gen.round"):
+    assert count(cold, name) >= 1, f"cold trace has no {name}"
+    assert count(warm, name) == 0, f"warm trace has {count(warm, name)} {name}"
 assert any(e["fields"].get("status") == "rebuilt" for e in stage_ends(cold)), \
     "cold run rebuilt no stage"
 warm_ends = stage_ends(warm)
@@ -346,7 +358,7 @@ for events in (cold, warm):
     wall = max(e["ts"] for e in events) - min(e["ts"] for e in events)
     assert sum(top) <= wall + 0.25, (sum(top), wall)
 EOF
-echo "trace: schema OK, warm run all-hit, output bit-identical with tracing on"
+echo "trace: schema OK, cold run has loop events, warm run all-hit with none, output bit-identical with tracing on"
 
 echo "== fault smoke (injected ENOSPC, kill-point resume, fsck) =="
 # Fault artifacts live at a stable path (like the trace smoke) so CI can
