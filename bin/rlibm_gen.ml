@@ -522,32 +522,42 @@ let oracle_cmd =
       Printf.eprintf "%s is outside the domain of %s\n" x (Oracle.name func);
       exit 1
     end;
+    let print_enclosure label (lo, hi) =
+      Printf.printf "%s(%s) in [%s,\n            %s] (%s, width <= 2^%d)\n"
+        (Oracle.name func) x
+        (Rat.to_decimal_string ~digits:30 lo)
+        (Rat.to_decimal_string ~digits:30 hi)
+        label
+        (try
+           let w = Rat.sub hi lo in
+           if Rat.is_zero w then min_int
+           else
+             let _, e, _ = Rat.approx w ~bits:1 in
+             e + 1
+         with _ -> 0)
+    in
     (match Oracle.exact_value func q with
     | Some y ->
         Printf.printf "%s(%s) = %s exactly\n" (Oracle.name func) x
           (Rat.to_string y)
     | None ->
-        let iv = Oracle.enclosure func q ~prec in
-        let lo, hi = Ival.to_rats iv in
-        Printf.printf "%s(%s) in [%s,\n            %s] (width <= 2^%d)\n"
-          (Oracle.name func) x
-          (Rat.to_decimal_string ~digits:30 lo)
-          (Rat.to_decimal_string ~digits:30 hi)
-          (try
-             let w = Rat.sub hi lo in
-             if Rat.is_zero w then min_int
-             else
-               let _, e, _ = Rat.approx w ~bits:1 in
-               e + 1
-           with _ -> 0));
+        print_enclosure (Printf.sprintf "dyadic, prec %d" prec)
+          (Ival.to_rats (Oracle.enclosure func q ~prec));
+        (match Oracle.fast_enclosure func q with
+        | Some iv -> print_enclosure "fast tier" iv
+        | None -> Printf.printf "fast tier: not applicable to this input\n"));
+    (* Each result with the tier that decided it: range (overflow /
+       underflow shortcut), exact, fast (native first tier) or zivP (the
+       dyadic Ziv loop at precision P, a fallback). *)
+    let r = Oracle.make_rounder func q in
     List.iter
       (fun (name, fmt) ->
         Printf.printf "  %-10s" name;
         List.iter
           (fun mode ->
-            let b = Oracle.correctly_round func q ~fmt ~mode in
-            Printf.printf " %s=%h" (Softfp.mode_to_string mode)
-              (Softfp.to_float fmt b))
+            let b, tier = Oracle.decide r ~fmt ~mode in
+            Printf.printf " %s=%h[%s]" (Softfp.mode_to_string mode)
+              (Softfp.to_float fmt b) (Oracle.tier_name tier))
           (Softfp.RTO :: Softfp.all_standard_modes);
         print_newline ())
       [

@@ -19,8 +19,10 @@
     own — ["gen.degree"] (Info: func, scheme, piece, degree,
     constraints), ["gen.round"] (Debug: degree, round, outcome
     [infeasible|violated], violated), ["lp.round"] (Debug: round,
-    outcome, violations, working) — and snapshot resolution speaks
-    ["serve.snapshot"] (Info: key, status
+    outcome, violations, working) — the oracle speaks ["oracle.ziv"]
+    (Info: func, inputs, fast, analytic, fallbacks, [ziv<prec>] per
+    fallback level) once per evaluated range, and snapshot resolution
+    speaks ["serve.snapshot"] (Info: key, status
     [loaded|persisted|stale|mismatch|rejected]).  What the old
     [--verbose] flags printed is [--log-level info] (or [debug] for
     the per-round lines).

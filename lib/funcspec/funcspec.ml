@@ -1,11 +1,12 @@
 (* The function-spec registry.  See funcspec.mli for the contract.
 
-   The enclosure kernels (series with explicit remainder bounds) live
-   here because they are per-function knowledge: all enclosures are
-   computed with outward-rounded dyadic interval arithmetic at a working
-   precision a few dozen bits above the requested one; truncation errors
-   of the series are added explicitly from conservative closed-form
-   remainder bounds. *)
+   The enclosure kernels (series with explicit remainder bounds) and the
+   native first-tier kernels that evaluate the same series in fixed
+   point live here because they are per-function knowledge: all dyadic
+   enclosures are computed with outward-rounded dyadic interval
+   arithmetic at a working precision a few dozen bits above the
+   requested one; truncation errors of the series are added explicitly
+   from conservative closed-form remainder bounds. *)
 
 module B = Bigint
 module D = Dyadic
@@ -26,6 +27,7 @@ type spec = {
   domain_ok : Rat.t -> bool;
   exact_value : Rat.t -> Rat.t option;
   enclosure : Rat.t -> prec:int -> Ival.t;
+  fast : int -> int -> (Fixed.t * int) option;
   mini : preset;
   float32 : preset;
 }
@@ -150,6 +152,86 @@ let ln10 ~prec =
       let b = Ival.mul_2exp (atanh_enclosure (Rat.of_ints 1 9) ~prec:wp) 1 in
       Ival.add ~prec:wp a b)
 
+(* ---------- native first-tier kernels ----------
+
+   The oracle's first tier evaluates the same series as the enclosures
+   above, in Fixed's native fixed point (2^-54, "ulp" below).  Rounding
+   error needs no bookkeeping: every Fixed operation rounds outward, so
+   it lands in the interval's width.  The one error a kernel adds by
+   hand is the truncated series tail, bounded next to each kernel; a
+   kernel returns None outside the input range its bounds and the
+   Fixed magnitude rules are proven for, and the dyadic Ziv loop takes
+   over.  Measured widths (every mini and binary16 input, 200k random
+   binary32 patterns): at most 2^-46 for the exponentials before the 2^n
+   scale (the |n| ulps of n ln2 dominate; exp2, reduced exactly, stays
+   at 2^-51) and 2^-46.6 for the logarithms (2^-48.1 on the mini
+   universe) — far inside the 15-bit mini and 26-bit binary32
+   targets. *)
+
+(* Literal [floor, ceiling] of each constant at the binary point (a
+   one-ulp interval, not a memo). *)
+let fixed_ln2 = Fixed.make 0x2c5c85fdf473de 0x2c5c85fdf473df
+let fixed_ln10 = Fixed.make 0x935d8dddaaa8ac 0x935d8dddaaa8ad
+let fixed_log2e = Fixed.make 0x5c551d94ae0bf8 0x5c551d94ae0bf9
+let fixed_log10e = Fixed.make 0x1bcb7b1526e50e 0x1bcb7b1526e50f
+
+(* atanh t = sum_i t^(2i+1)/(2i+1) for t in [0, 1/3 + 1 ulp], terms
+   i = 0 .. 15.  Tail: sum_{i>=16} t^(2i+1)/(2i+1) <= t^33 / (33 (1 - t^2))
+   <= 3^-33 * 9/264 < 2^-57, under one ulp and positive: [~above:1]. *)
+let fast_atanh_terms = 16
+
+let fast_atanh t =
+  let t2 = Fixed.mul t t in
+  let sum = ref t and power = ref t in
+  for i = 1 to fast_atanh_terms - 1 do
+    power := Fixed.mul !power t2;
+    sum := Fixed.add !sum (Fixed.div_int !power ((2 * i) + 1))
+  done;
+  Fixed.widen !sum ~below:0 ~above:1
+
+(* e^r = sum_j r^j/j! for |r| <= 1/2, terms j = 0 .. 15 by Horner
+   (acc = 1 + r acc / j).  Tail: sum_{j>=16} |r|^j/j! <= 2 |r|^16/16!
+   < 2^-59, under one ulp on either side: [~below:1 ~above:1]. *)
+let fast_exp_terms = 16
+
+let fast_exp_reduced r =
+  let one = Fixed.of_int 1 in
+  let acc = ref one in
+  for j = fast_exp_terms - 1 downto 1 do
+    acc := Fixed.add one (Fixed.div_int (Fixed.mul r !acc) j)
+  done;
+  Fixed.widen !acc ~below:1 ~above:1
+
+(* e^t = 2^n e^r with r = t - n ln2 and n = round(t log2 e) taken from
+   the double [guess]: only a guess, since |r| <= 1/2 is checked, not
+   assumed.  Proven for |t| < 128 (Fixed.of_dyadic / Fixed.mul refuse
+   more), so |n| <= 185 and n ln2 stays below 2^61. *)
+let fast_exp_scaled t ~guess =
+  let n = Float.to_int (Float.round guess) in
+  let r = Fixed.sub t (Fixed.mul_int fixed_ln2 n) in
+  if Fixed.mag r > 1 lsl (Fixed.frac_bits - 1) then None
+  else Some (fast_exp_reduced r, n)
+
+(* ln x for x = m 2^e = 2^k (1 + f), f in [0, 1), as (k, 2 atanh t) with
+   t = f / (2 + f) = (m - 2^p) / (m + 2^p) in [0, 1/3).  Proven for
+   0 < m < 2^53 (Fixed.of_ratio's range) and |k| <= 160 (binary32's
+   subnormals reach k = -149): the largest sum, log2's k + s log2 e, then
+   stays below 161 * 2^54 < 2^62. *)
+let fast_log_parts m e =
+  if m <= 0 || m >= 1 lsl 53 then None
+  else
+    let p = B.int_numbits m - 1 in
+    let k = e + p in
+    if abs k > 160 then None
+    else
+      let s = fast_atanh (Fixed.of_ratio (m - (1 lsl p)) (m + (1 lsl p))) in
+      Some (k, Fixed.add s s)
+
+let fast_ln m e =
+  Option.map
+    (fun (k, s) -> Fixed.add (Fixed.mul_int fixed_ln2 k) s)
+    (fast_log_parts m e)
+
 (* ---------- shared enclosure bodies ---------- *)
 
 (* exp of an arbitrary (narrow) interval: reduce by n*ln2. *)
@@ -227,6 +309,12 @@ let spec_exp =
       (fun x ~prec ->
         let wp = prec + 24 in
         exp_ival (Ival.of_rat ~prec:wp x) ~prec);
+    fast =
+      (fun m e ->
+        match Fixed.of_dyadic m e with
+        | None -> None
+        | Some x ->
+            fast_exp_scaled x ~guess:(Float.ldexp (float_of_int m) e *. log2e));
     mini = { pieces = 2; min_degree = 3 };
     float32 = { pieces = 16; min_degree = 3 };
   }
@@ -252,6 +340,22 @@ let spec_exp2 =
         let frac = Rat.sub x (Rat.of_int n) in
         let r = Ival.mul ~prec:wp (Ival.of_rat ~prec:wp frac) (ln2 ~prec:wp) in
         Ival.mul_2exp (exp_reduced r ~prec) n);
+    fast =
+      (fun m e ->
+        (* 2^x = 2^n e^(f ln2) with n = round x and f = x - n in
+           [-1/2, 1/2], split exactly in integers; integer x is exact
+           and never reaches the kernel. *)
+        if e >= 0 || abs m >= 1 lsl 53 then None
+        else
+          let n, f =
+            if e < -53 then (0, m) (* |x| < 2^53 2^-54 = 1/2 *)
+            else
+              let n = ((m asr (-e - 1)) + 1) asr 1 in
+              (n, m - (n lsl -e))
+          in
+          Option.map
+            (fun f -> (fast_exp_reduced (Fixed.mul f fixed_ln2), n))
+            (Fixed.of_dyadic f e));
     mini = { pieces = 1; min_degree = 3 };
     float32 = { pieces = 16; min_degree = 3 };
   }
@@ -273,6 +377,14 @@ let spec_exp10 =
         let wp = prec + 24 in
         let t = Ival.mul ~prec:wp (Ival.of_rat ~prec:wp x) (ln10 ~prec:wp) in
         exp_ival t ~prec);
+    fast =
+      (fun m e ->
+        (* |x| < 55 keeps x ln10 below Fixed.mul's 128. *)
+        match Fixed.of_dyadic m e with
+        | Some x when Fixed.mag x < 55 lsl Fixed.frac_bits ->
+            fast_exp_scaled (Fixed.mul x fixed_ln10)
+              ~guess:(Float.ldexp (float_of_int m) e *. log2_10)
+        | _ -> None);
     mini = { pieces = 2; min_degree = 3 };
     float32 = { pieces = 16; min_degree = 3 };
   }
@@ -287,6 +399,7 @@ let spec_log =
     (* ln x is rational only at x = 1. *)
     exact_value = (fun x -> if Rat.equal x Rat.one then Some Rat.zero else None);
     enclosure = (fun x ~prec -> log_enclosure x ~prec);
+    fast = (fun m e -> Option.map (fun v -> (v, 0)) (fast_ln m e));
     mini = { pieces = 2; min_degree = 2 };
     float32 = { pieces = 1; min_degree = 4 };
   }
@@ -303,6 +416,12 @@ let spec_log2 =
       (fun x ~prec ->
         let wp = prec + 24 in
         Ival.div ~prec:wp (log_enclosure x ~prec:wp) (ln2 ~prec:wp));
+    fast =
+      (fun m e ->
+        Option.map
+          (fun (k, s) ->
+            (Fixed.add (Fixed.of_int k) (Fixed.mul s fixed_log2e), 0))
+          (fast_log_parts m e));
     mini = { pieces = 1; min_degree = 2 };
     float32 = { pieces = 1; min_degree = 4 };
   }
@@ -319,6 +438,9 @@ let spec_log10 =
       (fun x ~prec ->
         let wp = prec + 24 in
         Ival.div ~prec:wp (log_enclosure x ~prec:wp) (ln10 ~prec:wp));
+    fast =
+      (fun m e ->
+        Option.map (fun v -> (Fixed.mul v fixed_log10e, 0)) (fast_ln m e));
     mini = { pieces = 2; min_degree = 2 };
     float32 = { pieces = 1; min_degree = 4 };
   }

@@ -8,8 +8,8 @@
     [Reduction], [Genlibm], the executables and the bench harness).
     This module collapses all of it into one registry: a {!spec} record
     per function carrying the name and aliases, the domain predicate,
-    the exact-value rule, the rigorous enclosure builder, the
-    range-reduction family (with its overflow/underflow threshold
+    the exact-value rule, the rigorous enclosure builder, the oracle's
+    native first-tier kernel, the range-reduction family (with its overflow/underflow threshold
     scale), and the generation-config presets.  Everybody else asks
     {!get}; adding a function family is a change to this file alone
     (new constructor, new registry entry) instead of a seven-file hunt.
@@ -52,6 +52,11 @@ type spec = {
   enclosure : Rat.t -> prec:int -> Ival.t;
       (** rigorous interval around [f x], width ~[2^-prec]; only called
           on in-domain inputs *)
+  fast : int -> int -> (Fixed.t * int) option;
+      (** the oracle's native first tier: [fast m e = Some (iv, n)]
+          encloses [f (m·2^e)] in [iv·2^n], for an in-domain input whose
+          value is not exact; [None] outside the kernel's proven input
+          range *)
   mini : preset;  (** reduced-width exhaustive-universe preset *)
   float32 : preset;  (** binary32 sampled-generation preset *)
 }
@@ -88,3 +93,11 @@ val log2_scale : func -> float option
 
 val ln2 : prec:int -> Ival.t
 val ln10 : prec:int -> Ival.t
+
+(** The first-tier kernels' constants: literal one-ulp [\[floor, ceiling\]]
+    pairs at {!Fixed.frac_bits}, exposed for the tests that check them. *)
+
+val fixed_ln2 : Fixed.t
+val fixed_ln10 : Fixed.t
+val fixed_log2e : Fixed.t
+val fixed_log10e : Fixed.t

@@ -2,10 +2,13 @@
 
    Per-function knowledge — domain predicates, exact-value rules, the
    rigorous enclosure kernels — lives in the Funcspec registry; this
-   module owns only the function-agnostic machinery: the Ziv loop that
-   raises the working precision until the enclosure rounds unambiguously,
-   the overflow/underflow range shortcuts, and the rounder memo used by
-   the multi-representation verification harness. *)
+   module owns only the function-agnostic machinery: the native
+   fixed-point first tier, the dyadic Ziv loop behind it that raises the
+   working precision until the enclosure rounds unambiguously, the
+   overflow/underflow range shortcuts, and the rounder memo used by the
+   multi-representation verification harness. *)
+
+module B = Bigint
 
 type func = Funcspec.func = Exp | Exp2 | Exp10 | Log | Log2 | Log10
 
@@ -38,20 +41,55 @@ let huge_positive fmt (mode : Softfp.mode) =
 
 let ziv_precisions = [ 80; 128; 192; 288; 432; 648; 1000; 1600; 2600; 4096 ]
 
-(* A rounder memoizes the (precision-indexed) enclosures of f(x), so the
-   same input can be rounded into many formats and modes — the verification
-   harness's access pattern — while paying for the series evaluation only
-   once per precision level. *)
+type tier = Range_shortcut | Exact | Fast | Ziv of int
+
+let tier_name = function
+  | Range_shortcut -> "range"
+  | Exact -> "exact"
+  | Fast -> "fast"
+  | Ziv p -> Printf.sprintf "ziv%d" p
+
+(* The input as m·2^e with |m| < 2^53, when it is that small a dyadic —
+   every binary16/binary32 pattern is — the first tier's input form. *)
+let small_dyadic q =
+  let n = B.abs (Rat.num q) and d = Rat.den q in
+  let signed m = if Rat.sign q < 0 then -m else m in
+  if B.is_zero n then Some (0, 0)
+  else if B.is_one d then
+    let tz = B.trailing_zeros n in
+    if B.numbits n - tz > 53 then None
+    else Some (signed (B.to_int_exn (B.shift_right n tz)), tz)
+  else if B.numbits d - 1 = B.trailing_zeros d && B.numbits n <= 53 then
+    Some (signed (B.to_int_exn n), -(B.numbits d - 1))
+  else None
+
+(* The first tier: the registry's native fixed-point kernel. *)
+let fast_kernel f x =
+  match small_dyadic x with
+  | None -> None
+  | Some (m, e) -> (Funcspec.get f).Funcspec.fast m e
+
+let fast_enclosure f x =
+  if not (domain_ok f x) then invalid_arg "Oracle.fast_enclosure: domain";
+  Option.map (fun (iv, scale) -> Fixed.to_rats iv ~scale) (fast_kernel f x)
+
+(* A rounder memoizes the enclosures of f(x) — the fast one, computed
+   up front, then the precision-indexed dyadic ones — so the same input
+   can be rounded into many formats and modes (the verification
+   harness's access pattern) while paying for each series evaluation
+   only once. *)
 type rounder = {
   r_func : func;
   r_x : Rat.t;
   r_exact : Rat.t option;
+  r_fast : (Fixed.t * int) option;
   mutable r_enclosures : (int * Ival.t) list; (* most precise first *)
 }
 
 let make_rounder f x =
   if not (domain_ok f x) then invalid_arg "Oracle.make_rounder: domain";
-  { r_func = f; r_x = x; r_exact = exact_value f x; r_enclosures = [] }
+  { r_func = f; r_x = x; r_exact = exact_value f x; r_fast = fast_kernel f x;
+    r_enclosures = [] }
 
 let rounder_enclosure r prec =
   match List.find_opt (fun (p, _) -> p >= prec) (List.rev r.r_enclosures) with
@@ -74,24 +112,40 @@ let range_shortcut f x ~fmt ~mode =
         Some (tiny_positive fmt mode)
       else None
 
-let round_with r ~fmt ~mode =
+(* A fixed-point endpoint v·2^(scale - frac_bits), rounded in native
+   integers. *)
+let round_fixed fmt mode v scale =
+  Softfp.of_dyadic fmt mode ~neg:(v < 0) (abs v) (scale - Fixed.frac_bits)
+
+(* The first tier decides when both endpoints round to the same bits. *)
+let fast_bits r ~fmt ~mode =
+  match r.r_fast with
+  | None -> None
+  | Some (iv, scale) ->
+      let bl = round_fixed fmt mode iv.Fixed.lo scale in
+      if Int64.equal bl (round_fixed fmt mode iv.Fixed.hi scale) then Some bl
+      else None
+
+let rec ziv r ~fmt ~mode = function
+  | [] -> failwith "Oracle: Ziv loop exhausted"
+  | prec :: rest ->
+      let lo, hi = Ival.to_rats (rounder_enclosure r prec) in
+      let bl = Softfp.of_rat fmt mode lo in
+      if Int64.equal bl (Softfp.of_rat fmt mode hi) then (bl, Ziv prec)
+      else ziv r ~fmt ~mode rest
+
+let decide r ~fmt ~mode =
   match range_shortcut r.r_func r.r_x ~fmt ~mode with
-  | Some b -> b
+  | Some b -> (b, Range_shortcut)
   | None -> (
       match r.r_exact with
-      | Some y -> Softfp.of_rat fmt mode y
-      | None ->
-          let rec ziv = function
-            | [] -> failwith "Oracle: Ziv loop exhausted"
-            | prec :: rest ->
-                let iv = rounder_enclosure r prec in
-                let lo, hi = Ival.to_rats iv in
-                let bl = Softfp.of_rat fmt mode lo in
-                let bh = Softfp.of_rat fmt mode hi in
-                if Int64.equal bl bh then bl else ziv rest
-          in
-          ziv ziv_precisions)
+      | Some y -> (Softfp.of_rat fmt mode y, Exact)
+      | None -> (
+          match fast_bits r ~fmt ~mode with
+          | Some b -> (b, Fast)
+          | None -> ziv r ~fmt ~mode ziv_precisions))
 
+let round_with r ~fmt ~mode = fst (decide r ~fmt ~mode)
 let correctly_round f x ~fmt ~mode = round_with (make_rounder f x) ~fmt ~mode
 
 let float64 f x =

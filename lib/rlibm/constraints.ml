@@ -117,6 +117,37 @@ let persist_oracle_table ~func ~(tin : Softfp.fmt) ~(tout : Softfp.fmt) =
    so the staged artifact pipeline (lib/pipeline) can persist and resume
    each one independently; [build] composes them unchanged. *)
 
+(* The fields of one [oracle.ziv] event: how many of a range's oracle
+   evaluations each tier decided — the fast first tier, the analytic
+   cases, and the dyadic Ziv loop per working precision (the
+   fallbacks). *)
+let tier_fields func fresh =
+  let fast = ref 0 and analytic = ref 0 and inputs = ref 0 in
+  let ziv = Hashtbl.create 4 in
+  Array.iter
+    (function
+      | None -> ()
+      | Some (_, _, tier) -> (
+          incr inputs;
+          match (tier : Oracle.tier) with
+          | Fast -> incr fast
+          | Exact | Range_shortcut -> incr analytic
+          | Ziv _ ->
+              Hashtbl.replace ziv tier
+                (1 + Option.value ~default:0 (Hashtbl.find_opt ziv tier))))
+    fresh;
+  let levels =
+    List.sort compare (Hashtbl.fold (fun t n l -> (t, n) :: l) ziv [])
+  in
+  [
+    ("func", Diag.String (Oracle.name func));
+    ("inputs", Diag.Int !inputs);
+    ("fast", Diag.Int !fast);
+    ("analytic", Diag.Int !analytic);
+    ("fallbacks", Diag.Int (List.fold_left (fun n (_, k) -> n + k) 0 levels));
+  ]
+  @ List.map (fun (t, n) -> (Oracle.tier_name t, Diag.Int n)) levels
+
 (* Stage body 1, per-range form: the round-to-odd result of every
    finite, non-shortcut input of [inputs.(lo .. hi-1)] not claimed by
    [known], as (input, result) pairs in input order.  The Ziv loops fan
@@ -124,7 +155,9 @@ let persist_oracle_table ~func ~(tin : Softfp.fmt) ~(tout : Softfp.fmt) =
    so the result is bit-identical at every job count.  With
    [known = fun _ -> false] the output is a pure function of
    (func, tin, tout, range) — which is what makes a range a
-   content-keyable shard artifact (lib/pipeline's oracle shards). *)
+   content-keyable shard artifact (lib/pipeline's oracle shards).  The
+   tier that decided each result is counted into one oracle.ziv event;
+   it never reaches the artifact. *)
 let oracle_range ~(cfg : Config.t) ~(family : Reduction.t)
     ~(inputs : int64 array) ~lo ~hi ~(known : int64 -> bool) =
   let tin = cfg.tin and tout = Config.tout cfg in
@@ -140,17 +173,21 @@ let oracle_range ~(cfg : Config.t) ~(family : Reduction.t)
           | None ->
               if known x then None
               else
-                Some
-                  ( x,
-                    Oracle.correctly_round family.func (Softfp.to_rat tin x)
-                      ~fmt:tout ~mode:Softfp.RTO ))
+                let r = Oracle.make_rounder family.func (Softfp.to_rat tin x) in
+                let y, tier = Oracle.decide r ~fmt:tout ~mode:Softfp.RTO in
+                Some (x, y, tier))
       slice
   in
   let pairs = ref [] in
   for i = Array.length fresh - 1 downto 0 do
-    match fresh.(i) with None -> () | Some p -> pairs := p :: !pairs
+    match fresh.(i) with
+    | None -> ()
+    | Some (x, y, _) -> pairs := (x, y) :: !pairs
   done;
-  Array.of_list !pairs
+  let pairs = Array.of_list !pairs in
+  if Array.length pairs > 0 then
+    Diag.event "oracle.ziv" (fun () -> tier_fields family.func fresh);
+  pairs
 
 (* Stage body 1: ensure [oracle] holds the round-to-odd result of every
    finite, non-shortcut input.  Missing entries are computed by the pure

@@ -74,7 +74,14 @@ val build :
     [Hashtbl.mem table] to skip entries a shared table already holds, or
     [fun _ -> false] for the pure form whose output depends only on
     [(func, tin, tout, lo, hi)]; the latter is what the staged
-    pipeline's content-keyed oracle {e shards} persist. *)
+    pipeline's content-keyed oracle {e shards} persist.
+
+    A call that evaluates at least one input emits one Info event
+    ["oracle.ziv"] with fields [func], [inputs], [fast] (decided by the
+    native first tier), [analytic] (exact values and range shortcuts),
+    [fallbacks] (decided by the dyadic Ziv loop) and, per Ziv level that
+    decided any, [ziv<prec>] counts.  A call with nothing to evaluate
+    emits none. *)
 val oracle_range :
   cfg:Config.t ->
   family:Reduction.t ->

@@ -146,6 +146,73 @@ let prop_round_enclosure =
          && D.numbits lo <= prec
          && D.numbits hi <= prec))
 
+(* ---------- native fixed point (the oracle's first tier) ---------- *)
+
+let fixed_rats iv = Fixed.to_rats iv ~scale:0
+let one_ulp = Rat.mul_pow2 Rat.one (-Fixed.frac_bits)
+
+(* [iv] contains the exact value [q] and is at most [ulps] wide. *)
+let encloses ?(ulps = 1) iv q =
+  let lo, hi = fixed_rats iv in
+  Rat.compare lo q <= 0
+  && Rat.compare q hi <= 0
+  && Rat.compare (Rat.sub hi lo) (Rat.mul (Rat.of_int ulps) one_ulp) <= 0
+
+(* A raw endpoint with [bits] random magnitude bits and a random sign. *)
+let gen_raw bits =
+  QCheck2.Gen.(
+    let* v = int_bound ((1 lsl bits) - 1) in
+    let* neg = bool in
+    return (if neg then -v else v))
+
+let prop_fixed_ops =
+  let gen =
+    QCheck2.Gen.(
+      let* bx = int_range 0 60 in
+      let* by = int_range 0 (min 60 (113 - bx)) in
+      let* x = gen_raw bx and* y = gen_raw by in
+      let* d = int_range 1 1_000_000 and* k = int_range (-200) 200 in
+      let* sh = int_range (-70) 5 in
+      return (x, y, d, k, sh))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"fixed-point ops enclose exact values"
+       gen (fun (x, y, d, k, sh) ->
+         let q v = Rat.mul_pow2 (Rat.of_int v) (-Fixed.frac_bits) in
+         let px = Fixed.make x x and py = Fixed.make y y in
+         let prod = Fixed.mul px py in
+         let quot = Fixed.div_int px d in
+         let scaled = Fixed.mul_int (Fixed.make (x asr 9) (x asr 9)) k in
+         let ratio = Fixed.of_ratio (abs y mod d) d in
+         encloses prod (Rat.mul (q x) (q y))
+         && encloses quot (Rat.div (q x) (Rat.of_int d))
+         && encloses ~ulps:0 scaled (Rat.mul (q (x asr 9)) (Rat.of_int k))
+         && encloses ratio (Rat.of_ints (abs y mod d) d)
+         && (match Fixed.of_dyadic x sh with
+            | Some iv -> encloses iv (Rat.mul_pow2 (Rat.of_int x) sh)
+            | None -> Rat.compare (Rat.abs (Rat.mul_pow2 (Rat.of_int x) sh))
+                        (Rat.of_int 128) >= 0)))
+
+let test_fixed_interval_mul () =
+  (* Sign cases of the interval product, against the exact corner
+     products. *)
+  let u = 1 lsl Fixed.frac_bits in
+  let mk a b = Fixed.make (a * u / 4) (b * u / 4) in
+  let check name a b lo hi =
+    let plo, phi = fixed_rats (Fixed.mul a b) in
+    Alcotest.(check string) (name ^ " lo") (Rat.to_string (Rat.of_ints lo 16))
+      (Rat.to_string plo);
+    Alcotest.(check string) (name ^ " hi") (Rat.to_string (Rat.of_ints hi 16))
+      (Rat.to_string phi)
+  in
+  check "pos*pos" (mk 2 3) (mk 5 7) 10 21;
+  check "neg*pos" (mk (-3) (-2)) (mk 5 7) (-21) (-10);
+  check "spanning" (mk (-2) 3) (mk (-5) 7) (-15) 21;
+  Alcotest.check_raises "operand range" (Invalid_argument "Fixed.mul: operand range")
+    (fun () -> ignore (Fixed.mul (Fixed.make 0 (1 lsl 61)) (mk 1 1)));
+  Alcotest.check_raises "result range" (Invalid_argument "Fixed.mul: overflow")
+    (fun () -> ignore (Fixed.mul (Fixed.of_int 100) (Fixed.of_int 100)))
+
 let suite =
   [
     ("normalization", `Quick, test_normalization);
@@ -159,4 +226,6 @@ let suite =
     ("interval widen", `Quick, test_widen);
     prop_round_enclosure;
     test_ival_enclosure_property ();
+    ("fixed-point interval mul", `Quick, test_fixed_interval_mul);
+    prop_fixed_ops;
   ]

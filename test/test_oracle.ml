@@ -225,6 +225,121 @@ let prop_correctly_round_brackets =
            end
          end))
 
+(* ---------- the native first tier ---------- *)
+
+(* Outcome of one input for the containment sweep. *)
+type containment = Skipped | Contained | No_fast | Escapes
+
+(* Does the first tier's enclosure of [f x] contain the dyadic Ziv
+   loop's first-level enclosure (prec 80)?  Containment also implies
+   that a fast-decided result equals the dyadic one.  Exact values and
+   range-shortcut inputs never reach either enclosure and are skipped. *)
+let containment f fmt x =
+  let q = Softfp.to_rat fmt x in
+  if (not (Oracle.domain_ok f q)) || Oracle.exact_value f q <> None then Skipped
+  else
+    let tout = Softfp.with_extra_prec fmt 2 in
+    match Oracle.decide (Oracle.make_rounder f q) ~fmt:tout ~mode:Softfp.RTO with
+    | _, (Oracle.Range_shortcut | Oracle.Exact) -> Skipped
+    | _, (Oracle.Fast | Oracle.Ziv _) -> (
+        match Oracle.fast_enclosure f q with
+        | None -> No_fast
+        | Some (flo, fhi) ->
+            let dlo, dhi = Ival.to_rats (Oracle.enclosure f q ~prec:80) in
+            if Rat.compare flo dlo <= 0 && Rat.compare dhi fhi <= 0 then
+              Contained
+            else Escapes)
+
+let sweep f fmt xs =
+  let out = Parallel.map_array (containment f fmt) xs in
+  let count c = Array.fold_left (fun n o -> if o = c then n + 1 else n) 0 out in
+  (count Contained, count No_fast, count Escapes)
+
+let test_fast_contains_dyadic () =
+  (* Every non-exact, non-shortcut mini input of every function: the
+     first tier applies (none is left to the Ziv loop alone) and its
+     enclosure contains the dyadic one. *)
+  let mini = Softfp.make_fmt ~ebits:5 ~prec:8 in
+  let all_mini =
+    Array.init (1 lsl Softfp.width mini) Int64.of_int
+    |> Array.to_list
+    |> List.filter (Softfp.is_finite mini)
+    |> Array.of_list
+  in
+  let st = Random.State.make [| 18 |] in
+  let seeded fmt n =
+    Array.init n (fun _ ->
+        let rec draw () =
+          let b = Random.State.int64 st (Int64.shift_left 1L (Softfp.width fmt)) in
+          if Softfp.is_finite fmt b then b else draw ()
+        in
+        draw ())
+  in
+  let b16 = seeded Softfp.binary16 300 and b32 = seeded Softfp.binary32 300 in
+  List.iter
+    (fun f ->
+      let name = Oracle.name f in
+      let ok, no_fast, escapes = sweep f mini all_mini in
+      Alcotest.(check int) (name ^ " mini: escapes") 0 escapes;
+      Alcotest.(check int) (name ^ " mini: without a fast enclosure") 0 no_fast;
+      Alcotest.(check bool) (name ^ " mini: inputs checked") true (ok > 3000);
+      List.iter
+        (fun (fname, fmt, xs) ->
+          let ok, _, escapes = sweep f fmt xs in
+          Alcotest.(check int) (Printf.sprintf "%s %s: escapes" name fname) 0
+            escapes;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: inputs checked" name fname)
+            true (ok > 50))
+        [ ("binary16", Softfp.binary16, b16); ("binary32", Softfp.binary32, b32) ])
+    Oracle.all
+
+let test_fast_constants () =
+  (* Each literal [floor, ceiling] pair contains the constant's dyadic
+     enclosure at prec 200 and is one ulp wide. *)
+  let prec = 200 in
+  let one = Ival.of_int 1 in
+  let ulp = Rat.mul_pow2 Rat.one (-Fixed.frac_bits) in
+  List.iter
+    (fun (name, fx, iv) ->
+      let flo, fhi = Fixed.to_rats fx ~scale:0 in
+      let lo, hi = Ival.to_rats iv in
+      Alcotest.(check bool) (name ^ " contains") true
+        (Rat.compare flo lo <= 0 && Rat.compare hi fhi <= 0);
+      Alcotest.(check bool) (name ^ " one ulp") true
+        (Rat.equal (Rat.sub fhi flo) ulp))
+    [
+      ("ln2", Funcspec.fixed_ln2, Funcspec.ln2 ~prec);
+      ("ln10", Funcspec.fixed_ln10, Funcspec.ln10 ~prec);
+      ("log2e", Funcspec.fixed_log2e, Ival.div ~prec one (Funcspec.ln2 ~prec));
+      ("log10e", Funcspec.fixed_log10e, Ival.div ~prec one (Funcspec.ln10 ~prec));
+    ]
+
+let test_non_dyadic_falls_back () =
+  (* 1/3 is no dyadic: the first tier does not apply, the Ziv loop
+     decides, and the result is the one a prec-200 enclosure rounds
+     to. *)
+  let x = Rat.of_ints 1 3 in
+  List.iter
+    (fun f ->
+      let name = Oracle.name f in
+      Alcotest.(check bool) (name ^ " no fast enclosure") true
+        (Oracle.fast_enclosure f x = None);
+      let b, tier =
+        Oracle.decide (Oracle.make_rounder f x) ~fmt:fmt16 ~mode:Softfp.RNE
+      in
+      Alcotest.(check string) (name ^ " tier") "ziv80" (Oracle.tier_name tier);
+      let lo, hi = Ival.to_rats (Oracle.enclosure f x ~prec:200) in
+      Alcotest.(check int64) (name ^ " lo") (Softfp.of_rat fmt16 Softfp.RNE lo) b;
+      Alcotest.(check int64) (name ^ " hi") (Softfp.of_rat fmt16 Softfp.RNE hi) b)
+    Oracle.all;
+  (* A dyadic input goes through the first tier. *)
+  let _, tier =
+    Oracle.decide (Oracle.make_rounder Oracle.Log (Rat.of_ints 3 2)) ~fmt:fmt16
+      ~mode:Softfp.RNE
+  in
+  Alcotest.(check string) "log 3/2 tier" "fast" (Oracle.tier_name tier)
+
 let suite =
   [
     ("exact values", `Quick, test_exact_values);
@@ -238,5 +353,9 @@ let suite =
     ("float64 vs glibc", `Slow, test_float64_against_native);
     ("rounder consistency", `Quick, test_rounder_consistency);
     ("names", `Quick, test_name_round_trip);
+    ("fast tier contains dyadic (mini x 6, binary16/32)", `Quick,
+      test_fast_contains_dyadic);
+    ("fast tier constants vs prec 200", `Quick, test_fast_constants);
+    ("non-dyadic input falls back", `Quick, test_non_dyadic_falls_back);
     prop_correctly_round_brackets;
   ]

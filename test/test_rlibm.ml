@@ -360,6 +360,46 @@ let test_solve_pinned () =
             cases)
         pinned_solves)
 
+(* Every mini oracle table is decided by the native first tier: each
+   oracle_range call reports one oracle.ziv event, and across the six
+   functions no input falls back to the dyadic Ziv loop. *)
+let test_oracle_tier_events () =
+  Cache.with_persistence false (fun () ->
+      Rlibm.Constraints.clear_memory_cache ();
+      List.iter
+        (fun func ->
+          let cfg = Rlibm.Config.mini_for func in
+          let family =
+            Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout cfg)
+              ~pieces:cfg.Rlibm.Config.pieces
+              ~table_bits:cfg.Rlibm.Config.table_bits
+          in
+          let sink, drain = Diag.memory_sink ~min_level:Diag.Info () in
+          let computed =
+            Diag.with_sinks [ sink ] (fun () ->
+                Rlibm.Constraints.ensure_oracle ~cfg ~family
+                  ~inputs:(Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin)
+                  ~oracle:(Hashtbl.create 16))
+          in
+          let name = Oracle.name func in
+          match List.filter (fun e -> e.Diag.ev_name = "oracle.ziv") (drain ()) with
+          | [ ev ] ->
+              let int k =
+                match List.assoc_opt k ev.Diag.ev_fields with
+                | Some (Diag.Int n) -> n
+                | _ -> Alcotest.failf "%s: oracle.ziv lacks %s" name k
+              in
+              Alcotest.(check bool) (name ^ " func") true
+                (List.assoc_opt "func" ev.Diag.ev_fields = Some (Diag.String name));
+              Alcotest.(check int) (name ^ " inputs") computed (int "inputs");
+              Alcotest.(check int) (name ^ " fallbacks") 0 (int "fallbacks");
+              Alcotest.(check int) (name ^ " fast + analytic") computed
+                (int "fast" + int "analytic")
+          | evs ->
+              Alcotest.failf "%s: %d oracle.ziv events, expected 1" name
+                (List.length evs))
+        Oracle.all)
+
 let suite =
   [
     ("odd rounding interval", `Quick, test_interval_odd);
@@ -379,4 +419,5 @@ let suite =
     ("constraint building", `Quick, test_build_merges_and_covers);
     ("mini config", `Quick, test_mini_config_sanity);
     ("Generate.solve pinned (exp2, log)", `Quick, test_solve_pinned);
+    ("oracle.ziv: no fallback on any mini table", `Quick, test_oracle_tier_events);
   ]

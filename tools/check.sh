@@ -332,8 +332,10 @@ cold_h, cold = load(sys.argv[1])
 warm_h, warm = load(sys.argv[2])
 assert cold_h["jobs"] == 1, cold_h["jobs"]
 # The generation loop speaks typed events: a cold run tries at least one
-# degree and reports its rounds; a warm run solves no LP, so it has none.
-for name in ("gen.degree", "gen.round"):
+# degree and reports its rounds, and its oracle evaluations report which
+# tier decided them (oracle.ziv); a warm run solves no LP and evaluates
+# no oracle, so it has none of these.
+for name in ("gen.degree", "gen.round", "oracle.ziv"):
     assert count(cold, name) >= 1, f"cold trace has no {name}"
     assert count(warm, name) == 0, f"warm trace has {count(warm, name)} {name}"
 assert any(e["fields"].get("status") == "rebuilt" for e in stage_ends(cold)), \
@@ -358,7 +360,7 @@ for events in (cold, warm):
     wall = max(e["ts"] for e in events) - min(e["ts"] for e in events)
     assert sum(top) <= wall + 0.25, (sum(top), wall)
 EOF
-echo "trace: schema OK, cold run has loop events, warm run all-hit with none, output bit-identical with tracing on"
+echo "trace: schema OK, cold run has loop and oracle.ziv events, warm run all-hit with none, output bit-identical with tracing on"
 
 echo "== fault smoke (injected ENOSPC, kill-point resume, fsck) =="
 # Fault artifacts live at a stable path (like the trace smoke) so CI can
