@@ -77,19 +77,30 @@ let fast_enclosure f x =
    up front, then the precision-indexed dyadic ones — so the same input
    can be rounded into many formats and modes (the verification
    harness's access pattern) while paying for each series evaluation
-   only once. *)
+   only once.  The exact value is computed on first need: for 10^x at a
+   large integer x it is a huge rational that the range shortcut makes
+   unnecessary.  A rounder is made per call and never shared across
+   domains, so the plain mutable fields need no lock. *)
 type rounder = {
   r_func : func;
   r_x : Rat.t;
-  r_exact : Rat.t option;
+  mutable r_exact : Rat.t option option; (* None until first needed *)
   r_fast : (Fixed.t * int) option;
   mutable r_enclosures : (int * Ival.t) list; (* most precise first *)
 }
 
 let make_rounder f x =
   if not (domain_ok f x) then invalid_arg "Oracle.make_rounder: domain";
-  { r_func = f; r_x = x; r_exact = exact_value f x; r_fast = fast_kernel f x;
+  { r_func = f; r_x = x; r_exact = None; r_fast = fast_kernel f x;
     r_enclosures = [] }
+
+let rounder_exact r =
+  match r.r_exact with
+  | Some e -> e
+  | None ->
+      let e = exact_value r.r_func r.r_x in
+      r.r_exact <- Some e;
+      e
 
 let rounder_enclosure r prec =
   match List.find_opt (fun (p, _) -> p >= prec) (List.rev r.r_enclosures) with
@@ -138,7 +149,7 @@ let decide r ~fmt ~mode =
   match range_shortcut r.r_func r.r_x ~fmt ~mode with
   | Some b -> (b, Range_shortcut)
   | None -> (
-      match r.r_exact with
+      match rounder_exact r with
       | Some y -> (Softfp.of_rat fmt mode y, Exact)
       | None -> (
           match fast_bits r ~fmt ~mode with

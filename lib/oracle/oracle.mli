@@ -61,7 +61,10 @@ val correctly_round :
 (** A rounder memoizes the enclosures of one [f x] (the fast one first,
     then the dyadic ones per precision), making it cheap to round the
     same value into many formats and rounding modes — the access pattern
-    of the multi-representation verification harness. *)
+    of the multi-representation verification harness.  The exact value
+    is computed on first need, so an input the range shortcut decides
+    never materializes it (10^x at a large integer x).  A rounder is not
+    safe to share across domains. *)
 type rounder
 
 (** @raise Invalid_argument when [x] is outside the domain of [f]. *)

@@ -53,8 +53,10 @@ let v_constraints = 1
 
 (* v2: the persisted poly payload is a [(solved, Diag.Error.t) result] —
    failures are typed data now, not strings — so v1 entries (which held
-   [(solved, string) result]) must be orphaned, not decoded. *)
-let v_poly = 2
+   [(solved, string) result]) must be orphaned, not decoded.
+   v3: the LP is solved in its dual, which returns different (equally
+   optimal) vertices, so the coefficients of v2 entries are stale. *)
+let v_poly = 3
 let v_verdict = 1
 
 let base ~(cfg : Rlibm.Config.t) func =
@@ -106,8 +108,8 @@ let verdict_key ?(narrow = true) ~cfg ~scheme func =
    round 1's LP outcome, see Generate.first_round_lp).  The seed is not
    part of the poly key, so a change to the round-1 LP itself (the
    solver, mono_bits, the point conversion) must bump both this and
-   v_poly. *)
-let v_lp_seed = 1
+   v_poly.  v2: the dual solver's round-1 vertices. *)
+let v_lp_seed = 2
 
 let lp_seed_key ~cfg ~piece ~degree func =
   Printf.sprintf "%s-pc%d-d%d-lps-v%d" (constraints_key ~cfg func) piece degree

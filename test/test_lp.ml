@@ -210,6 +210,28 @@ let test_degenerate_with_tilt () =
         (Rat.to_string coeffs.(0))
   | Lp.Unsat -> Alcotest.fail "satisfiable"
 
+(* Fewer points than coefficients leave the tilt direction unbounded:
+   the solve falls back to the pure max-delta objective and still
+   returns a fitting polynomial; an infeasible thin system stays Unsat
+   under tilt. *)
+let test_tilt_unbounded_falls_back () =
+  let powers = [| 0; 1; 2 |] in
+  let tilt = [| rr 1 64; Rat.zero; Rat.zero |] in
+  (match
+     Lp.solve_interval_system ~tilt ~powers [| { Lp.x = r 1; lo = r 1; hi = r 2 } |]
+   with
+  | Lp.Sat (coeffs, _) ->
+      let v = Lp.eval_poly ~powers coeffs (r 1) in
+      Alcotest.(check bool) "in window" true
+        (Rat.compare (r 1) v <= 0 && Rat.compare v (r 2) <= 0)
+  | Lp.Unsat -> Alcotest.fail "one window is satisfiable");
+  match
+    Lp.solve_interval_system ~tilt ~powers
+      [| { Lp.x = r 1; lo = r 1; hi = r 2 }; { Lp.x = r 1; lo = r 3; hi = r 4 } |]
+  with
+  | Lp.Unsat -> ()
+  | Lp.Sat _ -> Alcotest.fail "disjoint windows at one x"
+
 (* Random LP property: simplex result is feasible, and no better feasible
    point exists among random samples (soundness of optimality). *)
 let prop_simplex_sound =
@@ -266,6 +288,121 @@ let prop_simplex_sound =
              done;
              !ok))
 
+(* Brute-force reference for small LPs.  When the rows span Q^n the
+   feasible set is pointed: it is empty iff it has no vertex, and the
+   objective is unbounded on it iff one of its extreme rays raises it.
+   Vertices are the feasible solutions of nonsingular n-row subsystems;
+   extreme rays are null vectors of (n-1)-row subsystems of rank n-1
+   that point into every row's half-space. *)
+let rec det m =
+  let n = Array.length m in
+  if n = 0 then Rat.one
+  else begin
+    let acc = ref Rat.zero in
+    for j = 0 to n - 1 do
+      if not (Rat.is_zero m.(0).(j)) then begin
+        let minor =
+          Array.init (n - 1) (fun i ->
+              Array.init (n - 1) (fun k -> m.(i + 1).(if k < j then k else k + 1)))
+        in
+        let t = Rat.mul m.(0).(j) (det minor) in
+        acc := if j land 1 = 0 then Rat.add !acc t else Rat.sub !acc t
+      end
+    done;
+    !acc
+  end
+
+let rec subsets k l =
+  match (k, l) with
+  | 0, _ -> [ [] ]
+  | _, [] -> []
+  | k, x :: xs -> List.map (fun s -> x :: s) (subsets (k - 1) xs) @ subsets k xs
+
+let dot u v =
+  let acc = ref Rat.zero in
+  Array.iteri (fun j c -> acc := Rat.add !acc (Rat.mul c v.(j))) u;
+  !acc
+
+let brute_force ~obj ~rows =
+  let n = Array.length obj and m = Array.length rows in
+  let idx = List.init m Fun.id in
+  let a i = fst rows.(i) and b i = snd rows.(i) in
+  let bases =
+    List.filter_map
+      (fun s ->
+        let s = Array.of_list s in
+        let mat = Array.map a s in
+        let dt = det mat in
+        if Rat.is_zero dt then None else Some (s, mat, dt))
+      (subsets n idx)
+  in
+  if bases = [] then `Rank_deficient
+  else begin
+    let feasible x = Array.for_all (fun (ai, bi) -> Rat.compare (dot ai x) bi <= 0) rows in
+    let vertices =
+      List.filter feasible
+        (List.map
+           (fun (s, mat, dt) ->
+             Array.init n (fun j ->
+                 Rat.div
+                   (det (Array.mapi (fun r row -> Array.mapi (fun k v -> if k = j then b s.(r) else v) row) mat))
+                   dt))
+           bases)
+    in
+    if vertices = [] then `Infeasible
+    else begin
+      let rays =
+        List.concat_map
+          (fun s ->
+            let mat = Array.of_list (List.map a s) in
+            let r =
+              Array.init n (fun j ->
+                  let minor = Array.map (fun row -> Array.of_list (List.filteri (fun k _ -> k <> j) (Array.to_list row))) mat in
+                  if j land 1 = 0 then det minor else Rat.neg (det minor))
+            in
+            if Array.for_all Rat.is_zero r then [] else [ r; Array.map Rat.neg r ])
+          (subsets (n - 1) idx)
+      in
+      if
+        List.exists
+          (fun r ->
+            Rat.sign (dot obj r) > 0
+            && Array.for_all (fun (ai, _) -> Rat.sign (dot ai r) <= 0) rows)
+          rays
+      then `Unbounded
+      else `Optimal (List.fold_left (fun acc v -> Rat.max acc (dot obj v)) (dot obj (List.hd vertices)) vertices)
+    end
+  end
+
+(* The dual solver agrees with vertex enumeration on status and optimal
+   value, and its optimum is feasible and attains that value. *)
+let prop_simplex_vs_vertices =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 3 in
+      let* m = int_range 1 8 in
+      let* entries = list_size (return (m * n)) (int_range (-5) 5) in
+      let* rhs = list_size (return m) (int_range (-6) 10) in
+      let* obj = list_size (return n) (int_range (-3) 3) in
+      return (n, m, entries, rhs, obj))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"simplex = vertex enumeration" gen
+       (fun (n, m, entries, rhs, obj) ->
+         let a = Array.of_list (List.map r entries) in
+         let rows =
+           Array.init m (fun i ->
+               (Array.init n (fun j -> a.((i * n) + j)), r (List.nth rhs i)))
+         in
+         let obj = Array.of_list (List.map r obj) in
+         match (brute_force ~obj ~rows, Lp.maximize ~obj ~rows) with
+         | `Rank_deficient, _ -> true
+         | `Infeasible, Lp.Infeasible | `Unbounded, Lp.Unbounded -> true
+         | `Optimal v, Lp.Optimal (x, v') ->
+             Rat.equal v v' && Rat.equal (dot obj x) v
+             && Array.for_all (fun (ai, bi) -> Rat.compare (dot ai x) bi <= 0) rows
+         | _ -> false))
+
 let suite =
   [
     ("basic maximization", `Quick, test_basic_max);
@@ -281,5 +418,8 @@ let suite =
     ("objective tilt", `Quick, test_tilt_changes_vertex);
     ("rounded monomials", `Quick, test_mono_bits_still_feasible);
     ("degenerate window under tilt", `Quick, test_degenerate_with_tilt);
+    ("unbounded tilt falls back to max-delta", `Quick,
+      test_tilt_unbounded_falls_back);
     prop_simplex_sound;
+    prop_simplex_vs_vertices;
   ]

@@ -340,6 +340,25 @@ let test_non_dyadic_falls_back () =
   in
   Alcotest.(check string) "log 3/2 tier" "fast" (Oracle.tier_name tier)
 
+(* The range shortcut decides 10^x at the largest finite mini input
+   from its magnitude alone, without materializing the exact 10^65280:
+   a rounder computes its exact value only on first need.  Measured at
+   202 bytes; the bound leaves room for boxing noise and sits far below
+   the ~17 MB the eager exact value allocates. *)
+let test_exp10_shortcut_allocation () =
+  let cfg = Rlibm.Config.mini_for Oracle.Exp10 in
+  let tin = cfg.Rlibm.Config.tin in
+  let x = Softfp.to_rat tin (Softfp.max_finite_bits tin ~neg:false) in
+  let before = Gc.allocated_bytes () in
+  let _, tier =
+    Oracle.decide (Oracle.make_rounder Oracle.Exp10 x)
+      ~fmt:(Rlibm.Config.tout cfg) ~mode:Softfp.RTO
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check string) "tier" "range" (Oracle.tier_name tier);
+  if allocated > 4096.0 then
+    Alcotest.failf "decide allocated %.0f bytes (bound 4096)" allocated
+
 let suite =
   [
     ("exact values", `Quick, test_exact_values);
@@ -357,5 +376,7 @@ let suite =
       test_fast_contains_dyadic);
     ("fast tier constants vs prec 200", `Quick, test_fast_constants);
     ("non-dyadic input falls back", `Quick, test_non_dyadic_falls_back);
+    ("exp10 range shortcut skips the exact value", `Quick,
+      test_exp10_shortcut_allocation);
     prop_correctly_round_brackets;
   ]

@@ -678,26 +678,25 @@ let test_lp_seed_corrupt () =
         ((fp, rep) = fresh))
 
 (* The generation loop reports on the Diag stream only.  A cold
-   generate + verify of exp2 (then exp10, whose degree-4 round 1 misses
-   an input and sends the loop into tilted re-solves) under a Debug sink
-   shows the loop's typed events in pipeline order, every [gen.round]
-   carries its coordinates, and the sink changes no artifact bit: the
-   fingerprints and verdicts equal a sink-free run's at -j 1 and -j 4. *)
+   generate + verify of exp2 under Estrin+FMA (then exp10 under Estrin,
+   whose degree-4 round 1 misses inputs and sends the loop into tilted
+   re-solves) under a Debug sink shows the loop's typed events in
+   pipeline order, every [gen.round] carries its coordinates, and the
+   sink changes no artifact bit: the fingerprints and verdicts equal a
+   sink-free run's at -j 1 and -j 4. *)
 let test_loop_events () =
   let saved_jobs = Parallel.jobs () in
   let cold_run () =
     in_fresh_dir (fun _d ->
         Rlibm.Constraints.clear_memory_cache ();
         List.map
-          (fun func ->
-            match
-              Pipeline.verified ~cfg:tiny_cfg ~scheme:Polyeval.EstrinFma func
-            with
+          (fun (func, scheme) ->
+            match Pipeline.verified ~cfg:tiny_cfg ~scheme func with
             | Ok (g, rep) -> (fingerprint g, rep)
             | Error err ->
                 Alcotest.failf "%s: %s" (Oracle.name func)
                   (Diag.Error.to_string err))
-          [ Oracle.Exp2; Oracle.Exp10 ])
+          [ (Oracle.Exp2, Polyeval.EstrinFma); (Oracle.Exp10, Polyeval.Estrin) ])
   in
   (* Each record's name, with the stage spelled out on both ends of a
      stage span ([stage.end] names its stage only through the span id). *)

@@ -300,6 +300,27 @@ let test_mini_config_sanity () =
 
 (* ---------- polynomial stage pin ---------- *)
 
+(* The mini universe's constraint set per function, built once. *)
+let mini_built =
+  let memo = Hashtbl.create 8 in
+  fun func ->
+    match Hashtbl.find_opt memo func with
+    | Some b -> b
+    | None ->
+        let cfg = Rlibm.Config.mini_for func in
+        let family =
+          Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout cfg)
+            ~pieces:cfg.Rlibm.Config.pieces
+            ~table_bits:cfg.Rlibm.Config.table_bits
+        in
+        let b =
+          Cache.with_persistence false (fun () ->
+              Rlibm.Constraints.build ~cfg ~family
+                ~inputs:(Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin))
+        in
+        Hashtbl.replace memo func b;
+        b
+
 (* Generate.solve on the mini universe must keep returning exactly these
    artifacts.  The exact LP's arithmetic (gcd algorithm, sparse pivots,
    ratio test) may change only in ways that leave every simplex vertex,
@@ -310,10 +331,10 @@ let pinned_solves =
     ( Oracle.Exp2,
       [
         ( Polyeval.Horner,
-          "data=[0x1p+0;0x1.62c75fb60a906p-1;0x1.efbb0dc7cf33dp-3;0x1.9fa8e43b1e797p-5;0x1.d3f1111c10d42p-7] \
+          "data=[0x1p+0;0x1.62cfaea285726p-1;0x1.ee8b4c674c3a1p-3;0x1.a827bc6da8fe1p-5;0x1.c2dc71a8aeff4p-7] \
            degrees=4 rounds=1 specials=[]" );
         ( Polyeval.EstrinFma,
-          "data=[0x1p+0;0x1.62c75fb60a905p-1;0x1.efbb0dc7cf33dp-3;0x1.9fa8e43b1e796p-5;0x1.d3f1111c10d43p-7] \
+          "data=[0x1p+0;0x1.62cfaea285727p-1;0x1.ee8b4c674c39fp-3;0x1.a827bc6da8fe1p-5;0x1.c2dc71a8aeff2p-7] \
            degrees=4 rounds=1 specials=[]" );
       ] );
     ( Oracle.Log,
@@ -340,15 +361,7 @@ let test_solve_pinned () =
       List.iter
         (fun (func, cases) ->
           let cfg = Rlibm.Config.mini_for func in
-          let family =
-            Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout cfg)
-              ~pieces:cfg.Rlibm.Config.pieces
-              ~table_bits:cfg.Rlibm.Config.table_bits
-          in
-          let built =
-            Rlibm.Constraints.build ~cfg ~family
-              ~inputs:(Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin)
-          in
+          let built = mini_built func in
           List.iter
             (fun (scheme, want) ->
               let name =
@@ -400,6 +413,156 @@ let test_oracle_tier_events () =
                 (List.length evs))
         Oracle.all)
 
+(* ---------- round-1 LP: pinned verdicts and optimal delta ---------- *)
+
+(* Round 1's LP over a piece, spelled out as primal rows over
+   (coefficients, delta): monomials rounded to 64 bits as
+   [Generate.first_round_lp] does, [p + delta <= hi] and
+   [-p + delta <= -lo] per point, and [delta >= 0]. *)
+type round1_system = {
+  monos : Rat.t array array;
+  lo : Rat.t array;
+  hi : Rat.t array;
+}
+
+let round1_system ~degree (pts : Rlibm.Constraints.point array) =
+  let round64 q =
+    if Rat.is_zero q then q
+    else
+      let m, e, _ = Rat.approx q ~bits:64 in
+      Rat.mul_pow2 (Rat.of_bigint (if Rat.sign q < 0 then Bigint.neg m else m)) e
+  in
+  {
+    monos =
+      Array.map
+        (fun (p : Rlibm.Constraints.point) ->
+          let x = Rat.of_float p.r in
+          Array.init (degree + 1) (fun k -> round64 (Rat.pow x k)))
+        pts;
+    lo = Array.map (fun (p : Rlibm.Constraints.point) -> Rat.of_float p.lo) pts;
+    hi = Array.map (fun (p : Rlibm.Constraints.point) -> Rat.of_float p.hi) pts;
+  }
+
+let lift a last = Array.init (Array.length a + 1) (fun k -> if k < Array.length a then a.(k) else last)
+
+let round1_rows sys working =
+  let d = Array.length sys.monos.(0) in
+  ( lift (Array.make d Rat.zero) Rat.minus_one, Rat.zero )
+  :: List.concat_map
+       (fun i ->
+         [
+           (lift sys.monos.(i) Rat.one, sys.hi.(i));
+           (lift (Array.map Rat.neg sys.monos.(i)) Rat.one, Rat.neg sys.lo.(i));
+         ])
+       working
+  |> Array.of_list
+
+let max_delta sys working =
+  let d = Array.length sys.monos.(0) in
+  Lp.maximize ~obj:(lift (Array.make d Rat.zero) Rat.one)
+    ~rows:(round1_rows sys working)
+
+let slack sys coeffs i =
+  let v = ref Rat.zero in
+  Array.iteri (fun k m -> v := Rat.add !v (Rat.mul coeffs.(k) m)) sys.monos.(i);
+  Rat.min (Rat.sub sys.hi.(i) !v) (Rat.sub !v sys.lo.(i))
+
+(* The optimal delta of the full system by cutting planes over cold
+   [Lp.maximize] solves: starting from [working], add the points whose
+   exact slack falls below the current delta (screened in doubles) until
+   none does.  The optimum is unique, so the start set only changes how
+   many solves it takes. *)
+let optimal_delta sys working =
+  let n = Array.length sys.monos in
+  let monos_f = Array.map (Array.map Rat.to_float) sys.monos in
+  let lo_f = Array.map Rat.to_float sys.lo and hi_f = Array.map Rat.to_float sys.hi in
+  let in_w = Array.make n false in
+  let rec loop working =
+    List.iter (fun i -> in_w.(i) <- true) working;
+    match max_delta sys working with
+    | Lp.Infeasible -> None
+    | Lp.Unbounded -> Alcotest.fail "delta is bounded"
+    | Lp.Optimal (x, delta) -> (
+        let xf = Array.map Rat.to_float x and df = Rat.to_float delta in
+        let low = ref [] in
+        for i = 0 to n - 1 do
+          if not in_w.(i) then begin
+            let v = ref 0.0 and mag = ref 0.0 in
+            Array.iteri
+              (fun k m ->
+                v := !v +. (xf.(k) *. m);
+                mag := !mag +. Float.abs (xf.(k) *. m))
+              monos_f.(i);
+            let s = Float.min (hi_f.(i) -. !v) (!v -. lo_f.(i)) in
+            if s < df +. (1e-10 *. (!mag +. Float.abs lo_f.(i) +. Float.abs hi_f.(i)))
+            then begin
+              let s = slack sys x i in
+              if Rat.compare s delta < 0 then low := (s, i) :: !low
+            end
+          end
+        done;
+        match List.sort (fun (a, _) (b, _) -> Rat.compare a b) !low with
+        | [] -> Some delta
+        | low -> loop (List.map snd (List.filteri (fun k _ -> k < 16) low) @ working))
+  in
+  loop working
+
+let round1_pins () =
+  In_channel.with_open_text (Test_codegen.golden_path "round1_lp.golden")
+    In_channel.input_lines
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.map (fun l ->
+         match String.split_on_char ' ' l with
+         | [ f; piece; degree; verdict; delta ] ->
+             ( Option.get (Oracle.of_name f),
+               int_of_string piece,
+               int_of_string degree,
+               verdict,
+               delta )
+         | _ -> Alcotest.failf "bad pin line %S" l)
+
+(* Round 1's verdict and optimal delta at every pinned (function, piece,
+   degree), recorded with the previous solver (a two-phase primal
+   simplex), must come out exactly: [Generate.first_round_lp] gives the
+   verdict, and its working set seeds the cutting-plane delta. *)
+let test_round1_pinned () =
+  List.iter
+    (fun (func, piece, degree, verdict, delta) ->
+      let name = Printf.sprintf "%s piece %d degree %d" (Oracle.name func) piece degree in
+      let pts = (mini_built func).Rlibm.Constraints.points.(piece) in
+      match Rlibm.Generate.first_round_lp ~degree pts with
+      | Lp.Unsat -> Alcotest.(check string) name verdict "unsat"
+      | Lp.Sat (_, working) ->
+          Alcotest.(check string) name verdict "sat";
+          let got = optimal_delta (round1_system ~degree pts) working in
+          Alcotest.(check string) (name ^ " delta") delta
+            (match got with Some q -> Rat.to_string q | None -> "-"))
+    (round1_pins ())
+
+(* Column generation's answer on a recorded system is a cold solve's:
+   every working row holds exactly at the returned coefficients, and the
+   smallest working slack equals the optimal delta of a cold dual solve
+   of the final working set. *)
+let test_column_generation_vs_cold () =
+  List.iter
+    (fun (func, piece, degree, _, _) ->
+      let name = Printf.sprintf "%s piece %d degree %d" (Oracle.name func) piece degree in
+      let pts = (mini_built func).Rlibm.Constraints.points.(piece) in
+      match Rlibm.Generate.first_round_lp ~degree pts with
+      | Lp.Unsat -> ()
+      | Lp.Sat (coeffs, working) -> (
+          let sys = round1_system ~degree pts in
+          let slacks = List.map (slack sys coeffs) working in
+          Alcotest.(check bool) (name ^ ": working rows hold") true
+            (List.for_all (fun s -> Rat.sign s >= 0) slacks);
+          match max_delta sys working with
+          | Lp.Optimal (_, delta) ->
+              Alcotest.(check string) (name ^ ": delta = cold delta")
+                (Rat.to_string delta)
+                (Rat.to_string (List.fold_left Rat.min (List.hd slacks) slacks))
+          | _ -> Alcotest.failf "%s: cold solve of the working set failed" name))
+    (round1_pins ())
+
 let suite =
   [
     ("odd rounding interval", `Quick, test_interval_odd);
@@ -419,5 +582,9 @@ let suite =
     ("constraint building", `Quick, test_build_merges_and_covers);
     ("mini config", `Quick, test_mini_config_sanity);
     ("Generate.solve pinned (exp2, log)", `Quick, test_solve_pinned);
+    ("round-1 LP verdicts and delta pinned (mini x 6)", `Quick,
+      test_round1_pinned);
+    ("column generation = cold dual solve of its working set", `Quick,
+      test_column_generation_vs_cold);
     ("oracle.ziv: no fallback on any mini table", `Quick, test_oracle_tier_events);
   ]
