@@ -295,8 +295,7 @@ let warm_cmd =
 
 let serve_cmd =
   let run funcs scheme ebits prec pieces table_bits count seed check_scalar
-      print_bits bench strict_snapshot jobs cache_dir cache_stats log_level
-      trace =
+      print_bits strict_snapshot jobs cache_dir cache_stats log_level trace =
     Cli.set_jobs jobs;
     Cli.install_diag ~jobs:(Parallel.jobs ()) ~level:log_level ~trace ();
     Cli.set_cache_dir cache_dir;
@@ -364,42 +363,6 @@ let serve_cmd =
               end;
               Printf.printf "%-6s scalar check: %d/%d bit-identical\n"
                 (Oracle.name func) n n
-            end;
-            if bench then begin
-              (* Timings are machine-dependent, so they go to stderr:
-                 stdout stays bit-identical across runs and job counts
-                 (tools/check.sh diffs it). *)
-              let time f =
-                f ();
-                let t0 = Unix.gettimeofday () in
-                f ();
-                let once = Unix.gettimeofday () -. t0 in
-                let reps =
-                  Stdlib.max 3 (int_of_float (0.2 /. Float.max 1e-6 once))
-                in
-                let t0 = Unix.gettimeofday () in
-                for _ = 1 to reps do
-                  f ()
-                done;
-                (Unix.gettimeofday () -. t0)
-                /. float_of_int reps /. float_of_int n *. 1e9
-              in
-              let scalar_ns =
-                time (fun () ->
-                    ignore
-                      (Parallel.map_array
-                         (fun x -> Genlibm.eval_bits e.Serve.e_impl x)
-                         inputs))
-              in
-              let kernel_ns =
-                time (fun () -> Serve.eval_batch_into snap func ~src ~dst)
-              in
-              Printf.eprintf
-                "%-6s bench: scalar %.1f ns/eval, kernel %.1f ns/eval \
-                 (%.2fx, %d inputs, -j %d)\n%!"
-                (Oracle.name func) scalar_ns kernel_ns
-                (if kernel_ns > 0.0 then scalar_ns /. kernel_ns else 0.0)
-                n (Parallel.jobs ())
             end)
           (Serve.entries snap)
   in
@@ -433,15 +396,6 @@ let serve_cmd =
       & info [ "print-bits" ]
           ~doc:"Print every (input, result) bit pattern pair.")
   in
-  let bench =
-    Arg.(
-      value & flag
-      & info [ "bench" ]
-          ~doc:
-            "Time the batch on the scalar reference path and on the \
-             zero-allocation kernel path and report ns/eval and the \
-             speedup on stderr (stdout stays job-count-invariant).")
-  in
   let strict_snapshot =
     Arg.(
       value & flag
@@ -463,7 +417,7 @@ let serve_cmd =
     Term.(
       const run $ Cli.func_list_arg $ Cli.scheme_arg $ Cli.ebits_arg
       $ Cli.prec_arg $ pieces_arg $ table_bits_arg $ count $ seed
-      $ check_scalar $ print_bits $ bench $ strict_snapshot $ Cli.jobs_arg
+      $ check_scalar $ print_bits $ strict_snapshot $ Cli.jobs_arg
       $ Cli.cache_dir_arg $ Cli.cache_stats_arg $ Cli.log_level_arg
       $ Cli.trace_arg)
 

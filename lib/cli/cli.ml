@@ -195,31 +195,3 @@ let set_cache_dir = function Some d -> Cache.set_dir d | None -> ()
 
 let report_cache_stats enabled =
   if enabled then Format.eprintf "%a@." Cache.pp_report ()
-
-let rec opt_value names = function
-  | [] | [ _ ] -> None
-  | a :: v :: rest ->
-      if List.mem a names then Some v else opt_value names (v :: rest)
-
-let parse_jobs args =
-  match opt_value [ "-j"; "--jobs" ] args with
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some j when j >= 1 -> j
-      | _ ->
-          Printf.eprintf "bad -j value %S\n" v;
-          exit 2)
-  | None -> Parallel.default_jobs ()
-
-let install_diag_argv ~jobs args =
-  let level =
-    match opt_value [ "--log-level" ] args with
-    | None -> Diag.Warn
-    | Some s -> (
-        match Diag.level_of_string s with
-        | Ok l -> l
-        | Error e ->
-            Printf.eprintf "%s\n" (Diag.Error.to_string e);
-            exit 2)
-  in
-  install_diag ~jobs ~level ~trace:(opt_value [ "--trace" ] args) ()

@@ -1,7 +1,7 @@
 (** Command-line plumbing shared by [bin/rlibm_gen] and [bench/main]:
-    the function / scheme / format converters, the [-j N] fan-out knob
-    and the persistent-store knobs, defined once so the two entry points
-    cannot drift apart. *)
+    the function / scheme / format converters, the [-j N] fan-out knob,
+    the persistent-store knobs and the diagnostics knobs, defined once as
+    Cmdliner terms so the two entry points cannot drift apart. *)
 
 (** {1 Cmdliner converters and terms} *)
 
@@ -76,8 +76,8 @@ val install_diag :
   ?jobs:int -> level:Diag.level -> trace:string option -> unit -> unit
 (** Install the diag sinks an executable run asked for: a stderr sink at
     [level] (none for {!Diag.Quiet}) plus, when [trace] is set, a JSONL
-    trace sink ([jobs] lands in the trace header, like the bench
-    envelope).  An unopenable trace file exits via {!exit_error}. *)
+    trace sink ([jobs] lands in the trace header).  An unopenable trace
+    file exits via {!exit_error}. *)
 
 val exit_error : Diag.Error.t -> 'a
 (** The uniform executable-boundary rendering: ["rlibm: <message>"] on
@@ -97,21 +97,3 @@ val set_cache_dir : string option -> unit
 val report_cache_stats : bool -> unit
 (** When [true], print the global counters and the per-artifact-kind
     breakdown ({!Cache.pp_report}) to stderr. *)
-
-(** {1 Bare-argv helpers}
-
-    For [bench/main], which dispatches on raw [Sys.argv] flags rather
-    than cmdliner. *)
-
-val opt_value : string list -> string list -> string option
-(** [opt_value names args]: the value following the first element of
-    [args] that is listed in [names] (e.g.
-    [opt_value ["-j"; "--jobs"] args]). *)
-
-val parse_jobs : string list -> int
-(** The [-j]/[--jobs] value of an argv list, defaulting to
-    {!Parallel.default_jobs}; exits with code 2 on a malformed value. *)
-
-val install_diag_argv : jobs:int -> string list -> unit
-(** {!install_diag} driven by bare argv: honours [--log-level] (exit 2
-    on a bad value) and [--trace]. *)

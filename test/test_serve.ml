@@ -120,6 +120,29 @@ let test_batch_matches_scalar_at_any_j () =
             (Genlibm.inputs_exhaustive tiny :: List.map seeded_inputs batch_sizes))
         [ Oracle.Exp2; Oracle.Log2 ])
 
+(* The serving path allocates per chunk, never per element: at -j 1,
+   once a warm-up call has sized the per-domain scratch, a 2^10-element
+   request (two kernel chunks) stays within 0.03 minor words per element
+   (about 0.016 today).  A table built per call or a float boxed per
+   element breaks this bound. *)
+let test_batch_minor_words () =
+  with_cache_dir (fun _dir ->
+      let snap = build_ok specs in
+      let n = 1 lsl 10 in
+      let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
+      Array.iteri (fun i x -> Bigarray.Array1.set src i x) (seeded_inputs n);
+      with_jobs 1 (fun () ->
+          List.iter
+            (fun (func, _, _) ->
+              Serve.eval_batch_into snap func ~src ~dst;
+              let w0 = Gc.minor_words () in
+              Serve.eval_batch_into snap func ~src ~dst;
+              let per_elt = (Gc.minor_words () -. w0) /. float_of_int n in
+              if per_elt > 0.03 then
+                Alcotest.failf "%s: %.4f minor words per element (bound 0.03)"
+                  (Oracle.name func) per_elt)
+            specs))
+
 (* A small request never touches the domain pool; a bulk one fans out
    exactly once. *)
 let test_small_requests_stay_inline () =
@@ -214,4 +237,5 @@ let suite =
     ("batch = scalar at -j 1 and -j 4", `Slow, test_batch_matches_scalar_at_any_j);
     ("unknown function rejected", `Slow, test_unknown_func_rejected);
     ("small requests stay on the caller", `Slow, test_small_requests_stay_inline);
+    ("batch allocates per chunk, not per element", `Slow, test_batch_minor_words);
   ]

@@ -1,28 +1,29 @@
 #!/bin/sh
-# Tier-1 gate for every PR: build, run the full test suite, smoke-check
-# the parallel determinism contract (-j 1 output must be bit-identical to
-# -j N), smoke-check that a poisoned oracle cache is rejected and
-# regenerated without changing a single output bit, smoke-check the
-# staged pipeline (cold run vs warm run vs interrupted-then-resumed run:
-# bit-identical output, zero stage rebuilds when warm; a second scheme on
-# the same store loads the first scheme's lp-seed LP solves and prints
-# what a fresh-store run prints), and smoke-check
-# the servable snapshot layer (batched eval bit-identical to the scalar
-# DAG reference, Genlibm.eval_bits, at -j 1 and -j N; a warm snapshot
-# loads from exactly one store entry), and smoke-check the batch kernels
-# (reference-vs-kernel timings reported,
-# serve-throughput JSON artifact matches its schema, every row
-# bit-identical at a fanned-out 2^10 batch and at a 2^6 batch served on
-# the calling domain, and at most 0.03 minor words per element at 2^10),
-# and smoke-check sharded oracle warming (single-shard
-# warms resume into a full run that loads — never recomputes — the
-# published shards; a re-run hits every shard and the whole table),
-# and smoke-check the fault-injection substrate (an injected-ENOSPC warm
-# exits through the typed store-io code; a process aborted at a mutating
-# store operation leaves a store that fsck repairs with nothing
-# quarantined and a resumed run completes bit-identically), and run the
-# repository benchmark's own tests (every workload prints every metric
-# BENCHMARK.json names, and its correctness gate catches a flipped bit).
+# Tier-1 gate for every PR: build, run the full test suite, then smoke
+# the CLI contracts end to end:
+# - determinism: -j 1 output is bit-identical to -j N;
+# - cache poisoning: corrupt entries are rejected, quarantined and
+#   regenerated without changing a single output bit;
+# - staged pipeline: cold vs warm vs interrupted-then-resumed runs are
+#   bit-identical, a warm run rebuilds zero stages, and a second scheme
+#   on the same store loads the first scheme's lp-seed LP solves;
+# - servable snapshot: batched eval bit-identical to the scalar DAG
+#   reference (Genlibm.eval_bits) at -j 1 and -j N, and a warm snapshot
+#   loads from exactly one store entry;
+# - sharded oracle warming: single-shard warms resume into a full run
+#   that loads, never recomputes, the published shards;
+# - stdout purity: with --trace /dev/stdout, stdout is one JSONL stream
+#   and the --log-level narration goes to stderr;
+# - trace: cold/warm traces carry the typed events, tracing moves no bit;
+# - faults: an injected ENOSPC exits through the typed store-io code, and
+#   a process aborted mid-publish leaves a store that fsck repairs with
+#   nothing quarantined and a resumed run completes bit-identically;
+# - the paper harness (bench/main.exe) rejects unknown flags;
+# and finally run the repository benchmark's own tests (every workload
+# prints every metric BENCHMARK.json names, and its correctness gate
+# catches a flipped bit).  The serving kernel's bit identity at 2^6 and
+# 2^10 elements and its per-element allocation bound are tier-1 tests
+# (test/test_serve.ml).
 # Usage: tools/check.sh [N]   (N = fan-out width, default 4)
 set -eu
 
@@ -35,10 +36,15 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+# Every temporary file and store lives under one scratch directory.
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
 echo "== -j 1 vs -j $N smoke diff =="
-tmp1=$(mktemp) && tmpN=$(mktemp)
-cachedir=$(mktemp -d) && cold=$(mktemp) && poisoned=$(mktemp) && stats=$(mktemp)
-trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats"; rm -rf "$cachedir"' EXIT
+tmp1="$work/j1.out" && tmpN="$work/jN.out"
+cachedir="$work/poison-store" && cold="$work/cold.out"
+poisoned="$work/poisoned.out" && stats="$work/poisoned.stats"
+mkdir "$cachedir"
 # Disable the oracle disk cache so both runs actually exercise the
 # (parallel) oracle construction rather than a file load.
 RLIBM_NO_DISK_CACHE=1 dune exec --no-build bin/rlibm_gen.exe -- generate \
@@ -69,12 +75,12 @@ ls "$cachedir"/*.corrupt-* > /dev/null \
 echo "poisoned cache rejected, quarantined, and regenerated bit-identically"
 
 echo "== staged pipeline smoke (cold / warm / resume) =="
-stagedir=$(mktemp -d) && resumedir=$(mktemp -d) && seeddir=$(mktemp -d)
-coldg=$(mktemp) && warmg=$(mktemp) && resumedg=$(mktemp)
-stageout=$(mktemp) && warmstats=$(mktemp) && seedg=$(mktemp) && seedstats=$(mktemp)
-trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
-       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" "$seedg" "$seedstats"
-     rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir"' EXIT
+stagedir="$work/stage-store" && resumedir="$work/resume-store"
+seeddir="$work/seed-store"
+coldg="$work/coldg.out" && warmg="$work/warmg.out" && resumedg="$work/resumedg.out"
+stageout="$work/stages.out" && warmstats="$work/warm.stats"
+seedg="$work/seedg.out" && seedstats="$work/seed.stats"
+mkdir "$stagedir" "$resumedir" "$seeddir"
 # Cold run: every stage rebuilt and persisted.
 RLIBM_CACHE_DIR="$stagedir" dune exec --no-build bin/rlibm_gen.exe -- generate \
   --func exp2 --scheme estrin-fma --ebits 4 --prec 7 --verify > "$coldg"
@@ -127,13 +133,9 @@ diff "$coldg" "$seedg"
 echo "second scheme: lp-seed hits only, output = fresh-store run"
 
 echo "== servable snapshot smoke =="
-servedir=$(mktemp -d)
-serve1=$(mktemp) && serveN=$(mktemp) && servestats=$(mktemp)
-servebench=$(mktemp) && benchjson=$(mktemp) && smalljson=$(mktemp)
-trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
-       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" "$seedg" "$seedstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson"
-     rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir" "$servedir"' EXIT
+servedir="$work/serve-store" && mkdir "$servedir"
+serve1="$work/serve1.out" && serveN="$work/serveN.out"
+servestats="$work/serve.stats"
 # Cold build at -j 1: resolves through the pipeline, persists the
 # snapshot, and cross-checks every batched result against the scalar
 # DAG reference (Genlibm.eval_bits) bit for bit.
@@ -154,66 +156,9 @@ if grep -Eq '^ *(oracle|intervals|constraints|poly|verdict|table) ' "$servestats
 fi
 echo "snapshot: batched eval bit-identical at -j 1 and -j $N, warm load = 1 store entry"
 
-echo "== batch kernel smoke =="
-# serve --bench reports timings of the scalar DAG reference and of the
-# kernel on stderr (stdout must stay job-count-invariant for the diff
-# above); the run also re-checks the batched results against the
-# reference (--check-scalar).
-RLIBM_CACHE_DIR="$servedir" dune exec --no-build bin/rlibm_gen.exe -- serve \
-  --func exp2 --func log2 --ebits 4 --prec 7 --check-scalar --bench \
-  -j "$N" > /dev/null 2> "$servebench"
-grep -Eq 'bench: scalar [0-9.]+ ns/eval, kernel [0-9.]+ ns/eval' "$servebench" \
-  || { echo "no kernel timings reported:"; cat "$servebench"; exit 1; }
-# Throughput harness: quick grid, JSON artifact, at a 2^10 batch (fanned
-# out over the pool) and a 2^6 batch (served on the calling domain).
-# Each run exits non-zero if any kernel result differs from the scalar
-# DAG reference (Genlibm.eval_bits).
-RLIBM_CACHE_DIR="$servedir" dune exec --no-build bench/main.exe -- \
-  --serve-bench --quick --serve-batch-pow 10 --serve-json "$benchjson" \
-  -j "$N" > /dev/null
-RLIBM_CACHE_DIR="$servedir" dune exec --no-build bench/main.exe -- \
-  --serve-bench --quick --serve-batch-pow 6 --serve-json "$smalljson" \
-  -j "$N" > /dev/null
-python3 - "$benchjson" "$smalljson" <<'EOF'
-import json, sys
-with open(sys.argv[2]) as f:
-    small = json.load(f)
-assert small["kind"] == "serve-throughput", small["kind"]
-assert small["batch_pow"] == 6, small["batch_pow"]
-assert small["results"], "no small-batch result rows"
-for row in small["results"]:
-    assert row["batch"] == 64, row
-    assert row["bit_identical"] is True, row
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-for key in ("schema_version", "kind", "timestamp", "commit", "host",
-            "jobs", "input_bits", "batch_pow", "results"):
-    assert key in doc, f"missing envelope key {key!r}"
-assert doc["kind"] == "serve-throughput", doc["kind"]
-assert doc["schema_version"] == 1, doc["schema_version"]
-assert doc["results"], "no result rows"
-for row in doc["results"]:
-    for key in ("func", "scheme", "batch", "scalar_ns_per_eval",
-                "kernel_ns_per_eval", "scalar_evals_per_s",
-                "kernel_evals_per_s", "speedup",
-                "kernel_minor_words_per_eval", "bit_identical"):
-        assert key in row, f"missing row key {key!r}"
-    assert row["bit_identical"] is True, row
-    assert row["kernel_ns_per_eval"] > 0.0, row
-    # Per-chunk constants only (about 0.02 at -j 4, batch 2^10): a table
-    # built per call or a float boxed per element breaks this bound.
-    assert row["kernel_minor_words_per_eval"] <= 0.03, row
-EOF
-echo "kernel timings reported, serve-throughput JSON schema OK, minor words <= 0.03/eval, 2^6 batches bit-identical"
-
 echo "== sharded oracle warm smoke =="
-sharddir=$(mktemp -d)
-shardout=$(mktemp)
-trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
-       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" "$seedg" "$seedstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson" \
-       "$shardout"
-     rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir" "$servedir" "$sharddir"' EXIT
+sharddir="$work/shard-store" && mkdir "$sharddir"
+shardout="$work/shard.out"
 # Half-run: warm two of the four oracle shards, one invocation each (the
 # distributed / killed-warmer shape).  Per-shard status is the typed
 # shard.done event, rendered on stderr at --log-level info, so the
@@ -252,47 +197,33 @@ grep -Eq 'oracle  *hit' "$shardout" \
   || { echo "oracle stage missed after sharded warm:"; cat "$shardout"; exit 1; }
 echo "sharded warm: resume loads published shards, re-run all-hit, oracle stage warm"
 
-echo "== machine-readable stdout smoke (--gen-json) =="
-# With every narration line on stderr, a JSON artifact pointed at
-# /dev/stdout must leave stdout as one parseable document — nothing else
-# may leak into the stream.
-genjson=$(mktemp)
-trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
-       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" "$seedg" "$seedstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson" \
-       "$shardout" "$genjson"
-     rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir" "$servedir" "$sharddir"' EXIT
-dune exec --no-build bench/main.exe -- --gen-json /dev/stdout --quick \
-  -j "$N" > "$genjson" 2> /dev/null
-python3 - "$genjson" <<'EOF'
+echo "== machine-readable stdout smoke (--trace /dev/stdout) =="
+# With every narration line on stderr, a trace pointed at /dev/stdout
+# must leave stdout as one parseable JSONL stream: a cold oracle warm at
+# --log-level info narrates on stderr, and nothing may leak into stdout.
+puritydir="$work/purity-store" && mkdir "$puritydir"
+RLIBM_CACHE_DIR="$puritydir" dune exec --no-build bin/rlibm_gen.exe -- warm \
+  --func exp2 --through oracle --ebits 4 --prec 7 --log-level info \
+  --trace /dev/stdout > "$work/purity.out" 2> "$work/purity.err"
+[ -s "$work/purity.err" ] || { echo "no info narration on stderr"; exit 1; }
+python3 - "$work/purity.out" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
-    doc = json.load(f)  # fails if any narration leaked onto stdout
-for key in ("schema_version", "kind", "timestamp", "commit", "host",
-            "jobs", "input_bits", "scheme", "generation"):
-    assert key in doc, f"missing envelope key {key!r}"
-assert doc["kind"] == "staged-generation", doc["kind"]
-assert doc["generation"], "no generation rows"
-for row in doc["generation"]:
-    assert row["ok"] is True, row
-    assert row["warm_rebuilt_stages"] == 0, row
+    lines = [json.loads(l) for l in f]  # fails if narration leaked onto stdout
+assert lines and lines[0]["kind"] == "rlibm-trace", lines[:1]
+assert any(e.get("ev") == "oracle.ziv" for e in lines[1:]), "no oracle.ziv event"
 EOF
-echo "--gen-json stdout parses as one JSON document, warm rebuilds = 0"
+echo "stdout is one JSONL trace stream, narration on stderr"
 
 echo "== trace smoke (cold/warm generate with --trace) =="
-# Trace files live at a stable path (not the mktemp pool) so CI can
+# Trace files live at a stable path (not $work) so CI can
 # upload them as a post-mortem artifact when this script fails; they are
 # removed only on success, at the bottom.
 tracedir="_build/trace-smoke"
 rm -rf "$tracedir" && mkdir -p "$tracedir"
-tracegen=$(mktemp -d)
-tracecold=$(mktemp) && tracewarm=$(mktemp) && tracenone=$(mktemp)
-trap 'rm -f "$tmp1" "$tmpN" "$cold" "$poisoned" "$stats" \
-       "$coldg" "$warmg" "$resumedg" "$stageout" "$warmstats" "$seedg" "$seedstats" \
-       "$serve1" "$serveN" "$servestats" "$servebench" "$benchjson" "$smalljson" \
-       "$shardout" "$genjson" "$tracecold" "$tracewarm" "$tracenone"
-     rm -rf "$cachedir" "$stagedir" "$resumedir" "$seeddir" "$servedir" "$sharddir" \
-       "$tracegen"' EXIT
+tracegen="$work/trace-store" && mkdir "$tracegen"
+tracecold="$work/tracecold.out" && tracewarm="$work/tracewarm.out"
+tracenone="$work/tracenone.out"
 RLIBM_CACHE_DIR="$tracegen" dune exec --no-build bin/rlibm_gen.exe -- generate \
   --func exp2 --scheme estrin-fma --ebits 4 --prec 7 --verify \
   --trace "$tracedir/cold.jsonl" -j 1 > "$tracecold" 2> /dev/null
@@ -420,6 +351,15 @@ dune exec --no-build bin/rlibm_gen.exe -- fsck \
 grep -q ', 0 quarantined, 0 stale temps,' "$faultdir/fsck-clean.out" \
   || { echo "resumed store has findings:"; cat "$faultdir/fsck-clean.out"; exit 1; }
 echo "injected ENOSPC exits 3 typed; kill-point resume bit-identical, fsck clean"
+
+echo "== paper harness flags =="
+# An experiment flag runs; an unknown flag (such as a deleted timing
+# mode) fails instead of silently running the whole harness.
+dune exec --no-build bench/main.exe -- --cost > /dev/null 2>&1
+if dune exec --no-build bench/main.exe -- --serve-bench > /dev/null 2>&1; then
+  echo "bench/main.exe accepted an unknown flag"; exit 1
+fi
+echo "bench/main.exe: --cost runs, an unknown flag is rejected"
 
 echo "== benchmark self-tests =="
 python3 perfbench/test_bench.py
