@@ -24,8 +24,8 @@
    — is the repository benchmark's (perfbench/, see BENCHMARK.json).
 
    Generation runs through the staged pipeline (lib/pipeline): the first
-   run persists every stage — oracle table, rounding intervals, merged
-   constraints, per-scheme polynomial, verdict — through the hardened
+   run persists every stage — oracle table, merged constraints,
+   per-scheme polynomial, verdict — through the hardened
    Cache store (default ./.oracle-cache; RLIBM_CACHE_DIR relocates it,
    RLIBM_NO_DISK_CACHE=1 disables it); subsequent runs load the deepest
    stage directly and perform zero oracle evaluations and zero LP

@@ -12,10 +12,9 @@
      rlibm_gen cost     [--degree 5]
 
    Generation runs through lib/pipeline: each stage (oracle table,
-   rounding intervals, reduced constraints, LP polynomial, verdict) is a
-   persisted artifact, so an interrupted run resumes from the last
-   completed stage and a warm re-run performs zero oracle evaluations
-   and zero LP solves.  See README.md for a walkthrough. *)
+   reduced constraints, LP polynomial, verdict) is a persisted artifact,
+   so an interrupted run resumes from the last completed stage and a
+   warm re-run performs zero oracle evaluations and zero LP solves.  See README.md for a walkthrough. *)
 
 open Cmdliner
 
@@ -176,7 +175,7 @@ let warm_cmd =
       | Some s -> s
       | None ->
           Printf.eprintf
-            "unknown stage %S (oracle, intervals, constraints, poly, verdict)\n"
+            "unknown stage %S (oracle, constraints, poly, verdict)\n"
             through;
           exit 2
     in
@@ -271,8 +270,8 @@ let warm_cmd =
       value & opt string "verdict"
       & info [ "through" ] ~docv:"STAGE"
           ~doc:
-            "Deepest stage to pre-fill: oracle, intervals, constraints, \
-             poly or verdict.  Warming through a shallow stage and \
+            "Deepest stage to pre-fill: oracle, constraints, poly or \
+             verdict.  Warming through a shallow stage and \
              re-running generate later exercises the resume path.")
   in
   Cmd.v

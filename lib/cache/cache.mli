@@ -76,7 +76,7 @@ val path_of_key : string -> string
 (** {1 Store and load}
 
     Every entry belongs to an artifact {e kind} — a short label
-    ("oracle", "intervals", "poly", …) that buckets the observability
+    ("oracle", "constraints", "poly", …) that buckets the observability
     counters so [--cache-stats] can show {e where} time is saved, not
     just that it was.  The kind is reporting metadata only: it does not
     participate in the key or the on-disk layout. *)

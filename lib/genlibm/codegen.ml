@@ -126,7 +126,7 @@ let to_c (g : Rlibm.Generate.generated) ~name =
     (g.Rlibm.Generate.cfg.Rlibm.Config.tin.Softfp.ebits + 2)
     (Softfp.width g.Rlibm.Generate.cfg.Rlibm.Config.tin);
   pr "   rounding modes (round-to-odd construction). */\n";
-  pr "#include <math.h>\n\n";
+  pr "#include <math.h>\n#include <stdint.h>\n\n";
   if specials <> [] then begin
     pr "static const double %s_special[][2] = {\n" name;
     List.iter
@@ -151,7 +151,10 @@ let to_c (g : Rlibm.Generate.generated) ~name =
   if is_exp then pr "  if (isinf(x)) return x > 0 ? x : 0.0;\n"
   else begin
     pr "  if (x == 0.0) return -INFINITY;\n";
-    pr "  if (x < 0.0) return NAN;\n";
+    (* The kernel's own NaN bits (Float.nan's payload, which C's NAN
+       lacks), so the C is bit-identical to it. *)
+    pr "  static const union { uint64_t u; double d; } nan_bits = { 0x%LxULL };\n\
+       \  if (x < 0.0) return nan_bits.d;\n" (Int64.bits_of_float Float.nan);
     pr "  if (isinf(x)) return x;\n"
   end;
   if specials <> [] then begin

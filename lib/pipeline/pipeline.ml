@@ -14,31 +14,24 @@
      those values directly, and the Diag "stage" span renders the same
      outcome for sinks. *)
 
-type stage = Oracle | Intervals | Constraints | Poly | Verdict
+type stage = Oracle | Constraints | Poly | Verdict
 
-let all_stages = [ Oracle; Intervals; Constraints; Poly; Verdict ]
+let all_stages = [ Oracle; Constraints; Poly; Verdict ]
 
 let stage_name = function
   | Oracle -> "oracle"
-  | Intervals -> "intervals"
   | Constraints -> "constraints"
   | Poly -> "poly"
   | Verdict -> "verdict"
 
 let stage_of_name = function
   | "oracle" -> Some Oracle
-  | "intervals" -> Some Intervals
   | "constraints" -> Some Constraints
   | "poly" -> Some Poly
   | "verdict" -> Some Verdict
   | _ -> None
 
-let rank = function
-  | Oracle -> 1
-  | Intervals -> 2
-  | Constraints -> 3
-  | Poly -> 4
-  | Verdict -> 5
+let rank = function Oracle -> 1 | Constraints -> 2 | Poly -> 3 | Verdict -> 4
 
 (* ---------- stage keys ----------
 
@@ -48,7 +41,6 @@ let rank = function
    everything below it (the invalidation graph of DESIGN.md).  The
    oracle stage reuses Constraints.oracle_cache_key so tables warmed by
    earlier revisions stay valid. *)
-let v_intervals = 1
 let v_constraints = 1
 
 (* v2: the persisted poly payload is a [(solved, Diag.Error.t) result] —
@@ -84,20 +76,19 @@ let oracle_shard_key ~cfg ~shards ~index func =
   Printf.sprintf "%s-sh%d.%d-shv%d" (oracle_key ~cfg func) index shards
     shard_version
 
-let intervals_key ~cfg func =
-  Printf.sprintf "%s-ivl-v%d" (base ~cfg func) v_intervals
-
+(* The ".1" ending the constraints and poly version chains was the
+   layout version of the rounding-interval artifact, no longer stored; it
+   stays frozen so those keys, and their stored entries, are unchanged. *)
 let constraints_key ~(cfg : Rlibm.Config.t) func =
-  Printf.sprintf "%s-p%d-tb%d-cns-v%d.%d" (base ~cfg func)
+  Printf.sprintf "%s-p%d-tb%d-cns-v%d.1" (base ~cfg func)
     cfg.Rlibm.Config.pieces cfg.Rlibm.Config.table_bits v_constraints
-    v_intervals
 
 let poly_key ~(cfg : Rlibm.Config.t) ~scheme func =
-  Printf.sprintf "%s-p%d-tb%d-%s-d%d.%d-r%d-sp%d-ply-v%d.%d.%d"
+  Printf.sprintf "%s-p%d-tb%d-%s-d%d.%d-r%d-sp%d-ply-v%d.%d.1"
     (base ~cfg func) cfg.Rlibm.Config.pieces cfg.Rlibm.Config.table_bits
     (Polyeval.scheme_name scheme) cfg.Rlibm.Config.min_degree
     cfg.Rlibm.Config.max_degree cfg.Rlibm.Config.max_rounds
-    cfg.Rlibm.Config.max_specials v_poly v_constraints v_intervals
+    cfg.Rlibm.Config.max_specials v_poly v_constraints
 
 let verdict_key ?(narrow = true) ~cfg ~scheme func =
   Printf.sprintf "%s-nw%d-vrd-v%d" (poly_key ~cfg ~scheme func)
@@ -361,20 +352,18 @@ let oracle_stage ?(shards = 1) ?only_shard ~(cfg : Rlibm.Config.t) func =
         Error (Diag.Error.Shard_range { index = k; count = shards })
     | _ -> Ok (fst (run_oracle ~shards ?only_shard ~cfg func))
 
-(* ---------- stage 2: rounding intervals ---------- *)
+(* ---------- rounding intervals: computed, not a stage ---------- *)
 
-let intervals_staged ~cfg func =
-  staged ~stage:Intervals ~key:(intervals_key ~cfg func) (fun () ->
-      let oracle, _ = run_oracle ~shards:1 ~cfg func in
-      Rlibm.Constraints.rounding_intervals ~cfg ~family:(family_of ~cfg func)
-        ~inputs:(inputs_of cfg) ~oracle)
+let intervals_stage ~cfg func =
+  let oracle, _ = run_oracle ~shards:1 ~cfg func in
+  Rlibm.Constraints.rounding_intervals ~cfg ~family:(family_of ~cfg func)
+    ~inputs:(inputs_of cfg) ~oracle
 
-let intervals_stage ~cfg func = fst (intervals_staged ~cfg func)
+(* ---------- stage 2: reduced, merged constraints ---------- *)
 
-(* ---------- stage 3: reduced, merged constraints ---------- *)
-
-(* Persisted payload: the per-piece points and the immediate specials.
-   The oracle table is stage 1's artifact, re-attached on the way out. *)
+(* Persisted payload: the per-piece points and the immediate specials,
+   derived from the rounding intervals in memory.  The oracle table is
+   stage 1's artifact, re-attached on the way out. *)
 let constraints_staged ~(cfg : Rlibm.Config.t) func =
   let (points, immediate_specials), ev =
     staged ~stage:Constraints ~key:(constraints_key ~cfg func) (fun () ->
@@ -389,7 +378,7 @@ let constraints_staged ~(cfg : Rlibm.Config.t) func =
 
 let constraints_stage ~cfg func = fst (constraints_staged ~cfg func)
 
-(* ---------- stage 4: LP polynomial per scheme ---------- *)
+(* ---------- stage 3: LP polynomial per scheme ---------- *)
 
 (* Round 1's LP per (piece, degree), content-keyed under the constraint
    set: the first scheme of a function publishes it, every later scheme
@@ -426,7 +415,7 @@ let assemble ~cfg ~scheme func solved =
 let generate ~cfg ~scheme func =
   assemble ~cfg ~scheme func (fst (solved_stage ~cfg ~scheme func))
 
-(* ---------- stage 5: verified function ---------- *)
+(* ---------- stage 4: verified function ---------- *)
 
 let verdict_staged ~narrow ~cfg ~scheme func g =
   (staged ~stage:Verdict ~key:(verdict_key ~narrow ~cfg ~scheme func)
@@ -445,14 +434,13 @@ let verified ?(narrow = true) ~cfg ~scheme func =
    artifacts already warm). *)
 let run_stages ?(narrow = true) ~cfg ~scheme func =
   let _, oracle = run_oracle ~shards:1 ~cfg func in
-  let _, intervals = intervals_staged ~cfg func in
   let _, constraints = constraints_staged ~cfg func in
   let solved, poly = solved_stage ~cfg ~scheme func in
   match assemble ~cfg ~scheme func solved with
-  | Error _ as e -> ([ oracle; intervals; constraints; poly ], e)
+  | Error _ as e -> ([ oracle; constraints; poly ], e)
   | Ok g ->
       let report, verdict = verdict_staged ~narrow ~cfg ~scheme func g in
-      ([ oracle; intervals; constraints; poly; verdict ], Ok (g, report))
+      ([ oracle; constraints; poly; verdict ], Ok (g, report))
 
 type warm_report = {
   wm_entries : (Oracle.func * int) list;
@@ -483,10 +471,6 @@ let warm ?(schemes = Polyeval.paper_schemes) ?(through = Verdict)
               let count, errs =
                 collect_store_errors (fun () ->
                     let oracle, _ = run_oracle ~shards ?only_shard ~cfg func in
-                    if depth >= rank Intervals then
-                      ignore
-                        (intervals_stage ~cfg func
-                          : Rlibm.Constraints.rounding_interval array);
                     if depth >= rank Constraints then
                       ignore
                         (constraints_stage ~cfg func

@@ -1,11 +1,11 @@
 (** Staged artifact pipeline: every generation stage is a first-class,
     cacheable, resumable artifact.
 
-    Generation factors into five stages,
+    Generation factors into four stages,
 
     {v
-    oracle table -> rounding intervals -> reduced constraints
-                 -> LP polynomial (per scheme) -> verified function
+    oracle table -> reduced constraints -> LP polynomial (per scheme)
+                 -> verified function
     v}
 
     each persisted through the hardened {!Cache} store under a
@@ -25,7 +25,7 @@
     v}
 
     The stage bodies are the pure functions in {!Rlibm.Constraints}
-    ([ensure_oracle] / [rounding_intervals] / [combine]),
+    ([ensure_oracle], then [rounding_intervals] and [combine] in memory),
     {!Rlibm.Generate} ([solve] / [assemble]) and {!Genlibm} ([verify]);
     this module only sequences, persists and reports them.  Parallel
     fan-out stays on {!Parallel} inside the bodies and every random walk
@@ -38,13 +38,13 @@
     stays on {!Genlibm.generate_sampled}.  Set [RLIBM_NO_DISK_CACHE] to
     degrade every stage to compute-always (the exact unstaged path). *)
 
-type stage = Oracle | Intervals | Constraints | Poly | Verdict
+type stage = Oracle | Constraints | Poly | Verdict
 
 val all_stages : stage list
 (** In pipeline order. *)
 
 val stage_name : stage -> string
-(** ["oracle"], ["intervals"], ["constraints"], ["poly"], ["verdict"] —
+(** ["oracle"], ["constraints"], ["poly"], ["verdict"] —
     also the {!Cache} kind each stage's artifacts are accounted to. *)
 
 val stage_of_name : string -> stage option
@@ -57,7 +57,6 @@ val stage_of_name : string -> stage option
     upstream orphans exactly the downstream entries. *)
 
 val oracle_key : cfg:Rlibm.Config.t -> Oracle.func -> string
-val intervals_key : cfg:Rlibm.Config.t -> Oracle.func -> string
 val constraints_key : cfg:Rlibm.Config.t -> Oracle.func -> string
 
 (** {2 Oracle shards}
@@ -157,21 +156,25 @@ val intervals_stage :
   cfg:Rlibm.Config.t ->
   Oracle.func ->
   Rlibm.Constraints.rounding_interval array
-(** Stage 2: CalcRndIntervals over the oracle table. *)
+(** CalcRndIntervals over the stage-1 oracle table, computed in memory
+    on every call.  Not a stage: the intervals cost less to recompute
+    than to store and load back.  Exported because the repository
+    benchmark (perfbench) times it as its own span. *)
 
 val constraints_stage :
   cfg:Rlibm.Config.t ->
   Oracle.func ->
   Rlibm.Constraints.build_result
-(** Stage 3: reduced, merged constraints (pull-back + CalculatePhi).
-    The returned record shares the stage-1 oracle table. *)
+(** Stage 2: reduced, merged constraints — the rounding intervals
+    ({!intervals_stage}), pulled back and merged (CalculatePhi).  The
+    returned record shares the stage-1 oracle table. *)
 
 val generate :
   cfg:Rlibm.Config.t ->
   scheme:Polyeval.scheme ->
   Oracle.func ->
   (Rlibm.Generate.generated, Diag.Error.t) result
-(** Stage 4: the LP polynomial for one scheme, assembled into a runnable
+(** Stage 3: the LP polynomial for one scheme, assembled into a runnable
     implementation.  Persists {!Rlibm.Generate.solved} (including typed
     [Error] outcomes — generation is deterministic, so a failure is a
     property of the knobs, not of the run). *)
@@ -182,7 +185,7 @@ val verified :
   scheme:Polyeval.scheme ->
   Oracle.func ->
   (Rlibm.Generate.generated * Genlibm.verify_report, Diag.Error.t) result
-(** Stage 5: exhaustive verification verdict for the generated
+(** Stage 4: exhaustive verification verdict for the generated
     function. *)
 
 (** {1 Drivers} *)
@@ -197,7 +200,7 @@ val run_stages :
 (** Run every stage explicitly in pipeline order (cheap when warm) and
     return one event per executed stage — the [rlibm_gen stages]
     report.  When the polynomial stage fails, the verdict stage is
-    skipped and the event list has four entries. *)
+    skipped and the event list has three entries. *)
 
 type warm_report = {
   wm_entries : (Oracle.func * int) list;

@@ -25,20 +25,43 @@ type build_result = {
   oracle : (int64, int64) Hashtbl.t;  (* input bits -> round-to-odd bits *)
 }
 
-(* Exact inverse of the idealized output compensation of the element
-   [reduce_into] left in [s]: q / 2^n, or q - c. *)
-let oc_inv (family : Reduction.t) (s : Reduction.scratch) q =
+(* The exact inverse of the idealized output compensation: q / 2^n, q - c. *)
+type inverse = Scale of int | Shift of float
+
+let inverse (family : Reduction.t) (s : Reduction.scratch) =
   match family.params with
-  | Reduction.Exp_params _ -> Rat.mul_pow2 q (-s.sn)
-  | Reduction.Log_params _ -> Rat.sub q (Rat.of_float s.sf.sc)
+  | Reduction.Exp_params _ -> Scale s.sn
+  | Reduction.Log_params _ -> Shift s.sf.sc
+
+(* Exact directed rounding of the inverse; see constraints.mli. *)
+let pull inv ~up q =
+  match inv with
+  | Scale n ->
+      let r = Float.ldexp q (-n) in
+      let back = Float.ldexp r n in
+      if back = q then r +. 0.0
+      else if up then if back < q then Float.succ r else r
+      else if back > q then Float.pred r
+      else r
+  | Shift c ->
+      let s = q -. c in
+      if Float.is_finite s then
+        (* TwoSum: e = (q - c) - s exactly. *)
+        let bb = s -. q in
+        let e = (q -. (s -. bb)) -. (c +. bb) in
+        if up && e > 0.0 then Float.succ s
+        else if (not up) && e < 0.0 then Float.pred s
+        else s +. 0.0
+      else if up = (s > 0.0) then s
+      else Float.copy_sign Float.max_float s
 
 (* Pull [iv] back through the output compensation: exact inverse first,
    then nudge the double endpoints until the real OC maps them inside the
    target interval.  Returns None when no double survives. *)
-let reduced_interval ~oc ~oc_inv (iv : Intervals.t) =
+let reduced_interval ~oc ~inv (iv : Intervals.t) =
   let inside v = iv.Intervals.lo <= v && v <= iv.Intervals.hi in
-  let g_lo = ref (Rat.to_float_dir Rat.Up (oc_inv (Rat.of_float iv.Intervals.lo))) in
-  let g_hi = ref (Rat.to_float_dir Rat.Down (oc_inv (Rat.of_float iv.Intervals.hi))) in
+  let g_lo = ref (pull inv ~up:true iv.Intervals.lo) in
+  let g_hi = ref (pull inv ~up:false iv.Intervals.hi) in
   (* Each direction gets its own nudge budget: with a single shared
      budget a hard lower boundary drains it before the upper fix-up runs,
      misclassifying a recoverable constraint as infeasible. *)
@@ -57,7 +80,7 @@ let reduced_interval ~oc ~oc_inv (iv : Intervals.t) =
   else None
 
 (* The oracle results are the expensive part of generation and depend only
-   on (function, input format, target format) — share them across the four
+   on (function, input format, target format) — share them across the five
    evaluation schemes, and persist them through the hardened {!Cache}
    store (the moral equivalent of the artifact's pre-generated oracle
    files) so repeated runs of the tests, benchmarks and examples do not
@@ -111,11 +134,10 @@ let persist_oracle_table ~func ~(tin : Softfp.fmt) ~(tout : Softfp.fmt) =
 
 (* ---------- stage bodies ----------
 
-   [build] used to fuse three conceptually distinct computations: the
-   Ziv-loop oracle evaluations, the rounding-interval construction, and
-   the pull-back/CalculatePhi merge.  They are now separate pure bodies
-   so the staged artifact pipeline (lib/pipeline) can persist and resume
-   each one independently; [build] composes them unchanged. *)
+   Three separate pure bodies: the oracle evaluations, the
+   rounding-interval construction, and the pull-back/CalculatePhi merge.
+   The staged pipeline (lib/pipeline) persists the first and the
+   composition of the other two; [build] composes all three. *)
 
 (* The fields of one [oracle.ziv] event: how many of a range's oracle
    evaluations each tier decided — the fast first tier, the analytic
@@ -216,32 +238,22 @@ type rounding_interval = {
 (* Stage body 2: CalcRndIntervals.  One entry per finite, non-shortcut
    input, in input order.  Derived entirely from the oracle table (which
    must cover the inputs — [ensure_oracle] first), so it depends only on
-   (func, tin, tout), never on the piece split or reduction table. *)
+   (func, tin, tout).  Cheap and native: the constraints stage recomputes
+   it rather than storing it. *)
 let rounding_intervals ~(cfg : Config.t) ~(family : Reduction.t)
     ~(inputs : int64 array) ~(oracle : (int64, int64) Hashtbl.t) =
   let tin = cfg.tin and tout = Config.tout cfg in
   let acc = ref [] in
   Array.iter
     (fun x ->
-      if Softfp.is_finite tin x then
-        let xf = Softfp.to_float tin x in
-        match family.shortcut xf with
-        | Some _ -> ()
-        | None ->
-            let y =
-              match Hashtbl.find_opt oracle x with
-              | Some y -> y
-              | None ->
-                  (* Robustness: a caller resuming from a partial store
-                     may hand an incomplete table; the result is the same
-                     either way. *)
-                  Oracle.correctly_round family.func (Softfp.to_rat tin x)
-                    ~fmt:tout ~mode:Softfp.RTO
-            in
-            let iv = Intervals.of_round_to_odd tout y in
-            acc := { ri_x = x; ri_y = y; ri_lo = iv.Intervals.lo;
-                     ri_hi = iv.Intervals.hi }
-                   :: !acc)
+      if Softfp.is_finite tin x && family.shortcut (Softfp.to_float tin x) = None
+      then begin
+        let y = Hashtbl.find oracle x in
+        let iv = Intervals.of_round_to_odd tout y in
+        acc :=
+          { ri_x = x; ri_y = y; ri_lo = iv.Intervals.lo; ri_hi = iv.Intervals.hi }
+          :: !acc
+      end)
     inputs;
   Array.of_list (List.rev !acc)
 
@@ -270,7 +282,7 @@ let combine ~(cfg : Config.t) ~(family : Reduction.t)
         let iv = { Intervals.lo = ri.ri_lo; hi = ri.ri_hi } in
         match
           reduced_interval ~oc:(Reduction.compensate family s)
-            ~oc_inv:(oc_inv family s) iv
+            ~inv:(inverse family s) iv
         with
         | None -> P_special
         | Some (lo, hi) -> P_point { piece = s.spiece; r = s.sf.sr; lo; hi })

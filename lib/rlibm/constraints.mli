@@ -8,7 +8,7 @@
     results are memoized in-process and persisted through the hardened
     {!Cache} store (default ./.oracle-cache; relocate with
     RLIBM_CACHE_DIR, disable with RLIBM_NO_DISK_CACHE) since they are
-    shared by all four evaluation schemes.  Corrupt or stale entries are
+    shared by all five evaluation schemes.  Corrupt or stale entries are
     detected, quarantined and regenerated — they never flow into rounding
     intervals. *)
 
@@ -34,17 +34,36 @@ type build_result = {
           input *)
 }
 
-(** [reduced_interval ~oc ~oc_inv iv] pulls [iv] back through an
-    element's output compensation: the exact rational inverse [oc_inv]
-    of the idealized compensation first, then the AdjHigher/AdjLower
-    fix-up loop of CalculateL' against the actual double compensation
-    [oc] ({!Reduction.compensate}).  [None] when no double reduced value
-    maps inside [iv]. *)
+(** The exact inverse of an element's idealized output compensation:
+    [Scale n] is q / 2^n (exponentials), [Shift c] is q - c (logs). *)
+type inverse = Scale of int | Shift of float
+
+(** [Scale sn] or [Shift sc], for the element [reduce_into] left in the
+    scratch. *)
+val inverse : Reduction.t -> Reduction.scratch -> inverse
+
+(** [pull inv ~up q] is the exact inverse of [q] rounded up or down to a
+    double ([+0.0] for an exact zero), in double arithmetic:
+    - [Scale n]: [ldexp q (-n)] is exact while it is a normal double.  A
+      subnormal (or overflowing) quotient is decided in place: scaling it
+      back by 2^n is exact (or overflows past [q]), so comparing that
+      with [q] tells on which side of the true quotient it lies, and one
+      [succ]/[pred] step rounds the requested way.
+    - [Shift c]: TwoSum gives [s], the nearest double to [q - c], and the
+      exact error [(q - c) - s] (barring overflow, which needs operands
+      near 2^1023; a log's are below 2^15); its sign decides the step.
+      An infinite [s] rounds toward zero to [±max_float]. *)
+val pull : inverse -> up:bool -> float -> float
+
+(** [reduced_interval ~oc ~inv iv] pulls [iv] back through an element's
+    output compensation: the directed {!pull} of both endpoints through
+    the exact inverse [inv] of the idealized compensation first, then
+    the AdjHigher/AdjLower fix-up loop of CalculateL' (at most 256
+    nudges per direction) against the actual double compensation [oc]
+    ({!Reduction.compensate}).  [None] when no double reduced value maps
+    inside [iv]. *)
 val reduced_interval :
-  oc:(float -> float) ->
-  oc_inv:(Rat.t -> Rat.t) ->
-  Intervals.t ->
-  (float * float) option
+  oc:(float -> float) -> inv:inverse -> Intervals.t -> (float * float) option
 
 (** [build ~cfg ~family ~inputs] assembles the merged constraint set for
     the given input patterns (finite ones; others are ignored).
@@ -53,8 +72,8 @@ val reduced_interval :
     across the {!Parallel} pool; the CalculatePhi merge runs on the
     driver in input order, so the result is bit-identical for every job
     count.  [build] is the composition of the three stage bodies below;
-    the staged pipeline (lib/pipeline) calls them separately so each
-    product persists and resumes on its own. *)
+    the staged pipeline (lib/pipeline) persists the oracle table and the
+    merged constraints as separate stages. *)
 val build :
   cfg:Config.t ->
   family:Reduction.t ->
@@ -115,10 +134,10 @@ type rounding_interval = {
 
 (** [rounding_intervals ~cfg ~family ~inputs ~oracle] lists, in input
     order, the rounding interval of every finite non-shortcut input.
-    Depends only on (func, tin, tout) — never on the piece split or the
-    reduction table — which is what makes it a separately keyable
-    artifact.  Missing oracle entries are recomputed on the fly (same
-    value), so a partially resumed table is safe. *)
+    Depends only on (func, tin, tout), never on the piece split or the
+    reduction table.  [oracle] must cover those inputs (fill it with
+    {!ensure_oracle} first).
+    @raise Not_found when it does not. *)
 val rounding_intervals :
   cfg:Config.t ->
   family:Reduction.t ->

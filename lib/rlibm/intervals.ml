@@ -1,16 +1,5 @@
 (* Rounding intervals for round-to-odd targets (Section 2 of the paper).
-
-   Given the oracle's round-to-odd result y in the (n+2)-bit target T', the
-   rounding interval is the set of double-precision values v such that
-   rounding v to T' with round-to-odd yields y:
-
-   - y with an odd bit pattern is never exact, so the interval is the open
-     interval between its two (even) neighbours;
-   - y with an even pattern can only come from an exactly representable
-     real, so the interval degenerates to the single point y.
-
-   Endpoints are returned as the extreme *double* values inside the set,
-   which is what the LP layer consumes (H = binary64). *)
+   See intervals.mli for the construction. *)
 
 type t = { lo : float; hi : float }
 
@@ -22,21 +11,13 @@ let is_degenerate iv = iv.lo = iv.hi
 let of_round_to_odd tout y =
   if not (Softfp.is_finite tout y) then
     invalid_arg "Intervals.of_round_to_odd: not finite";
-  let v = Softfp.to_float tout y in
-  if Softfp.frac_odd tout y then begin
-    let below =
-      let p = Softfp.pred tout y in
-      if Softfp.is_finite tout p then Softfp.to_float tout p
-      else -.Float.max_float *. 2.0 (* unreachable for our functions *)
-    in
-    let above =
-      let s = Softfp.succ tout y in
-      if Softfp.is_finite tout s then Softfp.to_float tout s
-      else Float.infinity
-    in
-    (* Strictly inside the open interval, as doubles. *)
-    let lo = Float.succ below in
-    let hi = if above = Float.infinity then Float.max_float else Float.pred above in
-    { lo; hi }
-  end
-  else { lo = v; hi = v }
+  if Softfp.frac_odd tout y then
+    (* Strictly inside the open interval between the even neighbours, as
+       doubles; an infinite neighbour leaves -max_float / max_float. *)
+    {
+      lo = Float.succ (Softfp.to_float tout (Softfp.pred tout y));
+      hi = Float.pred (Softfp.to_float tout (Softfp.succ tout y));
+    }
+  else
+    let v = Softfp.to_float tout y in
+    { lo = v; hi = v }

@@ -16,7 +16,6 @@ let make_fmt ~ebits ~prec =
 
 let binary16 = make_fmt ~ebits:5 ~prec:11
 let bfloat16 = make_fmt ~ebits:8 ~prec:8
-let tensorfloat32 = make_fmt ~ebits:8 ~prec:11
 let binary32 = make_fmt ~ebits:8 ~prec:24
 let fp34 = make_fmt ~ebits:8 ~prec:26
 
@@ -81,19 +80,24 @@ let frac_odd _fmt (b : bits) = Int64.to_int b land 1 = 1
 
 (* ---------- decode ---------- *)
 
+(* The exact decode, kept apart from the native one below ([significand])
+   so that each checks the other. *)
 let to_rat fmt b =
-  match classify fmt b with
-  | Inf | NaN -> invalid_arg "Softfp.to_rat: not finite"
-  | Zero -> Rat.zero
-  | Subnormal ->
-      let s, _, f = to_fields fmt b in
-      let v = Rat.mul_pow2 (Rat.of_int f) (emin fmt - fwidth fmt) in
-      if s = 1 then Rat.neg v else v
-  | Normal ->
-      let s, be, f = to_fields fmt b in
-      let mant = (1 lsl fwidth fmt) lor f in
-      let v = Rat.mul_pow2 (Rat.of_int mant) (be - bias fmt - fwidth fmt) in
-      if s = 1 then Rat.neg v else v
+  if not (is_finite fmt b) then invalid_arg "Softfp.to_rat: not finite";
+  let s, be, f = to_fields fmt b in
+  let v =
+    if be = 0 then Rat.mul_pow2 (Rat.of_int f) (emin fmt - fwidth fmt)
+    else
+      Rat.mul_pow2
+        (Rat.of_int ((1 lsl fwidth fmt) lor f))
+        (be - bias fmt - fwidth fmt)
+  in
+  if s = 1 then Rat.neg v else v
+
+(* A finite pattern's magnitude is m * 2^e, in native ints. *)
+let significand fmt be f =
+  if be = 0 then (f, emin fmt - fwidth fmt)
+  else ((1 lsl fwidth fmt) lor f, be - bias fmt - fwidth fmt)
 
 (* ---------- encode (correct rounding from an exact rational) ---------- *)
 
@@ -231,12 +235,24 @@ let round_float fmt mode x =
     else of_dyadic fmt mode ~neg (f lor 0x10_0000_0000_0000) (be - 1075)
   end
 
+(* With prec <= 53 and ebits <= 11 every finite value is a double
+   (subnormal quantum >= 2^-1074, largest value < 2^1024), so the
+   significand scaled by ldexp is the exact value, read in place from
+   the fields.  Wider formats round the magnitude through Rat. *)
 let to_float fmt b =
-  match classify fmt b with
-  | NaN -> Float.nan
-  | Inf -> if sign_bit fmt b then Float.neg_infinity else Float.infinity
-  | Zero -> if sign_bit fmt b then -0.0 else 0.0
-  | Subnormal | Normal -> Rat.to_float (to_rat fmt b)
+  let n = Int64.to_int b in
+  let f = n land fmask fmt and be = (n lsr fwidth fmt) land emask fmt in
+  if be = emask fmt && f <> 0 then Float.nan
+  else
+    let v =
+      if be = emask fmt then Float.infinity
+      else if fmt.prec > 53 || fmt.ebits > 11 then
+        Rat.to_float (to_rat fmt (of_fields fmt 0 be f))
+      else
+        let m, e = significand fmt be f in
+        Float.ldexp (float_of_int m) e
+    in
+    if (n lsr (width fmt - 1)) land 1 = 1 then -.v else v
 
 (* ---------- ordering and navigation ---------- *)
 
@@ -280,27 +296,12 @@ let narrow ~src ~dst mode b =
   match classify src b with
   | NaN -> nan_bits dst
   | Inf -> inf_bits dst ~neg:(sign_bit src b)
-  | Zero -> if sign_bit src b then neg_zero_bits dst else zero_bits dst
-  | Subnormal ->
-      let sg, _, f = to_fields src b in
-      of_dyadic dst mode ~neg:(sg = 1) f (emin src - fwidth src)
-  | Normal ->
+  | Zero | Subnormal | Normal ->
       let sg, be, f = to_fields src b in
-      of_dyadic dst mode ~neg:(sg = 1)
-        ((1 lsl fwidth src) lor f)
-        (be - bias src - fwidth src)
+      let m, e = significand src be f in
+      of_dyadic dst mode ~neg:(sg = 1) m e
 
 (* ---------- native bridges ---------- *)
 
 let bits_of_float32 x =
   Int64.logand (Int64.of_int32 (Int32.bits_of_float x)) 0xFFFFFFFFL
-
-let float32_of_bits b = Int32.float_of_bits (Int64.to_int32 b)
-
-let pp_bits fmt ppf b =
-  match classify fmt b with
-  | NaN -> Format.fprintf ppf "nan"
-  | Inf -> Format.fprintf ppf "%cinf" (if sign_bit fmt b then '-' else '+')
-  | Zero -> Format.fprintf ppf "%c0" (if sign_bit fmt b then '-' else '+')
-  | Subnormal | Normal ->
-      Format.fprintf ppf "%h[0x%Lx]" (to_float fmt b) b

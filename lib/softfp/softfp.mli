@@ -23,7 +23,6 @@ val make_fmt : ebits:int -> prec:int -> fmt
 
 val binary16 : fmt
 val bfloat16 : fmt
-val tensorfloat32 : fmt
 val binary32 : fmt
 
 (** The paper's 34-bit representation: binary32 plus two extra fraction
@@ -102,9 +101,10 @@ val of_dyadic : fmt -> mode -> neg:bool -> int -> int -> bits
     infinities. *)
 val round_float : fmt -> mode -> float -> bits
 
-(** [to_float fmt b] is the double nearest to the decoded value (exact
-    whenever [prec <= 53] and the exponent range fits, which holds for all
-    formats this library uses). *)
+(** [to_float fmt b] is the double nearest to the decoded value.  For
+    [prec <= 53] and [ebits <= 11] (mini, binary16, bfloat16, binary32)
+    every finite value is a double and is decoded exactly in native
+    arithmetic; wider formats round through {!Rat}. *)
 val to_float : fmt -> bits -> float
 
 (** {1 Navigation and enumeration} *)
@@ -141,6 +141,3 @@ val narrow : src:fmt -> dst:fmt -> mode -> bits -> bits
 (** {1 binary32/64 bridges} *)
 
 val bits_of_float32 : float -> bits
-val float32_of_bits : bits -> float
-
-val pp_bits : fmt -> Format.formatter -> bits -> unit

@@ -98,33 +98,38 @@ let test_keys () =
   let cfg = tiny_cfg and f = Oracle.Exp2 and scheme = Polyeval.Estrin in
   let keys c =
     ( Pipeline.oracle_key ~cfg:c f,
-      Pipeline.intervals_key ~cfg:c f,
       Pipeline.constraints_key ~cfg:c f,
       Pipeline.poly_key ~cfg:c ~scheme f,
       Pipeline.verdict_key ~cfg:c ~scheme f )
   in
-  let o0, i0, c0, p0, v0 = keys cfg in
+  let o0, c0, p0, v0 = keys cfg in
+  (* The surviving keys are frozen byte for byte, including the ".1"
+     that the rounding-interval artifact's layout version used to
+     contribute: stored entries stay reachable. *)
+  Alcotest.(check string) "constraints key frozen"
+    "exp2-in4.7-out4.9-p1-tb3-cns-v1.1" c0;
+  Alcotest.(check string) "poly key frozen"
+    "exp2-in4.7-out4.9-p1-tb3-estrin-d2.6-r20-sp40-ply-v3.1.1" p0;
   (* pieces: constraints and below *)
-  let o, i, c, p, v =
+  let o, c, p, v =
     keys { cfg with Rlibm.Config.pieces = cfg.Rlibm.Config.pieces + 1 }
   in
-  Alcotest.(check bool) "pieces keeps oracle+intervals" true (o = o0 && i = i0);
+  Alcotest.(check bool) "pieces keeps oracle" true (o = o0);
   Alcotest.(check bool) "pieces invalidates constraints+" true
     (c <> c0 && p <> p0 && v <> v0);
   (* table_bits: constraints and below *)
-  let o, i, c, p, v =
+  let o, c, p, v =
     keys { cfg with Rlibm.Config.table_bits = cfg.Rlibm.Config.table_bits + 1 }
   in
-  Alcotest.(check bool) "table_bits keeps oracle+intervals" true
-    (o = o0 && i = i0);
+  Alcotest.(check bool) "table_bits keeps oracle" true (o = o0);
   Alcotest.(check bool) "table_bits invalidates constraints+" true
     (c <> c0 && p <> p0 && v <> v0);
   (* degree/round/special budgets: polynomial and below *)
-  let o, i, c, p, v =
+  let o, c, p, v =
     keys { cfg with Rlibm.Config.max_rounds = cfg.Rlibm.Config.max_rounds + 1 }
   in
-  Alcotest.(check bool) "budgets keep oracle..constraints" true
-    (o = o0 && i = i0 && c = c0);
+  Alcotest.(check bool) "budgets keep oracle+constraints" true
+    (o = o0 && c = c0);
   Alcotest.(check bool) "budgets invalidate poly+" true (p <> p0 && v <> v0);
   (* scheme: polynomial and below *)
   Alcotest.(check bool) "scheme invalidates poly+" true
@@ -134,14 +139,14 @@ let test_keys () =
   Alcotest.(check bool) "narrow invalidates only the verdict" true
     (Pipeline.verdict_key ~narrow:false ~cfg ~scheme f <> v0);
   (* input format: everything *)
-  let o, i, c, p, v =
+  let o, c, p, v =
     keys { cfg with Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:8 }
   in
   Alcotest.(check bool) "format invalidates everything" true
-    (o <> o0 && i <> i0 && c <> c0 && p <> p0 && v <> v0);
+    (o <> o0 && c <> c0 && p <> p0 && v <> v0);
   (* every stage key is a distinct store entry *)
-  Alcotest.(check int) "five distinct keys" 5
-    (List.length (List.sort_uniq compare [ o0; i0; c0; p0; v0 ]))
+  Alcotest.(check int) "four distinct keys" 4
+    (List.length (List.sort_uniq compare [ o0; c0; p0; v0 ]))
 
 (* ---------- stage invalidation: exactly the affected stages rebuild ---------- *)
 
@@ -155,14 +160,13 @@ let test_stage_invalidation () =
         (all_of Pipeline.Hit) warm_st;
       Alcotest.(check bool) "warm output bit-identical" true
         (warm_fp = cold_fp && warm_rep = cold_rep);
-      (* pieces change: oracle + intervals survive, the rest rebuild *)
+      (* pieces change: the oracle survives, the rest rebuild *)
       let cfg2 = { tiny_cfg with Rlibm.Config.pieces = 2 } in
       let st2, _, _ = run_pass ~cfg:cfg2 () in
       Alcotest.check status_t "pieces change rebuilds constraints+"
         Pipeline.
           [
             (Oracle, Hit);
-            (Intervals, Hit);
             (Constraints, Rebuilt);
             (Poly, Rebuilt);
             (Verdict, Rebuilt);
@@ -174,7 +178,6 @@ let test_stage_invalidation () =
         Pipeline.
           [
             (Oracle, Hit);
-            (Intervals, Hit);
             (Constraints, Hit);
             (Poly, Rebuilt);
             (Verdict, Rebuilt);
@@ -205,24 +208,23 @@ let test_resume_bit_identical () =
         (fun jobs ->
           in_fresh_dir (fun _d ->
               Parallel.set_jobs jobs;
-              (* "Interrupted" run: only stages 1-2 completed. *)
+              (* "Interrupted" run: only stage 1 completed. *)
               Rlibm.Constraints.clear_memory_cache ();
               let report =
-                warm_ok ~through:Pipeline.Intervals
+                warm_ok ~through:Pipeline.Oracle
                   [ (Oracle.Exp2, tiny_cfg) ]
               in
               Alcotest.(check int) "one pair warmed" 1
                 (List.length report.Pipeline.wm_entries);
               Alcotest.(check int) "nothing skipped" 0
                 (List.length report.Pipeline.wm_failed);
-              (* Resume: stages 1-2 load, stages 3-5 rebuild. *)
+              (* Resume: stage 1 loads, stages 2-4 rebuild. *)
               let st, fp, rep = run_pass () in
               Alcotest.check status_t
-                (Printf.sprintf "resume at -j %d rebuilds stages 3+" jobs)
+                (Printf.sprintf "resume at -j %d rebuilds stages 2+" jobs)
                 Pipeline.
                   [
                     (Oracle, Hit);
-                    (Intervals, Hit);
                     (Constraints, Rebuilt);
                     (Poly, Rebuilt);
                     (Verdict, Rebuilt);

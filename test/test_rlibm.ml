@@ -177,13 +177,13 @@ let test_reduced_interval_exponential () =
   s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <- 5.3;
   fam.Rlibm.Reduction.reduce_into s;
   let oc = Rlibm.Reduction.compensate fam s in
-  let oc_inv q = Rat.mul_pow2 q (-s.Rlibm.Reduction.sn) in
+  let inv = Rlibm.Constraints.Scale s.Rlibm.Reduction.sn in
   let y =
     Oracle.correctly_round Oracle.Exp2 (Rat.of_float 5.3) ~fmt:tout
       ~mode:Softfp.RTO
   in
   let iv = Rlibm.Intervals.of_round_to_odd tout y in
-  match Rlibm.Constraints.reduced_interval ~oc ~oc_inv iv with
+  match Rlibm.Constraints.reduced_interval ~oc ~inv iv with
   | None -> Alcotest.fail "reduced interval must exist"
   | Some (lo, hi) ->
       Alcotest.(check bool) "nonempty" true (lo <= hi);
@@ -207,13 +207,13 @@ let test_reduced_interval_log () =
       fam.Rlibm.Reduction.reduce_into s;
       let oc = Rlibm.Reduction.compensate fam s in
       let c = s.Rlibm.Reduction.sf.Rlibm.Reduction.sc in
-      let oc_inv q = Rat.sub q (Rat.of_float c) in
+      let inv = Rlibm.Constraints.Shift c in
       let y =
         Oracle.correctly_round Oracle.Log2 (Rat.of_float x) ~fmt:tout
           ~mode:Softfp.RTO
       in
       let iv = Rlibm.Intervals.of_round_to_odd tout y in
-      match Rlibm.Constraints.reduced_interval ~oc ~oc_inv iv with
+      match Rlibm.Constraints.reduced_interval ~oc ~inv iv with
       | None -> () (* possible for degenerate intervals; fine *)
       | Some (lo, hi) ->
           Alcotest.(check bool) "nonempty" true (lo <= hi);
@@ -230,28 +230,127 @@ let test_reduced_interval_budget_per_direction () =
   (* Regression: the fix-up loops used to share one 256-step budget, so a
      boundary needing many lower nudges starved the upper fix-up and a
      recoverable constraint was misclassified as infeasible.  Build a
-     synthetic reduction whose exact inverse lands ~200 nudges outside on
-     *both* sides: the lower loop needs ~200 of its 256 steps, and the
-     upper loop must still have a full budget of its own. *)
+     synthetic compensation that maps the exact pull-back ~200 nudges
+     outside on *both* sides: the lower loop needs 200 of its 256 steps,
+     and the upper loop must still have a full budget of its own. *)
   let ulp = Float.succ 1.0 -. 1.0 in
-  let iv = { Rlibm.Intervals.lo = 1.0; hi = 1.0 +. (64.0 *. ulp) } in
-  let mid = Rat.of_float (1.0 +. (32.0 *. ulp)) in
-  let shift = Rat.of_float (100.0 *. ulp) in
-  let oc_inv q =
+  let iv = { Rlibm.Intervals.lo = 1.0; hi = 1.0 +. (1024.0 *. ulp) } in
+  let mid = 1.0 +. (512.0 *. ulp) and shift = 200.0 *. ulp in
+  let oc v =
     (* push the lower endpoint below the interval and the upper one
        above it, so both directions have repair work to do *)
-    if Rat.compare q mid <= 0 then Rat.sub q shift else Rat.add q shift
+    if v <= mid then v -. shift else v +. shift
   in
-  match Rlibm.Constraints.reduced_interval ~oc:Fun.id ~oc_inv iv with
+  (* The identity inverse: the pull-back starts at the endpoints. *)
+  match
+    Rlibm.Constraints.reduced_interval ~oc ~inv:(Rlibm.Constraints.Scale 0) iv
+  with
   | None ->
       Alcotest.fail
         "feasible constraint misclassified: the upper fix-up was starved"
   | Some (lo, hi) ->
       Alcotest.(check bool) "nonempty" true (lo <= hi);
+      Alcotest.(check (float 0.0)) "lo took 200 nudges" (1.0 +. shift) lo;
+      Alcotest.(check (float 0.0)) "hi took 200 nudges"
+        (1.0 +. (824.0 *. ulp)) hi;
       Alcotest.(check bool) "lo mapped inside" true
-        (Rlibm.Intervals.contains iv lo);
+        (Rlibm.Intervals.contains iv (oc lo));
       Alcotest.(check bool) "hi mapped inside" true
-        (Rlibm.Intervals.contains iv hi)
+        (Rlibm.Intervals.contains iv (oc hi))
+
+(* The Rat route the native pull-back replaced: the exact rational
+   inverse, rounded to a double in the requested direction. *)
+let rat_pull inv ~up q =
+  let q = Rat.of_float q in
+  let exact =
+    match inv with
+    | Rlibm.Constraints.Scale n -> Rat.mul_pow2 q (-n)
+    | Rlibm.Constraints.Shift c -> Rat.sub q (Rat.of_float c)
+  in
+  Rat.to_float_dir (if up then Rat.Up else Rat.Down) exact
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_pull what inv ~up q =
+  let got = Rlibm.Constraints.pull inv ~up q and want = rat_pull inv ~up q in
+  if not (same_float got want) then
+    Alcotest.failf "%s: pull %s %s %h = %h, Rat route %h" what
+      (match inv with
+      | Rlibm.Constraints.Scale n -> Printf.sprintf "Scale %d" n
+      | Rlibm.Constraints.Shift c -> Printf.sprintf "Shift %h" c)
+      (if up then "up" else "down")
+      q got want
+
+(* Every covered input of [cfg]'s universe: the native pull-back of both
+   rounding-interval endpoints equals the Rat route bit for bit (the
+   nudge loop of [reduced_interval] is shared code, so equal pull-backs
+   give equal reduced intervals).  Returns the number of inputs. *)
+let pull_back_matches_rat func (cfg : Rlibm.Config.t) =
+  let family =
+    Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout cfg)
+      ~pieces:cfg.Rlibm.Config.pieces ~table_bits:cfg.Rlibm.Config.table_bits
+  in
+  let inputs = Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin in
+  let oracle = Hashtbl.create 4096 in
+  ignore (Rlibm.Constraints.ensure_oracle ~cfg ~family ~inputs ~oracle : int);
+  let rivals =
+    Rlibm.Constraints.rounding_intervals ~cfg ~family ~inputs ~oracle
+  in
+  let what = Oracle.name func in
+  Array.iter
+    (fun (ri : Rlibm.Constraints.rounding_interval) ->
+      let s = Rlibm.Reduction.scratch () in
+      s.Rlibm.Reduction.sf.Rlibm.Reduction.sx <-
+        Softfp.to_float cfg.Rlibm.Config.tin ri.Rlibm.Constraints.ri_x;
+      family.Rlibm.Reduction.reduce_into s;
+      let inv = Rlibm.Constraints.inverse family s in
+      check_pull what inv ~up:true ri.Rlibm.Constraints.ri_lo;
+      check_pull what inv ~up:false ri.Rlibm.Constraints.ri_hi)
+    rivals;
+  Array.length rivals
+
+let test_pull_back_mini () =
+  List.iter
+    (fun func ->
+      let n = pull_back_matches_rat func (Rlibm.Config.mini_for func) in
+      Alcotest.(check bool) (Oracle.name func ^ " covers inputs") true (n > 1000))
+    Oracle.all
+
+let test_pull_back_binary16 () =
+  List.iter
+    (fun func ->
+      let cfg = { (Rlibm.Config.mini_for func) with tin = Softfp.binary16 } in
+      let n = pull_back_matches_rat func cfg in
+      Alcotest.(check bool) (Oracle.name func ^ " covers inputs") true (n > 10000))
+    [ Oracle.Exp2; Oracle.Log2 ]
+
+(* The cases the mini universe never reaches: subnormal and overflowing
+   quotients, signed zeros, and differences that leave double range. *)
+let test_pull_edges () =
+  let qs =
+    List.concat_map
+      (fun q -> [ q; -.q; Float.succ q; Float.pred q ])
+      [
+        0.0; 4.9e-324; 2.2250738585072014e-308; 1.0; 1.5; 3.0;
+        0x1.fffffffffffffp+1023; 0x1.123456789abcdp-1030; 0x1.8p-1070;
+        1e-300; 1e300; 0.1;
+      ]
+    |> List.filter Float.is_finite
+  in
+  List.iter
+    (fun q ->
+      List.iter
+        (fun n ->
+          check_pull "edge" (Rlibm.Constraints.Scale n) ~up:true q;
+          check_pull "edge" (Rlibm.Constraints.Scale n) ~up:false q)
+        [ -2100; -1100; -1; 0; 1; 3; 52; 60; 1022; 1074; 1080; 2100 ];
+      List.iter
+        (fun c ->
+          check_pull "edge" (Rlibm.Constraints.Shift c) ~up:true q;
+          check_pull "edge" (Rlibm.Constraints.Shift c) ~up:false q)
+        [ 0.0; -0.0; 1.0; -1.0; 0.1; 1e-300; 0x1.8p-1070; 1e300;
+          -0x1.fffffffffffffp+1023; 0x1.fffffffffffffp+1023 ])
+    qs
 
 (* ---------- constraint building ---------- *)
 
@@ -579,6 +678,11 @@ let suite =
     ( "reduced interval per-direction budget",
       `Quick,
       test_reduced_interval_budget_per_direction );
+    ("pull-back = Rat route, every mini input x 6", `Quick,
+      test_pull_back_mini);
+    ("pull-back = Rat route, every binary16 input (exp2, log2)", `Slow,
+      test_pull_back_binary16);
+    ("pull-back = Rat route, edge cases", `Quick, test_pull_edges);
     ("constraint building", `Quick, test_build_merges_and_covers);
     ("mini config", `Quick, test_mini_config_sanity);
     ("Generate.solve pinned (exp2, log)", `Quick, test_solve_pinned);

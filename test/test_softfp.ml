@@ -437,11 +437,62 @@ let props =
              && not (Rat.equal (to_rat b16 fa) (to_rat b16 fb))));
   ]
 
+(* The native decode equals the exact Rat route bit for bit: on every
+   finite pattern of small formats covering both the native path (prec
+   <= 53, ebits <= 11, subnormals included) and the Rat fallback (ebits
+   12), on seeded binary32 patterns, and on a format wider than a
+   double's significand (prec 55, the Rat fallback). *)
+let test_decode_native_eq_rat () =
+  let check fmt b =
+    (* A Rat has no signed zero: zeros decode by their sign bit. *)
+    let want =
+      if classify fmt b = Zero then if sign_bit fmt b then -0.0 else 0.0
+      else Rat.to_float (to_rat fmt b)
+    in
+    let got = to_float fmt b in
+    if Int64.bits_of_float got <> Int64.bits_of_float want then
+      Alcotest.failf "(%d,%d) pattern %Lx: to_float %h, Rat %h" fmt.ebits
+        fmt.prec b got want
+  in
+  let every fmt =
+    let n = ref 0 in
+    for i = 0 to (1 lsl width fmt) - 1 do
+      let b = Int64.of_int i in
+      if is_finite fmt b then begin
+        check fmt b;
+        incr n
+      end
+    done;
+    Alcotest.(check bool)
+      (Printf.sprintf "(%d,%d) patterns checked" fmt.ebits fmt.prec)
+      true (!n > 0)
+  in
+  List.iter every
+    [
+      make_fmt ~ebits:5 ~prec:8;
+      binary16;
+      bfloat16;
+      make_fmt ~ebits:11 ~prec:4;
+      make_fmt ~ebits:12 ~prec:4;
+    ];
+  let rng = Random.State.make [| 0xdec0; 32 |] in
+  let seeded fmt count =
+    let mask = Int64.pred (Int64.shift_left 1L (width fmt)) in
+    for _ = 1 to count do
+      let b = Int64.logand (Random.State.int64 rng Int64.max_int) mask in
+      if is_finite fmt b then check fmt b
+    done
+  in
+  seeded binary32 100_000;
+  seeded (make_fmt ~ebits:8 ~prec:55) 20_000
+
 let suite =
   [
     ("format parameters", `Quick, test_format_parameters);
     ("classification", `Quick, test_classify);
     ("binary16 decode known", `Quick, test_decode_known_binary16);
+    ("native decode = Rat, exhaustive and seeded", `Quick,
+     test_decode_native_eq_rat);
     ("binary32 encode = native cast", `Quick, test_encode_matches_native_binary32);
     ("round-to-odd semantics", `Quick, test_round_to_odd_semantics);
     ("directed modes", `Quick, test_rounding_modes_quarter);

@@ -19,6 +19,10 @@ total and whether every run was correct.  Both trees are named by
 The end-to-end metrics are the ones BENCHMARK.json (read from CHANGE_DIR)
 declares; the per-layer ones are LAYERS below.  Run it from anywhere;
 both directories must be git checkouts with a perfbench/ directory.
+After writing the file it prints the file's path and a verdict table: one
+line per (workload, end-to-end metric) with both medians, their ratio, the
+pairs in which the change was lower, and WORSE where the change is worse
+than the parent by more than the metric's BENCHMARK.json bound.
 """
 
 import argparse
@@ -114,6 +118,37 @@ def alternate(parent, change, workload, pairs, seed_base, seconds, trace):
     return parent_runs, change_runs
 
 
+def worse(spec, parent_median, change_median):
+    """Whether the change is worse than the parent beyond the metric's
+    BENCHMARK.json bound (a fraction of the parent's median)."""
+    if spec["better"] == "lower":
+        return change_median > parent_median * (1 + spec["bound"])
+    return change_median < parent_median * (1 - spec["bound"])
+
+
+def verdict_table(result, end_to_end):
+    """One line per (workload, end-to-end metric): both medians, their
+    ratio, how many pairs the change was lower in, and WORSE where the
+    change exceeds the metric's bound."""
+    lines = [f"{'workload':<9} {'metric':<19} {'parent':>10} {'change':>10} "
+             f"{'change_over_parent':>18} {'change_lower_in':>15}"]
+    for w, res in result["workloads"].items():
+        for spec in end_to_end:
+            m = res["end_to_end_untraced"].get(spec["name"])
+            if m is None:
+                continue
+            p_med = m["parent_q1_median_q3"][1]
+            c_med = m["change_q1_median_q3"][1]
+            ratio = m["change_over_parent"]
+            mark = "  WORSE" if worse(spec, p_med, c_med) else ""
+            lines.append(
+                f"{w:<9} {spec['name']:<19} {p_med:>10.4g} {c_med:>10.4g} "
+                f"{'-' if ratio is None else format(ratio, '.4f'):>18} "
+                f"{str(m['change_lower_in']) + '/' + str(m['pairs']):>15}"
+                f"{mark}")
+    return "\n".join(lines)
+
+
 def describe(tree):
     return subprocess.run(
         ["git", "-C", tree, "describe", "--always", "--dirty"],
@@ -197,6 +232,7 @@ def main():
         json.dump(result, f, indent=1)
         f.write("\n")
     print(out)
+    print(verdict_table(result, spec["end_to_end"]))
 
 
 if __name__ == "__main__":

@@ -5,8 +5,10 @@
 # - cache poisoning: corrupt entries are rejected, quarantined and
 #   regenerated without changing a single output bit;
 # - staged pipeline: cold vs warm vs interrupted-then-resumed runs are
-#   bit-identical, a warm run rebuilds zero stages, and a second scheme
-#   on the same store loads the first scheme's lp-seed LP solves;
+#   bit-identical, a warm run hits all four stages and rebuilds none, a
+#   run resumed after `warm --through oracle` rebuilds the other three,
+#   and a second scheme on the same store loads the first scheme's
+#   lp-seed LP solves;
 # - servable snapshot: batched eval bit-identical to the scalar DAG
 #   reference (Genlibm.eval_bits) at -j 1 and -j N, and a warm snapshot
 #   loads from exactly one store entry;
@@ -84,7 +86,7 @@ mkdir "$stagedir" "$resumedir" "$seeddir"
 # Cold run: every stage rebuilt and persisted.
 RLIBM_CACHE_DIR="$stagedir" dune exec --no-build bin/rlibm_gen.exe -- generate \
   --func exp2 --scheme estrin-fma --ebits 4 --prec 7 --verify > "$coldg"
-# Warm run: all five stages must hit (zero rebuilds, zero store misses),
+# Warm run: all four stages must hit (zero rebuilds, zero store misses),
 # and the generated output must not move a bit.
 RLIBM_CACHE_DIR="$stagedir" dune exec --no-build bin/rlibm_gen.exe -- stages \
   --func exp2 --scheme estrin-fma --ebits 4 --prec 7 --cache-stats \
@@ -92,8 +94,8 @@ RLIBM_CACHE_DIR="$stagedir" dune exec --no-build bin/rlibm_gen.exe -- stages \
 if grep -q 'rebuilt' "$stageout"; then
   echo "warm run rebuilt a stage:"; cat "$stageout"; exit 1
 fi
-[ "$(grep -c '  hit  ' "$stageout")" -eq 5 ] \
-  || { echo "expected 5 stage hits:"; cat "$stageout"; exit 1; }
+[ "$(grep -c '  hit  ' "$stageout")" -eq 4 ] \
+  || { echo "expected 4 stage hits:"; cat "$stageout"; exit 1; }
 grep -q ' 0 misses' "$warmstats" \
   || { echo "warm run missed the store:"; cat "$warmstats"; exit 1; }
 grep -q 'poly' "$warmstats" \
@@ -101,23 +103,23 @@ grep -q 'poly' "$warmstats" \
 RLIBM_CACHE_DIR="$stagedir" dune exec --no-build bin/rlibm_gen.exe -- generate \
   --func exp2 --scheme estrin-fma --ebits 4 --prec 7 --verify > "$warmg"
 diff "$coldg" "$warmg"
-echo "warm run: 5/5 stage hits, output bit-identical"
-# Interrupted run: only the oracle and rounding-interval stages complete.
+echo "warm run: 4/4 stage hits, 0 rebuilt, output bit-identical"
+# Interrupted run: only the oracle stage completes.
 # (warm narrates on stderr; stdout is reserved for product output.)
 RLIBM_CACHE_DIR="$resumedir" dune exec --no-build bin/rlibm_gen.exe -- warm \
-  --func exp2 --through intervals --ebits 4 --prec 7 2> /dev/null
-# Resume: stages 1-2 load, stages 3-5 rebuild, output bit-identical to cold.
+  --func exp2 --through oracle --ebits 4 --prec 7 2> /dev/null
+# Resume: stage 1 loads, stages 2-4 rebuild, output bit-identical to cold.
 RLIBM_CACHE_DIR="$resumedir" dune exec --no-build bin/rlibm_gen.exe -- stages \
   --func exp2 --scheme estrin-fma --ebits 4 --prec 7 > "$stageout"
-for want in 'oracle  *hit' 'intervals  *hit' 'constraints  *rebuilt' \
-            'poly  *rebuilt' 'verdict  *rebuilt'; do
+for want in 'oracle  *hit' 'constraints  *rebuilt' 'poly  *rebuilt' \
+            'verdict  *rebuilt'; do
   grep -Eq "$want" "$stageout" \
     || { echo "resume expected '$want':"; cat "$stageout"; exit 1; }
 done
 RLIBM_CACHE_DIR="$resumedir" dune exec --no-build bin/rlibm_gen.exe -- generate \
   --func exp2 --scheme estrin-fma --ebits 4 --prec 7 --verify > "$resumedg"
 diff "$coldg" "$resumedg"
-echo "interrupted run resumed from stage 3, output bit-identical"
+echo "interrupted run resumed from stage 2, output bit-identical"
 # Second scheme on one store: the first scheme publishes every round-1
 # LP solve as an lp-seed artifact, the second loads them (lp-seed hits,
 # no lp-seed misses) and prints exactly what a fresh-store run of it
