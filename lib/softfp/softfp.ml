@@ -80,8 +80,8 @@ let frac_odd _fmt (b : bits) = Int64.to_int b land 1 = 1
 
 (* ---------- decode ---------- *)
 
-(* The exact decode, kept apart from the native one below ([significand])
-   so that each checks the other. *)
+(* The exact decode, kept apart from the native one below ([mant] and
+   [expo]) so that each checks the other. *)
 let to_rat fmt b =
   if not (is_finite fmt b) then invalid_arg "Softfp.to_rat: not finite";
   let s, be, f = to_fields fmt b in
@@ -94,10 +94,9 @@ let to_rat fmt b =
   in
   if s = 1 then Rat.neg v else v
 
-(* A finite pattern's magnitude is m * 2^e, in native ints. *)
-let significand fmt be f =
-  if be = 0 then (f, emin fmt - fwidth fmt)
-  else ((1 lsl fwidth fmt) lor f, be - bias fmt - fwidth fmt)
+(* A finite pattern's magnitude is [mant] * 2^[expo], in native ints. *)
+let mant fmt be f = if be = 0 then f else (1 lsl fwidth fmt) lor f
+let expo fmt be = (if be = 0 then emin fmt else be - bias fmt) - fwidth fmt
 
 (* ---------- encode (correct rounding from an exact rational) ---------- *)
 
@@ -248,9 +247,7 @@ let to_float fmt b =
       if be = emask fmt then Float.infinity
       else if fmt.prec > 53 || fmt.ebits > 11 then
         Rat.to_float (to_rat fmt (of_fields fmt 0 be f))
-      else
-        let m, e = significand fmt be f in
-        Float.ldexp (float_of_int m) e
+      else Float.ldexp (float_of_int (mant fmt be f)) (expo fmt be)
     in
     if (n lsr (width fmt - 1)) land 1 = 1 then -.v else v
 
@@ -298,8 +295,7 @@ let narrow ~src ~dst mode b =
   | Inf -> inf_bits dst ~neg:(sign_bit src b)
   | Zero | Subnormal | Normal ->
       let sg, be, f = to_fields src b in
-      let m, e = significand src be f in
-      of_dyadic dst mode ~neg:(sg = 1) m e
+      of_dyadic dst mode ~neg:(sg = 1) (mant src be f) (expo src be)
 
 (* ---------- native bridges ---------- *)
 
