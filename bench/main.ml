@@ -246,43 +246,30 @@ let print_cost_model () =
 
 (* ---------- E3: post-process pitfall ---------- *)
 
-let count_post_process_wrong (horner_g : Rlibm.Generate.generated) scheme
-    inputs =
-  let tin = horner_g.Rlibm.Generate.cfg.Rlibm.Config.tin in
-  let tout = Rlibm.Config.tout horner_g.Rlibm.Generate.cfg in
+(* The Horner-generated function re-evaluated under [scheme] as a
+   post-process (each piece re-compiled, so Knuth adapts its
+   coefficients; the special table kept): its wrong round-to-odd
+   results, as the served kernel computes them.  [None] when [scheme] is
+   undefined at some piece's degree. *)
+let post_process_wrong (horner_g : Rlibm.Generate.generated) func scheme =
+  let cfg = horner_g.Rlibm.Generate.cfg in
   let adapted =
     Array.map
       (fun (p : Polyeval.compiled) -> Polyeval.compile scheme p.Polyeval.data)
       horner_g.Rlibm.Generate.pieces
   in
-  if Array.exists (fun c -> c = None) adapted then None
-  else begin
-    (* The Horner function re-evaluated under [scheme], through the
-       served kernel. *)
+  if Array.exists Option.is_none adapted then None
+  else
     let post =
       { horner_g with Rlibm.Generate.scheme; pieces = Array.map Option.get adapted }
     in
-    let n = Array.length inputs in
-    let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
-    Array.iteri (Bigarray.Array1.set src) inputs;
-    Genlibm.eval_bits_into post ~src ~dst ~lo:0 ~hi:n;
-    let wrong = ref 0 in
-    Array.iteri
-      (fun i x ->
-        if
-          Softfp.is_finite tin x
-          && (not (Hashtbl.mem horner_g.Rlibm.Generate.specials x))
-          && horner_g.Rlibm.Generate.family.Rlibm.Reduction.shortcut
-               (Softfp.to_float tin x)
-             = None
-        then
-          let y_impl = Genlibm.round_result tout Softfp.RTO dst.{i} in
-          match Hashtbl.find_opt horner_g.Rlibm.Generate.oracle x with
-          | Some y_true when not (Int64.equal y_impl y_true) -> incr wrong
-          | _ -> ())
-      inputs;
-    Some !wrong
-  end
+    let rep =
+      Genlibm.verify ~narrow:false
+        ~oracle:(Result.get_ok (Pipeline.oracle_stage ~cfg func))
+        post
+        ~inputs:(Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin)
+    in
+    Some rep.Genlibm.wrong34
 
 let print_post_process grid =
   print_endline "== E3: §6.3 — post-process adaptation vs integrated loop ==";
@@ -294,13 +281,9 @@ let print_post_process grid =
         match e.gen with
         | Error _ -> ()
         | Ok horner_g ->
-            let inputs =
-              Genlibm.inputs_exhaustive
-                horner_g.Rlibm.Generate.cfg.Rlibm.Config.tin
-            in
             List.iter
               (fun scheme ->
-                let post = count_post_process_wrong horner_g scheme inputs in
+                let post = post_process_wrong horner_g e.func scheme in
                 let integrated =
                   match
                     List.find_opt
@@ -326,26 +309,17 @@ let print_correctness grid =
     "== E4: correctness for all representations and rounding modes ==";
   List.iter
     (fun e ->
-      match e.gen with
+      (* The verdict stage: persisted like every other artifact, so a
+         re-run of the harness loads it instead of re-verifying. *)
+      match
+        Pipeline.verified ~cfg:(Rlibm.Config.mini_for e.func) ~scheme:e.scheme
+          e.func
+      with
       | Error err ->
           Printf.printf "%-7s %-11s FAILED: %s\n" (Oracle.name e.func)
             (Polyeval.scheme_name e.scheme)
             (Diag.Error.to_string err)
-      | Ok g ->
-          (* The verdict stage: persisted like every other artifact, so a
-             re-run of the harness loads it instead of re-verifying. *)
-          let rep =
-            match
-              Pipeline.verified ~cfg:g.Rlibm.Generate.cfg ~scheme:e.scheme
-                e.func
-            with
-            | Ok (_, rep) -> rep
-            | Error _ ->
-                Genlibm.verify g
-                  ~inputs:
-                    (Genlibm.inputs_exhaustive
-                       g.Rlibm.Generate.cfg.Rlibm.Config.tin)
-          in
+      | Ok (_, rep) ->
           Printf.printf "%-7s %-11s %s\n%!" (Oracle.name e.func)
             (Polyeval.scheme_name e.scheme)
             (Format.asprintf "%a" Genlibm.pp_verify_report rep))

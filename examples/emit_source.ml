@@ -15,7 +15,7 @@ let () =
   let cfg = Rlibm.Config.mini_for func in
   Printf.printf "generating %s / %s ...\n%!" (Oracle.name func)
     (Polyeval.scheme_name scheme);
-  match Genlibm.generate ~cfg ~scheme func with
+  match Pipeline.generate ~cfg ~scheme func with
   | Error msg -> failwith (Diag.Error.to_string msg)
   | Ok g ->
       let base =

@@ -20,7 +20,7 @@ let () =
     "Generating one %s polynomial for the %d-bit round-to-odd target...\n%!"
     (Oracle.name func) (Softfp.width tout);
   let g =
-    match Genlibm.generate ~cfg ~scheme:Polyeval.EstrinFma func with
+    match Pipeline.generate ~cfg ~scheme:Polyeval.EstrinFma func with
     | Ok g -> g
     | Error msg -> failwith (Diag.Error.to_string msg)
   in

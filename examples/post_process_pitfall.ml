@@ -13,44 +13,23 @@
 
    Run with:  dune exec examples/post_process_pitfall.exe *)
 
-let count_wrong_post_process g scheme inputs =
-  (* Re-compile each piece of the Horner-generated function under [scheme]
-     (for Knuth this adapts the coefficients as a post-process), evaluate
-     the result through the served kernel, then count inputs whose result
-     leaves the round-to-odd rounding interval. *)
-  let tin = g.Rlibm.Generate.cfg.Rlibm.Config.tin in
-  let tout = Rlibm.Config.tout g.Rlibm.Generate.cfg in
+(* Re-compile each piece of the Horner-generated function under [scheme]
+   (for Knuth this adapts the coefficients as a post-process), keep its
+   special table, and count the inputs whose served result leaves the
+   round-to-odd rounding interval.  [None] when [scheme] is undefined at
+   some piece's degree. *)
+let count_wrong_post_process g ~oracle scheme inputs =
   let adapted =
     Array.map
       (fun (piece : Polyeval.compiled) -> Polyeval.compile scheme piece.Polyeval.data)
       g.Rlibm.Generate.pieces
   in
-  if Array.exists (fun c -> c = None) adapted then None
-  else begin
+  if Array.exists Option.is_none adapted then None
+  else
     let post =
       { g with Rlibm.Generate.scheme; pieces = Array.map Option.get adapted }
     in
-    let n = Array.length inputs in
-    let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
-    Array.iteri (Bigarray.Array1.set src) inputs;
-    Genlibm.eval_bits_into post ~src ~dst ~lo:0 ~hi:n;
-    let wrong = ref 0 in
-    Array.iteri
-      (fun i x ->
-        if
-          Softfp.is_finite tin x
-          && (not (Hashtbl.mem g.Rlibm.Generate.specials x))
-          && g.Rlibm.Generate.family.Rlibm.Reduction.shortcut
-               (Softfp.to_float tin x)
-             = None
-        then
-          let y_impl = Genlibm.round_result tout Softfp.RTO dst.{i} in
-          match Hashtbl.find_opt g.Rlibm.Generate.oracle x with
-          | Some y_true when not (Int64.equal y_impl y_true) -> incr wrong
-          | _ -> ())
-      inputs;
-    Some !wrong
-  end
+    Some (Genlibm.verify ~narrow:false ~oracle post ~inputs).Genlibm.wrong34
 
 let () =
   Printf.printf
@@ -61,18 +40,20 @@ let () =
     (fun func ->
       let cfg = Rlibm.Config.mini_for func in
       let inputs = Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin in
-      match Genlibm.generate ~cfg ~scheme:Polyeval.Horner func with
+      match Pipeline.generate ~cfg ~scheme:Polyeval.Horner func with
       | Error msg ->
           Printf.printf "%-7s generation failed: %s\n" (Oracle.name func)
             (Diag.Error.to_string msg)
       | Ok horner_g ->
+          let oracle = Result.get_ok (Pipeline.oracle_stage ~cfg func) in
           List.iter
             (fun scheme ->
-              let post = count_wrong_post_process horner_g scheme inputs in
+              let post =
+                count_wrong_post_process horner_g ~oracle scheme inputs
+              in
               let integrated =
-                match Genlibm.generate ~cfg ~scheme func with
-                | Ok g ->
-                    let rep = Genlibm.verify ~narrow:false g ~inputs in
+                match Pipeline.verified ~narrow:false ~cfg ~scheme func with
+                | Ok (g, rep) ->
                     if rep.Genlibm.wrong34 = 0 then
                       Printf.sprintf "%d (all correct)"
                         (Rlibm.Generate.n_specials g)

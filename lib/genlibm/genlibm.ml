@@ -42,13 +42,26 @@ let inputs_sampled fmt ~count ~seed =
 
 (* ---------- generation ---------- *)
 
-let generate ~(cfg : Rlibm.Config.t) ~scheme func =
-  let inputs = inputs_exhaustive cfg.tin in
-  Rlibm.Generate.run ~cfg ~scheme ~func ~inputs ()
-
+(* The pipeline's stage bodies over a sample, with a table of its own:
+   a sample's oracle is partial, so it neither reads nor extends the
+   shared whole-format table, and nothing reaches the store. *)
 let generate_sampled ~(cfg : Rlibm.Config.t) ~scheme ~count ~seed func =
   let inputs = inputs_sampled cfg.tin ~count ~seed in
-  (Rlibm.Generate.run ~cfg ~scheme ~func ~inputs (), inputs)
+  let family = Rlibm.Generate.family ~cfg func in
+  let oracle = Hashtbl.create (Array.length inputs) in
+  ignore (Rlibm.Constraints.ensure_oracle ~cfg ~family ~inputs ~oracle : int);
+  let rivals =
+    Rlibm.Constraints.rounding_intervals ~cfg ~family ~inputs ~oracle
+  in
+  let points, immediate_specials =
+    Rlibm.Constraints.combine ~cfg ~family ~rivals
+  in
+  let built = { Rlibm.Constraints.points; immediate_specials } in
+  ( Result.map
+      (Rlibm.Generate.assemble ~cfg ~scheme ~func)
+      (Rlibm.Generate.solve ~cfg ~scheme ~func ~built ~oracle ()),
+    inputs,
+    oracle )
 
 (* ---------- evaluation ---------- *)
 
@@ -402,7 +415,6 @@ type verdict = {
   v_wrong34 : bool;
   v_narrow_checks : int;
   v_wrong_narrow : int;
-  v_memo : int64 option;  (* fresh oracle result to install on the driver *)
 }
 
 let v_skip =
@@ -411,7 +423,6 @@ let v_skip =
     v_wrong34 = false;
     v_narrow_checks = 0;
     v_wrong_narrow = 0;
-    v_memo = None;
   }
 
 (* [verify g ~inputs] checks, for every finite input:
@@ -425,12 +436,12 @@ let v_skip =
 
    The doubles checked are the served ones: one [eval_bits_into] sweep
    over all inputs, chunked as [Serve] chunks a batch.  The
-   per-input checks then fan out across the domain pool: [g.oracle] is
-   only read inside the sweep (fresh oracle results are returned in the
-   verdicts and memoized on the driver afterwards, in input order), and
-   the report is a sum of per-input counts, so the verdict is identical
-   for every job count. *)
-let verify ?(narrow = true) (g : t) ~(inputs : int64 array) =
+   per-input checks then fan out across the domain pool: [oracle] is
+   only read (an input it lacks is computed and dropped), and the report
+   is a sum of per-input counts, so the verdict is identical for every
+   job count. *)
+let verify ?(narrow = true) ~(oracle : (int64, int64) Hashtbl.t) (g : t)
+    ~(inputs : int64 array) =
   let n = Array.length inputs in
   let src = create_src n and dst = create_dst n in
   Array.iteri (Bigarray.Array1.unsafe_set src) inputs;
@@ -462,21 +473,18 @@ let verify ?(narrow = true) (g : t) ~(inputs : int64 array) =
             { v_skip with v_checked = true; v_wrong34 = not ok }
           end
           else begin
-            let y_true, memo =
-              match Hashtbl.find_opt g.oracle x with
-              | Some y -> (y, None)
+            let y_true =
+              match Hashtbl.find_opt oracle x with
+              | Some y -> y
               | None ->
                   (* Shortcut-path inputs: the oracle's own range shortcut
                      makes this cheap. *)
-                  let y =
-                    Oracle.correctly_round g.family.func xq ~fmt:tout
-                      ~mode:Softfp.RTO
-                  in
-                  (y, Some y)
+                  Oracle.correctly_round g.family.func xq ~fmt:tout
+                    ~mode:Softfp.RTO
             in
             let y_impl = round_result tout Softfp.RTO v in
             if not (Int64.equal y_impl y_true) then
-              { v_skip with v_checked = true; v_wrong34 = true; v_memo = memo }
+              { v_skip with v_checked = true; v_wrong34 = true }
             else begin
               let wn = ref 0 in
               if narrow then
@@ -498,7 +506,6 @@ let verify ?(narrow = true) (g : t) ~(inputs : int64 array) =
                   (if narrow then Array.length narrow_fmts * Array.length modes
                    else 0);
                 v_wrong_narrow = !wn;
-                v_memo = memo;
               }
             end
           end
@@ -506,17 +513,13 @@ let verify ?(narrow = true) (g : t) ~(inputs : int64 array) =
   in
   let checked = ref 0 in
   let wrong34 = ref 0 and wrong_narrow = ref 0 and narrow_checks = ref 0 in
-  Array.iteri
-    (fun i x ->
-      let vd = verdicts.(i) in
+  Array.iter
+    (fun vd ->
       if vd.v_checked then incr checked;
       if vd.v_wrong34 then incr wrong34;
       narrow_checks := !narrow_checks + vd.v_narrow_checks;
-      wrong_narrow := !wrong_narrow + vd.v_wrong_narrow;
-      match vd.v_memo with
-      | Some y -> Hashtbl.replace g.oracle x y
-      | None -> ())
-    inputs;
+      wrong_narrow := !wrong_narrow + vd.v_wrong_narrow)
+    verdicts;
   {
     total = Array.length inputs;
     checked = !checked;

@@ -24,23 +24,25 @@ val inputs_sampled : Softfp.fmt -> count:int -> seed:int -> int64 array
 
 (** {1 Generation} *)
 
-(** [generate ~cfg ~scheme func] runs the pipeline over every finite
-    input of [cfg.tin]. *)
-val generate :
-  cfg:Rlibm.Config.t ->
-  scheme:Polyeval.scheme ->
-  Oracle.func ->
-  (t, Diag.Error.t) result
+(** Exhaustive generation over every finite input of [cfg.tin] is the
+    staged pipeline's ([Pipeline.generate] / [Pipeline.verified]).
 
-(** Sampled-input variant for wide formats; also returns the inputs used,
-    for verification. *)
+    [generate_sampled ~cfg ~scheme ~count ~seed func] generates from
+    {!inputs_sampled} for formats too wide for exhaustive runs (binary32):
+    the pipeline's stage bodies ({!Rlibm.Constraints.ensure_oracle},
+    [rounding_intervals], [combine], {!Rlibm.Generate.solve},
+    [assemble]) over an oracle table this call creates.  Returns the
+    function, the sampled inputs and that table (input bits ->
+    round-to-odd bits, for every finite non-shortcut sampled input), for
+    {!verify}.  It never reads or writes the shared oracle table or the
+    persistent store, so every call pays its own oracle. *)
 val generate_sampled :
   cfg:Rlibm.Config.t ->
   scheme:Polyeval.scheme ->
   count:int ->
   seed:int ->
   Oracle.func ->
-  (t, Diag.Error.t) result * int64 array
+  (t, Diag.Error.t) result * int64 array * (int64, int64) Hashtbl.t
 
 (** {1 Evaluation} *)
 
@@ -110,15 +112,25 @@ type verify_report = {
 
 val pp_verify_report : Format.formatter -> verify_report -> unit
 
-(** [verify g ~inputs] evaluates every input through the served batch
-    kernel {!eval_bits_into} — so the verified code is the code that
-    ships — and checks, for every finite input: the double output
+(** [verify ~oracle g ~inputs] evaluates every input through the served
+    batch kernel {!eval_bits_into} — so the verified code is the code
+    that ships — and checks, for every finite input: the double output
     rounds (round-to-odd) to the oracle's result in the widened target,
     and — unless [narrow] is [false] — rounding it directly into every
     supported representation under every standard mode matches
     double-rounding the oracle result (the RLibm-All guarantee).
-    Logarithm domain errors are checked for NaN/-infinity semantics. *)
-val verify : ?narrow:bool -> t -> inputs:int64 array -> verify_report
+    Logarithm domain errors are checked for NaN/-infinity semantics.
+
+    [oracle] (input bits -> round-to-odd bits) is only read.  An input
+    it lacks — the analytic shortcut inputs, which no oracle table
+    holds — is computed with {!Oracle.correctly_round} and dropped, so
+    a second verification pays for those inputs again. *)
+val verify :
+  ?narrow:bool ->
+  oracle:(int64, int64) Hashtbl.t ->
+  t ->
+  inputs:int64 array ->
+  verify_report
 
 (** {1 Reporting} *)
 

@@ -196,9 +196,11 @@ let staged ~stage ~key compute =
 
 (* ---------- shared per-config plumbing ---------- *)
 
-let family_of ~(cfg : Rlibm.Config.t) func =
-  Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout cfg)
-    ~pieces:cfg.Rlibm.Config.pieces ~table_bits:cfg.Rlibm.Config.table_bits
+(* The shared oracle table the stages read: stage 1's artifact in
+   memory, whichever stage (or an earlier run) put it there. *)
+let shared_oracle ~(cfg : Rlibm.Config.t) func =
+  Rlibm.Constraints.oracle_table ~func ~tin:cfg.Rlibm.Config.tin
+    ~tout:(Rlibm.Config.tout cfg)
 
 let inputs_of (cfg : Rlibm.Config.t) =
   Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin
@@ -256,7 +258,8 @@ let run_oracle ~shards ?only_shard ~(cfg : Rlibm.Config.t) func =
       let status =
         if shards = 1 && only_shard = None then begin
           let computed =
-            Rlibm.Constraints.ensure_oracle ~cfg ~family:(family_of ~cfg func)
+            Rlibm.Constraints.ensure_oracle ~cfg
+              ~family:(Rlibm.Generate.family ~cfg func)
               ~inputs:(inputs_of cfg) ~oracle
           in
           if computed > 0 then
@@ -265,7 +268,7 @@ let run_oracle ~shards ?only_shard ~(cfg : Rlibm.Config.t) func =
           if computed = 0 then Hit else Rebuilt
         end
         else begin
-          let family = family_of ~cfg func in
+          let family = Rlibm.Generate.family ~cfg func in
           let inputs = inputs_of cfg in
           let n = Array.length inputs in
           let indices =
@@ -356,25 +359,23 @@ let oracle_stage ?(shards = 1) ?only_shard ~(cfg : Rlibm.Config.t) func =
 
 let intervals_stage ~cfg func =
   let oracle, _ = run_oracle ~shards:1 ~cfg func in
-  Rlibm.Constraints.rounding_intervals ~cfg ~family:(family_of ~cfg func)
+  Rlibm.Constraints.rounding_intervals ~cfg
+    ~family:(Rlibm.Generate.family ~cfg func)
     ~inputs:(inputs_of cfg) ~oracle
 
 (* ---------- stage 2: reduced, merged constraints ---------- *)
 
 (* Persisted payload: the per-piece points and the immediate specials,
-   derived from the rounding intervals in memory.  The oracle table is
-   stage 1's artifact, re-attached on the way out. *)
+   derived from the rounding intervals in memory. *)
 let constraints_staged ~(cfg : Rlibm.Config.t) func =
   let (points, immediate_specials), ev =
     staged ~stage:Constraints ~key:(constraints_key ~cfg func) (fun () ->
         let rivals = intervals_stage ~cfg func in
-        Rlibm.Constraints.combine ~cfg ~family:(family_of ~cfg func) ~rivals)
+        Rlibm.Constraints.combine ~cfg
+          ~family:(Rlibm.Generate.family ~cfg func)
+          ~rivals)
   in
-  let oracle =
-    Rlibm.Constraints.oracle_table ~func ~tin:cfg.Rlibm.Config.tin
-      ~tout:(Rlibm.Config.tout cfg)
-  in
-  ({ Rlibm.Constraints.points; immediate_specials; oracle }, ev)
+  ({ Rlibm.Constraints.points; immediate_specials }, ev)
 
 let constraints_stage ~cfg func = fst (constraints_staged ~cfg func)
 
@@ -401,16 +402,11 @@ let solved_stage ~cfg ~scheme func =
   (staged ~stage:Poly ~key:(poly_key ~cfg ~scheme func) (fun () ->
        let built = constraints_stage ~cfg func in
        Rlibm.Generate.solve ~first_round:(lp_seed ~cfg func) ~cfg ~scheme
-         ~func ~built ())
+         ~func ~built ~oracle:(shared_oracle ~cfg func) ())
     : (Rlibm.Generate.solved, Diag.Error.t) result * event)
 
 let assemble ~cfg ~scheme func solved =
-  Result.map
-    (Rlibm.Generate.assemble ~cfg ~scheme ~func
-       ~oracle:
-         (Rlibm.Constraints.oracle_table ~func ~tin:cfg.Rlibm.Config.tin
-            ~tout:(Rlibm.Config.tout cfg)))
-    solved
+  Result.map (Rlibm.Generate.assemble ~cfg ~scheme ~func) solved
 
 let generate ~cfg ~scheme func =
   assemble ~cfg ~scheme func (fst (solved_stage ~cfg ~scheme func))
@@ -419,7 +415,9 @@ let generate ~cfg ~scheme func =
 
 let verdict_staged ~narrow ~cfg ~scheme func g =
   (staged ~stage:Verdict ~key:(verdict_key ~narrow ~cfg ~scheme func)
-     (fun () -> Genlibm.verify ~narrow g ~inputs:(inputs_of cfg))
+     (fun () ->
+       Genlibm.verify ~narrow ~oracle:(shared_oracle ~cfg func) g
+         ~inputs:(inputs_of cfg))
     : Genlibm.verify_report * event)
 
 let verified ?(narrow = true) ~cfg ~scheme func =

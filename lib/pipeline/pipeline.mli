@@ -33,10 +33,18 @@
     [-j] — a cold run, a warm run and a resumed run all produce the same
     coefficients, special tables and verdicts.
 
-    The pipeline covers exhaustive-universe configurations (the input
-    set is every finite pattern of [cfg.tin]); the sampled binary32 path
-    stays on {!Genlibm.generate_sampled}.  Set [RLIBM_NO_DISK_CACHE] to
-    degrade every stage to compute-always (the exact unstaged path). *)
+    This is the one generation driver for exhaustive-universe
+    configurations (the input set is every finite pattern of
+    [cfg.tin]): the CLI, the benchmarks, {!Serve}, the examples and the
+    tests all generate through it.  Its oracle stage is the only writer
+    of the shared oracle table ({!Rlibm.Constraints.oracle_table}); the
+    polynomial and verdict stages hand that table to
+    {!Rlibm.Generate.solve} and {!Genlibm.verify}, which only read it.
+    The sampled binary32 path, {!Genlibm.generate_sampled}, runs the same
+    stage bodies over a table of its own and touches neither the shared
+    table nor the store.  Set [RLIBM_NO_DISK_CACHE] (or use
+    [Cache.with_persistence false]) to degrade every stage to
+    compute-always. *)
 
 type stage = Oracle | Constraints | Poly | Verdict
 
@@ -166,8 +174,7 @@ val constraints_stage :
   Oracle.func ->
   Rlibm.Constraints.build_result
 (** Stage 2: reduced, merged constraints — the rounding intervals
-    ({!intervals_stage}), pulled back and merged (CalculatePhi).  The
-    returned record shares the stage-1 oracle table. *)
+    ({!intervals_stage}), pulled back and merged (CalculatePhi). *)
 
 val generate :
   cfg:Rlibm.Config.t ->

@@ -22,7 +22,6 @@ type build_result = {
       (* inputs whose constraint could not be expressed; the stored result
          is the decoded oracle value, which always lies in the rounding
          interval *)
-  oracle : (int64, int64) Hashtbl.t;  (* input bits -> round-to-odd bits *)
 }
 
 (* The exact inverse of the idealized output compensation: q / 2^n, q - c. *)
@@ -85,7 +84,8 @@ let reduced_interval ~oc ~inv (iv : Intervals.t) =
    store (the moral equivalent of the artifact's pre-generated oracle
    files) so repeated runs of the tests, benchmarks and examples do not
    re-pay the Ziv loops.  Set RLIBM_NO_DISK_CACHE to disable persistence,
-   RLIBM_CACHE_DIR to relocate it. *)
+   RLIBM_CACHE_DIR to relocate it.  The pipeline's oracle stage is the
+   only writer of these tables; everything downstream only reads them. *)
 let oracle_cache : (string, (int64, int64) Hashtbl.t) Hashtbl.t =
   Hashtbl.create 8
 
@@ -137,7 +137,8 @@ let persist_oracle_table ~func ~(tin : Softfp.fmt) ~(tout : Softfp.fmt) =
    Three separate pure bodies: the oracle evaluations, the
    rounding-interval construction, and the pull-back/CalculatePhi merge.
    The staged pipeline (lib/pipeline) persists the first and the
-   composition of the other two; [build] composes all three. *)
+   composition of the other two; sampled generation
+   (Genlibm.generate_sampled) composes all three over a table it owns. *)
 
 (* The fields of one [oracle.ziv] event: how many of a range's oracle
    evaluations each tier decided — the fast first tier, the analytic
@@ -323,16 +324,3 @@ let combine ~(cfg : Config.t) ~(family : Reduction.t)
       points
   in
   (points, !specials)
-
-let build ~(cfg : Config.t) ~(family : Reduction.t) ~(inputs : int64 array) =
-  let tin = cfg.tin and tout = Config.tout cfg in
-  let oracle = oracle_table ~func:family.func ~tin ~tout in
-  ignore (ensure_oracle ~cfg ~family ~inputs ~oracle : int);
-  (* Best-effort on this legacy composed path; the pipeline collects
-     publish failures at its own call sites. *)
-  ignore
-    (persist_oracle_table ~func:family.func ~tin ~tout
-      : (unit, Diag.Error.t) result);
-  let rivals = rounding_intervals ~cfg ~family ~inputs ~oracle in
-  let points, immediate_specials = combine ~cfg ~family ~rivals in
-  { points; immediate_specials; oracle }

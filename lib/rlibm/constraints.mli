@@ -4,13 +4,20 @@
     Every covered input contributes the rounding interval of its
     round-to-odd oracle result, pulled back through the inverse output
     compensation and repaired against the actual double OC; constraints
-    that share a reduced input are intersected (CalculatePhi).  Oracle
-    results are memoized in-process and persisted through the hardened
-    {!Cache} store (default ./.oracle-cache; relocate with
-    RLIBM_CACHE_DIR, disable with RLIBM_NO_DISK_CACHE) since they are
-    shared by all five evaluation schemes.  Corrupt or stale entries are
-    detected, quarantined and regenerated — they never flow into rounding
-    intervals. *)
+    that share a reduced input are intersected (CalculatePhi).
+
+    The three steps are separate pure stage bodies ({!ensure_oracle},
+    {!rounding_intervals}, {!combine}) over an oracle table the caller
+    owns.  The staged pipeline (lib/pipeline) is the one generation
+    driver: its oracle stage fills the shared per-(func, tin, tout)
+    table ({!oracle_table}), persists it through the hardened {!Cache}
+    store (default ./.oracle-cache; relocate with RLIBM_CACHE_DIR,
+    disable with RLIBM_NO_DISK_CACHE) since it is shared by all five
+    evaluation schemes, and is that table's only writer.  Corrupt or
+    stale entries are detected, quarantined and regenerated — they never
+    flow into rounding intervals.  Sampled generation
+    ({!Genlibm.generate_sampled}) runs the same bodies over a private
+    table and never touches the shared one or the store. *)
 
 type point = {
   r : float;  (** reduced input *)
@@ -29,9 +36,6 @@ type build_result = {
           interval or empty intersection); the stored double is the
           decoded oracle result, which always lies in the rounding
           interval *)
-  oracle : (int64, int64) Hashtbl.t;
-      (** input bits -> round-to-odd result bits, for every non-shortcut
-          input *)
 }
 
 (** The exact inverse of an element's idealized output compensation:
@@ -65,25 +69,12 @@ val pull : inverse -> up:bool -> float -> float
 val reduced_interval :
   oc:(float -> float) -> inv:inverse -> Intervals.t -> (float * float) option
 
-(** [build ~cfg ~family ~inputs] assembles the merged constraint set for
-    the given input patterns (finite ones; others are ignored).
-
-    The per-input oracle evaluations and interval pull-backs fan out
-    across the {!Parallel} pool; the CalculatePhi merge runs on the
-    driver in input order, so the result is bit-identical for every job
-    count.  [build] is the composition of the three stage bodies below;
-    the staged pipeline (lib/pipeline) persists the oracle table and the
-    merged constraints as separate stages. *)
-val build :
-  cfg:Config.t ->
-  family:Reduction.t ->
-  inputs:int64 array ->
-  build_result
-
 (** {1 Stage bodies}
 
-    Pure computations (no disk I/O beyond the shared oracle memo the
-    caller hands in) with the same determinism contract as [build]. *)
+    Pure computations: no disk I/O, and no table but the one the caller
+    hands in.  The per-input work fans out across the {!Parallel} pool
+    and every merge runs on the driver in input order, so each result is
+    bit-identical for every job count. *)
 
 (** [oracle_range ~cfg ~family ~inputs ~lo ~hi ~known] computes the
     round-to-odd result of every finite, non-shortcut input of
@@ -149,7 +140,7 @@ val rounding_intervals :
     through the inverse output compensation (parallel) and runs the
     CalculatePhi merge (driver, entry order): CalcRedIntervals +
     CombineRedIntervals.  Returns the per-piece sorted points and the
-    immediate specials, i.e. [build_result] minus the oracle table. *)
+    immediate specials: the fields of a [build_result]. *)
 val combine :
   cfg:Config.t ->
   family:Reduction.t ->
@@ -164,7 +155,10 @@ val clear_memory_cache : unit -> unit
 (** The shared oracle table for [(func, tin, tout)]: the in-process memo
     if present, else loaded from the persistent store, else fresh and
     empty.  The same physical table is returned for the same triple, so
-    entries accumulate across builds of different schemes. *)
+    every scheme of a function reads one table.  Only the pipeline's
+    oracle stage adds entries (through {!ensure_oracle}): once that stage
+    has run, the table covers every finite non-shortcut input of [tin],
+    and generation and verification only read it. *)
 val oracle_table :
   func:Oracle.func ->
   tin:Softfp.fmt ->

@@ -311,7 +311,6 @@ type generated = {
   specials : (int64, float) Hashtbl.t;  (* input bits -> double result *)
   spec_keys : int array;  (* the same specials, sorted by bit pattern… *)
   spec_vals : float array;  (* …for the binary-search hot path *)
-  oracle : (int64, int64) Hashtbl.t;  (* input bits -> round-to-odd bits *)
   degrees : int array;  (* per piece *)
   rounds : int array;  (* per piece *)
   n_constraints : int array;  (* per piece *)
@@ -335,13 +334,14 @@ type solved = {
    set.  All randomness (vertex tilt, dither) is seeded per piece and
    degree, so the result is a deterministic function of the inputs. *)
 let solve ?first_round ~(cfg : Config.t) ~scheme ~func
-    ~(built : Constraints.build_result) () =
+    ~(built : Constraints.build_result) ~(oracle : (int64, int64) Hashtbl.t)
+    () =
   let tin = cfg.tin and tout = Config.tout cfg in
   let decoded_result x =
     (* The oracle table normally covers every special input; recompute on
        a miss (same value) so a partially resumed table stays safe. *)
     let y =
-      match Hashtbl.find_opt built.oracle x with
+      match Hashtbl.find_opt oracle x with
       | Some y -> y
       | None ->
           Oracle.correctly_round func (Softfp.to_rat tin x) ~fmt:tout
@@ -437,16 +437,14 @@ let solve ?first_round ~(cfg : Config.t) ~scheme ~func
           sv_specials = List.rev !specials;
         }
 
+let family ~(cfg : Config.t) func =
+  Reduction.make func ~out_fmt:(Config.tout cfg) ~pieces:cfg.pieces
+    ~table_bits:cfg.table_bits
+
 (* Rebuild the runnable implementation from the closure-free artifact:
-   recompile each piece's constants, rebuild the range reduction, and
-   re-attach the shared oracle table. *)
-let assemble ~(cfg : Config.t) ~scheme ~func
-    ~(oracle : (int64, int64) Hashtbl.t) (sv : solved) =
-  let tout = Config.tout cfg in
-  let family =
-    Reduction.make func ~out_fmt:tout ~pieces:cfg.pieces
-      ~table_bits:cfg.table_bits
-  in
+   recompile each piece's constants and rebuild the range reduction. *)
+let assemble ~(cfg : Config.t) ~scheme ~func (sv : solved) =
+  let family = family ~cfg func in
   let pieces =
     Array.map
       (fun d ->
@@ -483,19 +481,7 @@ let assemble ~(cfg : Config.t) ~scheme ~func
     specials;
     spec_keys;
     spec_vals;
-    oracle;
     degrees = sv.sv_degrees;
     rounds = sv.sv_rounds;
     n_constraints = sv.sv_n_constraints;
   }
-
-let run ~(cfg : Config.t) ~scheme ~func ~(inputs : int64 array) () =
-  let tout = Config.tout cfg in
-  let family =
-    Reduction.make func ~out_fmt:tout ~pieces:cfg.pieces
-      ~table_bits:cfg.table_bits
-  in
-  let built = Constraints.build ~cfg ~family ~inputs in
-  match solve ~cfg ~scheme ~func ~built () with
-  | Error _ as e -> e
-  | Ok sv -> Ok (assemble ~cfg ~scheme ~func ~oracle:built.oracle sv)

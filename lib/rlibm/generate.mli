@@ -11,7 +11,10 @@
     inputs; the loop keeps the candidate with the fewest violated inputs
     (the cheap analogue of the artifact's minimal-specials search, helped
     by a random objective tilt that walks near-optimal LP vertices).
-    {!run} drives the per-piece degree escalation. *)
+    {!solve} drives the per-piece degree escalation over a built
+    constraint set; {!assemble} turns its closure-free result into a
+    runnable function.  The staged pipeline (lib/pipeline) sequences
+    them after the constraint stage. *)
 
 type piece_outcome =
   | Done of {
@@ -61,9 +64,6 @@ type generated = {
       (** the same special inputs as native ints (patterns fit 63 bits),
           sorted ascending — the binary-search probe of the hot path *)
   spec_vals : float array;  (** results matching [spec_keys] by index *)
-  oracle : (int64, int64) Hashtbl.t;
-      (** oracle round-to-odd results collected during generation; shared
-          with verification *)
   degrees : int array;  (** per piece *)
   rounds : int array;  (** generation rounds used, per piece *)
   n_constraints : int array;  (** merged constraint points, per piece *)
@@ -87,8 +87,10 @@ type solved = {
           immediate specials first, then each piece's leftovers *)
 }
 
-(** [solve ~cfg ~scheme ~func ~built ()] runs the per-piece degree
-    escalation over an already-built constraint set.  A pure stage body:
+(** [solve ~cfg ~scheme ~func ~built ~oracle ()] runs the per-piece
+    degree escalation over an already-built constraint set.  [oracle] is
+    only read: it supplies the stored result of every input that becomes
+    special (an input it lacks is recomputed).  A pure stage body:
     all randomness is seeded per (piece, degree), so the result is a
     deterministic function of the arguments at every job count.
     [Error] is typed: [Lp_infeasible] when the terminal degree's LP
@@ -109,31 +111,23 @@ val solve :
   scheme:Polyeval.scheme ->
   func:Oracle.func ->
   built:Constraints.build_result ->
+  oracle:(int64, int64) Hashtbl.t ->
   unit ->
   (solved, Diag.Error.t) result
 
-(** [assemble ~cfg ~scheme ~func ~oracle sv] rebuilds the runnable
-    implementation from the closure-free artifact: recompiles each
-    piece, rebuilds the range reduction, re-attaches the oracle table.
+(** The range reduction [cfg] generates [func] over
+    ({!Reduction.make} with [cfg]'s target format, pieces and table
+    size). *)
+val family : cfg:Config.t -> Oracle.func -> Reduction.t
+
+(** [assemble ~cfg ~scheme ~func sv] rebuilds the runnable
+    implementation from the closure-free artifact: recompiles each piece
+    and rebuilds the range reduction.
     @raise Invalid_argument when [sv]'s data cannot compile for
     [scheme] (a stale or foreign artifact). *)
 val assemble :
   cfg:Config.t ->
   scheme:Polyeval.scheme ->
   func:Oracle.func ->
-  oracle:(int64, int64) Hashtbl.t ->
   solved ->
   generated
-
-(** [run ~cfg ~scheme ~func ~inputs ()] generates the full piecewise
-    approximation for [func] over the given input patterns:
-    {!Constraints.build}, then {!solve}, then {!assemble}.  [Error]
-    identifies the piece that could not be satisfied within [cfg]'s
-    degree/round/special budgets (see {!solve}). *)
-val run :
-  cfg:Config.t ->
-  scheme:Polyeval.scheme ->
-  func:Oracle.func ->
-  inputs:int64 array ->
-  unit ->
-  (generated, Diag.Error.t) result

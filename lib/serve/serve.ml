@@ -88,10 +88,7 @@ let table_of_generated (g : Rlibm.Generate.generated) =
   | Rlibm.Reduction.Log_params { table; _ } -> Some table
 
 (* Rebuild the runnable entry from stored data only: pre-seed the
-   reduction-table memo, then assemble.  The oracle table attached to
-   the implementation is empty — serving never consults it (eval_bits
-   reads the special table, the shortcut and the polynomial), and
-   verification workflows go through the pipeline, not a snapshot.
+   reduction-table memo, then assemble.
    @raise Invalid_argument on foreign data (via Generate.assemble). *)
 let assemble_stored (se : stored_entry) =
   (match se.se_table with
@@ -101,7 +98,7 @@ let assemble_stored (se : stored_entry) =
   | None -> ());
   let impl =
     Rlibm.Generate.assemble ~cfg:se.se_cfg ~scheme:se.se_scheme
-      ~func:se.se_func ~oracle:(Hashtbl.create 1) se.se_solved
+      ~func:se.se_func se.se_solved
   in
   {
     e_func = se.se_func;

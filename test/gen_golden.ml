@@ -29,7 +29,7 @@ let () =
   Cache.with_persistence false (fun () ->
       List.iter
         (fun (name, func, scheme, cfg) ->
-          match Genlibm.generate ~cfg ~scheme func with
+          match Pipeline.generate ~cfg ~scheme func with
           | Error msg ->
               Printf.eprintf "%s: generation failed: %s\n" name
                 (Diag.Error.to_string msg);

@@ -203,9 +203,10 @@ let tiny_cfg =
     max_rounds = 20;
   }
 
-(* Everything observable about a generated function, as exact bits (same
-   shape as the determinism fingerprint in test_parallel.ml). *)
-let fingerprint (g : Rlibm.Generate.generated) =
+(* Everything observable about a generated function and the oracle table
+   it was generated from, as exact bits (same shape as the determinism
+   fingerprint in test_parallel.ml). *)
+let fingerprint (g : Rlibm.Generate.generated) oracle =
   let coeffs =
     Array.to_list g.Rlibm.Generate.pieces
     |> List.concat_map (fun (p : Polyeval.compiled) ->
@@ -218,19 +219,21 @@ let fingerprint (g : Rlibm.Generate.generated) =
     |> List.sort compare
   in
   let oracle =
-    Hashtbl.fold (fun x y acc -> (x, y) :: acc) g.Rlibm.Generate.oracle []
-    |> List.sort compare
+    Hashtbl.fold (fun x y acc -> (x, y) :: acc) oracle [] |> List.sort compare
   in
   (coeffs, Array.to_list g.Rlibm.Generate.degrees, specials, oracle)
 
+(* A pipeline pass from a cold in-process state: the oracle stage (which
+   loads the stored table when there is one), then the verified
+   function. *)
 let generate_and_verify () =
   Rlibm.Constraints.clear_memory_cache ();
-  match Genlibm.generate ~cfg:tiny_cfg ~scheme:Polyeval.Estrin Oracle.Exp2 with
+  let oracle =
+    Result.get_ok (Pipeline.oracle_stage ~cfg:tiny_cfg Oracle.Exp2)
+  in
+  match Pipeline.verified ~cfg:tiny_cfg ~scheme:Polyeval.Estrin Oracle.Exp2 with
   | Error err -> Alcotest.failf "generation failed: %s" (Diag.Error.to_string err)
-  | Ok g ->
-      let inputs = Genlibm.inputs_exhaustive tiny_cfg.Rlibm.Config.tin in
-      let rep = Genlibm.verify g ~inputs in
-      (fingerprint g, rep)
+  | Ok (g, rep) -> (fingerprint g oracle, rep)
 
 let test_poisoned_cache_bit_identity () =
   in_fresh_dir (fun d ->
@@ -247,11 +250,18 @@ let test_poisoned_cache_bit_identity () =
       let warm, warm_rep = generate_and_verify () in
       Alcotest.(check bool) "warm = cold" true (warm = cold && warm_rep = cold_rep);
       (* poison the payload and regenerate: the store must reject,
-         quarantine, recompute — and the output must not move a bit *)
+         quarantine, recompute — and the output must not move a bit.
+         Every other artifact goes, so the constraints, the polynomial
+         and the verdict are rebuilt from the table the oracle stage
+         ends up with. *)
       let b = Bytes.of_string (read_file path) in
       let off = Bytes.length b - 11 in
       Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x55));
       write_file path (Bytes.to_string b);
+      Array.iter
+        (fun f ->
+          if f <> Filename.basename path then Sys.remove (Filename.concat d f))
+        (Sys.readdir d);
       Cache.reset_stats ();
       let poisoned, poisoned_rep = generate_and_verify () in
       Alcotest.(check bool) "coefficients/specials/oracle bit-identical" true
@@ -268,6 +278,28 @@ let test_poisoned_cache_bit_identity () =
       Alcotest.(check bool) "republished entry validates and matches" true
         (republished = cold && republished_rep = cold_rep))
 
+(* Sampled generation owns its (partial) oracle table: a binary32 exp2
+   generation into a fresh, enabled store publishes nothing, so no
+   partial table can sit under the whole-format oracle key. *)
+let test_sampled_leaves_store_alone () =
+  in_fresh_dir (fun d ->
+      Cache.with_persistence true (fun () ->
+          let cfg = Rlibm.Config.float32_for Oracle.Exp2 in
+          match
+            Genlibm.generate_sampled ~cfg ~scheme:Polyeval.EstrinFma ~count:250
+              ~seed:11 Oracle.Exp2
+          with
+          | Error err, _, _ ->
+              Alcotest.failf "sampled generation failed: %s"
+                (Diag.Error.to_string err)
+          | Ok _, _, oracle ->
+              Alcotest.(check bool) "its own table is filled" true
+                (Hashtbl.length oracle > 0);
+              Alcotest.(check bool) "no oracle-kind traffic" true
+                (List.assoc_opt "oracle" (Cache.stats_by_kind ()) = None);
+              Alcotest.(check (list string)) "store stays empty" []
+                (Array.to_list (Sys.readdir d))))
+
 let suite =
   [
     ("store/load roundtrip", `Quick, test_roundtrip);
@@ -282,4 +314,6 @@ let suite =
     ( "poisoned cache: output bit-identical to cold run",
       `Slow,
       test_poisoned_cache_bit_identity );
+    ("sampled generation leaves the store alone", `Slow,
+     test_sampled_leaves_store_alone);
   ]

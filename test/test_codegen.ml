@@ -38,7 +38,7 @@ let generate_case (name, func, scheme, cfg) =
   | None -> (
       match
         Cache.with_persistence false (fun () ->
-            Genlibm.generate ~cfg ~scheme func)
+            Pipeline.generate ~cfg ~scheme func)
       with
       | Error msg ->
           Alcotest.failf "%s: generation failed: %s" name

@@ -19,7 +19,9 @@ let tiny = tiny_cfg.Rlibm.Config.tin
 let inputs = lazy (Genlibm.inputs_exhaustive tiny)
 
 (* Generation is expensive; several tests share the same function, so the
-   results are memoized for the whole suite run. *)
+   results are memoized for the whole suite run.  Persistence is off so
+   every run of the suite generates afresh rather than loading a stored
+   polynomial. *)
 let gen_cache : (Oracle.func * Polyeval.scheme, (Rlibm.Generate.generated, Diag.Error.t) result) Hashtbl.t =
   Hashtbl.create 16
 
@@ -28,7 +30,10 @@ let generate_ok func scheme =
     match Hashtbl.find_opt gen_cache (func, scheme) with
     | Some r -> r
     | None ->
-        let r = Genlibm.generate ~cfg:tiny_cfg ~scheme func in
+        let r =
+          Cache.with_persistence false (fun () ->
+              Pipeline.generate ~cfg:tiny_cfg ~scheme func)
+        in
         Hashtbl.replace gen_cache (func, scheme) r;
         r
   in
@@ -36,9 +41,16 @@ let generate_ok func scheme =
   | Ok g -> g
   | Error msg -> Alcotest.failf "generation failed: %s" (Diag.Error.to_string msg)
 
+(* The pipeline's oracle table for [func], which verification reads. *)
+let oracle_of func =
+  Cache.with_persistence false (fun () ->
+      Result.get_ok (Pipeline.oracle_stage ~cfg:tiny_cfg func))
+
 let check_verified func scheme =
   let g = generate_ok func scheme in
-  let rep = Genlibm.verify g ~inputs:(Lazy.force inputs) in
+  let rep =
+    Genlibm.verify ~oracle:(oracle_of func) g ~inputs:(Lazy.force inputs)
+  in
   Alcotest.(check int)
     (Printf.sprintf "%s/%s wrong34" (Oracle.name func)
        (Polyeval.scheme_name scheme))
@@ -65,7 +77,8 @@ let test_log10_estrin_fma () = ignore (check_verified Oracle.Log10 Polyeval.Estr
 let test_verify_sees_kernel () =
   let xs = Lazy.force inputs in
   let wrong g =
-    let rep = Genlibm.verify g ~inputs:xs in
+    let func = g.Rlibm.Generate.family.Rlibm.Reduction.func in
+    let rep = Genlibm.verify ~oracle:(oracle_of func) g ~inputs:xs in
     rep.Genlibm.wrong34 + rep.Genlibm.wrong_narrow
   in
   let with_kernel (g : Rlibm.Generate.generated) kernel =
@@ -176,6 +189,7 @@ let test_post_process_pitfall () =
     with _ -> max_int
   in
   let post_wrong = ref 0 in
+  let oracle = oracle_of Oracle.Exp10 in
   (match Polyeval.compile Polyeval.Knuth g.Rlibm.Generate.pieces.(0).Polyeval.data with
   | None -> ()
   | Some adapted ->
@@ -207,7 +221,7 @@ let test_post_process_pitfall () =
               g.Rlibm.Generate.family.Rlibm.Reduction.reduce_into s;
               if s.Rlibm.Reduction.spiece = 0 then begin
                 let y_impl = Genlibm.round_result tout Softfp.RTO dst.{i} in
-                match Hashtbl.find_opt g.Rlibm.Generate.oracle x with
+                match Hashtbl.find_opt oracle x with
                 | Some y_true when not (Int64.equal y_impl y_true) ->
                     incr post_wrong
                 | _ -> ()

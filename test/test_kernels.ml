@@ -33,7 +33,10 @@ let generate_ok func scheme =
     match Hashtbl.find_opt gen_cache (func, scheme) with
     | Some r -> r
     | None ->
-        let r = Genlibm.generate ~cfg:tiny_cfg ~scheme func in
+        let r =
+          Cache.with_persistence false (fun () ->
+              Pipeline.generate ~cfg:tiny_cfg ~scheme func)
+        in
         Hashtbl.replace gen_cache (func, scheme) r;
         r
   in
@@ -251,11 +254,11 @@ let generate_b32 func =
           Genlibm.generate_sampled ~cfg ~scheme:Polyeval.EstrinFma ~count:250
             ~seed:11 func
         with
-        | Error msg, _ ->
+        | Error msg, _, _ ->
             Alcotest.failf "%s binary32 sampled generation failed: %s"
               (Oracle.name func)
               (Diag.Error.to_string msg)
-        | Ok g, sampled -> (g, sampled)
+        | Ok g, sampled, _ -> (g, sampled)
       in
       Hashtbl.replace b32_cache func r;
       r
@@ -437,7 +440,10 @@ let test_batch_shapes () =
       check_bit_identity (name ^ " binary32 sorted") g32 (by_value Softfp.binary32 sampled);
       check_chunks (name ^ " binary32") g32 sampled 2;
       let cfg3 = { tiny_cfg with Rlibm.Config.pieces = 3 } in
-      match Genlibm.generate ~cfg:cfg3 ~scheme:Polyeval.Horner func with
+      match
+        Cache.with_persistence false (fun () ->
+            Pipeline.generate ~cfg:cfg3 ~scheme:Polyeval.Horner func)
+      with
       | Ok g3 ->
           Alcotest.(check int) (name ^ " three pieces") 3
             (Array.length g3.Rlibm.Generate.pieces);

@@ -205,9 +205,9 @@ let tiny_cfg =
     max_rounds = 20;
   }
 
-(* Everything observable about a generated function, in canonical order
-   and exact bit patterns. *)
-let fingerprint (g : Rlibm.Generate.generated) =
+(* Everything observable about a generated function and the oracle table
+   it was generated from, in canonical order and exact bit patterns. *)
+let fingerprint (g : Rlibm.Generate.generated) oracle =
   let coeffs =
     Array.to_list g.Rlibm.Generate.pieces
     |> List.concat_map (fun (p : Polyeval.compiled) ->
@@ -220,8 +220,7 @@ let fingerprint (g : Rlibm.Generate.generated) =
     |> List.sort compare
   in
   let oracle =
-    Hashtbl.fold (fun x y acc -> (x, y) :: acc) g.Rlibm.Generate.oracle []
-    |> List.sort compare
+    Hashtbl.fold (fun x y acc -> (x, y) :: acc) oracle [] |> List.sort compare
   in
   ( coeffs,
     Array.to_list g.Rlibm.Generate.degrees,
@@ -232,14 +231,10 @@ let generate_at ~jobs func scheme =
   with_jobs jobs (fun () ->
       (* Re-pay the oracle construction so the fan-out actually runs. *)
       Rlibm.Constraints.clear_memory_cache ();
-      match Genlibm.generate ~cfg:tiny_cfg ~scheme func with
+      let oracle = Result.get_ok (Pipeline.oracle_stage ~cfg:tiny_cfg func) in
+      match Pipeline.verified ~cfg:tiny_cfg ~scheme func with
       | Error msg -> Alcotest.failf "generation failed: %s" (Diag.Error.to_string msg)
-      | Ok g ->
-          let inputs =
-            Genlibm.inputs_exhaustive tiny_cfg.Rlibm.Config.tin
-          in
-          let rep = Genlibm.verify g ~inputs in
-          (fingerprint g, rep))
+      | Ok (g, rep) -> (fingerprint g oracle, rep))
 
 let check_determinism func scheme () =
   (* Keep the disk cache out of the picture: a warm file would let the

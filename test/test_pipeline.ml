@@ -31,10 +31,7 @@ let tiny_cfg =
   }
 
 (* The function's observable artifacts as exact bits: coefficients,
-   degrees and the special table.  (Deliberately not the shared oracle
-   table: verification lazily installs shortcut-path entries into it, so
-   its in-process extent depends on whether the verdict stage ran — a
-   warm run that loads the verdict skips exactly those lookups.) *)
+   degrees and the special table. *)
 let fingerprint (g : Rlibm.Generate.generated) =
   let coeffs =
     Array.to_list g.Rlibm.Generate.pieces
@@ -614,9 +611,12 @@ let test_lp_seed_shared () =
                 (fun func ->
                   let cfg = tiny_cfg and scheme = Polyeval.EstrinFma in
                   let built = Pipeline.constraints_stage ~cfg func in
-                  let oracle = built.Rlibm.Constraints.oracle in
+                  let oracle =
+                    Rlibm.Constraints.oracle_table ~func
+                      ~tin:cfg.Rlibm.Config.tin ~tout:(Rlibm.Config.tout cfg)
+                  in
                   match
-                    ( Rlibm.Generate.solve ~cfg ~scheme ~func ~built (),
+                    ( Rlibm.Generate.solve ~cfg ~scheme ~func ~built ~oracle (),
                       Pipeline.generate ~cfg ~scheme func )
                   with
                   | Ok sv, Ok g ->
@@ -625,8 +625,7 @@ let test_lp_seed_shared () =
                            (Oracle.name func))
                         true
                         (fingerprint
-                           (Rlibm.Generate.assemble ~cfg ~scheme ~func ~oracle
-                              sv)
+                           (Rlibm.Generate.assemble ~cfg ~scheme ~func sv)
                         = fingerprint g)
                   | _ -> Alcotest.fail "generation failed")
                 seed_funcs))
@@ -784,6 +783,47 @@ let test_loop_events () =
               (Diag.with_sinks [] cold_run = reference))
         [ 1; 4 ])
 
+(* ---------- the oracle table has one writer ---------- *)
+
+(* Verification only reads the oracle table: after a verified mini exp2
+   the shared table still holds exactly the covered (finite,
+   non-shortcut) inputs, and warming through the verdict reports the
+   count that warming through the oracle stage does.  Persistence is off
+   so the verdict stage really verifies. *)
+let test_verify_reads_oracle () =
+  Cache.with_persistence false (fun () ->
+      let func = Oracle.Exp2 in
+      let cfg = Rlibm.Config.mini_for func in
+      let tin = cfg.Rlibm.Config.tin in
+      let family = Rlibm.Generate.family ~cfg func in
+      let covered =
+        Genlibm.inputs_exhaustive tin
+        |> Array.to_list
+        |> List.filter (fun x ->
+               family.Rlibm.Reduction.shortcut (Softfp.to_float tin x) = None)
+        |> List.sort compare
+      in
+      Alcotest.(check int) "mini exp2 covers 4428 inputs" 4428
+        (List.length covered);
+      Rlibm.Constraints.clear_memory_cache ();
+      (match Pipeline.verified ~cfg ~scheme:Polyeval.Horner func with
+      | Ok _ -> ()
+      | Error err ->
+          Alcotest.failf "exp2/horner: %s" (Diag.Error.to_string err));
+      let table =
+        Rlibm.Constraints.oracle_table ~func ~tin ~tout:(Rlibm.Config.tout cfg)
+      in
+      Alcotest.(check (list int64)) "table keys = covered inputs" covered
+        (List.sort compare (Hashtbl.fold (fun x _ acc -> x :: acc) table []));
+      let entries through =
+        Rlibm.Constraints.clear_memory_cache ();
+        (warm_ok ~schemes:[ Polyeval.Horner ] ~through [ (func, cfg) ])
+          .Pipeline.wm_entries
+        |> List.map snd
+      in
+      Alcotest.(check (list int)) "warm through verdict = through oracle"
+        (entries Pipeline.Oracle) (entries Pipeline.Verdict))
+
 let suite =
   [
     ("key invalidation graph", `Quick, test_keys);
@@ -805,4 +845,6 @@ let suite =
      test_lp_seed_corrupt);
     ("generation loop speaks typed events, artifacts unchanged", `Slow,
      test_loop_events);
+    ("verify leaves the oracle table as the oracle stage built it", `Slow,
+     test_verify_reads_oracle);
   ]

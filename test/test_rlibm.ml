@@ -354,6 +354,19 @@ let test_pull_edges () =
 
 (* ---------- constraint building ---------- *)
 
+(* The constraint stage bodies over a fresh oracle table: the merged
+   constraint set of [inputs] and the table it was built from. *)
+let build_fresh ~cfg ~family ~inputs =
+  let oracle = Hashtbl.create 1024 in
+  ignore (Rlibm.Constraints.ensure_oracle ~cfg ~family ~inputs ~oracle : int);
+  let rivals =
+    Rlibm.Constraints.rounding_intervals ~cfg ~family ~inputs ~oracle
+  in
+  let points, immediate_specials =
+    Rlibm.Constraints.combine ~cfg ~family ~rivals
+  in
+  ({ Rlibm.Constraints.points; immediate_specials }, oracle)
+
 let test_build_merges_and_covers () =
   let cfg = { mini with Rlibm.Config.pieces = 2 } in
   let fam =
@@ -361,7 +374,7 @@ let test_build_merges_and_covers () =
       ~table_bits:cfg.Rlibm.Config.table_bits
   in
   let inputs = Array.init 64 (fun i -> Softfp.of_ordinal cfg.Rlibm.Config.tin (i + 400)) in
-  let built = Rlibm.Constraints.build ~cfg ~family:fam ~inputs in
+  let built, _ = build_fresh ~cfg ~family:fam ~inputs in
   Alcotest.(check int) "two piece buckets" 2 (Array.length built.Rlibm.Constraints.points);
   let n_pts =
     Array.fold_left (fun acc a -> acc + Array.length a) 0 built.Rlibm.Constraints.points
@@ -399,7 +412,8 @@ let test_mini_config_sanity () =
 
 (* ---------- polynomial stage pin ---------- *)
 
-(* The mini universe's constraint set per function, built once. *)
+(* The mini universe's constraint set per function and its oracle table,
+   built once. *)
 let mini_built =
   let memo = Hashtbl.create 8 in
   fun func ->
@@ -413,9 +427,8 @@ let mini_built =
             ~table_bits:cfg.Rlibm.Config.table_bits
         in
         let b =
-          Cache.with_persistence false (fun () ->
-              Rlibm.Constraints.build ~cfg ~family
-                ~inputs:(Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin))
+          build_fresh ~cfg ~family
+            ~inputs:(Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin)
         in
         Hashtbl.replace memo func b;
         b
@@ -460,13 +473,15 @@ let test_solve_pinned () =
       List.iter
         (fun (func, cases) ->
           let cfg = Rlibm.Config.mini_for func in
-          let built = mini_built func in
+          let built, oracle = mini_built func in
           List.iter
             (fun (scheme, want) ->
               let name =
                 Oracle.name func ^ "/" ^ Polyeval.scheme_name scheme
               in
-              match Rlibm.Generate.solve ~cfg ~scheme ~func ~built () with
+              match
+                Rlibm.Generate.solve ~cfg ~scheme ~func ~built ~oracle ()
+              with
               | Error e -> Alcotest.failf "%s: %s" name (Diag.Error.to_string e)
               | Ok sv -> Alcotest.(check string) name want (render_solved sv))
             cases)
@@ -628,7 +643,7 @@ let test_round1_pinned () =
   List.iter
     (fun (func, piece, degree, verdict, delta) ->
       let name = Printf.sprintf "%s piece %d degree %d" (Oracle.name func) piece degree in
-      let pts = (mini_built func).Rlibm.Constraints.points.(piece) in
+      let pts = (fst (mini_built func)).Rlibm.Constraints.points.(piece) in
       match Rlibm.Generate.first_round_lp ~degree pts with
       | Lp.Unsat -> Alcotest.(check string) name verdict "unsat"
       | Lp.Sat (_, working) ->
@@ -646,7 +661,7 @@ let test_column_generation_vs_cold () =
   List.iter
     (fun (func, piece, degree, _, _) ->
       let name = Printf.sprintf "%s piece %d degree %d" (Oracle.name func) piece degree in
-      let pts = (mini_built func).Rlibm.Constraints.points.(piece) in
+      let pts = (fst (mini_built func)).Rlibm.Constraints.points.(piece) in
       match Rlibm.Generate.first_round_lp ~degree pts with
       | Lp.Unsat -> ()
       | Lp.Sat (coeffs, working) -> (

@@ -20,6 +20,8 @@
 # - faults: an injected ENOSPC exits through the typed store-io code, and
 #   a process aborted mid-publish leaves a store that fsck repairs with
 #   nothing quarantined and a resumed run completes bit-identically;
+# - examples: quickstart, multi_rounding and emit_source run to exit 0
+#   against a fresh store;
 # - the paper harness (bench/main.exe) rejects unknown flags;
 # and finally run the repository benchmark's own tests (every workload
 # prints every metric BENCHMARK.json names, and its correctness gate
@@ -353,6 +355,24 @@ dune exec --no-build bin/rlibm_gen.exe -- fsck \
 grep -q ', 0 quarantined, 0 stale temps,' "$faultdir/fsck-clean.out" \
   || { echo "resumed store has findings:"; cat "$faultdir/fsck-clean.out"; exit 1; }
 echo "injected ENOSPC exits 3 typed; kill-point resume bit-identical, fsck clean"
+
+echo "== examples smoke =="
+# The examples generate through the pipeline like every other caller;
+# each must run to exit 0 against a fresh store.  emit_source writes
+# into ./generated, so it runs inside the scratch directory.
+exstore="$work/examples-store" && exdir="$work/examples"
+mkdir -p "$exstore" "$exdir"
+for ex in quickstart multi_rounding; do
+  RLIBM_CACHE_DIR="$exstore" dune exec --no-build "examples/$ex.exe" \
+    > "$exdir/$ex.out" \
+    || { echo "examples/$ex.exe failed:"; cat "$exdir/$ex.out"; exit 1; }
+done
+(cd "$exdir" && RLIBM_CACHE_DIR="$exstore" \
+  "$OLDPWD/_build/default/examples/emit_source.exe" > emit_source.out) \
+  || { echo "examples/emit_source.exe failed"; exit 1; }
+[ -s "$exdir/generated/exp2_estrin_fma.c" ] \
+  || { echo "emit_source wrote no C source"; exit 1; }
+echo "quickstart, multi_rounding, emit_source: exit 0"
 
 echo "== paper harness flags =="
 # An experiment flag runs; an unknown flag (such as a deleted timing
