@@ -24,17 +24,35 @@ let require_func = function
       Printf.eprintf "missing required option --func\n";
       exit 2
 
+(* Every subcommand that generates builds its config here, so this is
+   where out-of-range knobs exit through the typed Bad_config code
+   instead of an Invalid_argument deep inside generation.  A table finer
+   than [prec - 1] bits would index entries no input reaches. *)
 let cfg_for func ~ebits ~prec ~pieces ~table_bits =
-  let tin = Softfp.make_fmt ~ebits ~prec in
-  {
-    (Rlibm.Config.mini_for func) with
-    Rlibm.Config.tin;
-    pieces =
-      (match pieces with
-      | Some p -> p
-      | None -> (Rlibm.Config.mini_for func).Rlibm.Config.pieces);
-    table_bits;
-  }
+  let bad fmt =
+    Printf.ksprintf
+      (fun what -> Cli.exit_error (Diag.Error.Bad_config { what }))
+      fmt
+  in
+  let preset = Rlibm.Config.mini_for func in
+  let pieces = Option.value pieces ~default:preset.Rlibm.Config.pieces in
+  if pieces < 1 then bad "--pieces %d: need at least 1 piece" pieces;
+  let tin =
+    try Softfp.make_fmt ~ebits ~prec
+    with Invalid_argument _ ->
+      bad "--ebits %d --prec %d: need 1 <= ebits <= 15, prec >= 2 and at \
+           most 63 bits" ebits prec
+  in
+  let cfg = { preset with Rlibm.Config.tin; pieces; table_bits } in
+  (* the round-to-odd target must be a format too *)
+  (try ignore (Rlibm.Config.tout cfg)
+   with Invalid_argument _ ->
+     bad "--ebits %d --prec %d: the round-to-odd target (%d more bits) \
+          exceeds 63 bits" ebits prec cfg.Rlibm.Config.extra_bits);
+  if table_bits < 0 || table_bits > prec - 1 then
+    bad "--table-bits %d: need 0 <= table-bits <= prec - 1 = %d" table_bits
+      (prec - 1);
+  cfg
 
 let pieces_arg =
   Arg.(

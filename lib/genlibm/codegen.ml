@@ -82,41 +82,62 @@ let specials_list (g : Rlibm.Generate.generated) =
 
 (* ---------- shared pieces of the wrappers ---------- *)
 
-type exp_cuts = {
-  hi_cut : float;
-  lo_cut : float;
-  v_huge : float;
-  v_tiny : float;
-  near_cut : float;
-  v_above_one : float;
-  v_below_one : float;
-}
-
-let shortcut_constants (g : Rlibm.Generate.generated) =
-  let tout = Rlibm.Config.tout g.Rlibm.Generate.cfg in
-  let emax = float_of_int (Softfp.emax tout) in
-  let emin = Softfp.emin tout and prec = tout.Softfp.prec in
-  {
-    hi_cut = emax +. 1.1;
-    lo_cut = float_of_int (emin - prec) -. 1.1;
-    v_huge = Float.ldexp 1.0 (Softfp.emax tout + 1);
-    v_tiny = Float.ldexp 1.0 (emin - prec - 2);
-    near_cut = Float.ldexp 1.0 (-(prec + 3));
-    v_above_one = 1.0 +. Float.ldexp 1.0 (-(prec + 1));
-    v_below_one = 1.0 -. Float.ldexp 1.0 (-(prec + 2));
-  }
-
-let piece_select_expr lang pieces =
+(* Binds [p] to the polynomial value at [r]: one body, or a dispatch
+   over every piece on the clamped index [(int)(r * f1 * ... * pieces)],
+   with [scale] the factors [f1 ...] that map the reduced domain onto
+   [0, 1). *)
+let emit_pieces lang buf (pieces : Polyeval.compiled array) ~indent ~scale =
+  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let n = Array.length pieces in
+  let body piece ~indent = emit_poly lang buf piece ~arg:"r" ~indent in
+  let select =
+    let factor f =
+      match lang with C -> Printf.sprintf " * %d.0" f | Ml -> Printf.sprintf " *. %d." f
+    in
+    let product = "r" ^ String.concat "" (List.map factor (scale @ [ n ])) in
+    match lang with C -> "(int)(" ^ product ^ ")" | Ml -> "int_of_float (" ^ product ^ ")"
+  in
   match lang with
-  | C -> Printf.sprintf "(int)(r * %d.0)" pieces
-  | Ml -> Printf.sprintf "int_of_float (r *. %d.)" pieces
+  | C when n > 1 ->
+      pr "%sint piece = %s;\n" indent select;
+      pr "%sif (piece >= %d) piece = %d;\n" indent n (n - 1);
+      pr "%sdouble p;\n" indent;
+      Array.iteri
+        (fun i piece ->
+          pr "%s%s (piece == %d) {\n" indent (if i = 0 then "if" else "else if") i;
+          let res = body piece ~indent:(indent ^ "  ") in
+          pr "%s  p = %s;\n%s}\n" indent res indent)
+        pieces;
+      pr "%selse p = 0.0; /* unreachable */\n" indent
+  | C ->
+      let res = body pieces.(0) ~indent in
+      pr "%sdouble p = %s;\n" indent res
+  | Ml when n > 1 ->
+      pr "%slet piece = Stdlib.min %d (%s) in\n" indent (n - 1) select;
+      pr "%slet p =\n" indent;
+      Array.iteri
+        (fun i piece ->
+          let last = i = n - 1 in
+          if last then pr "%s  begin\n" indent
+          else pr "%s  if piece = %d then begin\n" indent i;
+          let res = body piece ~indent:(indent ^ "    ") in
+          pr "%s    %s\n%s  end%s\n" indent res indent (if last then "" else " else"))
+        pieces;
+      pr "%sin\n" indent
+  | Ml ->
+      pr "%slet p =\n" indent;
+      let res = body pieces.(0) ~indent:(indent ^ "  ") in
+      pr "%s  %s\n%sin\n" indent res indent
 
 (* ---------- C ---------- *)
 
 let to_c (g : Rlibm.Generate.generated) ~name =
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let lit = float_lit C in
   let specials = specials_list g in
+  let pieces = g.Rlibm.Generate.pieces in
+  let kernel = g.Rlibm.Generate.family.Rlibm.Reduction.kernel in
   pr "/* %s: correctly rounded %s generated by rlibm-fastpoly.\n"
     name
     (Oracle.name g.Rlibm.Generate.family.Rlibm.Reduction.func);
@@ -129,101 +150,55 @@ let to_c (g : Rlibm.Generate.generated) ~name =
   pr "#include <math.h>\n#include <stdint.h>\n\n";
   if specials <> [] then begin
     pr "static const double %s_special[][2] = {\n" name;
-    List.iter
-      (fun (x, v) -> pr "  {%s, %s},\n" (float_lit C x) (float_lit C v))
-      specials;
+    List.iter (fun (x, v) -> pr "  {%s, %s},\n" (lit x) (lit v)) specials;
     pr "};\n\n"
   end;
-  (match g.Rlibm.Generate.family.Rlibm.Reduction.params with
-  | Rlibm.Reduction.Log_params { table; _ } ->
-      pr "static const double %s_tbl[%d] = {\n" name (Array.length table);
-      Array.iter (fun v -> pr "  %s,\n" (float_lit C v)) table;
+  (match kernel with
+  | Rlibm.Reduction.Log_kernel { lk_table; _ } ->
+      pr "static const double %s_tbl[%d] = {\n" name (Array.length lk_table);
+      Array.iter (fun v -> pr "  %s,\n" (lit v)) lk_table;
       pr "};\n\n"
-  | Rlibm.Reduction.Exp_params _ -> ());
+  | Rlibm.Reduction.Exp_kernel _ -> ());
   pr "double %s(double x) {\n" name;
   (* non-finite and special handling *)
-  let is_exp =
-    match g.Rlibm.Generate.family.Rlibm.Reduction.params with
-    | Rlibm.Reduction.Exp_params _ -> true
-    | Rlibm.Reduction.Log_params _ -> false
-  in
   pr "  if (isnan(x)) return x;\n";
-  if is_exp then pr "  if (isinf(x)) return x > 0 ? x : 0.0;\n"
-  else begin
-    pr "  if (x == 0.0) return -INFINITY;\n";
-    (* The kernel's own NaN bits (Float.nan's payload, which C's NAN
-       lacks), so the C is bit-identical to it. *)
-    pr "  static const union { uint64_t u; double d; } nan_bits = { 0x%LxULL };\n\
-       \  if (x < 0.0) return nan_bits.d;\n" (Int64.bits_of_float Float.nan);
-    pr "  if (isinf(x)) return x;\n"
-  end;
+  (match kernel with
+  | Rlibm.Reduction.Exp_kernel _ -> pr "  if (isinf(x)) return x > 0 ? x : 0.0;\n"
+  | Rlibm.Reduction.Log_kernel _ ->
+      pr "  if (x == 0.0) return -INFINITY;\n";
+      (* The kernel's own NaN bits (Float.nan's payload, which C's NAN
+         lacks), so the C is bit-identical to it. *)
+      pr "  static const union { uint64_t u; double d; } nan_bits = { 0x%LxULL };\n\
+         \  if (x < 0.0) return nan_bits.d;\n" (Int64.bits_of_float Float.nan);
+      pr "  if (isinf(x)) return x;\n");
   if specials <> [] then begin
     pr "  for (unsigned i = 0; i < sizeof %s_special / sizeof %s_special[0]; i++)\n"
       name name;
     pr "    if (x == %s_special[i][0]) return %s_special[i][1];\n" name name
   end;
-  (match g.Rlibm.Generate.family.Rlibm.Reduction.params with
-  | Rlibm.Reduction.Exp_params { log2_base } ->
-      let k = shortcut_constants g in
-      pr "  double t = x * %s;\n" (float_lit C log2_base);
-      pr "  if (t > %s) return %s;\n" (float_lit C k.hi_cut) (float_lit C k.v_huge);
-      pr "  if (t < %s) return %s;\n" (float_lit C k.lo_cut) (float_lit C k.v_tiny);
+  (match kernel with
+  | Rlibm.Reduction.Exp_kernel k ->
+      let v = k.Rlibm.Reduction.ek_settled in
+      pr "  double t = x * %s;\n" (lit k.ek_scale);
+      pr "  if (t > %s) return %s;\n" (lit k.ek_hi_cut) (lit v.(1));
+      pr "  if (t < %s) return %s;\n" (lit k.ek_lo_cut) (lit v.(2));
       pr "  if (x != 0.0 && fabs(t) < %s) return x > 0.0 ? %s : %s;\n"
-        (float_lit C k.near_cut) (float_lit C k.v_above_one)
-        (float_lit C k.v_below_one);
+        (lit k.ek_near_cut) (lit v.(4)) (lit v.(3));
       pr "  double n = floor(t);\n";
       pr "  double r = t - n;\n";
-      if Array.length g.Rlibm.Generate.pieces > 1 then begin
-        pr "  int piece = %s;\n"
-          (piece_select_expr C (Array.length g.Rlibm.Generate.pieces));
-        pr "  if (piece >= %d) piece = %d;\n"
-          (Array.length g.Rlibm.Generate.pieces)
-          (Array.length g.Rlibm.Generate.pieces - 1);
-        pr "  double p;\n";
-        Array.iteri
-          (fun i piece_c ->
-            pr "  %s (piece == %d) {\n" (if i = 0 then "if" else "else if") i;
-            let res = emit_poly C buf piece_c ~arg:"r" ~indent:"    " in
-            pr "    p = %s;\n  }\n" res)
-          g.Rlibm.Generate.pieces;
-        pr "  else p = 0.0; /* unreachable */\n"
-      end
-      else begin
-        let res = emit_poly C buf g.Rlibm.Generate.pieces.(0) ~arg:"r" ~indent:"  " in
-        pr "  double p = %s;\n" res
-      end;
+      emit_pieces C buf pieces ~indent:"  " ~scale:[];
       pr "  return ldexp(p, (int) n);\n"
-  | Rlibm.Reduction.Log_params { table_bits; k_scale; k_exact; _ } ->
-      let tsize = 1 lsl table_bits in
+  | Rlibm.Reduction.Log_kernel k ->
+      let tsize = Array.length k.Rlibm.Reduction.lk_table in
       pr "  int e2;\n";
       pr "  double m = 2.0 * frexp(x, &e2);\n";
       pr "  int k = e2 - 1;\n";
       pr "  int j = (int)((m - 1.0) * %d.0);\n" tsize;
       pr "  double F = 1.0 + (double) j / %d.0;\n" tsize;
       pr "  double r = (m - F) / F;\n";
-      if k_exact then pr "  double c = (double) k + %s_tbl[j];\n" name
-      else
-        pr "  double c = fma((double) k, %s, %s_tbl[j]);\n"
-          (float_lit C k_scale) name;
-      if Array.length g.Rlibm.Generate.pieces > 1 then begin
-        pr "  int piece = (int)(r * %d.0 * %d.0);\n" tsize
-          (Array.length g.Rlibm.Generate.pieces);
-        pr "  if (piece >= %d) piece = %d;\n"
-          (Array.length g.Rlibm.Generate.pieces)
-          (Array.length g.Rlibm.Generate.pieces - 1);
-        pr "  double p;\n";
-        Array.iteri
-          (fun i piece_c ->
-            pr "  %s (piece == %d) {\n" (if i = 0 then "if" else "else if") i;
-            let res = emit_poly C buf piece_c ~arg:"r" ~indent:"    " in
-            pr "    p = %s;\n  }\n" res)
-          g.Rlibm.Generate.pieces;
-        pr "  else p = 0.0; /* unreachable */\n"
-      end
-      else begin
-        let res = emit_poly C buf g.Rlibm.Generate.pieces.(0) ~arg:"r" ~indent:"  " in
-        pr "  double p = %s;\n" res
-      end;
+      if k.lk_exact then pr "  double c = (double) k + %s_tbl[j];\n" name
+      else pr "  double c = fma((double) k, %s, %s_tbl[j]);\n" (lit k.lk_scale) name;
+      emit_pieces C buf pieces ~indent:"  " ~scale:[ tsize ];
       pr "  return c + p;\n");
   pr "}\n";
   Buffer.contents buf
@@ -233,114 +208,65 @@ let to_c (g : Rlibm.Generate.generated) ~name =
 let to_ocaml (g : Rlibm.Generate.generated) ~name =
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let lit = float_lit Ml in
   let specials = specials_list g in
+  let pieces = g.Rlibm.Generate.pieces in
+  let kernel = g.Rlibm.Generate.family.Rlibm.Reduction.kernel in
   pr "(* %s: correctly rounded %s (%s scheme), generated by rlibm-fastpoly *)\n"
     name
     (Oracle.name g.Rlibm.Generate.family.Rlibm.Reduction.func)
     (Polyeval.scheme_name g.Rlibm.Generate.scheme);
   if specials <> [] then begin
     pr "let %s_special = [|\n" name;
-    List.iter
-      (fun (x, v) -> pr "  (%s, %s);\n" (float_lit Ml x) (float_lit Ml v))
-      specials;
+    List.iter (fun (x, v) -> pr "  (%s, %s);\n" (lit x) (lit v)) specials;
     pr "|]\n\n"
   end;
-  (match g.Rlibm.Generate.family.Rlibm.Reduction.params with
-  | Rlibm.Reduction.Log_params { table; _ } ->
+  (match kernel with
+  | Rlibm.Reduction.Log_kernel { lk_table; _ } ->
       pr "let %s_tbl = [|\n" name;
-      Array.iter (fun v -> pr "  %s;\n" (float_lit Ml v)) table;
+      Array.iter (fun v -> pr "  %s;\n" (lit v)) lk_table;
       pr "|]\n\n"
-  | Rlibm.Reduction.Exp_params _ -> ());
+  | Rlibm.Reduction.Exp_kernel _ -> ());
   pr "let %s (x : float) : float =\n" name;
-  let is_exp =
-    match g.Rlibm.Generate.family.Rlibm.Reduction.params with
-    | Rlibm.Reduction.Exp_params _ -> true
-    | Rlibm.Reduction.Log_params _ -> false
-  in
   pr "  if Float.is_nan x then x\n";
-  if is_exp then
-    pr "  else if x = Float.infinity then x\n  else if x = Float.neg_infinity then 0.0\n"
-  else begin
-    pr "  else if x = 0.0 then Float.neg_infinity\n";
-    pr "  else if x < 0.0 then Float.nan\n";
-    pr "  else if x = Float.infinity then x\n"
-  end;
+  (match kernel with
+  | Rlibm.Reduction.Exp_kernel _ ->
+      pr "  else if x = Float.infinity then x\n  else if x = Float.neg_infinity then 0.0\n"
+  | Rlibm.Reduction.Log_kernel _ ->
+      pr "  else if x = 0.0 then Float.neg_infinity\n";
+      pr "  else if x < 0.0 then Float.nan\n";
+      pr "  else if x = Float.infinity then x\n");
   if specials <> [] then begin
     pr "  else begin match Array.find_opt (fun (k, _) -> k = x) %s_special with\n"
       name;
     pr "  | Some (_, v) -> v\n  | None ->\n"
   end
   else pr "  else begin\n";
-  (match g.Rlibm.Generate.family.Rlibm.Reduction.params with
-  | Rlibm.Reduction.Exp_params { log2_base } ->
-      let k = shortcut_constants g in
-      pr "  let t = x *. %s in\n" (float_lit Ml log2_base);
-      pr "  if t > %s then %s\n" (float_lit Ml k.hi_cut) (float_lit Ml k.v_huge);
-      pr "  else if t < %s then %s\n" (float_lit Ml k.lo_cut) (float_lit Ml k.v_tiny);
-      pr "  else if x <> 0.0 && Float.abs t < %s then\n"
-        (float_lit Ml k.near_cut);
-      pr "    (if x > 0.0 then %s else %s)\n"
-        (float_lit Ml k.v_above_one) (float_lit Ml k.v_below_one);
+  (match kernel with
+  | Rlibm.Reduction.Exp_kernel k ->
+      let v = k.Rlibm.Reduction.ek_settled in
+      pr "  let t = x *. %s in\n" (lit k.ek_scale);
+      pr "  if t > %s then %s\n" (lit k.ek_hi_cut) (lit v.(1));
+      pr "  else if t < %s then %s\n" (lit k.ek_lo_cut) (lit v.(2));
+      pr "  else if x <> 0.0 && Float.abs t < %s then\n" (lit k.ek_near_cut);
+      pr "    (if x > 0.0 then %s else %s)\n" (lit v.(4)) (lit v.(3));
       pr "  else begin\n";
       pr "    let n = Float.floor t in\n";
       pr "    let r = t -. n in\n";
-      let npieces = Array.length g.Rlibm.Generate.pieces in
-      if npieces > 1 then begin
-        pr "    let piece = Stdlib.min %d (%s) in\n" (npieces - 1)
-          (piece_select_expr Ml npieces);
-        pr "    let p =\n";
-        Array.iteri
-          (fun i piece_c ->
-            if i < npieces - 1 then pr "      if piece = %d then begin\n" i
-            else pr "      begin\n";
-            let res = emit_poly Ml buf piece_c ~arg:"r" ~indent:"        " in
-            pr "        %s\n      end%s\n" res
-              (if i < npieces - 1 then " else" else "");
-            ())
-          g.Rlibm.Generate.pieces;
-        pr "    in\n"
-      end
-      else begin
-        pr "    let p =\n";
-        let res =
-          emit_poly Ml buf g.Rlibm.Generate.pieces.(0) ~arg:"r" ~indent:"      "
-        in
-        pr "      %s\n    in\n" res
-      end;
+      emit_pieces Ml buf pieces ~indent:"    " ~scale:[];
       pr "    Float.ldexp p (int_of_float n)\n  end\n"
-  | Rlibm.Reduction.Log_params { table_bits; k_scale; k_exact; _ } ->
-      let tsize = 1 lsl table_bits in
+  | Rlibm.Reduction.Log_kernel k ->
+      let tsize = Array.length k.Rlibm.Reduction.lk_table in
       pr "  let m2, e2 = Float.frexp x in\n";
       pr "  let m = 2.0 *. m2 and k = e2 - 1 in\n";
       pr "  let j = int_of_float ((m -. 1.0) *. %d.) in\n" tsize;
       pr "  let f = 1.0 +. (float_of_int j /. %d.) in\n" tsize;
       pr "  let r = (m -. f) /. f in\n";
-      if k_exact then pr "  let c = float_of_int k +. %s_tbl.(j) in\n" name
+      if k.lk_exact then pr "  let c = float_of_int k +. %s_tbl.(j) in\n" name
       else
         pr "  let c = Float.fma (float_of_int k) %s %s_tbl.(j) in\n"
-          (float_lit Ml k_scale) name;
-      let npieces = Array.length g.Rlibm.Generate.pieces in
-      if npieces > 1 then begin
-        pr "  let piece = Stdlib.min %d (int_of_float (r *. %d. *. %d.)) in\n"
-          (npieces - 1) tsize npieces;
-        pr "  let p =\n";
-        Array.iteri
-          (fun i piece_c ->
-            if i < npieces - 1 then pr "    if piece = %d then begin\n" i
-            else pr "    begin\n";
-            let res = emit_poly Ml buf piece_c ~arg:"r" ~indent:"      " in
-            pr "      %s\n    end%s\n" res
-              (if i < npieces - 1 then " else" else ""))
-          g.Rlibm.Generate.pieces;
-        pr "  in\n"
-      end
-      else begin
-        pr "  let p =\n";
-        let res =
-          emit_poly Ml buf g.Rlibm.Generate.pieces.(0) ~arg:"r" ~indent:"    "
-        in
-        pr "    %s\n  in\n" res
-      end;
+          (lit k.lk_scale) name;
+      emit_pieces Ml buf pieces ~indent:"  " ~scale:[ tsize ];
       pr "  c +. p\n");
   pr "  end\n";
   Buffer.contents buf

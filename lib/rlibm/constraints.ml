@@ -28,9 +28,9 @@ type build_result = {
 type inverse = Scale of int | Shift of float
 
 let inverse (family : Reduction.t) (s : Reduction.scratch) =
-  match family.params with
-  | Reduction.Exp_params _ -> Scale s.sn
-  | Reduction.Log_params _ -> Shift s.sf.sc
+  match family.kernel with
+  | Reduction.Exp_kernel _ -> Scale s.sn
+  | Reduction.Log_kernel _ -> Shift s.sf.sc
 
 (* Exact directed rounding of the inverse; see constraints.mli. *)
 let pull inv ~up q =

@@ -437,14 +437,19 @@ let solve ?first_round ~(cfg : Config.t) ~scheme ~func
           sv_specials = List.rev !specials;
         }
 
-let family ~(cfg : Config.t) func =
+let family ?table ~(cfg : Config.t) func =
+  let table =
+    match table with
+    | Some t -> Lazy.from_val t
+    | None -> lazy (Reduction.log_table func ~table_bits:cfg.table_bits)
+  in
   Reduction.make func ~out_fmt:(Config.tout cfg) ~pieces:cfg.pieces
-    ~table_bits:cfg.table_bits
+    ~table_bits:cfg.table_bits ~table
 
 (* Rebuild the runnable implementation from the closure-free artifact:
    recompile each piece's constants and rebuild the range reduction. *)
-let assemble ~(cfg : Config.t) ~scheme ~func (sv : solved) =
-  let family = family ~cfg func in
+let assemble ?table ~(cfg : Config.t) ~scheme ~func (sv : solved) =
+  let family = family ?table ~cfg func in
   let pieces =
     Array.map
       (fun d ->

@@ -117,15 +117,19 @@ val solve :
 
 (** The range reduction [cfg] generates [func] over
     ({!Reduction.make} with [cfg]'s target format, pieces and table
-    size). *)
-val family : cfg:Config.t -> Oracle.func -> Reduction.t
+    size).  The logarithm table is [table] when given (a stored copy),
+    otherwise the memoized {!Reduction.log_table}.
+    @raise Invalid_argument when [table] is not [2^cfg.table_bits]
+    long. *)
+val family : ?table:float array -> cfg:Config.t -> Oracle.func -> Reduction.t
 
-(** [assemble ~cfg ~scheme ~func sv] rebuilds the runnable
+(** [assemble ?table ~cfg ~scheme ~func sv] rebuilds the runnable
     implementation from the closure-free artifact: recompiles each piece
-    and rebuilds the range reduction.
+    and rebuilds the range reduction ({!family} with [table]).
     @raise Invalid_argument when [sv]'s data cannot compile for
-    [scheme] (a stale or foreign artifact). *)
+    [scheme] (a stale or foreign artifact) or [table] is mis-sized. *)
 val assemble :
+  ?table:float array ->
   cfg:Config.t ->
   scheme:Polyeval.scheme ->
   func:Oracle.func ->

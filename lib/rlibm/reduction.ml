@@ -25,15 +25,6 @@
    compensation (Constraints.reduced_interval), mirroring CalculateL' of
    the RLibm papers. *)
 
-type params =
-  | Exp_params of { log2_base : float }
-  | Log_params of {
-      table_bits : int;
-      table : float array;
-      k_scale : float;
-      k_exact : bool;
-    }
-
 (* Caller-owned scratch for the allocation-free reduction.  The float
    slots live in their own all-float record: OCaml stores such records
    flat (unboxed fields), whereas a mutable float field in a mixed
@@ -100,7 +91,6 @@ let decoder (fmt : Softfp.fmt) =
 type t = {
   func : Oracle.func;
   pieces : int;
-  params : params;
   kernel : kernel;
   shortcut : float -> float option;
       (* analytic fast path (deep overflow/underflow, domain errors);
@@ -109,36 +99,67 @@ type t = {
       (* allocation-free variant: reads [sf.sx], writes [sf.sr],
          [spiece], and [sn] (exp) / [sf.sc] (log) *)
 }
+(* [shortcut] and [reduce_into] are built from [kernel] and read only
+   its fields: the record is the one copy of the family's constants. *)
 
 (* ---------- exponential family ---------- *)
 
 (* [scale] is the family's log2_base from the registry: RN(log2 e),
    1.0 or RN(log2 10) for the paper's three exponentials. *)
-let exp_family func ~scale ~out_fmt ~pieces =
+let exp_consts ~scale ~out_fmt =
   let emax = float_of_int (Softfp.emax out_fmt) in
   let emin = Softfp.emin out_fmt and prec = out_fmt.Softfp.prec in
-  let lo_cut = float_of_int (emin - prec) -. 1.1 in
-  let v_huge = Float.ldexp 1.0 (Softfp.emax out_fmt + 1) in
-  let v_tiny = Float.ldexp 1.0 (emin - prec - 2) in
+  let hi_cut = emax +. 1.1 and lo_cut = float_of_int (emin - prec) -. 1.1 in
   (* Near 1: for 0 < |t| < 2^-(prec+3) the result lies strictly between 1
      and its neighbour in the target, so round-to-odd is that (odd)
      neighbour and any double strictly inside the gap is a correct return
      value.  The polynomial path cannot produce one once |t| drops below
      double precision (1 + c1*t rounds back to 1.0), so this is an
-     analytic branch, exactly like the artifact's small-input paths. *)
-  let near_cut = Float.ldexp 1.0 (-(prec + 3)) in
-  (* Strictly inside (1, succ 1) / (pred 1, 1) of the target and strictly
-     on the correct side of every narrower format's rounding midpoint
-     (the nearest midpoints are 1 +/- 2^-(prec+1) for the full-width
-     format itself). *)
-  let v_above_one = 1.0 +. Float.ldexp 1.0 (-(prec + 1)) in
-  let v_below_one = 1.0 -. Float.ldexp 1.0 (-(prec + 2)) in
+     analytic branch, exactly like the artifact's small-input paths.
+     The settled values just below / above 1 are strictly inside
+     (pred 1, 1) / (1, succ 1) of the target and strictly on the correct
+     side of every narrower format's rounding midpoint (the nearest
+     midpoints are 1 +/- 2^-(prec+1) for the full-width format itself). *)
+  let settled =
+    [|
+      0.0;
+      Float.ldexp 1.0 (Softfp.emax out_fmt + 1);
+      Float.ldexp 1.0 (emin - prec - 2);
+      1.0 -. Float.ldexp 1.0 (-(prec + 2));
+      1.0 +. Float.ldexp 1.0 (-(prec + 1));
+    |]
+  in
+  (* 2^n as a two-factor product, one factor per table: exactly 2^n
+     when that is a normal double; otherwise an exact shift by 2^(n -/+
+     512) and one rounding multiply, so v *. hi *. lo rounds once, like
+     [ldexp v n], for every n in [-1534, 1535] (every format with
+     ebits <= 11). *)
+  let n_lo = int_of_float (Float.floor lo_cut) in
+  let n_hi = int_of_float (Float.floor hi_cut) in
+  let pow = Array.make (n_hi - n_lo + 1) 0.0 and pow_lo = Array.make (n_hi - n_lo + 1) 0.0 in
+  for n = n_lo to n_hi do
+    let a = if n < -1022 then n + 512 else if n > 1023 then n - 512 else n in
+    pow.(n - n_lo) <- pow2 a;
+    pow_lo.(n - n_lo) <- pow2 (n - a)
+  done;
+  {
+    ek_scale = scale;
+    ek_hi_cut = hi_cut;
+    ek_lo_cut = lo_cut;
+    ek_near_cut = Float.ldexp 1.0 (-(prec + 3));
+    ek_settled = settled;
+    ek_n_lo = n_lo;
+    ek_pow = pow;
+    ek_pow_lo = pow_lo;
+  }
+
+let exp_family func (k : exp_consts) ~pieces =
   let shortcut x =
-    let t = x *. scale in
-    if t > emax +. 1.1 then Some v_huge
-    else if t < lo_cut then Some v_tiny
-    else if x <> 0.0 && Float.abs t < near_cut then
-      Some (if x > 0.0 then v_above_one else v_below_one)
+    let t = x *. k.ek_scale in
+    if t > k.ek_hi_cut then Some k.ek_settled.(1)
+    else if t < k.ek_lo_cut then Some k.ek_settled.(2)
+    else if x <> 0.0 && Float.abs t < k.ek_near_cut then
+      Some k.ek_settled.(if x > 0.0 then 4 else 3)
     else None
   in
   (* The hot-path body; Genlibm's batch kernel inlines the same
@@ -148,7 +169,7 @@ let exp_family func ~scale ~out_fmt ~pieces =
      p <= pieces and the clamp below is min (pieces - 1) p. *)
   let fpieces = float_of_int pieces in
   let reduce_into (s : scratch) =
-    let t = s.sf.sx *. scale in
+    let t = s.sf.sx *. k.ek_scale in
     let ti = int_of_float t in
     let n = ti - Bool.to_int (t < float_of_int ti) in
     let r = Float.abs (t -. float_of_int n) in
@@ -157,58 +178,16 @@ let exp_family func ~scale ~out_fmt ~pieces =
     let p = int_of_float (r *. fpieces) in
     s.spiece <- p - Bool.to_int (p >= pieces)
   in
-  (* 2^n as a two-factor product, one factor per table: exactly 2^n
-     when that is a normal double; otherwise an exact shift by 2^(n -/+
-     512) and one rounding multiply, so v *. hi *. lo rounds once, like
-     [ldexp v n], for every n in [-1534, 1535] (every format with
-     ebits <= 11). *)
-  let n_lo = int_of_float (Float.floor lo_cut) in
-  let n_hi = int_of_float (Float.floor (emax +. 1.1)) in
-  let pow = Array.make (n_hi - n_lo + 1) 0.0 and pow_lo = Array.make (n_hi - n_lo + 1) 0.0 in
-  for n = n_lo to n_hi do
-    let a = if n < -1022 then n + 512 else if n > 1023 then n - 512 else n in
-    pow.(n - n_lo) <- pow2 a;
-    pow_lo.(n - n_lo) <- pow2 (n - a)
-  done;
-  let kernel =
-    Exp_kernel
-      {
-        ek_scale = scale;
-        ek_hi_cut = emax +. 1.1;
-        ek_lo_cut = lo_cut;
-        ek_near_cut = near_cut;
-        ek_settled = [| 0.0; v_huge; v_tiny; v_below_one; v_above_one |];
-        ek_n_lo = n_lo;
-        ek_pow = pow;
-        ek_pow_lo = pow_lo;
-      }
-  in
-  {
-    func;
-    pieces;
-    params = Exp_params { log2_base = scale };
-    kernel;
-    shortcut;
-    reduce_into;
-  }
+  { func; pieces; kernel = Exp_kernel k; shortcut; reduce_into }
 
 (* ---------- logarithm family ---------- *)
 
 (* T[j] = correctly rounded double of log_b(1 + j/2^J), from the oracle.
    Memoized in-process and persisted through the artifact store: the
    table is the one remaining oracle product a warm pipeline run would
-   otherwise have to recompute just to rebuild the reduction closures. *)
+   otherwise have to recompute just to rebuild the reduction.  This
+   function is the memo's only writer. *)
 let table_cache : (string * int, float array) Hashtbl.t = Hashtbl.create 8
-
-(* Pre-seed the in-process table memo — the servable-snapshot layer
-   carries the tables inside its artifact so a snapshot load never has
-   to touch the table store (or, worse, the oracle) to rebuild the
-   reduction closures.  Mis-sized tables are rejected: the memo must
-   only ever hold tables the keyed computation would produce. *)
-let install_table func ~table_bits table =
-  if Array.length table <> 1 lsl table_bits then
-    invalid_arg "Reduction.install_table: wrong table size";
-  Hashtbl.replace table_cache (Oracle.name func, table_bits) table
 
 let log_table func ~table_bits =
   let key = (Oracle.name func, table_bits) in
@@ -242,17 +221,16 @@ let log_table func ~table_bits =
       Hashtbl.replace table_cache key t;
       t
 
-(* [k_scale] / [k_exact] come from the registry: the per-exponent
-   constant log_b 2 and whether [k * k_scale] is exact (log2). *)
-let log_family func ~k_scale ~k_exact ~pieces ~table_bits =
-  let tbl = log_table func ~table_bits in
-  let tsize = float_of_int (1 lsl table_bits) in
-  let inv_tsize = 1.0 /. tsize and fpieces = float_of_int pieces in
+(* [lk_scale] / [lk_exact] come from the registry: the per-exponent
+   constant log_b 2 and whether [k * lk_scale] is exact (log2). *)
+let log_family func (k : log_consts) ~pieces =
   let shortcut x =
-    if x = 0.0 then Some Float.neg_infinity
-    else if x < 0.0 then Some Float.nan
+    if x = 0.0 then Some k.lk_settled.(2)
+    else if x < 0.0 then Some k.lk_settled.(1)
     else None
   in
+  let tsize = float_of_int (Array.length k.lk_table) in
+  let inv_tsize = 1.0 /. tsize and fpieces = float_of_int pieces in
   (* Hot-path body.  [Float.frexp] allocates a tuple per call, so the
      decomposition x = 2^k * m, m in [1, 2), is done on the bits: force
      the exponent field to 0 (biased 1023) and read k from the original
@@ -272,40 +250,41 @@ let log_family func ~k_scale ~k_exact ~pieces ~table_bits =
            (Int64.logand bits 0xF_FFFF_FFFF_FFFFL)
            0x3FF0_0000_0000_0000L)
     in
-    let k = e - 1023 - if scaled then 54 else 0 in
+    let ke = e - 1023 - if scaled then 54 else 0 in
     let j = int_of_float ((m -. 1.0) *. tsize) in
     let f = 1.0 +. (float_of_int j *. inv_tsize) in
     let r = (m -. f) /. f in
-    let kf = float_of_int k in
+    let kf = float_of_int ke in
     s.sf.sr <- r;
-    s.sf.sc <- (if k_exact then kf +. tbl.(j) else Float.fma kf k_scale tbl.(j));
+    s.sf.sc <-
+      (if k.lk_exact then kf +. k.lk_table.(j)
+       else Float.fma kf k.lk_scale k.lk_table.(j));
     (* r < 2^-J, so p <= pieces: the clamp is min (pieces - 1) p *)
     let p = int_of_float (r *. tsize *. fpieces) in
     s.spiece <- p - Bool.to_int (p >= pieces)
   in
-  let params = Log_params { table_bits; table = tbl; k_scale; k_exact } in
-  let kernel =
-    Log_kernel
-      {
-        lk_table = tbl;
-        lk_scale = k_scale;
-        lk_exact = k_exact;
-        lk_settled = [| 0.0; Float.nan; Float.neg_infinity; Float.neg_infinity |];
-      }
-  in
-  { func; pieces; params; kernel; shortcut; reduce_into }
+  { func; pieces; kernel = Log_kernel k; shortcut; reduce_into }
 
-let make func ~out_fmt ~pieces ~table_bits =
+let make func ~out_fmt ~pieces ~table_bits ~table =
   match (Funcspec.get func).Funcspec.family with
   | Funcspec.Exp_family { log2_base } ->
-      exp_family func ~scale:log2_base ~out_fmt ~pieces
+      exp_family func (exp_consts ~scale:log2_base ~out_fmt) ~pieces
   | Funcspec.Log_family { k_scale; k_exact } ->
-      log_family func ~k_scale ~k_exact ~pieces ~table_bits
+      let lk_table = Lazy.force table in
+      if Array.length lk_table <> 1 lsl table_bits then
+        invalid_arg "Reduction.make: wrong table size";
+      log_family func ~pieces
+        {
+          lk_table;
+          lk_scale = k_scale;
+          lk_exact = k_exact;
+          lk_settled = [| 0.0; Float.nan; Float.neg_infinity; Float.neg_infinity |];
+        }
 
 (* The reference output compensation of the element [reduce_into] left
    in [s]: the exact scaling [v * 2^n], or the double addition [c + v].
    The batch kernel's table forms must agree with it bit for bit. *)
 let compensate t (s : scratch) v =
-  match t.params with
-  | Exp_params _ -> Float.ldexp v s.sn
-  | Log_params _ -> s.sf.sc +. v
+  match t.kernel with
+  | Exp_kernel _ -> Float.ldexp v s.sn
+  | Log_kernel _ -> s.sf.sc +. v

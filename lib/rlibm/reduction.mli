@@ -14,18 +14,14 @@
     Numerical error anywhere in this file is harmless by construction:
     constraints attach to the {e computed} reduced input, and reduced
     intervals are validated against the {e actual} double output
-    compensation (see {!Constraints.reduced_interval}). *)
+    compensation (see {!Constraints.reduced_interval}).
 
-(** Everything a code generator needs to re-emit the reduction. *)
-type params =
-  | Exp_params of { log2_base : float }
-      (** t = x * log2_base; n = floor t; r = t - n; result = p(r) * 2^n *)
-  | Log_params of {
-      table_bits : int;
-      table : float array;  (** T[j] = round(log_b(1 + j/2^J)) *)
-      k_scale : float;  (** log_b 2: the per-exponent constant *)
-      k_exact : bool;  (** true for log2, where k * k_scale is exact *)
-    }
+    A family's constants (log2 of the base and the overflow, underflow
+    and near-1 cut-offs of the exponentials; the table, log_b 2 and its
+    exactness for the logarithms) live in one record, {!t.kernel}.  The
+    reference closures {!t.shortcut} and {!t.reduce_into}, the batch
+    kernel, the emitted C and OCaml source and the constraint builder
+    all read them there. *)
 
 (** Caller-owned scratch for {!t.reduce_into}.  The float slots live in a
     nested all-float record so they stay unboxed under mutation (a
@@ -47,9 +43,9 @@ type scratch = {
 
 val scratch : unit -> scratch
 
-(** Closure-free constants of the batch kernel, built once by {!make}:
-    settled values in small tables indexed by comparison bits, so the
-    kernel's classification takes no data-dependent branch. *)
+(** The family's constants, built once by {!make}: settled values in
+    small tables indexed by comparison bits, so the batch kernel's
+    classification takes no data-dependent branch. *)
 type exp_consts = {
   ek_scale : float;  (** log2 of the base: t = x * ek_scale *)
   ek_hi_cut : float;  (** t above this overflows *)
@@ -97,13 +93,14 @@ val decoder : Softfp.fmt -> decoder
 type t = {
   func : Oracle.func;
   pieces : int;
-  params : params;
-  kernel : kernel;  (** inlinable form of [shortcut] + compensation *)
+  kernel : kernel;
+      (** the family's constants; every field below reads them here *)
   shortcut : float -> float option;
-      (** analytic fast path: deep overflow/underflow for the
-          exponentials, domain errors for the logarithms; [Some v]
-          bypasses the polynomial entirely, and [v] rounds correctly in
-          every representation and mode *)
+      (** analytic fast path: deep overflow/underflow and the near-1
+          band for the exponentials, domain errors for the logarithms;
+          [Some v] (one of the kernel's settled values) bypasses the
+          polynomial entirely, and [v] rounds correctly in every
+          representation and mode *)
   reduce_into : scratch -> unit;
       (** the reference range reduction, defined on finite doubles for
           which [shortcut] returns [None]: reads the input from [sf.sx]
@@ -119,17 +116,22 @@ type t = {
     agree with it bit for bit. *)
 val compensate : t -> scratch -> float -> float
 
-(** [make func ~out_fmt ~pieces ~table_bits] builds the reduction family
-    for [func], dispatching on the {!Funcspec} registry's family record;
-    [out_fmt] fixes the overflow/underflow thresholds of the shortcut,
-    [table_bits] the logarithm table size [J]. *)
-val make :
-  Oracle.func -> out_fmt:Softfp.fmt -> pieces:int -> table_bits:int -> t
+(** [log_table func ~table_bits] is [T[j]], the correctly rounded
+    double of [log_b (1 + j/2^table_bits)] for [j < 2^table_bits], from
+    the oracle.  Memoized in-process and persisted through {!Cache}
+    under kind ["table"]; this is the memo's only writer. *)
+val log_table : Oracle.func -> table_bits:int -> float array
 
-(** [install_table func ~table_bits table] pre-seeds the in-process
-    memo of the logarithm reduction table, so {!make} rebuilds the
-    reduction without touching the table store or the oracle — the
-    servable-snapshot layer ships tables inside its artifact and
-    installs them before assembling.
-    @raise Invalid_argument when [table] is not [2^table_bits] long. *)
-val install_table : Oracle.func -> table_bits:int -> float array -> unit
+(** [make func ~out_fmt ~pieces ~table_bits ~table] builds the reduction
+    family for [func], dispatching on the {!Funcspec} registry's family
+    record; [out_fmt] fixes the exponentials' cut-offs and settled
+    values.  [table] supplies the logarithms' [T[j]] (such as
+    {!log_table}); it is forced only for the logarithm family.
+    @raise Invalid_argument when the table is not [2^table_bits] long. *)
+val make :
+  Oracle.func ->
+  out_fmt:Softfp.fmt ->
+  pieces:int ->
+  table_bits:int ->
+  table:float array Lazy.t ->
+  t

@@ -4,7 +4,7 @@
    request triple, the polynomial stage's solved record, and — for the
    logarithm family — the reduction table, so a warm load touches
    exactly one store entry and rebuilds everything else locally
-   (Polyeval.of_data + Reduction.make over the pre-seeded table memo). *)
+   (Polyeval.of_data + Reduction.make over the stored table). *)
 
 type entry = {
   e_func : Oracle.func;
@@ -83,22 +83,18 @@ let solved_of_generated (g : Rlibm.Generate.generated) : Rlibm.Generate.solved
   }
 
 let table_of_generated (g : Rlibm.Generate.generated) =
-  match g.Rlibm.Generate.family.Rlibm.Reduction.params with
-  | Rlibm.Reduction.Exp_params _ -> None
-  | Rlibm.Reduction.Log_params { table; _ } -> Some table
+  match g.Rlibm.Generate.family.Rlibm.Reduction.kernel with
+  | Rlibm.Reduction.Exp_kernel _ -> None
+  | Rlibm.Reduction.Log_kernel k -> Some k.Rlibm.Reduction.lk_table
 
-(* Rebuild the runnable entry from stored data only: pre-seed the
-   reduction-table memo, then assemble.
-   @raise Invalid_argument on foreign data (via Generate.assemble). *)
+(* Rebuild the runnable entry from stored data only: the stored table
+   goes straight into the reduction.
+   @raise Invalid_argument on foreign data or a mis-sized table (via
+   Generate.assemble). *)
 let assemble_stored (se : stored_entry) =
-  (match se.se_table with
-  | Some tbl ->
-      Rlibm.Reduction.install_table se.se_func
-        ~table_bits:se.se_cfg.Rlibm.Config.table_bits tbl
-  | None -> ());
   let impl =
-    Rlibm.Generate.assemble ~cfg:se.se_cfg ~scheme:se.se_scheme
-      ~func:se.se_func se.se_solved
+    Rlibm.Generate.assemble ?table:se.se_table ~cfg:se.se_cfg
+      ~scheme:se.se_scheme ~func:se.se_func se.se_solved
   in
   {
     e_func = se.se_func;

@@ -13,9 +13,9 @@
     any knob change anywhere upstream changes the snapshot key.
 
     Loading a warm snapshot therefore reads exactly one store entry:
-    the reduction tables ship inside the artifact and are pre-seeded
-    with {!Rlibm.Reduction.install_table}, so assembly never consults
-    the table store or the oracle.
+    the reduction tables ship inside the artifact and are passed to
+    {!Rlibm.Generate.assemble}, so assembly never consults the table
+    store or the oracle.
 
     {!eval_batch_into} runs the zero-allocation batch kernel
     ({!Genlibm.eval_bits_into}) over caller-owned buffers.  A small

@@ -77,6 +77,28 @@ let test_golden (((name, func, _, _) as case) : string * _ * _ * _) lang () =
   | `Ml ->
       check_golden (name ^ ".ml") (Codegen.to_ocaml g ~name:(emitted_name func))
 
+(* The reduction constants the emitted source must carry, read from the
+   served kernel record: the exponentials' scale, cut-offs and settled
+   values; the logarithms' table, plus log_b 2 where k * log_b 2 is not
+   exact (log2 adds k directly). *)
+let kernel_constants (g : Rlibm.Generate.generated) =
+  match g.Rlibm.Generate.family.Rlibm.Reduction.kernel with
+  | Rlibm.Reduction.Exp_kernel k ->
+      [
+        ("log2_base", k.Rlibm.Reduction.ek_scale);
+        ("hi_cut", k.ek_hi_cut);
+        ("lo_cut", k.ek_lo_cut);
+        ("near_cut", k.ek_near_cut);
+      ]
+      @ List.map
+          (fun i -> (Printf.sprintf "settled[%d]" i, k.ek_settled.(i)))
+          [ 1; 2; 3; 4 ]
+  | Rlibm.Reduction.Log_kernel k ->
+      List.mapi
+        (fun i t -> (Printf.sprintf "tbl[%d]" i, t))
+        (Array.to_list k.Rlibm.Reduction.lk_table)
+      @ if k.lk_exact then [] else [ ("log_b 2", k.lk_scale) ]
+
 (* Every constant of the generated implementation — polynomial
    coefficients and reduction-table entries — must survive the
    hex-literal round trip: print with %h, parse back, compare bits.
@@ -98,13 +120,9 @@ let test_hex_roundtrip () =
               check_const (Printf.sprintf "%s piece %d c%d" name pi ci) c)
             piece.Polyeval.data)
         g.Rlibm.Generate.pieces;
-      match g.Rlibm.Generate.family.Rlibm.Reduction.params with
-      | Rlibm.Reduction.Log_params { table; _ } ->
-          Array.iteri
-            (fun i t -> check_const (Printf.sprintf "%s tbl[%d]" name i) t)
-            table
-      | Rlibm.Reduction.Exp_params { log2_base } ->
-          check_const (name ^ " log2_base") log2_base)
+      List.iter
+        (fun (what, v) -> check_const (Printf.sprintf "%s %s" name what) v)
+        (kernel_constants g))
     cases
 
 (* Emitted constants appear verbatim in both backends (same %h text). *)
@@ -119,19 +137,21 @@ let test_constants_emitted () =
       let g = generate_case case in
       let c_src = Codegen.to_c g ~name:(emitted_name func) in
       let ml_src = Codegen.to_ocaml g ~name:(emitted_name func) in
-      Array.iter
-        (fun (piece : Polyeval.compiled) ->
-          Array.iter
-            (fun coef ->
-              let lit = Printf.sprintf "%h" coef in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: %s in C" name lit)
-                true (contains c_src lit);
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: %s in OCaml" name lit)
-                true (contains ml_src lit))
-            piece.Polyeval.data)
-        g.Rlibm.Generate.pieces)
+      let coefs =
+        Array.to_list g.Rlibm.Generate.pieces
+        |> List.concat_map (fun (piece : Polyeval.compiled) ->
+               Array.to_list piece.Polyeval.data)
+      in
+      List.iter
+        (fun v ->
+          let lit = Printf.sprintf "%h" v in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s in C" name lit)
+            true (contains c_src lit);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s in OCaml" name lit)
+            true (contains ml_src lit))
+        (coefs @ List.map snd (kernel_constants g)))
     cases
 
 (* Compile smoke: the emitted C must be an accepted C99 translation

@@ -200,10 +200,11 @@ let test_serve_batch_into_jobs () =
 (* ---------- kernel table compensation = Reduction.compensate ---------- *)
 
 let test_kernel_compensation () =
-  let out_fmt = Rlibm.Config.tout tiny_cfg in
   List.iter
     (fun func ->
-      let fam = Rlibm.Reduction.make func ~out_fmt ~pieces:2 ~table_bits:3 in
+      let fam =
+        Rlibm.Generate.family ~cfg:{ tiny_cfg with Rlibm.Config.pieces = 2 } func
+      in
       let s = Rlibm.Reduction.scratch () in
       Array.iter
         (fun b ->
@@ -288,13 +289,12 @@ let test_reduce_negative_zero () =
   List.iter
     (fun func ->
       let fam =
-        Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout tiny_cfg) ~pieces:2
-          ~table_bits:3
+        Rlibm.Generate.family ~cfg:{ tiny_cfg with Rlibm.Config.pieces = 2 } func
       in
       let scale =
-        match fam.Rlibm.Reduction.params with
-        | Rlibm.Reduction.Exp_params { log2_base } -> log2_base
-        | Rlibm.Reduction.Log_params _ -> Alcotest.fail "not an exponential"
+        match fam.Rlibm.Reduction.kernel with
+        | Rlibm.Reduction.Exp_kernel k -> k.Rlibm.Reduction.ek_scale
+        | Rlibm.Reduction.Log_kernel _ -> Alcotest.fail "not an exponential"
       in
       let name = Oracle.name func in
       List.iter

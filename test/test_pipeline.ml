@@ -445,6 +445,43 @@ let test_shard_concurrent () =
             "racing warmers leave the unsharded artifact bytes" true
             (read_file (Cache.path_of_key okey) = ref_bytes)))
 
+(* Out-of-range generation knobs exit through the typed Bad_config code
+   (2), not an uncaught Invalid_argument (125), on every subcommand that
+   builds a config, and before anything touches the store.  Each value
+   is rejected before any table or format is allocated. *)
+let test_bad_knobs_rejected () =
+  if not (Sys.file_exists rlibm_gen_exe) then
+    Alcotest.failf "rlibm_gen binary not found at %s" rlibm_gen_exe;
+  in_fresh_dir (fun dir ->
+      let run args =
+        Sys.command
+          (Printf.sprintf "%s %s --cache-dir %s > %s 2>&1"
+             (Filename.quote rlibm_gen_exe) args (Filename.quote dir)
+             (Filename.quote (dir ^ ".log")))
+      in
+      List.iter
+        (fun args ->
+          Alcotest.(check int) args 2 (run args);
+          Alcotest.(check bool)
+            (args ^ ": typed message")
+            true
+            (String.starts_with ~prefix:"rlibm: "
+               (In_channel.with_open_bin (dir ^ ".log") In_channel.input_all)))
+        (List.map
+           (fun knob -> "generate --func log " ^ knob)
+           [
+             "--pieces=0"; "--pieces=-2"; "--table-bits=-1"; "--table-bits=60";
+             "--ebits=0"; "--prec=1"; "--ebits=15 --prec=48";
+           ]
+        @ [
+            "stages --func log --pieces=0";
+            "warm --table-bits=-1";
+            "serve --func exp2 --ebits=0";
+          ]);
+      Sys.remove (dir ^ ".log");
+      Alcotest.(check (array string)) "store untouched" [||] (Sys.readdir dir);
+      Sys.rmdir dir)
+
 (* warm must report skipped generations, not swallow them: a config
    whose degree search cannot succeed fails the polynomial stage for
    every scheme, and each failure lands in wm_failed. *)
@@ -838,6 +875,8 @@ let suite =
      test_shard_resume);
     ("concurrent warmers fill one store cooperatively", `Slow,
      test_shard_concurrent);
+    ("out-of-range knobs exit 2 on every subcommand", `Quick,
+     test_bad_knobs_rejected);
     ("warm reports skipped generations", `Slow, test_warm_reports_failures);
     ("second scheme reuses lp-seeds, byte-identical", `Slow,
      test_lp_seed_shared);

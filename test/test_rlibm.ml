@@ -52,6 +52,7 @@ let test_interval_rejects_nonfinite () =
 
 let family f =
   Rlibm.Reduction.make f ~out_fmt:tout ~pieces:2 ~table_bits:4
+    ~table:(lazy (Rlibm.Reduction.log_table f ~table_bits:4))
 
 (* The reference reduction of [x]: the reduced input, and the output
    compensation of that element. *)
@@ -156,6 +157,21 @@ let test_log_reduction_identity () =
       (Oracle.Log2, Float.log2);
       (Oracle.Log10, log10);
     ]
+
+(* The log table is an input of the reduction: a given table is the one
+   the kernel record holds (and serves), and a mis-sized one is rejected
+   with the Invalid_argument a snapshot load treats as stale. *)
+let test_log_table_input () =
+  let cfg = { mini with Rlibm.Config.table_bits = 4 } in
+  let table = Array.copy (Rlibm.Reduction.log_table Oracle.Log2 ~table_bits:4) in
+  (match (Rlibm.Generate.family ~table ~cfg Oracle.Log2).Rlibm.Reduction.kernel with
+  | Rlibm.Reduction.Log_kernel k ->
+      Alcotest.(check bool) "kernel holds the given table" true
+        (k.Rlibm.Reduction.lk_table == table)
+  | Rlibm.Reduction.Exp_kernel _ -> Alcotest.fail "not a logarithm");
+  Alcotest.check_raises "mis-sized table"
+    (Invalid_argument "Reduction.make: wrong table size") (fun () ->
+      ignore (Rlibm.Generate.family ~table:(Array.make 8 0.0) ~cfg Oracle.Log2))
 
 let test_log_shortcuts () =
   let fam = family Oracle.Log in
@@ -286,10 +302,7 @@ let check_pull what inv ~up q =
    nudge loop of [reduced_interval] is shared code, so equal pull-backs
    give equal reduced intervals).  Returns the number of inputs. *)
 let pull_back_matches_rat func (cfg : Rlibm.Config.t) =
-  let family =
-    Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout cfg)
-      ~pieces:cfg.Rlibm.Config.pieces ~table_bits:cfg.Rlibm.Config.table_bits
-  in
+  let family = Rlibm.Generate.family ~cfg func in
   let inputs = Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin in
   let oracle = Hashtbl.create 4096 in
   ignore (Rlibm.Constraints.ensure_oracle ~cfg ~family ~inputs ~oracle : int);
@@ -369,10 +382,7 @@ let build_fresh ~cfg ~family ~inputs =
 
 let test_build_merges_and_covers () =
   let cfg = { mini with Rlibm.Config.pieces = 2 } in
-  let fam =
-    Rlibm.Reduction.make Oracle.Exp2 ~out_fmt:tout ~pieces:2
-      ~table_bits:cfg.Rlibm.Config.table_bits
-  in
+  let fam = Rlibm.Generate.family ~cfg Oracle.Exp2 in
   let inputs = Array.init 64 (fun i -> Softfp.of_ordinal cfg.Rlibm.Config.tin (i + 400)) in
   let built, _ = build_fresh ~cfg ~family:fam ~inputs in
   Alcotest.(check int) "two piece buckets" 2 (Array.length built.Rlibm.Constraints.points);
@@ -421,11 +431,7 @@ let mini_built =
     | Some b -> b
     | None ->
         let cfg = Rlibm.Config.mini_for func in
-        let family =
-          Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout cfg)
-            ~pieces:cfg.Rlibm.Config.pieces
-            ~table_bits:cfg.Rlibm.Config.table_bits
-        in
+        let family = Rlibm.Generate.family ~cfg func in
         let b =
           build_fresh ~cfg ~family
             ~inputs:(Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin)
@@ -496,11 +502,7 @@ let test_oracle_tier_events () =
       List.iter
         (fun func ->
           let cfg = Rlibm.Config.mini_for func in
-          let family =
-            Rlibm.Reduction.make func ~out_fmt:(Rlibm.Config.tout cfg)
-              ~pieces:cfg.Rlibm.Config.pieces
-              ~table_bits:cfg.Rlibm.Config.table_bits
-          in
+          let family = Rlibm.Generate.family ~cfg func in
           let sink, drain = Diag.memory_sink ~min_level:Diag.Info () in
           let computed =
             Diag.with_sinks [ sink ] (fun () ->
@@ -688,6 +690,7 @@ let suite =
     ("exp near-one shortcut", `Quick, test_exp_near_one_shortcut);
     ("log reduction identity", `Quick, test_log_reduction_identity);
     ("log shortcuts", `Quick, test_log_shortcuts);
+    ("log table is a checked input", `Quick, test_log_table_input);
     ("reduced interval exponential", `Quick, test_reduced_interval_exponential);
     ("reduced interval log (fixup)", `Quick, test_reduced_interval_log);
     ( "reduced interval per-direction budget",
