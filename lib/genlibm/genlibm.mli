@@ -65,11 +65,16 @@ val round_result : Softfp.fmt -> Softfp.mode -> float -> Softfp.bits
 
     The serving hot path.  Inputs and outputs live in C-layout
     {!Bigarray} buffers — flat, unboxed, shareable across domains
-    without copying — and evaluation proceeds in passes over a chunk:
-    native-int decode + special-table binary search + inlined shortcut,
-    allocation-free range reduction through a reused scratch record,
-    then one degree-specialized {!Polyeval.eval_into} sweep per piece
-    with the output compensation applied on scatter. *)
+    without copying — and evaluation proceeds in passes over a chunk,
+    each a [[@@noalloc]] C stub (genlibm_stubs.c) reading the
+    {!Rlibm.Reduction.kernel} and decoder records' own fields: decode,
+    shortcut classification and range reduction, then the NaN/Inf and
+    special-table override; grouping by piece; one
+    {!Polyeval.eval_into} sweep per piece; the output compensation on
+    scatter.  OCaml keeps the bounds check, the per-domain scratch, the
+    dispatch, and the reference {!Rlibm.Reduction.t.reduce_into} of the
+    logarithm inputs outside the native exponent range (zeros and
+    subnormals). *)
 
 (** Input bit patterns (one per element, in the low bits of each
     [int64]). *)
@@ -95,8 +100,9 @@ val eval_bits_into : t -> src:src_buf -> dst:dst_buf -> lo:int -> hi:int -> unit
     handing to another domain.  [Serve] and {!verify} chunk with it. *)
 val kernel_grain : int
 
-(** [decode_bits d x] is the batch kernel's decode of the finite pattern
-    [x] through the table [d]; it equals [Softfp.to_float]. *)
+(** [decode_bits d x] is the batch kernel's decode (the same C
+    function) of the finite pattern [x] through the table [d]; it equals
+    [Softfp.to_float].  A test hook. *)
 val decode_bits : Rlibm.Reduction.decoder -> int64 -> float
 
 (** {1 Verification} *)

@@ -2,7 +2,7 @@
 
    Each scheme is defined twice on purpose: once as an Expr DAG (the
    reference semantics, the cost model and the code generator's input)
-   and once as the degree-specialized batch loops of [eval_into], the
+   and once as the degree-specialized C bodies behind [eval_into], the
    only runnable form — generation validates with it and serving runs
    it.  The test suite checks bit-for-bit agreement between the two on
    random inputs, so the specializations cannot drift. *)
@@ -26,8 +26,6 @@ let scheme_of_name = function
   | "estrin" -> Some Estrin
   | "estrin-fma" -> Some EstrinFma
   | _ -> None
-
-let fma = Float.fma
 
 (* ---------- DAG builders ---------- *)
 
@@ -85,18 +83,34 @@ let scheme_expr scheme ~degree =
   | EstrinFma -> estrin_expr ~use_fma:true degree
   | Knuth -> knuth_expr degree
 
-(* ---------- batch evaluators ---------- *)
+(* ---------- batch evaluator ---------- *)
 
-(* One loop per (scheme, length): the coefficient loads are hoisted out of
-   the loop into locals, and the loop body performs the DAG's operations
-   above in the DAG's order, so every result is bit-for-bit
-   [Expr.eval_float] of the scheme's DAG (enforced by the test suite).
-   The [floatarray] src/dst keep every element unboxed; with the
-   coefficients in locals the specialized bodies perform no per-element
-   allocation.
+(* Lengths 0..7 run in C (polyeval_stubs.c): one straight-line body per
+   (scheme, length) that performs the DAG's operations above in the
+   DAG's order, so every result is bit-for-bit [Expr.eval_float] of the
+   scheme's DAG (enforced by the test suite), with [fma] a hardware
+   instruction where the CPU has one.  The stub neither allocates nor
+   raises.
 
    Lengths above 7 never occur in generated functions (Config.max_degree
    is 6); they walk the DAG itself, which keeps the batch API total. *)
+
+let scheme_code = function
+  | Horner -> 0
+  | HornerFma -> 1
+  | Knuth -> 2
+  | Estrin -> 3
+  | EstrinFma -> 4
+
+external sweep :
+  (int[@untagged]) ->
+  float array ->
+  floatarray ->
+  floatarray ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  unit = "rlibm_poly_sweep_byte" "rlibm_poly_sweep"
+[@@noalloc]
 
 let dag_into e (c : float array) (src : floatarray) (dst : floatarray) lo hi =
   for i = lo to hi - 1 do
@@ -104,279 +118,14 @@ let dag_into e (c : float array) (src : floatarray) (dst : floatarray) lo hi =
       (Expr.eval_float e ~data:c (Float.Array.unsafe_get src i))
   done
 
-let horner_into (c : float array) (src : floatarray) (dst : floatarray) lo hi =
-  match Array.length c with
-  | 0 -> Float.Array.fill dst lo (hi - lo) 0.0
-  | 1 -> Float.Array.fill dst lo (hi - lo) c.(0)
-  | 2 ->
-      let c0 = c.(0) and c1 = c.(1) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i (c0 +. (x *. c1))
-      done
-  | 3 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i (c0 +. (x *. (c1 +. (x *. c2))))
-      done
-  | 4 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i
-          (c0 +. (x *. (c1 +. (x *. (c2 +. (x *. c3))))))
-      done
-  | 5 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i
-          (c0 +. (x *. (c1 +. (x *. (c2 +. (x *. (c3 +. (x *. c4))))))))
-      done
-  | 6 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) and c5 = c.(5) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i
-          (c0
-          +. (x
-             *. (c1
-                +. (x *. (c2 +. (x *. (c3 +. (x *. (c4 +. (x *. c5))))))))))
-      done
-  | 7 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) and c5 = c.(5) and c6 = c.(6) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i
-          (c0
-          +. (x
-             *. (c1
-                +. (x
-                   *. (c2
-                      +. (x
-                         *. (c3 +. (x *. (c4 +. (x *. (c5 +. (x *. c6))))))))))))
-      done
-  | n -> dag_into (horner_expr ~use_fma:false (n - 1)) c src dst lo hi
-
-let horner_fma_into (c : float array) (src : floatarray) (dst : floatarray) lo
-    hi =
-  match Array.length c with
-  | 0 -> Float.Array.fill dst lo (hi - lo) 0.0
-  | 1 -> Float.Array.fill dst lo (hi - lo) c.(0)
-  | 2 ->
-      let c0 = c.(0) and c1 = c.(1) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i (fma x c1 c0)
-      done
-  | 3 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i (fma x (fma x c2 c1) c0)
-      done
-  | 4 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i (fma x (fma x (fma x c3 c2) c1) c0)
-      done
-  | 5 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i
-          (fma x (fma x (fma x (fma x c4 c3) c2) c1) c0)
-      done
-  | 6 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) and c5 = c.(5) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i
-          (fma x (fma x (fma x (fma x (fma x c5 c4) c3) c2) c1) c0)
-      done
-  | 7 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) and c5 = c.(5) and c6 = c.(6) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i
-          (fma x (fma x (fma x (fma x (fma x (fma x c6 c5) c4) c3) c2) c1) c0)
-      done
-  | n -> dag_into (horner_expr ~use_fma:true (n - 1)) c src dst lo hi
-
-let estrin_into (c : float array) (src : floatarray) (dst : floatarray) lo hi =
-  match Array.length c with
-  | 0 -> Float.Array.fill dst lo (hi - lo) 0.0
-  | 1 -> Float.Array.fill dst lo (hi - lo) c.(0)
-  | 2 ->
-      let c0 = c.(0) and c1 = c.(1) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i (c0 +. (c1 *. x))
-      done
-  | 3 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t0 = c0 +. (c1 *. x) in
-        Float.Array.unsafe_set dst i (t0 +. (c2 *. (x *. x)))
-      done
-  | 4 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t0 = c0 +. (c1 *. x) in
-        let t1 = c2 +. (c3 *. x) in
-        Float.Array.unsafe_set dst i (t0 +. (t1 *. (x *. x)))
-      done
-  | 5 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t0 = c0 +. (c1 *. x) in
-        let t1 = c2 +. (c3 *. x) in
-        let y = x *. x in
-        let s = t0 +. (t1 *. y) in
-        Float.Array.unsafe_set dst i (s +. (c4 *. (y *. y)))
-      done
-  | 6 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) and c5 = c.(5) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t0 = c0 +. (c1 *. x) in
-        let t1 = c2 +. (c3 *. x) in
-        let t2 = c4 +. (c5 *. x) in
-        let y = x *. x in
-        let s = t0 +. (t1 *. y) in
-        Float.Array.unsafe_set dst i (s +. (t2 *. (y *. y)))
-      done
-  | 7 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) and c5 = c.(5) and c6 = c.(6) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t0 = c0 +. (c1 *. x) in
-        let t1 = c2 +. (c3 *. x) in
-        let t2 = c4 +. (c5 *. x) in
-        let y = x *. x in
-        let s0 = t0 +. (t1 *. y) in
-        let s1 = t2 +. (c6 *. y) in
-        Float.Array.unsafe_set dst i (s0 +. (s1 *. (y *. y)))
-      done
-  | n -> dag_into (estrin_expr ~use_fma:false (n - 1)) c src dst lo hi
-
-let estrin_fma_into (c : float array) (src : floatarray) (dst : floatarray) lo
-    hi =
-  match Array.length c with
-  | 0 -> Float.Array.fill dst lo (hi - lo) 0.0
-  | 1 -> Float.Array.fill dst lo (hi - lo) c.(0)
-  | 2 ->
-      let c0 = c.(0) and c1 = c.(1) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        Float.Array.unsafe_set dst i (fma c1 x c0)
-      done
-  | 3 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t0 = fma c1 x c0 in
-        Float.Array.unsafe_set dst i (fma c2 (x *. x) t0)
-      done
-  | 4 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t0 = fma c1 x c0 in
-        let t1 = fma c3 x c2 in
-        Float.Array.unsafe_set dst i (fma t1 (x *. x) t0)
-      done
-  | 5 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t0 = fma c1 x c0 in
-        let t1 = fma c3 x c2 in
-        let y = x *. x in
-        let s = fma t1 y t0 in
-        Float.Array.unsafe_set dst i (fma c4 (y *. y) s)
-      done
-  | 6 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) and c5 = c.(5) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t0 = fma c1 x c0 in
-        let t1 = fma c3 x c2 in
-        let t2 = fma c5 x c4 in
-        let y = x *. x in
-        let s = fma t1 y t0 in
-        Float.Array.unsafe_set dst i (fma t2 (y *. y) s)
-      done
-  | 7 ->
-      let c0 = c.(0) and c1 = c.(1) and c2 = c.(2) and c3 = c.(3)
-      and c4 = c.(4) and c5 = c.(5) and c6 = c.(6) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t0 = fma c1 x c0 in
-        let t1 = fma c3 x c2 in
-        let t2 = fma c5 x c4 in
-        let y = x *. x in
-        let s0 = fma t1 y t0 in
-        let s1 = fma c6 y t2 in
-        Float.Array.unsafe_set dst i (fma s1 (y *. y) s0)
-      done
-  | n -> dag_into (estrin_expr ~use_fma:true (n - 1)) c src dst lo hi
-
-let knuth_into (a : float array) (src : floatarray) (dst : floatarray) lo hi =
-  match Array.length a - 1 with
-  | 4 ->
-      let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3)
-      and a4 = a.(4) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let y = ((x +. a0) *. x) +. a1 in
-        Float.Array.unsafe_set dst i ((((y +. x +. a2) *. y) +. a3) *. a4)
-      done
-  | 5 ->
-      let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3)
-      and a4 = a.(4) and a5 = a.(5) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let t = x +. a0 in
-        let y = t *. t in
-        Float.Array.unsafe_set dst i
-          ((((((y +. a1) *. y) +. a2) *. (x +. a3)) +. a4) *. a5)
-      done
-  | 6 ->
-      let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3)
-      and a4 = a.(4) and a5 = a.(5) and a6 = a.(6) in
-      for i = lo to hi - 1 do
-        let x = Float.Array.unsafe_get src i in
-        let z = ((x +. a0) *. x) +. a1 in
-        let w = ((x +. a2) *. z) +. a3 in
-        Float.Array.unsafe_set dst i ((((w +. z +. a4) *. w) +. a5) *. a6)
-      done
-  | _ -> invalid_arg "Polyeval.eval_into: Knuth degree must be 4, 5 or 6"
-
 let eval_into scheme (data : float array) ~(src : floatarray)
     ~(dst : floatarray) ~lo ~hi =
+  let n = Array.length data in
   match scheme with
-  | Horner -> horner_into data src dst lo hi
-  | HornerFma -> horner_fma_into data src dst lo hi
-  | Estrin -> estrin_into data src dst lo hi
-  | EstrinFma -> estrin_fma_into data src dst lo hi
-  | Knuth -> knuth_into data src dst lo hi
+  | Knuth when n < 5 || n > 7 ->
+      invalid_arg "Polyeval.eval_into: Knuth degree must be 4, 5 or 6"
+  | _ when n > 7 -> dag_into (scheme_expr scheme ~degree:(n - 1)) data src dst lo hi
+  | _ -> sweep (scheme_code scheme) data src dst lo hi
 
 (* ---------- Knuth coefficient adaptation ---------- *)
 

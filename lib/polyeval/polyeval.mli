@@ -55,13 +55,15 @@ val cost : compiled -> Expr.cost
     ~lo ~hi] evaluates the scheme's polynomial — [data] is a
     {!compiled}[.data] array: dense coefficients, or Knuth's adapted
     constants — on [src.(i)] for every [i] in [\[lo, hi)], writing the
-    results to [dst.(i)].  Each (scheme, length) pair gets its own loop
-    with the coefficients hoisted into locals and a loop body that
-    performs the DAG's operations in the DAG's order, so every result is
-    bit-for-bit [Expr.eval_float (scheme_expr scheme ~degree) ~data
-    src.(i)] — the DAG (enforced by the test suite) — while the loop
-    performs no per-element allocation, closure dispatch, or coefficient
-    reload.  Lengths above 7 walk the DAG itself (never produced by
+    results to [dst.(i)].  Lengths up to 7 run in a [[@@noalloc]] C stub
+    (polyeval_stubs.c) with one straight-line body per (scheme, length)
+    that performs the DAG's operations in the DAG's order, compiled with
+    contraction off, so every result is bit-for-bit [Expr.eval_float
+    (scheme_expr scheme ~degree) ~data src.(i)] — the DAG (enforced by
+    the test suite).  Each [Fma] node is one fused operation: the
+    hardware instruction on x86_64 CPUs with FMA, libm's correctly
+    rounded [fma] elsewhere.  Nothing is allocated per element or per
+    call.  Lengths above 7 walk the DAG itself (never produced by
     generation, where degrees stop at 6).
     @raise Invalid_argument for [Knuth] data outside lengths 5–7. *)
 val eval_into :

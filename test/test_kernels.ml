@@ -129,22 +129,7 @@ let test_bounds_rejected () =
 
 (* ---------- serve batch kernels at -j 1 and -j 4 ---------- *)
 
-let fresh_cache_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rlibm-kernels-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    (try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    d
-
-let with_cache_dir f =
-  let prev = Cache.dir () in
-  Cache.set_dir (fresh_cache_dir ());
-  Fun.protect ~finally:(fun () -> Cache.set_dir prev) f
+let with_cache_dir f = Test_tmp.with_store "rlibm-kernels-test-" (fun _ -> f ())
 
 let with_jobs j f =
   let prev = Parallel.jobs () in

@@ -4,22 +4,8 @@
    after the shallow stages completed rebuilds only the deep stages and
    still produces bit-identical output at every job count. *)
 
-let dir_counter = ref 0
-
-(* Run [f] against a fresh store directory, restoring the previous one
-   afterwards (other suites share the process). *)
-let in_fresh_dir f =
-  let saved = Cache.dir () in
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rlibm-pipeline-test-%d-%d" (Unix.getpid ())
-         !dir_counter)
-  in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  Cache.set_dir d;
-  Fun.protect ~finally:(fun () -> Cache.set_dir saved) (fun () -> f d)
+(* Run [f] against a fresh store directory, removed afterwards. *)
+let in_fresh_dir f = Test_tmp.with_store "rlibm-pipeline-test-" f
 
 let tiny_cfg =
   {
@@ -479,8 +465,7 @@ let test_bad_knobs_rejected () =
             "serve --func exp2 --ebits=0";
           ]);
       Sys.remove (dir ^ ".log");
-      Alcotest.(check (array string)) "store untouched" [||] (Sys.readdir dir);
-      Sys.rmdir dir)
+      Alcotest.(check (array string)) "store untouched" [||] (Sys.readdir dir))
 
 (* warm must report skipped generations, not swallow them: a config
    whose degree search cannot succeed fails the polynomial stage for

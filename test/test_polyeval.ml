@@ -172,6 +172,76 @@ let prop_eval_into_matches_dag scheme =
                xs;
              !ok))
 
+(* ---------- contraction witness ---------- *)
+
+(* The DAG with every a * b + c fused into one Fma ([contract]), or
+   every Fma split into a multiply and an add ([expand]): what a
+   compiler that contracts, or an fma that does not fuse, would
+   compute. *)
+let rec contract (e : Expr.t) : Expr.t =
+  match e with
+  | Expr.Add (Expr.Mul (a, b), c) | Expr.Add (c, Expr.Mul (a, b)) ->
+      Expr.Fma (contract a, contract b, contract c)
+  | Expr.Add (a, b) -> Expr.Add (contract a, contract b)
+  | Expr.Mul (a, b) -> Expr.Mul (contract a, contract b)
+  | Expr.Fma (a, b, c) -> Expr.Fma (contract a, contract b, contract c)
+  | Expr.Var | Expr.Const _ -> e
+
+let rec expand (e : Expr.t) : Expr.t =
+  match e with
+  | Expr.Fma (a, b, c) -> Expr.Add (Expr.Mul (expand a, expand b), expand c)
+  | Expr.Add (a, b) -> Expr.Add (expand a, expand b)
+  | Expr.Mul (a, b) -> Expr.Mul (expand a, expand b)
+  | Expr.Var | Expr.Const _ -> e
+
+(* For every scheme and length 1-7 (Knuth 5-7), inputs on which fusing
+   changes the result: the non-FMA schemes must return the unfused DAG's
+   value and the FMA schemes the fused one.  A build that lets the C
+   compiler contract (a lost -ffp-contract=off), or an fma that rounds
+   twice, fails here on any host. *)
+let test_contraction_witness () =
+  let st = Random.State.make [| 0xf3a |] in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun scheme ->
+      let fused = scheme = Polyeval.HornerFma || scheme = Polyeval.EstrinFma in
+      let lengths = if scheme = Polyeval.Knuth then [ 5; 6; 7 ] else [ 1; 2; 3; 4; 5; 6; 7 ] in
+      List.iter
+        (fun n ->
+          let rec compiled tries =
+            let coeffs = Array.init n (fun _ -> Random.State.float st 8.0 -. 4.0) in
+            match Polyeval.compile scheme coeffs with
+            | Some c -> c
+            | None when tries > 0 -> compiled (tries - 1)
+            | None -> Alcotest.failf "%s: no compilable draw" (Polyeval.scheme_name scheme)
+          in
+          let c = compiled 100 in
+          let data = c.Polyeval.data in
+          let dag = c.Polyeval.expr in
+          let other = if fused then expand dag else contract dag in
+          let value e x = bits (Expr.eval_float e ~data x) in
+          let witnesses =
+            List.filter
+              (fun x -> not (Int64.equal (value dag x) (value other x)))
+              (List.init 4096 (fun _ -> Random.State.float st 4.0 -. 2.0))
+          in
+          let name = Printf.sprintf "%s length %d" (Polyeval.scheme_name scheme) n in
+          if n > 1 && witnesses = [] then Alcotest.failf "%s: no witness input" name;
+          let xs = Float.Array.of_list (if n > 1 then witnesses else [ 0.5; -1.25 ]) in
+          let m = Float.Array.length xs in
+          let dst = Float.Array.make m 0.0 in
+          Polyeval.eval_into scheme data ~src:xs ~dst ~lo:0 ~hi:m;
+          Float.Array.iteri
+            (fun i x ->
+              let got = bits (Float.Array.get dst i) in
+              if not (Int64.equal got (value dag x)) then
+                Alcotest.failf "%s at %h: %Lx, but the %s DAG gives %Lx" name x got
+                  (if fused then "fused" else "unfused")
+                  (value dag x))
+            xs)
+        lengths)
+    Polyeval.all_schemes
+
 (* ---------- bit-exact agreement: one-input calls ---------- *)
 
 (* The scalar closure over a compiled polynomial: [eval_into] on a
@@ -330,6 +400,7 @@ let suite =
     ("scheme names", `Quick, test_scheme_names);
     ("estrin = Algorithm 1 trace", `Quick, test_estrin_matches_algorithm1);
     ("eval_into knuth bad degree", `Quick, test_eval_into_knuth_bad_degree);
+    ("contraction witness: fma exactly where the DAG has one", `Quick, test_contraction_witness);
     prop_knuth_identity;
   ]
   @ List.map prop_closure_matches_dag Polyeval.all_schemes

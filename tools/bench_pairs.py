@@ -27,6 +27,7 @@ than the parent by more than the metric's BENCHMARK.json bound.
 
 import argparse
 import datetime
+import fnmatch
 import json
 import os
 import platform
@@ -36,6 +37,10 @@ import subprocess
 import sys
 import time
 
+# Per-layer metrics: exact names or fnmatch patterns over the names a
+# run reports.  The serve-side patterns cover the kernel per function x
+# scheme, what is left of it outside the polynomial, the polynomial
+# alone, and Table 2 at matched degree for the two headline schemes.
 LAYERS = [
     "pipeline.oracle_s",
     "constraints.s",
@@ -44,6 +49,11 @@ LAYERS = [
     "pipeline.verdict_s",
     "generate.rounds",
     "lp.probe_s",
+    "genlibm.kernel_ns_per_eval.*",
+    "genlibm.other_ns_per_eval.*",
+    "polyeval.ns_per_eval.*",
+    "polyeval.matched_ns.horner.d[456]",
+    "polyeval.matched_ns.estrin-fma.d[456]",
 ]
 
 TRACED_PAIRS = 3
@@ -81,6 +91,16 @@ def quartiles(values):
         return [values[0]] * 3
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, q2, q3]
+
+
+def layer_names(runs):
+    """LAYERS expanded against the metric names the runs report, in
+    LAYERS order."""
+    seen = sorted({n for r in runs for n in r["metrics"]})
+    names = []
+    for pattern in LAYERS:
+        names += [n for n in fnmatch.filter(seen, pattern) if n not in names]
+    return names
 
 
 def summarize(names, parent_runs, change_runs):
@@ -221,7 +241,8 @@ def main():
         every = p_runs + c_runs + p_tr + c_tr
         result["workloads"][w] = {
             "end_to_end_untraced": summarize(end_to_end, p_runs, c_runs),
-            "per_layer_traced": summarize(LAYERS, p_tr, c_tr),
+            "per_layer_traced": summarize(layer_names(p_tr + c_tr), p_tr,
+                                          c_tr),
             "failed": sum(r["failed"] for r in every),
             "all_correct": all(r["correct"] for r in every),
         }
