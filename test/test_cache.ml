@@ -16,22 +16,12 @@ let has_substring ~sub s =
 let dir_entries_with ~sub d =
   Sys.readdir d |> Array.to_list |> List.filter (has_substring ~sub)
 
-let dir_counter = ref 0
-
-(* Run [f] against a fresh store directory with zeroed counters, restoring
-   the previous directory afterwards (other suites share the process). *)
+(* Run [f] against a fresh store directory with zeroed counters, removed
+   afterwards (other suites share the process). *)
 let in_fresh_dir f =
-  let saved = Cache.dir () in
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rlibm-cache-test-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  Cache.set_dir d;
-  Cache.reset_stats ();
-  Fun.protect ~finally:(fun () -> Cache.set_dir saved) (fun () -> f d)
+  Test_tmp.with_store "rlibm-cache-test-" (fun d ->
+      Cache.reset_stats ();
+      f d)
 
 let check_counts ~hits ~misses ~corrupt () =
   let s = Cache.stats () in

@@ -22,14 +22,9 @@ let fresh_tmp_name prefix =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !dir_counter)
 
-(* Run [f] against a fresh store directory, restoring the previous one
-   afterwards (other suites share the process). *)
-let in_fresh_dir f =
-  let saved = Cache.dir () in
-  let d = fresh_tmp_name "rlibm-diag-test" in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  Cache.set_dir d;
-  Fun.protect ~finally:(fun () -> Cache.set_dir saved) (fun () -> f d)
+(* Run [f] against a fresh store directory, removed afterwards (other
+   suites share the process). *)
+let in_fresh_dir f = Test_tmp.with_store "rlibm-diag-test-" f
 
 let tiny_cfg =
   {
@@ -97,8 +92,9 @@ let test_exit_codes () =
    not reliable in CI containers; a path component that is a regular
    file (ENOTDIR) fails for every uid. *)
 let test_store_io_error () =
+  Test_tmp.with_dir "rlibm-diag-blocker-" @@ fun root ->
   let saved = Cache.dir () in
-  let blocker = fresh_tmp_name "rlibm-diag-blocker" in
+  let blocker = Filename.concat root "blocker" in
   write_file blocker "not a directory";
   Cache.set_dir (Filename.concat blocker "store");
   Fun.protect

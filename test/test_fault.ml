@@ -5,22 +5,9 @@
    site and assert the store stays loadable and a resumed run is
    bit-identical to an uninterrupted one. *)
 
-let dir_counter = ref 0
-
-let fresh_dir_name () =
-  incr dir_counter;
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "rlibm-fault-test-%d-%d" (Unix.getpid ()) !dir_counter)
-
-(* Run [f] against a fresh store directory, restoring the previous one
-   afterwards (other suites share the process). *)
-let in_fresh_dir f =
-  let saved = Cache.dir () in
-  let d = fresh_dir_name () in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  Cache.set_dir d;
-  Fun.protect ~finally:(fun () -> Cache.set_dir saved) (fun () -> f d)
+(* Run [f] against a fresh store directory, removed afterwards (other
+   suites share the process). *)
+let in_fresh_dir f = Test_tmp.with_store "rlibm-fault-test-" f
 
 let read_file path =
   let ic = open_in_bin path in
@@ -366,8 +353,9 @@ let test_warm_reports_shard_publish_failures () =
    not reliable in CI containers; a path component that is a regular
    file (ENOTDIR) fails for every uid. *)
 let test_warm_reports_unwritable_store () =
+  Test_tmp.with_dir "rlibm-fault-blocker-" @@ fun root ->
   let saved = Cache.dir () in
-  let blocker = fresh_dir_name () in
+  let blocker = Filename.concat root "blocker" in
   write_file blocker "not a directory";
   Cache.set_dir (Filename.concat blocker "store");
   Fun.protect
@@ -430,8 +418,9 @@ let store_fingerprint dir =
 let test_kill_point_sweep () =
   if not (Sys.file_exists rlibm_gen_exe) then
     Alcotest.failf "rlibm_gen binary not found at %s" rlibm_gen_exe;
+  Test_tmp.with_dir "rlibm-fault-sweep-" @@ fun root ->
   (* The uninterrupted control run. *)
-  let control = fresh_dir_name () in
+  let control = Filename.concat root "control" in
   (try Sys.mkdir control 0o755 with Sys_error _ -> ());
   let rc = run_child ~jobs:1 control in
   if rc <> 0 then begin
@@ -447,7 +436,7 @@ let test_kill_point_sweep () =
     if site > 64 then
       Alcotest.failf "sweep did not terminate after %d sites" (site - 1)
     else begin
-      let d = fresh_dir_name () in
+      let d = Filename.concat root (Printf.sprintf "site-%d" site) in
       (try Sys.mkdir d 0o755 with Sys_error _ -> ());
       let rc =
         run_child ~fault:(Printf.sprintf "mut@%d=abort" site) ~jobs:1 d
