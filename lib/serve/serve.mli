@@ -19,8 +19,8 @@
 
     {!eval_batch_into} runs the zero-allocation batch kernel
     ({!Genlibm.eval_bits_into}) over caller-owned buffers.  A small
-    request (below 1024 elements) runs on the calling domain; a larger
-    one fans out over the {!Parallel} pool, each chunk (at least 512
+    request (below 2048 elements) runs on the calling domain; a larger
+    one fans out over the {!Parallel} pool, each chunk (at least 1024
     elements) sweeping its disjoint slice.  This kernel is the code
     {!Genlibm.verify} checks, it is bit-identical to the DAG reference
     {!Genlibm.eval_bits} per element, and the {!Parallel} determinism
@@ -88,7 +88,7 @@ val find : t -> Oracle.func -> entry option
 (** [eval_batch_into t func ~src ~dst] evaluates the served
     implementation of [func] on every pattern of [src], writing
     [dst.{i}] for each [i] in [\[0, dim src)].  The serving hot path:
-    below 1024 elements one kernel sweep on the calling domain, above
+    below 2048 elements one kernel sweep on the calling domain, above
     it chunks of the batch run the zero-allocation kernel concurrently
     into disjoint slices of [dst]; results are the ones
     {!Genlibm.verify} checks, bit-identical to the DAG reference
