@@ -43,6 +43,9 @@ let cfg_for func ~ebits ~prec ~pieces ~table_bits =
       bad "--ebits %d --prec %d: need 1 <= ebits <= 15, prec >= 2 and at \
            most 63 bits" ebits prec
   in
+  if not (Softfp.fits_double tin) then
+    bad "--ebits %d --prec %d: every input must be a binary64 double: need \
+         ebits <= 11 and prec <= 53" ebits prec;
   let cfg = { preset with Rlibm.Config.tin; pieces; table_bits } in
   (* the round-to-odd target must be a format too *)
   (try ignore (Rlibm.Config.tout cfg)

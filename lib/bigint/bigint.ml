@@ -682,10 +682,6 @@ let to_float x =
     if x.sign < 0 then -.value else value
   end
 
-let hash x = Hashtbl.hash (x.sign, x.mag)
-
-let pp fmt x = Format.pp_print_string fmt (to_string x)
-
 module Infix = struct
   let ( + ) = add
   let ( - ) = sub

@@ -13,8 +13,14 @@ type t
 
 val zero : t
 val one : t
+
+(** A test hook. *)
 val two : t
+
+(** A test hook. *)
 val minus_one : t
+
+(** A test hook. *)
 val ten : t
 
 (** {1 Conversions} *)
@@ -22,7 +28,7 @@ val ten : t
 (** [of_int n] is the big integer equal to the native integer [n]. *)
 val of_int : int -> t
 
-(** [to_int x] is [Some n] when [x] fits in a native [int]. *)
+(** [to_int x] is [Some n] when [x] fits in a native [int].  A test hook. *)
 val to_int : t -> int option
 
 (** [to_int_exn x] is [x] as a native [int].
@@ -51,24 +57,28 @@ val is_even : t -> bool
 val is_odd : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+(** A test hook. *)
 val min : t -> t -> t
+
+(** A test hook. *)
 val max : t -> t -> t
-val hash : t -> int
 
 (** {1 Arithmetic} *)
 
 val neg : t -> t
 val abs : t -> t
 val add : t -> t -> t
+
+(** A test hook. *)
 val sub : t -> t -> t
 val mul : t -> t -> t
 val succ : t -> t
+
+(** A test hook. *)
 val pred : t -> t
 
-(** [add_int x n] is [add x (of_int n)] without the intermediate allocation
-    for small [n]. *)
-val add_int : t -> int -> t
-
+(** A test hook. *)
 val mul_int : t -> int -> t
 
 (** [divmod a b] is [(q, r)] with [a = q*b + r], [q] truncated toward zero
@@ -78,6 +88,8 @@ val mul_int : t -> int -> t
 val divmod : t -> t -> t * t
 
 val div : t -> t -> t
+
+(** A test hook. *)
 val rem : t -> t -> t
 
 (** [fdiv a b] is the floor division [⌊a / b⌋]. *)
@@ -87,7 +99,7 @@ val fdiv : t -> t -> t
 val cdiv : t -> t -> t
 
 (** [fdivmod a b] is [(q, r)] with [q = fdiv a b] and [r = a - q*b]
-    (so [0 <= r < |b|] when [b > 0]). *)
+    (so [0 <= r < |b|] when [b > 0]).  A test hook. *)
 val fdivmod : t -> t -> t * t
 
 (** [pow x n] is [x]{^ n} for [n >= 0].
@@ -131,10 +143,6 @@ val testbit : t -> int -> bool
 (** [trailing_zeros x] is the number of trailing zero bits of [|x|];
     raises [Invalid_argument] on zero. *)
 val trailing_zeros : t -> int
-
-(** {1 Pretty-printing} *)
-
-val pp : Format.formatter -> t -> unit
 
 (** {1 Infix operators} *)
 

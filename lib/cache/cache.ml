@@ -389,9 +389,9 @@ let temp_is_stale ~now ~max_age path name =
   | Some pid when not (pid_alive pid) -> true
   | Some _ | None -> file_age ~now path > max_age
 
-(* Reap abandoned [.tmp-*] files in [d].  Plain [Sys.remove], not
-   [Fault.Fs.unlink]: reaping is opportunistic cleanup and must never
-   consume or shift fault-injection sites. *)
+(* Reap abandoned [.tmp-*] files in [d].  Plain [Sys.remove], outside
+   {!Fault.Fs}: reaping is opportunistic cleanup and must never consume
+   or shift fault-injection sites. *)
 let reap_stale_temps d =
   match Sys.readdir d with
   | exception Sys_error _ -> ()

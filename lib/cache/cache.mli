@@ -35,7 +35,7 @@
 
 (** Version of the on-disk container format (header layout), embedded in
     every file and checked on load.  Distinct from any payload-layout
-    version, which belongs in the key. *)
+    version, which belongs in the key.  A test hook. *)
 val format_version : int
 
 (** {1 Location and enablement} *)
@@ -49,12 +49,6 @@ val dir : unit -> string
     [RLIBM_CACHE_DIR]); created lazily on first store. *)
 val set_dir : string -> unit
 
-(** Persistence is off when {!set_persistence} forced it off, or —
-    absent an override — when [RLIBM_NO_DISK_CACHE] is set to a
-    non-empty value: loads return [None] and stores are no-ops, without
-    touching the counters. *)
-val enabled : unit -> bool
-
 (** [set_persistence (Some b)] forces persistence on or off for this
     process, taking precedence over [RLIBM_NO_DISK_CACHE]; [None]
     restores environment-controlled behaviour.  Prefer
@@ -65,12 +59,12 @@ val set_persistence : bool option -> unit
     restoring the previous override on exit (also on exceptions).  The
     process-local alternative to mutating the environment: [Unix.putenv]
     is global, races with concurrent domains, and leaks into child
-    processes. *)
+    processes.  A test hook. *)
 val with_persistence : bool -> (unit -> 'a) -> 'a
 
 (** The file a key lives at: [dir ()/<sanitized key>] (characters outside
     [A-Za-z0-9._-] become [_]).  Exposed for tests and tooling that need
-    to inspect or corrupt entries deliberately. *)
+    to inspect or corrupt entries deliberately.  A test hook. *)
 val path_of_key : string -> string
 
 (** {1 Store and load}
@@ -119,7 +113,7 @@ type stats = {
 val stats : unit -> stats
 
 (** Per-kind counter snapshots, sorted by kind name; kinds that were
-    never touched since the last {!reset_stats} are absent. *)
+    never touched since the last {!reset_stats} are absent.  A test hook. *)
 val stats_by_kind : unit -> (string * stats) list
 
 val reset_stats : unit -> unit
@@ -128,7 +122,7 @@ val reset_stats : unit -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
 (** Indented per-kind breakdown lines (one per kind, led by a newline),
-    meant to follow {!pp_stats}. *)
+    meant to follow {!pp_stats}.  A test hook. *)
 val pp_stats_by_kind : Format.formatter -> (string * stats) list -> unit
 
 (** Global line plus the per-kind breakdown — the full [--cache-stats]

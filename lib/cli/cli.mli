@@ -5,9 +5,6 @@
 
 (** {1 Cmdliner converters and terms} *)
 
-val func_conv : Oracle.func Cmdliner.Arg.conv
-(** Parses [exp], [exp2], [exp10], [log], [log2], [log10]. *)
-
 val scheme_conv : Polyeval.scheme Cmdliner.Arg.conv
 (** Parses [horner], [horner-fma], [knuth], [estrin], [estrin-fma]. *)
 
@@ -37,9 +34,6 @@ val shards_arg : int option Cmdliner.Term.t
 (** [--shards S]: split the oracle stage into [S] content-keyed shard
     artifacts; [None] means unsharded. *)
 
-val shard_spec_conv : (int * int) Cmdliner.Arg.conv
-(** Parses ["K/S"] with [0 <= K < S] into [(K, S)]. *)
-
 val shard_arg : (int * int) option Cmdliner.Term.t
 (** [--shard K/S]: warm exactly oracle shard [K] of [S] and stop. *)
 
@@ -57,9 +51,6 @@ val cache_stats_arg : bool Cmdliner.Term.t
 (** [--cache-stats]: report store counters on stderr after the run. *)
 
 (** {1 Diagnostics} *)
-
-val log_level_conv : Diag.level Cmdliner.Arg.conv
-(** Parses [quiet], [error], [warn], [info], [debug]. *)
 
 val log_level_arg : Diag.level Cmdliner.Term.t
 (** [--log-level LEVEL], default {!Diag.Warn}: verbosity of the

@@ -72,8 +72,6 @@ module Error = struct
           Printf.sprintf "shard count must be positive (got %d)" count
         else Printf.sprintf "shard index %d outside [0, %d)" index count
 
-  let pp fmt e = Format.pp_print_string fmt (to_string e)
-
   let exit_code = function
     | Bad_config _ | Bad_spec _ | Shard_range _ -> 2
     | Store_io _ -> 3

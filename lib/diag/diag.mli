@@ -93,13 +93,11 @@ module Error : sig
             [index] not in [\[0, count)]. *)
 
   (** Stable kebab-case class label ("store-io", "lp-infeasible", …) for
-      traces and machine consumers. *)
+      traces and machine consumers.  A test hook. *)
   val label : t -> string
 
   (** One-line human rendering. *)
   val to_string : t -> string
-
-  val pp : Format.formatter -> t -> unit
 
   (** The process exit code [Cli] maps this error to at the executable
       boundary: bad-spec/config/shard-range → 2, store I/O → 3,
@@ -138,7 +136,7 @@ type ev = {
 
 (** [enabled l] is true when some installed sink listens at level [l].
     One atomic load; the guard that keeps disabled diagnostics out of
-    hot paths. *)
+    hot paths.  A test hook. *)
 val enabled : level -> bool
 
 (** [event ?level name fields] emits a record through every sink
@@ -177,10 +175,11 @@ val trace_sink :
   ?min_level:level -> ?jobs:int -> string -> (sink, Error.t) result
 
 (** In-memory capture, for tests: returns the sink and a function
-    draining the records captured so far (in emission order). *)
+    draining the records captured so far (in emission order).  A test hook. *)
 val memory_sink : ?min_level:level -> unit -> sink * (unit -> ev list)
 
-(** Current trace schema version, embedded in every trace header. *)
+(** Current trace schema version, embedded in every trace header.
+    A test hook. *)
 val trace_schema_version : int
 
 (** Replace the installed sinks (atomically recomputes the {!enabled}
@@ -188,5 +187,5 @@ val trace_schema_version : int
 val set_sinks : sink list -> unit
 
 (** Run [f] with [sinks] installed, restoring the previous set on exit
-    (also on exceptions).  For tests. *)
+    (also on exceptions).  A test hook. *)
 val with_sinks : sink list -> (unit -> 'a) -> 'a

@@ -52,7 +52,6 @@ let compare a b =
     end
   end
 
-let equal a b = compare a b = 0
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
@@ -139,8 +138,3 @@ let div dir ~prec a b =
        direction (safe: rounding twice in one direction is monotone). *)
     round dir ~prec d
   end
-
-let to_float d = Rat.to_float (to_rat d)
-
-let to_string d = Printf.sprintf "%s*2^%d" (B.to_string d.m) d.e
-let pp fmt d = Format.pp_print_string fmt (to_string d)

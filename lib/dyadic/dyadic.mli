@@ -11,18 +11,21 @@ type dir = Down | Up
 (** Rounding directions toward -infinity / +infinity. *)
 
 val zero : t
+
+(** A test hook. *)
 val one : t
 
 val of_int : int -> t
-val of_bigint : Bigint.t -> t
 
 (** [make m e] is [m * 2^e]. *)
 val make : Bigint.t -> int -> t
 
 (** [mantissa d], [exponent d]: the normalized components ([mantissa] is
-    odd unless the value is zero, in which case [exponent] is 0). *)
+    odd unless the value is zero, in which case [exponent] is 0).
+    A test hook. *)
 val mantissa : t -> Bigint.t
 
+(** A test hook. *)
 val exponent : t -> int
 
 (** [of_rat dir ~prec q] is the dyadic with at most [prec] significant bits
@@ -32,15 +35,12 @@ val of_rat : dir -> prec:int -> Rat.t -> t
 (** Exact conversion; never loses information. *)
 val to_rat : t -> Rat.t
 
-(** Round-to-nearest double (may overflow to infinity). *)
-val to_float : t -> float
-
+(** A test hook. *)
 val is_zero : t -> bool
 val sign : t -> int
 val neg : t -> t
 val abs : t -> t
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
 
@@ -63,11 +63,8 @@ val div : dir -> prec:int -> t -> t -> t
 (** [pow2 k] is the dyadic [2^k]. *)
 val pow2 : int -> t
 
-(** Number of significant bits of the mantissa (0 for zero). *)
+(** Number of significant bits of the mantissa (0 for zero).  A test hook. *)
 val numbits : t -> int
 
-(** [log2_floor d] for [d <> 0] is [⌊log2 |d|⌋]. *)
+(** [log2_floor d] for [d <> 0] is [⌊log2 |d|⌋].  A test hook. *)
 val log2_floor : t -> int
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

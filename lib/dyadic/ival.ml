@@ -50,10 +50,4 @@ let widen iv err =
   if D.sign err < 0 then invalid_arg "Ival.widen: negative error";
   { lo = D.sub iv.lo err; hi = D.add iv.hi err }
 
-let contains iv d = D.compare iv.lo d <= 0 && D.compare d iv.hi <= 0
-
 let mag_hi iv = D.max (D.abs iv.lo) (D.abs iv.hi)
-
-let width iv = D.sub iv.hi iv.lo
-
-let pp fmt iv = Format.fprintf fmt "[%a, %a]" D.pp iv.lo D.pp iv.hi

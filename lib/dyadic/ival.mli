@@ -8,7 +8,7 @@
 
 type t = private { lo : Dyadic.t; hi : Dyadic.t }
 
-(** [make lo hi] requires [lo <= hi]. *)
+(** [make lo hi] requires [lo <= hi].  A test hook. *)
 val make : Dyadic.t -> Dyadic.t -> t
 
 (** Degenerate (exact) interval. *)
@@ -25,7 +25,6 @@ val to_rats : t -> Rat.t * Rat.t
 val lo : t -> Dyadic.t
 val hi : t -> Dyadic.t
 
-val neg : t -> t
 val add : prec:int -> t -> t -> t
 val sub : prec:int -> t -> t -> t
 val mul : prec:int -> t -> t -> t
@@ -40,13 +39,6 @@ val mul_2exp : t -> int -> t
     on both sides. *)
 val widen : t -> Dyadic.t -> t
 
-(** [contains iv d]: membership of an exact dyadic. *)
-val contains : t -> Dyadic.t -> bool
-
 (** Upper bound of [|x|] over the interval. *)
 val mag_hi : t -> Dyadic.t
 
-(** Exact width [hi - lo]. *)
-val width : t -> Dyadic.t
-
-val pp : Format.formatter -> t -> unit

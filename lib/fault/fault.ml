@@ -5,7 +5,7 @@
    only then does a call take the mutex, bump the class counters and
    scan the rules. *)
 
-type op = Open | Read | Write | Fsync | Rename | Unlink | Mkdir
+type op = Open | Read | Write | Fsync | Rename | Mkdir
 type sel = Any | Mut | Op of op
 type action = Fail of Unix.error | Short of int | Torn of int | Abort
 type rule = { r_sel : sel; r_nth : int; r_sticky : bool; r_action : action }
@@ -23,7 +23,6 @@ let sel_of_string = function
   | "write" -> Some (Op Write)
   | "fsync" -> Some (Op Fsync)
   | "rename" -> Some (Op Rename)
-  | "unlink" -> Some (Op Unlink)
   | "mkdir" -> Some (Op Mkdir)
   | _ -> None
 
@@ -35,7 +34,6 @@ let sel_to_string = function
   | Op Write -> "write"
   | Op Fsync -> "fsync"
   | Op Rename -> "rename"
-  | Op Unlink -> "unlink"
   | Op Mkdir -> "mkdir"
 
 let action_of_string s =
@@ -132,8 +130,7 @@ let op_index = function
   | Write -> 2
   | Fsync -> 3
   | Rename -> 4
-  | Unlink -> 5
-  | Mkdir -> 6
+  | Mkdir -> 5
 
 (* [armed] is the fast-path gate; [state]/[env_checked] mutate under
    [lock] only. *)
@@ -143,7 +140,7 @@ let state : state option ref = ref None
 let env_checked = ref false
 
 let fresh plan =
-  { st_plan = plan; st_any = 0; st_mut = 0; st_ops = Array.make 7 0 }
+  { st_plan = plan; st_any = 0; st_mut = 0; st_ops = Array.make 6 0 }
 
 let install plan =
   Mutex.protect lock (fun () ->
@@ -152,7 +149,6 @@ let install plan =
       Atomic.set armed (!state <> None))
 
 let arm plan = install (Some plan)
-let disarm () = install None
 
 let with_plan plan f =
   let saved_state, saved_checked =
@@ -173,7 +169,7 @@ let mut_sites () =
 
 (* The environment plan is read lazily at the first Fs call, so child
    processes (kill-point sweeps, the check.sh smoke) need no wiring
-   beyond RLIBM_FAULT_PLAN=...; an explicit arm/disarm always wins. *)
+   beyond RLIBM_FAULT_PLAN=...; an explicit plan always wins. *)
 let check_env () =
   if not !env_checked then begin
     env_checked := true;
@@ -225,7 +221,6 @@ let op_name = function
   | Write -> "write"
   | Fsync -> "fsync"
   | Rename -> "rename"
-  | Unlink -> "unlink"
   | Mkdir -> "mkdir"
 
 let abort ~op path =
@@ -287,10 +282,6 @@ module Fs = struct
   let rename src dst =
     simple ~op:Rename src (consult ~op:Rename ~mutating:true);
     Unix.rename src dst
-
-  let unlink path =
-    simple ~op:Unlink path (consult ~op:Unlink ~mutating:true);
-    Unix.unlink path
 
   let mkdir path perm =
     simple ~op:Mkdir path (consult ~op:Mkdir ~mutating:true);

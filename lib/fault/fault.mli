@@ -9,7 +9,7 @@
     exercised rather than asserted.
 
     {b Determinism.}  A plan is pure data: rules fire on the N-th call
-    matching an operation selector, counted from {!arm}.  There is no
+    matching an operation selector, counted from arming the plan.  There is no
     randomness anywhere, so a run under a given plan replays
     bit-identically — which is what makes kill-point sweeps ("abort at
     mutating site N for every N") exhaustive rather than sampled.
@@ -18,13 +18,13 @@
     for the store: publishes and loads run on the driver domain).
 
     {b Site numbering.}  The [Mut] selector counts only mutating
-    operations (write-opens, writes, fsyncs, renames, unlinks, mkdirs).
+    operations (write-opens, writes, fsyncs, renames, mkdirs).
     Read traffic never shifts a [Mut] site, so a kill-point sweep keyed
     on [mut\@N] is stable against warm/cold load differences. *)
 
 (** Operation classes, mirroring {!Fs} one-to-one ([Open] covers both
     read- and write-opens; only the latter is mutating). *)
-type op = Open | Read | Write | Fsync | Rename | Unlink | Mkdir
+type op = Open | Read | Write | Fsync | Rename | Mkdir
 
 (** Which calls a rule watches: every call, every mutating call, or one
     operation class. *)
@@ -47,7 +47,7 @@ type action =
           closest in-process approximation of [kill -9] at this site. *)
 
 (** One rule: fire [action] on the [nth] call (1-based, counted from
-    {!arm}) matching [sel]; a [sticky] rule keeps firing on every
+    arming the plan) matching [sel]; a [sticky] rule keeps firing on every
     matching call from the [nth] on (persistent ENOSPC, dead disk). *)
 type rule = { r_sel : sel; r_nth : int; r_sticky : bool; r_action : action }
 
@@ -55,43 +55,37 @@ type plan = rule list
 
 (** [parse s] reads the compact spec syntax used by [RLIBM_FAULT_PLAN]:
     comma-separated rules [SEL\@N\[+\]=ACTION] with [SEL] one of
-    [any|mut|open|read|write|fsync|rename|unlink|mkdir], [+] marking a
+    [any|mut|open|read|write|fsync|rename|mkdir], [+] marking a
     sticky rule, and [ACTION] one of
     [eio|enospc|eintr|eagain|abort|short:N|torn:N].
     E.g. ["write\@1+=enospc"] (every write fails),
     ["mut\@7=abort"] (kill the process at mutating site 7),
-    ["write\@2=torn:5"] (second write tears after 5 bytes). *)
+    ["write\@2=torn:5"] (second write tears after 5 bytes).  A test hook. *)
 val parse : string -> (plan, string) result
 
 (** Render a plan back to the spec syntax ([parse (to_spec p)] = [Ok p]
     up to whitespace) — for handing plans to child processes via
-    [RLIBM_FAULT_PLAN]. *)
+    [RLIBM_FAULT_PLAN].  A test hook. *)
 val to_spec : plan -> string
 
-(** Install [plan] and reset every counter.  Overrides any
-    [RLIBM_FAULT_PLAN] in the environment. *)
-val arm : plan -> unit
-
-(** Remove the installed plan (also suppresses any environment plan). *)
-val disarm : unit -> unit
-
 (** [with_plan p f] runs [f] under [p], restoring the previous state
-    (also on exceptions).  Counters restart from zero at entry. *)
+    (also on exceptions).  Counters restart from zero at entry.
+    A test hook. *)
 val with_plan : plan -> (unit -> 'a) -> 'a
 
-(** Mutating-operation calls observed since the last {!arm} (0 when no
-    plan was ever armed).  Arming the empty plan [\[\]] turns the
+(** Mutating-operation calls observed since the plan was last armed
+    (0 when none ever was).  Arming the empty plan [\[\]] turns the
     substrate into a pure site census: nothing fails, but the counter
-    reports how many kill-points a run exposes. *)
+    reports how many kill-points a run exposes.  A test hook. *)
 val mut_sites : unit -> int
 
-(** The exit status {!Abort} terminates the process with. *)
+(** The exit status {!Abort} terminates the process with.  A test hook. *)
 val abort_exit_code : int
 
 (** The effects interface the store's raw I/O goes through.  Every
     function behaves exactly like its [Unix] counterpart when no rule
     fires; the environment plan ([RLIBM_FAULT_PLAN]) is read lazily at
-    the first call if {!arm}/{!disarm} were never called.  [close] is
+    the first call made outside {!with_plan}.  [close] is
     deliberately not injectable: a close failure after fsync carries no
     data-loss semantics this substrate models. *)
 module Fs : sig
@@ -112,9 +106,6 @@ module Fs : sig
 
   (** Mutating. *)
   val rename : string -> string -> unit
-
-  (** Mutating. *)
-  val unlink : string -> unit
 
   (** Mutating. *)
   val mkdir : string -> int -> unit

@@ -97,7 +97,14 @@ val ln10 : prec:int -> Ival.t
 (** The first-tier kernels' constants: literal one-ulp [\[floor, ceiling\]]
     pairs at {!Fixed.frac_bits}, exposed for the tests that check them. *)
 
+(** A test hook. *)
 val fixed_ln2 : Fixed.t
+
+(** A test hook. *)
 val fixed_ln10 : Fixed.t
+
+(** A test hook. *)
 val fixed_log2e : Fixed.t
+
+(** A test hook. *)
 val fixed_log10e : Fixed.t

@@ -118,7 +118,6 @@ type kscratch = {
       (* per-piece group size; the counting sort's last bucket holds the
          settled elements *)
   mutable koff : int array;  (* one past each piece's group *)
-  kred : Rlibm.Reduction.scratch;  (* reference reduction of log zeros/subnormals *)
 }
 
 let kscratch_key =
@@ -133,7 +132,6 @@ let kscratch_key =
         kidx = [||];
         kcount = [||];
         koff = [||];
-        kred = Rlibm.Reduction.scratch ();
       })
 
 let ensure_kscratch ks len slots =
@@ -165,7 +163,6 @@ external exp_reduce :
   float array ->
   (int[@untagged]) ->
   (int[@untagged]) ->
-  (int[@untagged]) ->
   (float[@unboxed]) ->
   (float[@unboxed]) ->
   (float[@unboxed]) ->
@@ -189,7 +186,6 @@ external log_reduce :
   floatarray ->
   floatarray ->
   int array ->
-  int array ->
   float array ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -205,7 +201,7 @@ external log_reduce :
   float array ->
   (float[@unboxed]) ->
   (float[@unboxed]) ->
-  (int[@untagged]) = "rlibm_log_reduce_byte" "rlibm_log_reduce"
+  unit = "rlibm_log_reduce_byte" "rlibm_log_reduce"
 [@@noalloc]
 
 external kernel_sort :
@@ -244,14 +240,11 @@ external log_scatter :
 
 (* The double a finite pattern of the decoder's format denotes, equal to
    [Softfp.to_float]: the integer significand (hidden bit set unless the
-   exponent field is 0) times a signed table weight, one correctly
-   rounded (for ebits <= 11, exact) multiply.  Weights of 0.0 mark
-   exponent fields below double range, which take the exact ldexp
-   route; only formats with ebits >= 12 have them.  The kernel's pass 1
-   decodes with the same C function. *)
+   exponent field is 0) times a signed table weight, one exact multiply
+   (the format fits in binary64).  The kernel's pass 1 decodes with the
+   same C function. *)
 external decode :
   float array ->
-  (int[@untagged]) ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   (int64[@unboxed]) ->
@@ -259,7 +252,7 @@ external decode :
 [@@noalloc]
 
 let decode_bits (d : Rlibm.Reduction.decoder) x =
-  decode d.d_scale d.d_fw d.d_emask d.d_bias x
+  decode d.d_scale d.d_fw d.d_emask x
 
 (* [eval_bits_into g ~src ~dst ~lo ~hi] is [eval_bits] over the chunk
    [\[lo, hi)] of [src], bit for bit, with zero allocation.  OCaml keeps
@@ -273,9 +266,7 @@ let decode_bits (d : Rlibm.Reduction.decoder) x =
            constant table (stored unconditionally; pass 3 overwrites it
            for polynomial elements) and force the piece to -1.  A
            settled element's reduction is computed and discarded.  Then
-           NaN/Inf and special-table inputs override the result.  Log
-           inputs outside the native exponent range (zeros, subnormals)
-           come back to the reference [reduce_into] here;
+           NaN/Inf and special-table inputs override the result;
    pass 2  group the polynomial elements' positions by piece, packing
            their reduced inputs in the same order (a counting sort
            whose last bucket collects the settled elements);
@@ -302,32 +293,21 @@ let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
     let ks = Domain.DLS.get kscratch_key in
     ensure_kscratch ks len (npieces + 1);
     let kr = ks.kr and kc = ks.kc and kn = ks.kn and kp = ks.kp in
-    let kidx = ks.kidx and kv = ks.kv in
     let d = g.decode in
     let sign_shift = Softfp.width g.cfg.tin - 1 in
     let pieces = g.family.pieces in
     (match g.family.kernel with
     | Rlibm.Reduction.Exp_kernel ek ->
-        exp_reduce src lo len dst kr kn kp d.d_scale d.d_fw d.d_emask d.d_bias
+        exp_reduce src lo len dst kr kn kp d.d_scale d.d_fw d.d_emask
           ek.ek_scale ek.ek_hi_cut ek.ek_lo_cut ek.ek_near_cut ek.ek_settled
           ek.ek_n_lo pieces g.spec_keys g.spec_vals sign_shift Float.nan 0.0
     | Rlibm.Reduction.Log_kernel lk ->
-        let nf =
-          log_reduce src lo len dst kr kc kp kidx d.d_scale d.d_fw d.d_emask
-            d.d_bias sign_shift d.d_mscale lk.lk_table lk.lk_scale
-            (Bool.to_int lk.lk_exact) lk.lk_settled pieces g.spec_keys
-            g.spec_vals Float.nan Float.nan
-        in
-        let s = ks.kred in
-        for f = 0 to nf - 1 do
-          let o = Array.unsafe_get kidx f in
-          s.sf.sx <- Float.Array.unsafe_get kr o;
-          g.family.reduce_into s;
-          Array.unsafe_set kp o (s.spiece lor Array.unsafe_get kp o);
-          Float.Array.unsafe_set kr o s.sf.sr;
-          Float.Array.unsafe_set kc o s.sf.sc
-        done);
-    let kpr = ks.kpr and kcount = ks.kcount and koff = ks.koff in
+        log_reduce src lo len dst kr kc kp d.d_scale d.d_fw d.d_emask
+          d.d_bias sign_shift d.d_mscale lk.lk_table lk.lk_scale
+          (Bool.to_int lk.lk_exact) lk.lk_settled pieces g.spec_keys
+          g.spec_vals Float.nan Float.nan);
+    let kidx = ks.kidx and kv = ks.kv and kpr = ks.kpr in
+    let kcount = ks.kcount and koff = ks.koff in
     let poly = kernel_sort kp kr kidx kpr kcount koff len npieces in
     for p = 0 to npieces - 1 do
       let m = Array.unsafe_get kcount p and e = Array.unsafe_get koff p in

@@ -71,10 +71,10 @@ val round_result : Softfp.fmt -> Softfp.mode -> float -> Softfp.bits
     shortcut classification and range reduction, then the NaN/Inf and
     special-table override; grouping by piece; one
     {!Polyeval.eval_into} sweep per piece; the output compensation on
-    scatter.  OCaml keeps the bounds check, the per-domain scratch, the
-    dispatch, and the reference {!Rlibm.Reduction.t.reduce_into} of the
-    logarithm inputs outside the native exponent range (zeros and
-    subnormals). *)
+    scatter.  OCaml keeps the bounds check, the per-domain scratch and
+    the dispatch; no closure runs per element.  The input format
+    satisfies {!Softfp.fits_double} ({!Rlibm.Generate.family} rejects
+    any other), so every finite input decodes exactly to a double. *)
 
 (** Input bit patterns (one per element, in the low bits of each
     [int64]). *)

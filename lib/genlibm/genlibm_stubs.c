@@ -1,9 +1,8 @@
 /* The per-element passes of the batch kernel (Genlibm.eval_bits_into).
 
-   genlibm.ml keeps the bounds check, the per-domain scratch, the
-   dispatch over pieces (Polyeval.eval_into) and the reference reduction
-   of the few logarithm inputs outside the native exponent range; every
-   loop over the elements of a chunk is here:
+   genlibm.ml keeps the bounds check, the per-domain scratch and the
+   dispatch over pieces (Polyeval.eval_into); every loop over the
+   elements of a chunk is here:
 
      rlibm_exp_reduce /    pass 1: decode, shortcut classification,
      rlibm_log_reduce      range reduction (and the logarithm's
@@ -14,10 +13,12 @@
      rlibm_exp_scatter /   pass 3, after the polynomials: the output
      rlibm_log_scatter     compensation v * 2^n or c + v.
 
-   Every operation is the one the reference (Reduction.reduce_into,
-   Reduction.compensate, Softfp.to_float) performs on the same doubles,
-   or an exact equivalent, so the kernel equals Genlibm.eval_bits bit for
-   bit; the test suite checks this exhaustively.  Compiled with
+   The input format satisfies Softfp.fits_double: every finite value is
+   a double, so the decode below is exact.  Every operation is the one
+   the reference (Reduction.reduce_into, Reduction.compensate,
+   Softfp.to_float) performs on the same doubles, or an exact
+   equivalent, so the kernel equals Genlibm.eval_bits bit for bit; the
+   test suite checks this exhaustively.  Compiled with
    -ffp-contract=off.
 
    Representation notes.  A pattern is read as OCaml's Int64.to_int
@@ -29,6 +30,7 @@
 #define CAML_NAME_SPACE
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
 #include <caml/bigarray.h>
@@ -58,22 +60,17 @@ static inline uint64_t pattern(const int64_t *src, intnat i)
 /* Decoder fields (Reduction.decoder). */
 struct decoder {
   const double *scale;
-  intnat fw, emask, bias;
+  intnat fw, emask;
 };
 
 /* Genlibm.decode: the integer significand times the signed weight of
-   the sign and exponent fields; weights of 0.0 take the exact ldexp
-   route (ebits >= 12 only). */
+   the sign and exponent fields, an exact product. */
 static inline double decode(const struct decoder *d, uint64_t u)
 {
   intnat se = (intnat) (u >> d->fw) & (2 * d->emask + 1);
-  intnat be = se & d->emask;
   intnat m = (intnat) (u & ((UINT64_C(1) << d->fw) - 1))
-             | (((intnat) 1 << d->fw) * (be != 0));
-  double s = d->scale[se];
-  if (s != 0.0) return (double) m * s;
-  double v = ldexp((double) m, (int) (be + (be == 0) - d->bias - d->fw));
-  return se > d->emask ? -v : v;
+             | (((intnat) 1 << d->fw) * ((se & d->emask) != 0));
+  return (double) m * d->scale[se];
 }
 
 /* The special-table probe (Genlibm.find_special): a branch-free binary
@@ -133,13 +130,13 @@ static inline intnat piece_of(double q, double fpieces, intnat pieces)
    tables. */
 value rlibm_exp_reduce(value src, intnat lo, intnat len, value dst,
                        value kr, value kn, value kp,
-                       value dscale, intnat fw, intnat emask, intnat bias,
+                       value dscale, intnat fw, intnat emask,
                        double scale, double hi_cut, double lo_cut,
                        double near_cut, value settled, intnat n_lo,
                        intnat pieces, value keys, value vals,
                        intnat sign_shift, double nan_v, double neg_inf_v)
 {
-  const struct decoder dc = { DOUBLES(dscale), fw, emask, bias };
+  const struct decoder dc = { DOUBLES(dscale), fw, emask };
   const struct override ov = { keys, DOUBLES(vals), (intnat) Wosize_val(keys),
                                fw, emask, sign_shift, nan_v, neg_inf_v };
   const double *sv = DOUBLES(settled);
@@ -173,32 +170,31 @@ value rlibm_exp_reduce_byte(value *argv, int argn)
   return rlibm_exp_reduce(argv[0], Long_val(argv[1]), Long_val(argv[2]),
                           argv[3], argv[4], argv[5], argv[6], argv[7],
                           Long_val(argv[8]), Long_val(argv[9]),
-                          Long_val(argv[10]), Double_val(argv[11]),
+                          Double_val(argv[10]), Double_val(argv[11]),
                           Double_val(argv[12]), Double_val(argv[13]),
-                          Double_val(argv[14]), argv[15], Long_val(argv[16]),
-                          Long_val(argv[17]), argv[18], argv[19],
-                          Long_val(argv[20]), Double_val(argv[21]),
-                          Double_val(argv[22]));
+                          argv[14], Long_val(argv[15]), Long_val(argv[16]),
+                          argv[17], argv[18], Long_val(argv[19]),
+                          Double_val(argv[20]), Double_val(argv[21]));
 }
 
-/* Pass 1, logarithm family (Reduction.log_family): for exponent fields
-   whose k = be - bias is a normal double's, k and m = 1.f come straight
-   from the fields, then j, F = 1 + j/2^J, r = (m - F)/F and the addend
-   c = k + T[j] (log2) or fma(k, k_scale, T[j]).  Any other element
-   (zeros, subnormals, and fields outside binary64's normal range) gets
-   its decoded input in kr, kp = -settled and its position in kidx;
-   the count of those is returned, and the caller reduces them with the
-   reference Reduction.reduce_into. */
+/* Pass 1, logarithm family (Reduction.log_family): x = 2^k * m with m
+   in [1, 2), then j, F = 1 + j/2^J, r = (m - F)/F and the addend
+   c = k + T[j] (log2) or fma(k, k_scale, T[j]).  A nonzero exponent
+   field is a normal double's (the format fits in binary64), so k and
+   m = 1.f come straight from the fields.  Zeros and subnormals take
+   the reference's own steps: decode, an exact 2^54 rescale below
+   2^-1022 (the subnormals of ebits = 11), and k and m from the
+   double's fields.  Only positive inputs reach the polynomial, so the
+   decode uses the positive weight. */
 RLIBM_FMA_CLONES
-intnat rlibm_log_reduce(value src, intnat lo, intnat len, value dst,
-                        value kr, value kc, value kp, value kidx,
-                        value dscale, intnat fw, intnat emask, intnat bias,
-                        intnat sign_shift, double mscale, value table,
-                        double k_scale, intnat k_exact, value settled,
-                        intnat pieces, value keys, value vals,
-                        double nan_v, double neg_inf_v)
+value rlibm_log_reduce(value src, intnat lo, intnat len, value dst,
+                       value kr, value kc, value kp,
+                       value dscale, intnat fw, intnat emask, intnat bias,
+                       intnat sign_shift, double mscale, value table,
+                       double k_scale, intnat k_exact, value settled,
+                       intnat pieces, value keys, value vals,
+                       double nan_v, double neg_inf_v)
 {
-  const struct decoder dc = { DOUBLES(dscale), fw, emask, bias };
   const struct override ov = { keys, DOUBLES(vals), (intnat) Wosize_val(keys),
                                fw, emask, sign_shift, nan_v, neg_inf_v };
   const double *tbl = DOUBLES(table), *sv = DOUBLES(settled);
@@ -207,10 +203,9 @@ intnat rlibm_log_reduce(value src, intnat lo, intnat len, value dst,
   double *r_out = DOUBLES(kr), *c_out = DOUBLES(kc);
   double tsize = (double) (Wosize_val(table) / Double_wosize);
   double inv_tsize = 1.0 / tsize, fpieces = (double) pieces;
+  double sub_weight = DOUBLES(dscale)[0];
   uint64_t fmask = (UINT64_C(1) << fw) - 1;
   uint64_t magnitude = (UINT64_C(1) << sign_shift) - 1;
-  intnat be_lo = bias - 1022 > 1 ? bias - 1022 : 1;
-  intnat nf = 0;
   for (intnat o = 0; o < len; o++) {
     uint64_t u = pattern(s, o);
     intnat be = (intnat) (u >> fw) & emask;
@@ -218,36 +213,43 @@ intnat rlibm_log_reduce(value src, intnat lo, intnat len, value dst,
     intnat zero = (u & magnitude) == 0;
     intnat settle = neg | zero;
     d[o] = sv[neg | (zero << 1)];
-    if (be >= be_lo && be <= bias + 1023) {
-      double m = (double) (intnat) ((u & fmask) | (fmask + 1)) * mscale;
-      intnat j = (intnat) ((m - 1.0) * tsize); /* m in [1, 2): j in range */
-      double f = 1.0 + (double) j * inv_tsize;
-      double r = (m - f) / f;
-      double kf = (double) (be - bias);
-      r_out[o] = r;
-      c_out[o] = k_exact ? kf + tbl[j] : fma(kf, k_scale, tbl[j]);
-      INT_SET(kp, o, piece_of(r * tsize * fpieces, fpieces, pieces) | -settle);
+    double m;
+    intnat k;
+    if (be != 0) {
+      m = (double) (intnat) ((u & fmask) | (fmask + 1)) * mscale;
+      k = be - bias;
     } else {
-      r_out[o] = decode(&dc, u);
-      INT_SET(kp, o, -settle);
-      INT_SET(kidx, nf, o);
-      nf++;
+      double x = (double) (intnat) (u & fmask) * sub_weight;
+      intnat scaled = x < 0x1p-1022;
+      uint64_t b;
+      x = scaled ? x * 0x1p54 : x;
+      memcpy(&b, &x, sizeof b);
+      k = (intnat) (b >> 52) - 1023 - 54 * scaled;
+      b = (b & UINT64_C(0xfffffffffffff)) | UINT64_C(0x3ff0000000000000);
+      memcpy(&m, &b, sizeof m);
     }
+    intnat j = (intnat) ((m - 1.0) * tsize); /* m in [1, 2): j in range */
+    double f = 1.0 + (double) j * inv_tsize;
+    double r = (m - f) / f;
+    double kf = (double) k;
+    r_out[o] = r;
+    c_out[o] = k_exact ? kf + tbl[j] : fma(kf, k_scale, tbl[j]);
+    INT_SET(kp, o, piece_of(r * tsize * fpieces, fpieces, pieces) | -settle);
     override(&ov, u, kp, o, &d[o]);
   }
-  return nf;
+  return Val_unit;
 }
 
 value rlibm_log_reduce_byte(value *argv, int argn)
 {
   (void) argn;
-  return Val_long(rlibm_log_reduce(
+  return rlibm_log_reduce(
       argv[0], Long_val(argv[1]), Long_val(argv[2]), argv[3], argv[4],
-      argv[5], argv[6], argv[7], argv[8], Long_val(argv[9]),
-      Long_val(argv[10]), Long_val(argv[11]), Long_val(argv[12]),
-      Double_val(argv[13]), argv[14], Double_val(argv[15]),
-      Long_val(argv[16]), argv[17], Long_val(argv[18]), argv[19], argv[20],
-      Double_val(argv[21]), Double_val(argv[22])));
+      argv[5], argv[6], argv[7], Long_val(argv[8]), Long_val(argv[9]),
+      Long_val(argv[10]), Long_val(argv[11]), Double_val(argv[12]),
+      argv[13], Double_val(argv[14]), Long_val(argv[15]), argv[16],
+      Long_val(argv[17]), argv[18], argv[19], Double_val(argv[20]),
+      Double_val(argv[21]));
 }
 
 /* Pass 2: group the positions of the polynomial elements by piece, by a
@@ -334,16 +336,14 @@ value rlibm_log_scatter_byte(value *argv, int argn)
 }
 
 /* Genlibm.decode_bits: the decode above on one pattern. */
-double rlibm_decode(value dscale, intnat fw, intnat emask, intnat bias,
-                    int64_t x)
+double rlibm_decode(value dscale, intnat fw, intnat emask, int64_t x)
 {
-  const struct decoder dc = { DOUBLES(dscale), fw, emask, bias };
+  const struct decoder dc = { DOUBLES(dscale), fw, emask };
   return decode(&dc, (uint64_t) x & UINT64_C(0x7fffffffffffffff));
 }
 
-value rlibm_decode_byte(value dscale, value fw, value emask, value bias,
-                        value x)
+value rlibm_decode_byte(value dscale, value fw, value emask, value x)
 {
   return caml_copy_double(rlibm_decode(dscale, Long_val(fw), Long_val(emask),
-                                       Long_val(bias), Int64_val(x)));
+                                       Int64_val(x)));
 }

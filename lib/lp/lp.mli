@@ -31,7 +31,7 @@ type status =
     feasible point is settled as [Infeasible] or [Unbounded] by a Farkas
     check.  Emits a Debug {!Diag} event ["lp.solved"] with [rows],
     [columns], [pivots], [phase1_pivots] and [maxbits] (the largest
-    tableau entry in bits). *)
+    tableau entry in bits).  A test hook. *)
 val maximize : obj:Rat.t array -> rows:(Rat.t array * Rat.t) array -> status
 
 (** {1 RLibm-style interval systems} *)
@@ -95,5 +95,5 @@ val solve_interval_system :
     verdict does not depend on the tilt. *)
 
 (** [eval_poly ~powers coeffs x] is the exact rational value
-    [sum_k coeffs_k * x^powers_k]. *)
+    [sum_k coeffs_k * x^powers_k].  A test hook. *)
 val eval_poly : powers:int array -> Rat.t array -> Rat.t -> Rat.t

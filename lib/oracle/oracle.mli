@@ -97,7 +97,9 @@ val round_with : rounder -> fmt:Softfp.fmt -> mode:Softfp.mode -> Softfp.bits
     reference for tests and for range-reduction constants. *)
 val float64 : func -> float -> float
 
-(** [ln2 ~prec] and [ln10 ~prec]: cached enclosures of the constants. *)
+(** [ln2 ~prec] and [ln10 ~prec]: cached enclosures of the constants.
+    A test hook. *)
 val ln2 : prec:int -> Ival.t
 
+(** A test hook. *)
 val ln10 : prec:int -> Ival.t

@@ -78,7 +78,3 @@ val init : ?grain:int -> int -> (int -> 'a) -> 'a array
     treat each index independently (fill disjoint slots of a
     preallocated array) for the determinism contract to hold. *)
 val iter_chunks : ?grain:int -> int -> (int -> int -> unit) -> unit
-
-(** Join and discard the worker pool (idempotent; registered with
-    [at_exit]).  The next fan-out rebuilds it. *)
-val shutdown : unit -> unit

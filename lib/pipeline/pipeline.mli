@@ -49,7 +49,7 @@
 type stage = Oracle | Constraints | Poly | Verdict
 
 val all_stages : stage list
-(** In pipeline order. *)
+(** In pipeline order.  A test hook. *)
 
 val stage_name : stage -> string
 (** ["oracle"], ["constraints"], ["poly"], ["verdict"] —
@@ -64,7 +64,10 @@ val stage_of_name : string -> stage option
     own and all upstream stage-layout versions, so a bump anywhere
     upstream orphans exactly the downstream entries. *)
 
+(** A test hook. *)
 val oracle_key : cfg:Rlibm.Config.t -> Oracle.func -> string
+
+(** A test hook. *)
 val constraints_key : cfg:Rlibm.Config.t -> Oracle.func -> string
 
 (** {2 Oracle shards}
@@ -80,14 +83,16 @@ val constraints_key : cfg:Rlibm.Config.t -> Oracle.func -> string
 
 val shard_range : n:int -> shards:int -> int -> int * int
 (** [shard_range ~n ~shards k] is shard [k]'s half-open input index
-    range.  The ranges partition [\[0, n)] in order. *)
+    range.  The ranges partition [\[0, n)] in order.  A test hook. *)
 
+(** A test hook. *)
 val oracle_shard_key :
   cfg:Rlibm.Config.t -> shards:int -> index:int -> Oracle.func -> string
 
 val poly_key :
   cfg:Rlibm.Config.t -> scheme:Polyeval.scheme -> Oracle.func -> string
 
+(** A test hook. *)
 val verdict_key :
   ?narrow:bool ->
   cfg:Rlibm.Config.t ->
@@ -106,9 +111,6 @@ val verdict_key :
     scheme loads it instead of solving again.  Each use emits a Diag
     event ["lp.seed"] with [func], [piece], [degree] and
     [status] ([hit] / [rebuilt]). *)
-
-val lp_seed_key :
-  cfg:Rlibm.Config.t -> piece:int -> degree:int -> Oracle.func -> string
 
 (** {1 Observability} *)
 

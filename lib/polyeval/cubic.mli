@@ -11,5 +11,5 @@
 val real_root : c3:float -> c2:float -> c1:float -> c0:float -> float
 
 (** [eval ~c3 ~c2 ~c1 ~c0 x]: Horner evaluation of the cubic, exposed for
-    tests. *)
+    tests.  A test hook. *)
 val eval : c3:float -> c2:float -> c1:float -> c0:float -> float -> float

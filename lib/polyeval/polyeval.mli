@@ -82,7 +82,7 @@ val eval_into :
     Degrees 5 and 6 solve a cubic with {!Cubic.real_root} in double
     precision, exactly as the paper's prototype does.  [None] when the
     degree is unsupported, the leading coefficient is zero, or the
-    adaptation produces non-finite values. *)
+    adaptation produces non-finite values.  A test hook. *)
 val adapt_knuth : float array -> float array option
 
 (** {1 Scheme DAGs} *)
@@ -93,5 +93,6 @@ val adapt_knuth : float array -> float array option
 val scheme_expr : scheme -> degree:int -> Expr.t
 
 (** Exact algebraic value computed by a compiled evaluator (no rounding);
-    for Horner/Estrin variants this equals the dense polynomial. *)
+    for Horner/Estrin variants this equals the dense polynomial.
+    A test hook. *)
 val eval_exact : compiled -> Rat.t -> Rat.t

@@ -250,8 +250,6 @@ let to_decimal_string ~digits q =
   in
   if neg && not (is_zero q) then "-" ^ body else body
 
-let pp fmt q = Format.pp_print_string fmt (to_string q)
-
 module Infix = struct
   let ( + ) = add
   let ( - ) = sub

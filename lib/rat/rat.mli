@@ -13,7 +13,11 @@ type t
 
 val zero : t
 val one : t
+
+(** A test hook. *)
 val two : t
+
+(** A test hook. *)
 val half : t
 val minus_one : t
 
@@ -51,6 +55,8 @@ val sign : t -> int
 val is_zero : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+(** A test hook. *)
 val min : t -> t -> t
 val max : t -> t -> t
 val is_integer : t -> bool
@@ -75,9 +81,11 @@ val pow : t -> int -> t
 (** {1 Rounding to integers} *)
 
 val floor : t -> Bigint.t
+
+(** A test hook. *)
 val ceil : t -> Bigint.t
 
-(** [trunc q] rounds toward zero. *)
+(** [trunc q] rounds toward zero.  A test hook. *)
 val trunc : t -> Bigint.t
 
 (** {1 Conversion to binary floating point} *)
@@ -89,7 +97,8 @@ type round_dir = Down | Up | Nearest | Zero
     binary64 does. *)
 val to_float : t -> float
 
-(** [to_float_dir dir q] rounds toward the requested direction. *)
+(** [to_float_dir dir q] rounds toward the requested direction.
+    A test hook. *)
 val to_float_dir : round_dir -> t -> float
 
 (** [approx q ~bits] for [q <> 0] is [(m, e, exact)] with
@@ -107,8 +116,6 @@ val to_string : t -> string
 (** Decimal expansion with [digits] fractional digits, truncated toward
     zero, e.g. [to_decimal_string ~digits:10 (of_ints 1 3) = "0.3333333333"]. *)
 val to_decimal_string : digits:int -> t -> string
-
-val pp : Format.formatter -> t -> unit
 
 module Infix : sig
   val ( + ) : t -> t -> t

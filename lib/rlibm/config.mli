@@ -22,6 +22,7 @@ val tout : t -> Softfp.fmt
     rounding modes. *)
 val mini_tin : Softfp.fmt
 
+(** A test hook. *)
 val default_mini : t
 
 (** Per-function presets over {!mini_tin}. *)

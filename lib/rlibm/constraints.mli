@@ -43,7 +43,7 @@ type build_result = {
 type inverse = Scale of int | Shift of float
 
 (** [Scale sn] or [Shift sc], for the element [reduce_into] left in the
-    scratch. *)
+    scratch.  A test hook. *)
 val inverse : Reduction.t -> Reduction.scratch -> inverse
 
 (** [pull inv ~up q] is the exact inverse of [q] rounded up or down to a
@@ -56,7 +56,7 @@ val inverse : Reduction.t -> Reduction.scratch -> inverse
     - [Shift c]: TwoSum gives [s], the nearest double to [q - c], and the
       exact error [(q - c) - s] (barring overflow, which needs operands
       near 2^1023; a log's are below 2^15); its sign decides the step.
-      An infinite [s] rounds toward zero to [±max_float]. *)
+      An infinite [s] rounds toward zero to [±max_float].  A test hook. *)
 val pull : inverse -> up:bool -> float -> float
 
 (** [reduced_interval ~oc ~inv iv] pulls [iv] back through an element's
@@ -65,7 +65,7 @@ val pull : inverse -> up:bool -> float -> float
     the AdjHigher/AdjLower fix-up loop of CalculateL' (at most 256
     nudges per direction) against the actual double compensation [oc]
     ({!Reduction.compensate}).  [None] when no double reduced value maps
-    inside [iv]. *)
+    inside [iv].  A test hook. *)
 val reduced_interval :
   oc:(float -> float) -> inv:inverse -> Intervals.t -> (float * float) option
 

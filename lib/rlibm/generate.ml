@@ -63,7 +63,8 @@ let first_round_lp ~degree (points : Constraints.point array) =
    (not reduced points): when the round budget runs out, that candidate
    ships and its violated inputs become the special cases — this is how
    the artifact's generator "searches for a polynomial with the minimum
-   number of special inputs". *)
+   number of special inputs".  [first_round] supplies round 1's LP
+   result, which must equal [first_round_lp ~degree points]. *)
 let solve_piece ?first_round ~scheme ~degree ~max_rounds ~max_specials
     (points : Constraints.point array) =
   let first_round =
@@ -438,6 +439,12 @@ let solve ?first_round ~(cfg : Config.t) ~scheme ~func
         }
 
 let family ?table ~(cfg : Config.t) func =
+  let tin = cfg.tin in
+  if not (Softfp.fits_double tin) then
+    invalid_arg
+      (Printf.sprintf
+         "Generate.family: ebits %d, prec %d: input values are not all doubles"
+         tin.Softfp.ebits tin.Softfp.prec);
   let table =
     match table with
     | Some t -> Lazy.from_val t

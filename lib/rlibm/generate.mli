@@ -1,7 +1,7 @@
 (** Algorithm 2 of the paper: the generate / adapt / validate / constrain
     loop with fast polynomial evaluation integrated into generation.
 
-    Per piece and degree, {!solve_piece} iterates: solve the LP over the
+    Per piece and degree, the solver iterates: solve the LP over the
     current reduced intervals; round the rational coefficients to doubles
     and compile them for the requested scheme (for Knuth this runs the
     coefficient adaptation); evaluate the compiled scheme — the exact
@@ -16,39 +16,13 @@
     runnable function.  The staged pipeline (lib/pipeline) sequences
     them after the constraint stage. *)
 
-type piece_outcome =
-  | Done of {
-      compiled : Polyeval.compiled;
-      specials : int64 list;  (** inputs the polynomial cannot serve *)
-      rounds : int;
-    }
-  | Scheme_na  (** scheme undefined at this degree (Knuth outside 4–6) *)
-  | Unsat of { lp_infeasible : bool }
-      (** [lp_infeasible]: the LP rejected the original (unshrunk)
-          intervals outright, as opposed to the round/special budget
-          running out *)
-
-(** [first_round_lp ~degree points] is round 1 of {!solve_piece}: the LP
-    over the points' original intervals, with no warm-start working set
-    and no objective tilt.  It depends only on [points] and [degree] —
-    not on the scheme, and not on the tilt RNG — so every scheme of a
-    function can share one solve per (piece, degree). *)
+(** [first_round_lp ~degree points] is round 1 of {!solve}'s per-piece
+    loop: the LP over the points' original intervals, with no warm-start
+    working set and no objective tilt.  It depends only on [points] and
+    [degree] — not on the scheme, and not on the tilt RNG — so every
+    scheme of a function can share one solve per (piece, degree). *)
 val first_round_lp :
   degree:int -> Constraints.point array -> Lp.system_result
-
-(** [first_round] supplies round 1's LP result; it must equal
-    [first_round_lp ~degree points] (default: that call).  Every round
-    that does not finish the piece emits a Debug {!Diag} event
-    ["gen.round"] with [degree], [round], [outcome] ([infeasible] /
-    [violated]) and [violated] (inputs the candidate missed). *)
-val solve_piece :
-  ?first_round:(unit -> Lp.system_result) ->
-  scheme:Polyeval.scheme ->
-  degree:int ->
-  max_rounds:int ->
-  max_specials:int ->
-  Constraints.point array ->
-  piece_outcome
 
 type generated = {
   cfg : Config.t;
@@ -98,7 +72,10 @@ type solved = {
     the degree/round/special budgets ran out.
 
     Each degree tried emits an Info {!Diag} event ["gen.degree"] with
-    [func], [scheme], [piece], [degree] and [constraints].
+    [func], [scheme], [piece], [degree] and [constraints]; every round
+    that does not finish the piece, a Debug event ["gen.round"] with
+    [degree], [round], [outcome] ([infeasible] / [violated]) and
+    [violated] (inputs the candidate missed).
 
     [first_round ~piece ~degree points] supplies each round-1 LP result
     (see {!first_round_lp}, the default); the staged pipeline passes a
@@ -118,16 +95,19 @@ val solve :
 (** The range reduction [cfg] generates [func] over
     ({!Reduction.make} with [cfg]'s target format, pieces and table
     size).  The logarithm table is [table] when given (a stored copy),
-    otherwise the memoized {!Reduction.log_table}.
-    @raise Invalid_argument when [table] is not [2^cfg.table_bits]
-    long. *)
+    otherwise the memoized {!Reduction.log_table}.  Every stage and
+    {!assemble} build the reduction here, so this is where a library
+    caller's input format is checked.
+    @raise Invalid_argument when [cfg.tin] fails {!Softfp.fits_double}
+    (checked before any oracle evaluation) or [table] is not
+    [2^cfg.table_bits] long. *)
 val family : ?table:float array -> cfg:Config.t -> Oracle.func -> Reduction.t
 
 (** [assemble ?table ~cfg ~scheme ~func sv] rebuilds the runnable
     implementation from the closure-free artifact: recompiles each piece
     and rebuilds the range reduction ({!family} with [table]).
     @raise Invalid_argument when [sv]'s data cannot compile for
-    [scheme] (a stale or foreign artifact) or [table] is mis-sized. *)
+    [scheme] (a stale or foreign artifact), or as {!family} does. *)
 val assemble :
   ?table:float array ->
   cfg:Config.t ->

@@ -15,11 +15,12 @@
 
 type t = { lo : float; hi : float }
 
-(** Set membership, as doubles. *)
+(** Set membership, as doubles.  A test hook. *)
 val contains : t -> float -> bool
 
 (** True for the single-point intervals of exactly representable
-    results — the origin of the paper's "special case inputs". *)
+    results — the origin of the paper's "special case inputs".
+    A test hook. *)
 val is_degenerate : t -> bool
 
 (** [of_round_to_odd tout y] is the rounding interval of the finite

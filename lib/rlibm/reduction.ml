@@ -61,8 +61,7 @@ type log_consts = {
 
 type kernel = Exp_kernel of exp_consts | Log_kernel of log_consts
 
-(* Layout in the interface.  A weight overflows to inf only where every
-   significand is >= 1, so the product is inf, correctly rounded. *)
+(* Layout in the interface. *)
 type decoder = {
   d_fw : int;
   d_bias : int;
@@ -78,6 +77,8 @@ let[@inline] pow2 e =
   else Int64.float_of_bits (Int64.shift_left (Int64.of_int (e + 1023)) 52)
 
 let decoder (fmt : Softfp.fmt) =
+  if not (Softfp.fits_double fmt) then
+    invalid_arg "Reduction.decoder: input values are not all doubles";
   let fw = fmt.Softfp.prec - 1 and bias = Softfp.emax fmt in
   let emask = (1 lsl fmt.Softfp.ebits) - 1 in
   let d_scale = Array.make (2 * (emask + 1)) 0.0 in

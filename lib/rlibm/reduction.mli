@@ -77,7 +77,9 @@ type kernel = Exp_kernel of exp_consts | Log_kernel of log_consts
 (** Decode table of an input format for the batch kernel: [d_scale],
     indexed by the sign and exponent fields [b lsr d_fw], holds the
     signed weight [+/-2^(max(be, 1) - d_bias - d_fw)] of the integer
-    significand; [0.0] (only for [ebits >= 12]) where it underflows. *)
+    significand.  The format satisfies {!Softfp.fits_double}, so every
+    weight is a finite, nonzero double and the product of a significand
+    and its weight is the exact value. *)
 type decoder = {
   d_fw : int;  (** fraction width, [prec - 1] *)
   d_bias : int;
@@ -88,6 +90,8 @@ type decoder = {
           to the [\[1, 2)] mantissa *)
 }
 
+(** @raise Invalid_argument when the format fails
+    {!Softfp.fits_double}. *)
 val decoder : Softfp.fmt -> decoder
 
 type t = {

@@ -43,7 +43,7 @@ type t
     entry's {!Pipeline.poly_key}, so the key pins function set, order,
     schemes, formats, generation knobs and all upstream stage layout
     versions.  Exposed for tests and tooling (pair with
-    {!Cache.path_of_key}). *)
+    {!Cache.path_of_key}).  A test hook. *)
 val snapshot_key :
   (Oracle.func * Polyeval.scheme * Rlibm.Config.t) list -> string
 

@@ -234,10 +234,13 @@ let round_float fmt mode x =
     else of_dyadic fmt mode ~neg (f lor 0x10_0000_0000_0000) (be - 1075)
   end
 
-(* With prec <= 53 and ebits <= 11 every finite value is a double
-   (subnormal quantum >= 2^-1074, largest value < 2^1024), so the
-   significand scaled by ldexp is the exact value, read in place from
-   the fields.  Wider formats round the magnitude through Rat. *)
+(* With prec <= 53 and ebits <= 11 the subnormal quantum is >= 2^-1074
+   and the largest value < 2^1024, so every finite value is a double. *)
+let fits_double fmt = fmt.ebits <= 11 && fmt.prec <= 53
+
+(* Where every value is a double, the significand scaled by ldexp is the
+   exact value, read in place from the fields.  Other formats round the
+   magnitude through Rat. *)
 let to_float fmt b =
   let n = Int64.to_int b in
   let f = n land fmask fmt and be = (n lsr fwidth fmt) land emask fmt in
@@ -245,9 +248,9 @@ let to_float fmt b =
   else
     let v =
       if be = emask fmt then Float.infinity
-      else if fmt.prec > 53 || fmt.ebits > 11 then
-        Rat.to_float (to_rat fmt (of_fields fmt 0 be f))
-      else Float.ldexp (float_of_int (mant fmt be f)) (expo fmt be)
+      else if fits_double fmt then
+        Float.ldexp (float_of_int (mant fmt be f)) (expo fmt be)
+      else Rat.to_float (to_rat fmt (of_fields fmt 0 be f))
     in
     if (n lsr (width fmt - 1)) land 1 = 1 then -.v else v
 

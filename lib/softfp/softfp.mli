@@ -63,6 +63,8 @@ type bits = int64
 val zero_bits : fmt -> bits
 val neg_zero_bits : fmt -> bits
 val inf_bits : fmt -> neg:bool -> bits
+
+(** A test hook. *)
 val nan_bits : fmt -> bits
 val max_finite_bits : fmt -> neg:bool -> bits
 val min_subnormal_bits : fmt -> neg:bool -> bits
@@ -71,6 +73,8 @@ type cls = Zero | Subnormal | Normal | Inf | NaN
 
 val classify : fmt -> bits -> cls
 val is_finite : fmt -> bits -> bool
+
+(** A test hook. *)
 val is_nan : fmt -> bits -> bool
 val sign_bit : fmt -> bits -> bool
 
@@ -101,18 +105,24 @@ val of_dyadic : fmt -> mode -> neg:bool -> int -> int -> bits
     infinities. *)
 val round_float : fmt -> mode -> float -> bits
 
-(** [to_float fmt b] is the double nearest to the decoded value.  For
-    [prec <= 53] and [ebits <= 11] (mini, binary16, bfloat16, binary32)
-    every finite value is a double and is decoded exactly in native
-    arithmetic; wider formats round through {!Rat}. *)
+(** [fits_double fmt] holds when every finite value of [fmt] is a
+    binary64 double: [ebits <= 11] and [prec <= 53] (mini, binary16,
+    bfloat16, binary32).  Generation and serving accept exactly these
+    input formats. *)
+val fits_double : fmt -> bool
+
+(** [to_float fmt b] is the double nearest to the decoded value.  Where
+    {!fits_double} holds it is the exact value, decoded in native
+    arithmetic; other formats round through {!Rat}. *)
 val to_float : fmt -> bits -> float
 
 (** {1 Navigation and enumeration} *)
 
 (** Total order on patterns matching the order of the represented values,
-    with [-0 < +0] (used only to make the order total). *)
+    with [-0 < +0] (used only to make the order total).  A test hook. *)
 val ordinal : fmt -> bits -> int
 
+(** A test hook. *)
 val of_ordinal : fmt -> int -> bits
 
 (** [succ fmt b] is the next pattern toward +infinity.

@@ -59,7 +59,7 @@ let test_plan_syntax () =
       "write@2=torn:5";
       "any@3=eio,read@2=short:4,fsync@1=eintr";
       "rename@1=eagain";
-      "unlink@2+=eio";
+      "fsync@2+=eio";
       "mkdir@1=enospc";
       "open@4=abort";
     ];

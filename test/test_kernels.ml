@@ -320,21 +320,57 @@ let test_decode_exact () =
           if not (Int64.equal want got) then
             Alcotest.failf "(%d, %d) pattern %Lx: to_float %Lx, decode %Lx" ebits
               prec x want got))
-    [ (5, 8); (5, 11); (8, 8); (11, 4); (12, 4) ];
-  (* the last two formats reach the table's edge cases *)
-  let scales ebits = (Rlibm.Reduction.decoder (Softfp.make_fmt ~ebits ~prec:4)).d_scale in
+    [ (5, 8); (5, 11); (8, 8); (11, 4) ];
+  (* (11, 4), the widest exponent field that fits in binary64, reaches
+     the table's edge: weights below 2^-1022, none zero or infinite *)
+  let scales = (Rlibm.Reduction.decoder (Softfp.make_fmt ~ebits:11 ~prec:4)).d_scale in
   Alcotest.(check bool) "(11, 4) has subnormal-double weights" true
-    (Array.exists (fun w -> w <> 0.0 && Float.abs w < 0x1p-1022) (scales 11));
-  Alcotest.(check bool) "(12, 4) has ldexp entries" true
-    (Array.exists (fun w -> w = 0.0) (scales 12))
+    (Array.exists (fun w -> Float.abs w < 0x1p-1022) scales);
+  Alcotest.(check bool) "(11, 4) weights all finite and nonzero" true
+    (Array.for_all (fun w -> Float.is_finite w && w <> 0.0) scales)
+
+(* ---------- the log pass on zeros and subnormals, no generation ---------- *)
+
+(* (11, 4) is the widest exponent field that fits in binary64: its
+   subnormals decode below 2^-1022, where the kernel's zero/subnormal
+   branch rescales by 2^54 before splitting k and m, as the reference
+   does.  Made-up coefficients, table and special input stand in for a
+   generation: the kernel must equal eval_bits on every pattern,
+   whatever the polynomial. *)
+let test_log_subnormals_made_up () =
+  let tin = Softfp.make_fmt ~ebits:11 ~prec:4 in
+  List.iter
+    (fun (func, log_b) ->
+      let cfg =
+        { (Rlibm.Config.mini_for func) with Rlibm.Config.tin; pieces = 2; table_bits = 3 }
+      in
+      let table =
+        Array.init 8 (fun j -> log_b (1.0 +. (float_of_int j /. 8.0)))
+      in
+      let sv =
+        {
+          Rlibm.Generate.sv_data =
+            [| [| 0x1p-60; 1.4426950408889634; -0.72 |];
+               [| -0x1p-58; 1.4426950408889634; -0.7 |] |];
+          sv_degrees = [| 2; 2 |];
+          sv_rounds = [| 1; 1 |];
+          sv_n_constraints = [| 0; 0 |];
+          sv_specials = [ (3L, 0.5) ];
+        }
+      in
+      let g =
+        Rlibm.Generate.assemble ~table ~cfg ~scheme:Polyeval.EstrinFma ~func sv
+      in
+      check_bit_identity (Oracle.name func ^ " (11, 4)") g (all_patterns tin))
+    [ (Oracle.Log2, Float.log2); (Oracle.Log, Float.log) ]
 
 (* ---------- no allocation per call ---------- *)
 
 (* A 64-element request is the common serving case: after the first call
    has sized the per-domain scratch, a call must not touch the minor
    heap at all — not per element, and not per call either.  Zeros and
-   subnormals are included so the log family's reference-reduction
-   fallback runs too. *)
+   subnormals are included so the log pass's zero/subnormal branch runs
+   too. *)
 let test_kernel_allocation_free () =
   let n = 64 and calls = 200 in
   let st = Random.State.make [| 64 |] in
@@ -462,6 +498,9 @@ let suite =
         fun () -> test_binary32_sampled Oracle.Log2 );
       ("reduce_into at t = -0.0 and negative integers", `Quick, test_reduce_negative_zero);
       ("table decode = Softfp.to_float", `Quick, test_decode_exact);
+      ( "log zeros and subnormals at (11, 4), made-up polynomial",
+        `Quick,
+        test_log_subnormals_made_up );
       ("batch shapes: settled, polynomial, sorted, pieces, chunks", `Slow, test_batch_shapes);
       ("no minor allocation per 64-element call", `Slow, test_kernel_allocation_free);
     ]

@@ -6,7 +6,6 @@ let () =
       ("bigint", Test_bigint.suite);
       ("rat", Test_rat.suite);
       ("softfp", Test_softfp.suite);
-      ("fparith", Test_fparith.suite);
       ("dyadic", Test_dyadic.suite);
       ("diag", Test_diag.suite);
       ("funcspec", Test_funcspec.suite);

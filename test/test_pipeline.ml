@@ -463,7 +463,14 @@ let test_bad_knobs_rejected () =
             "stages --func log --pieces=0";
             "warm --table-bits=-1";
             "serve --func exp2 --ebits=0";
-          ]);
+          ]
+        (* a valid format whose values are not all doubles *)
+        @ List.map
+            (fun cmd -> cmd ^ " --ebits 12 --prec 4")
+            [
+              "generate --func log2"; "stages --func log2"; "warm --func log2";
+              "serve --func log2";
+            ]);
       Sys.remove (dir ^ ".log");
       Alcotest.(check (array string)) "store untouched" [||] (Sys.readdir dir))
 

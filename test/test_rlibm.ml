@@ -173,6 +173,28 @@ let test_log_table_input () =
     (Invalid_argument "Reduction.make: wrong table size") (fun () ->
       ignore (Rlibm.Generate.family ~table:(Array.make 8 0.0) ~cfg Oracle.Log2))
 
+(* Generation and serving take exactly the input formats whose every
+   value is a double; the reduction rejects any other before an oracle
+   or table is consulted. *)
+let test_family_rejects_wide_formats () =
+  List.iter
+    (fun (ebits, prec) ->
+      let cfg = { mini with Rlibm.Config.tin = Softfp.make_fmt ~ebits ~prec } in
+      let exn =
+        Invalid_argument
+          (Printf.sprintf
+             "Generate.family: ebits %d, prec %d: input values are not all \
+              doubles"
+             ebits prec)
+      in
+      List.iter
+        (fun func ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s (%d, %d)" (Oracle.name func) ebits prec)
+            exn (fun () -> ignore (Rlibm.Generate.family ~cfg func)))
+        Oracle.all)
+    [ (12, 4); (8, 54) ]
+
 let test_log_shortcuts () =
   let fam = family Oracle.Log in
   (match fam.Rlibm.Reduction.shortcut 0.0 with
@@ -691,6 +713,8 @@ let suite =
     ("log reduction identity", `Quick, test_log_reduction_identity);
     ("log shortcuts", `Quick, test_log_shortcuts);
     ("log table is a checked input", `Quick, test_log_table_input);
+    ("family rejects formats that are not all doubles", `Quick,
+     test_family_rejects_wide_formats);
     ("reduced interval exponential", `Quick, test_reduced_interval_exponential);
     ("reduced interval log (fixup)", `Quick, test_reduced_interval_log);
     ( "reduced interval per-direction budget",

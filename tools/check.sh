@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-1 gate for every PR: build, run the full test suite, then smoke
-# the CLI contracts end to end:
+# Tier-1 gate for every PR: build, run the full test suite under a fresh
+# empty TMPDIR and fail if it leaves anything there, then smoke the CLI
+# contracts end to end:
 # - determinism: -j 1 output is bit-identical to -j N;
 # - cache poisoning: corrupt entries are rejected, quarantined and
 #   regenerated without changing a single output bit;
@@ -37,12 +38,20 @@ N="${1:-4}"
 echo "== dune build =="
 dune build
 
-echo "== dune runtest =="
-dune runtest
-
 # Every temporary file and store lives under one scratch directory.
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
+
+echo "== test suite (fresh TMPDIR, left empty) =="
+# The built suite runs directly rather than through `dune runtest`:
+# dune hands each action a TMPDIR of its own and removes it afterwards,
+# which would hide anything the tests leave behind.
+testtmp="$work/testtmp" && mkdir "$testtmp"
+TMPDIR="$testtmp" ./_build/default/test/test_main.exe
+if [ -n "$(ls -A "$testtmp")" ]; then
+  echo "the test suite left files in its temp dir:"; ls -A "$testtmp"; exit 1
+fi
+echo "the test suite left its temp dir empty"
 
 echo "== -j 1 vs -j $N smoke diff =="
 tmp1="$work/j1.out" && tmpN="$work/jN.out"
