@@ -71,74 +71,33 @@ let mag_sub a b =
   assert (!borrow = 0);
   r
 
-let mag_mul_schoolbook a b =
-  let la = Array.length a and lb = Array.length b in
-  let r = Array.make (la + lb) 0 in
-  for i = 0 to la - 1 do
-    let ai = a.(i) in
-    if ai <> 0 then begin
-      let carry = ref 0 in
-      for j = 0 to lb - 1 do
-        let t = (ai * b.(j)) + r.(i + j) + !carry in
-        r.(i + j) <- t land limb_mask;
-        carry := t lsr limb_bits
-      done;
-      let k = ref (i + lb) in
-      while !carry <> 0 do
-        let t = r.(!k) + !carry in
-        r.(!k) <- t land limb_mask;
-        carry := t lsr limb_bits;
-        incr k
-      done
-    end
-  done;
-  r
-
-let karatsuba_threshold = 32
-
-(* Karatsuba multiplication for large magnitudes.  Splits at half the
-   shorter length; the recursion bottoms out on the schoolbook routine. *)
-let rec mag_mul a b =
+(* Schoolbook multiplication, the only product.  Generation's operands
+   stay small (counted on both benchmark workloads: none above 10 limbs)
+   and mini's oracle never leaves its native tier, so no workload
+   reaches the sizes where splitting would pay. *)
+let mag_mul a b =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then [||]
-  else if la < karatsuba_threshold || lb < karatsuba_threshold then
-    mag_mul_schoolbook a b
   else begin
-    let half = (Stdlib.min la lb + 1) / 2 in
-    let lo x = trim (Array.sub x 0 (Stdlib.min half (Array.length x))) in
-    let hi x =
-      if Array.length x <= half then [||]
-      else Array.sub x half (Array.length x - half)
-    in
-    let a0 = lo a and a1 = hi a and b0 = lo b and b1 = hi b in
-    let z0 = mag_mul a0 b0 in
-    let z2 = mag_mul a1 b1 in
-    let z1 =
-      (* (a0+a1)(b0+b1) - z0 - z2 *)
-      let s = mag_mul (trim (mag_add a0 a1)) (trim (mag_add b0 b1)) in
-      trim (mag_sub (trim (mag_sub (trim s) (trim z0))) (trim z2))
-    in
-    let len = la + lb in
-    let r = Array.make len 0 in
-    let add_into src off =
-      let carry = ref 0 in
-      let ls = Array.length src in
-      for i = 0 to ls - 1 do
-        let t = r.(off + i) + src.(i) + !carry in
-        r.(off + i) <- t land limb_mask;
-        carry := t lsr limb_bits
-      done;
-      let k = ref (off + ls) in
-      while !carry <> 0 do
-        let t = r.(!k) + !carry in
-        r.(!k) <- t land limb_mask;
-        carry := t lsr limb_bits;
-        incr k
-      done
-    in
-    add_into (trim z0) 0;
-    add_into z1 half;
-    add_into (trim z2) (2 * half);
+    let r = Array.make (la + lb) 0 in
+    for i = 0 to la - 1 do
+      let ai = a.(i) in
+      if ai <> 0 then begin
+        let carry = ref 0 in
+        for j = 0 to lb - 1 do
+          let t = (ai * b.(j)) + r.(i + j) + !carry in
+          r.(i + j) <- t land limb_mask;
+          carry := t lsr limb_bits
+        done;
+        let k = ref (i + lb) in
+        while !carry <> 0 do
+          let t = r.(!k) + !carry in
+          r.(!k) <- t land limb_mask;
+          carry := t lsr limb_bits;
+          incr k
+        done
+      end
+    done;
     r
   end
 

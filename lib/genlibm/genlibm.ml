@@ -49,7 +49,10 @@ let generate_sampled ~(cfg : Rlibm.Config.t) ~scheme ~count ~seed func =
   let inputs = inputs_sampled cfg.tin ~count ~seed in
   let family = Rlibm.Generate.family ~cfg func in
   let oracle = Hashtbl.create (Array.length inputs) in
-  ignore (Rlibm.Constraints.ensure_oracle ~cfg ~family ~inputs ~oracle : int);
+  Array.iter
+    (fun (x, y) -> Hashtbl.replace oracle x y)
+    (Rlibm.Constraints.oracle_range ~cfg ~family ~inputs ~lo:0
+       ~hi:(Array.length inputs));
   let rivals =
     Rlibm.Constraints.rounding_intervals ~cfg ~family ~inputs ~oracle
   in

@@ -29,7 +29,7 @@ val inputs_sampled : Softfp.fmt -> count:int -> seed:int -> int64 array
 
     [generate_sampled ~cfg ~scheme ~count ~seed func] generates from
     {!inputs_sampled} for formats too wide for exhaustive runs (binary32):
-    the pipeline's stage bodies ({!Rlibm.Constraints.ensure_oracle},
+    the pipeline's stage bodies ({!Rlibm.Constraints.oracle_range},
     [rounding_intervals], [combine], {!Rlibm.Generate.solve},
     [assemble]) over an oracle table this call creates.  Returns the
     function, the sampled inputs and that table (input bits ->

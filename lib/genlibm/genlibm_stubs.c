@@ -46,11 +46,33 @@
 #define RLIBM_FMA_CLONES
 #endif
 
+/* Built with -DRLIBM_SANITIZE (the dune `sanitize` profile, under ASan
+   and UBSan), every scratch access checks its index against the OCaml
+   block's own size and aborts outside it.  ASan alone sees an overrun
+   only past a block OCaml allocated with malloc (a large one); small
+   pooled blocks have no redzones.  Otherwise the check is nothing. */
+#ifdef RLIBM_SANITIZE
+#include <stdio.h>
+#include <stdlib.h>
+static void out_of_block(int line, intnat i, uintnat size)
+{
+  fprintf(stderr, "genlibm_stubs.c:%d: index %ld outside a block of %lu\n",
+          line, (long) i, (unsigned long) size);
+  abort();
+}
+#define IN_BLOCK(n, i) \
+  ((uintnat) (i) < (n) ? (void) 0 : out_of_block(__LINE__, (i), (n)))
+#else
+#define IN_BLOCK(n, i) ((void) 0)
+#endif
+
 /* Plain (not Field's volatile) access: the scratch is domain-local. */
 #define DOUBLES(v) ((double *) (v))
 #define WORDS(v) ((value *) (v))
-#define INT_GET(a, i) Long_val(WORDS(a)[i])
-#define INT_SET(a, i, x) (WORDS(a)[i] = Val_long(x))
+#define INT_GET(a, i) (IN_BLOCK(Wosize_val(a), i), Long_val(WORDS(a)[i]))
+#define INT_SET(a, i, x) (IN_BLOCK(Wosize_val(a), i), WORDS(a)[i] = Val_long(x))
+#define DBL_SET(a, i, x) \
+  (IN_BLOCK(Wosize_val(a) / Double_wosize, i), DOUBLES(a)[i] = (x))
 
 static inline uint64_t pattern(const int64_t *src, intnat i)
 {
@@ -142,7 +164,6 @@ value rlibm_exp_reduce(value src, intnat lo, intnat len, value dst,
   const double *sv = DOUBLES(settled);
   const int64_t *s = (const int64_t *) Caml_ba_data_val(src) + lo;
   double *d = (double *) Caml_ba_data_val(dst) + lo;
-  double *r_out = DOUBLES(kr);
   double fpieces = (double) pieces;
   for (intnat o = 0; o < len; o++) {
     uint64_t u = pattern(s, o);
@@ -157,7 +178,7 @@ value rlibm_exp_reduce(value src, intnat lo, intnat len, value dst,
     intnat n = ti - (tc < (double) ti);
     double r = fabs(tc - (double) n);
     INT_SET(kp, o, piece_of(r * fpieces, fpieces, pieces) | -(c_hi | c_lo | c_near));
-    r_out[o] = r;
+    DBL_SET(kr, o, r);
     INT_SET(kn, o, n - n_lo);
     override(&ov, u, kp, o, &d[o]);
   }
@@ -200,7 +221,6 @@ value rlibm_log_reduce(value src, intnat lo, intnat len, value dst,
   const double *tbl = DOUBLES(table), *sv = DOUBLES(settled);
   const int64_t *s = (const int64_t *) Caml_ba_data_val(src) + lo;
   double *d = (double *) Caml_ba_data_val(dst) + lo;
-  double *r_out = DOUBLES(kr), *c_out = DOUBLES(kc);
   double tsize = (double) (Wosize_val(table) / Double_wosize);
   double inv_tsize = 1.0 / tsize, fpieces = (double) pieces;
   double sub_weight = DOUBLES(dscale)[0];
@@ -232,8 +252,8 @@ value rlibm_log_reduce(value src, intnat lo, intnat len, value dst,
     double f = 1.0 + (double) j * inv_tsize;
     double r = (m - f) / f;
     double kf = (double) k;
-    r_out[o] = r;
-    c_out[o] = k_exact ? kf + tbl[j] : fma(kf, k_scale, tbl[j]);
+    DBL_SET(kr, o, r);
+    DBL_SET(kc, o, k_exact ? kf + tbl[j] : fma(kf, k_scale, tbl[j]));
     INT_SET(kp, o, piece_of(r * tsize * fpieces, fpieces, pieces) | -settle);
     override(&ov, u, kp, o, &d[o]);
   }
@@ -262,7 +282,6 @@ intnat rlibm_kernel_sort(value kp, value kr, value kidx, value kpr,
                          value kcount, value koff, intnat len, intnat npieces)
 {
   const double *r = DOUBLES(kr);
-  double *packed = DOUBLES(kpr);
   for (intnat q = 0; q <= npieces; q++) INT_SET(kcount, q, 0);
   for (intnat o = 0; o < len; o++) {
     intnat q = INT_GET(kp, o);
@@ -279,7 +298,7 @@ intnat rlibm_kernel_sort(value kp, value kr, value kidx, value kpr,
     q = q < 0 ? npieces : q;
     intnat at = INT_GET(koff, q);
     INT_SET(kidx, at, o);
-    packed[at] = r[o];
+    DBL_SET(kpr, at, r[o]);
     INT_SET(koff, q, at + 1);
   }
   return INT_GET(koff, npieces - 1);
@@ -303,6 +322,7 @@ value rlibm_exp_scatter(value dst, intnat lo, value kidx, value kv, value kn,
   for (intnat t = 0; t < len; t++) {
     intnat o = INT_GET(kidx, t);
     intnat i = INT_GET(kn, o);
+    IN_BLOCK(Caml_ba_array_val(dst)->dim[0] - lo, o);
     d[o] = v[t] * hi[i] * lo_f[i];
   }
   return Val_unit;
@@ -323,6 +343,7 @@ value rlibm_log_scatter(value dst, intnat lo, value kidx, value kv, value kc,
   const double *v = DOUBLES(kv), *c = DOUBLES(kc);
   for (intnat t = 0; t < len; t++) {
     intnat o = INT_GET(kidx, t);
+    IN_BLOCK(Caml_ba_array_val(dst)->dim[0] - lo, o);
     d[o] = c[o] + v[t];
   }
   return Val_unit;

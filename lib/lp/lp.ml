@@ -344,8 +344,12 @@ let round_bits q bits =
     R.mul_pow2 (R.of_bigint (if R.sign q < 0 then Bigint.neg m else m)) e
   end
 
-let solve_interval_system ?(max_added_per_round = 16) ?(initial_working = [])
-    ?tilt ?mono_bits ~powers points =
+(* How many violated points, most violated first, join the working set
+   per round. *)
+let max_added_per_round = 16
+
+let solve_interval_system ?(initial_working = []) ?tilt ?mono_bits ~powers
+    points =
   let d = Array.length powers in
   let n_points = Array.length points in
   if n_points = 0 then Sat (Array.make d R.zero, [])

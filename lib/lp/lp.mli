@@ -63,15 +63,13 @@ type system_result =
     counts the constraint columns left in it).
 
     [powers] lists the monomial exponents, e.g. [[|0;1;2;3|]] for a cubic
-    with all terms.  [max_added_per_round] (default 16) bounds how many
-    violated points, most violated first, join the working set per
-    round.  [initial_working] warm-starts the working set (its first
-    columns), typically from a previous [Sat].  Every round that does
-    not converge emits a Debug {!Diag} event ["lp.round"] with [round],
-    [outcome] ([infeasible] / [violated]), [violations] and [working]
-    (the working-set size after the round). *)
+    with all terms.  At most 16 violated points, most violated first,
+    join the working set per round.  [initial_working] warm-starts the
+    working set (its first columns), typically from a previous [Sat].
+    Every round that does not converge emits a Debug {!Diag} event
+    ["lp.round"] with [round], [outcome] ([infeasible] / [violated]),
+    [violations] and [working] (the working-set size after the round). *)
 val solve_interval_system :
-  ?max_added_per_round:int ->
   ?initial_working:int list ->
   ?tilt:Rat.t array ->
   ?mono_bits:int ->

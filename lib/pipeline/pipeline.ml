@@ -229,23 +229,25 @@ let range_incomplete ~(cfg : Rlibm.Config.t) ~(family : Rlibm.Reduction.t)
    formats), and completeness — not mere presence — is what "hit"
    means.  The scan is cheap (hash lookups); the Ziv loops are not.
 
-   With [shards > 1] the input universe splits into the fixed
-   [shard_range] grid and each shard becomes its own content-keyed
-   store artifact (kind ["oracle-shard"]): a shard already published is
-   loaded, never recomputed — which is what makes an interrupted warm
-   resumable and lets several processes fill one store cooperatively
-   (the O_EXCL-temp publish protocol of {!Cache} keeps racing writers
-   safe; identical content makes the race benign).  Shards install into
-   the shared table in shard-index order — exactly the global input
-   order — so the republished whole-table artifact is byte-identical to
-   an unsharded run's.  [only_shard] restricts the invocation to one
+   One fill loop serves every shard count.  The input universe splits
+   into the fixed [shard_range] grid (one range when [shards = 1]); a
+   range the table already covers is a hit, any other range's pairs
+   come from [Constraints.oracle_range].  A sharded invocation
+   ([shards > 1] or [only_shard]) makes each range its own
+   content-keyed store artifact (kind ["oracle-shard"]): a shard already
+   published is loaded, never recomputed — which is what makes an
+   interrupted warm resumable and lets several processes fill one store
+   cooperatively (the O_EXCL-temp publish protocol of {!Cache} keeps
+   racing writers safe; identical content makes the race benign).
+   Ranges install into the shared table in index order — exactly the
+   global input order — so the whole-table artifact is byte-identical
+   for every shard count.  [only_shard] restricts the invocation to one
    shard (for distributed drivers); the whole table is then left
-   unassembled. *)
-(* The validated body: shard arguments are known to be in range here.
-   [run_oracle ~shards:1] is also what the deeper stages call
-   internally, so their compute closures never see a shard error. *)
+   unpublished.  Shard arguments are known to be in range here
+   ([shard_args] checked them), and [run_oracle ~shards:1] is what the
+   deeper stages call, so their compute closures never see a shard
+   error. *)
 let run_oracle ~shards ?only_shard ~(cfg : Rlibm.Config.t) func =
-  let tin = cfg.Rlibm.Config.tin and tout = Rlibm.Config.tout cfg in
   let key = oracle_key ~cfg func in
   let span_key =
     match only_shard with
@@ -254,106 +256,79 @@ let run_oracle ~shards ?only_shard ~(cfg : Rlibm.Config.t) func =
   in
   stage_span Oracle span_key (fun () ->
       let t0 = Unix.gettimeofday () in
-      let oracle = Rlibm.Constraints.oracle_table ~func ~tin ~tout in
-      let status =
-        if shards = 1 && only_shard = None then begin
-          let computed =
-            Rlibm.Constraints.ensure_oracle ~cfg
-              ~family:(Rlibm.Generate.family ~cfg func)
-              ~inputs:(inputs_of cfg) ~oracle
-          in
-          if computed > 0 then
-            note_store_error
-              (Rlibm.Constraints.persist_oracle_table ~func ~tin ~tout);
-          if computed = 0 then Hit else Rebuilt
-        end
+      let oracle = shared_oracle ~cfg func in
+      let family = Rlibm.Generate.family ~cfg func in
+      let inputs = inputs_of cfg in
+      let n = Array.length inputs in
+      let sharded = shards > 1 || only_shard <> None in
+      let computed = ref 0 and installed = ref 0 in
+      let fill k =
+        let lo, hi = shard_range ~n ~shards k in
+        let skey = oracle_shard_key ~cfg ~shards ~index:k func in
+        let st0 = Unix.gettimeofday () in
+        let shard_event name fields =
+          if sharded then
+            Diag.event name (fun () ->
+                ("index", Diag.Int k) :: ("count", Diag.Int shards) :: fields)
+        in
+        let shard_done status entries =
+          shard_event "shard.done"
+            [
+              ("status", Diag.String (status_name status));
+              ("entries", Diag.Int entries);
+              ("seconds", Diag.Float (Unix.gettimeofday () -. st0));
+              ("key", Diag.String skey);
+            ]
+        in
+        if not (range_incomplete ~cfg ~family ~inputs ~oracle ~lo ~hi) then
+          (* Already covered by the table: no store traffic. *)
+          shard_done Hit 0
         else begin
-          let family = Rlibm.Generate.family ~cfg func in
-          let inputs = inputs_of cfg in
-          let n = Array.length inputs in
-          let indices =
-            match only_shard with
-            | Some k -> [ k ]
-            | None -> List.init shards Fun.id
+          let compute () =
+            let pairs =
+              Rlibm.Constraints.oracle_range ~cfg ~family ~inputs ~lo ~hi
+            in
+            computed := !computed + Array.length pairs;
+            pairs
           in
-          let computed = ref 0 and installed = ref 0 in
-          List.iter
-            (fun k ->
-              let lo, hi = shard_range ~n ~shards k in
-              let skey = oracle_shard_key ~cfg ~shards ~index:k func in
-              let st0 = Unix.gettimeofday () in
-              let shard_line status entries =
-                Diag.event "shard.done" (fun () ->
-                    [
-                      ("index", Diag.Int k);
-                      ("count", Diag.Int shards);
-                      ("status", Diag.String status);
-                      ("entries", Diag.Int entries);
-                      ("seconds", Diag.Float (Unix.gettimeofday () -. st0));
-                      ("key", Diag.String skey);
-                    ])
-              in
-              if not (range_incomplete ~cfg ~family ~inputs ~oracle ~lo ~hi)
-              then
-                (* Already covered by the merged table: no store traffic. *)
-                shard_line "hit" 0
-              else
-                match
-                  (Cache.load ~kind:"oracle-shard" ~key:skey
-                    : ((int64 * int64) array option, Diag.Error.t) result)
-                with
-                | Ok (Some pairs) ->
-                    Array.iter (fun (x, y) -> Hashtbl.replace oracle x y) pairs;
-                    installed := !installed + Array.length pairs;
-                    Diag.event "shard.load" (fun () ->
-                        [
-                          ("index", Diag.Int k);
-                          ("count", Diag.Int shards);
-                          ("entries", Diag.Int (Array.length pairs));
-                        ]);
-                    shard_line "hit" (Array.length pairs)
-                | Ok None | Error _ ->
-                    (* Absent or quarantined-corrupt: recompute this
-                       slice — identical content makes a racing
-                       republish benign. *)
-                    let pairs =
-                      Rlibm.Constraints.oracle_range ~cfg ~family ~inputs ~lo
-                        ~hi
-                        ~known:(fun _ -> false)
-                    in
-                    (* Publish the shard before merging so a kill after
-                       this point never loses the completed Ziv work. *)
-                    note_store_error
-                      (Cache.store ~kind:"oracle-shard" ~key:skey pairs);
-                    Diag.event "shard.publish" (fun () ->
-                        [
-                          ("index", Diag.Int k);
-                          ("count", Diag.Int shards);
-                          ("entries", Diag.Int (Array.length pairs));
-                        ]);
-                    Array.iter (fun (x, y) -> Hashtbl.replace oracle x y) pairs;
-                    computed := !computed + Array.length pairs;
-                    installed := !installed + Array.length pairs;
-                    shard_line "rebuilt" (Array.length pairs))
-            indices;
-          (* Republish the assembled whole-table artifact whenever any
-             shard contributed, so downstream stages and unsharded runs
-             keep loading the single merged entry they always have. *)
-          if only_shard = None && !installed > 0 then
-            note_store_error
-              (Rlibm.Constraints.persist_oracle_table ~func ~tin ~tout);
-          if !computed = 0 then Hit else Rebuilt
+          (* A shard is published before it is merged, so a kill after
+             this point never loses the completed Ziv work. *)
+          let pairs, status =
+            if sharded then load_or_compute ~kind:"oracle-shard" ~key:skey compute
+            else (compute (), Rebuilt)
+          in
+          let entries = Array.length pairs in
+          shard_event
+            (match status with Hit -> "shard.load" | Rebuilt -> "shard.publish")
+            [ ("entries", Diag.Int entries) ];
+          Array.iter (fun (x, y) -> Hashtbl.replace oracle x y) pairs;
+          installed := !installed + entries;
+          shard_done status entries
         end
       in
+      List.iter fill
+        (match only_shard with Some k -> [ k ] | None -> List.init shards Fun.id);
+      (* Publish the whole table whenever a range contributed, so
+         downstream stages and later runs load the single merged entry. *)
+      if only_shard = None && !installed > 0 then
+        note_store_error (Cache.store ~kind:"oracle" ~key oracle);
+      let status = if !computed = 0 then Hit else Rebuilt in
       (oracle, stage_event Oracle span_key status t0))
 
-let oracle_stage ?(shards = 1) ?only_shard ~(cfg : Rlibm.Config.t) func =
+(* [Error (Shard_range _)] unless [shards >= 1] and [only_shard] names
+   one of them. *)
+let shard_args ~shards only_shard =
   if shards < 1 then Error (Diag.Error.Shard_range { index = 0; count = shards })
   else
     match only_shard with
     | Some k when k < 0 || k >= shards ->
         Error (Diag.Error.Shard_range { index = k; count = shards })
-    | _ -> Ok (fst (run_oracle ~shards ?only_shard ~cfg func))
+    | _ -> Ok ()
+
+let oracle_stage ?(shards = 1) ?only_shard ~(cfg : Rlibm.Config.t) func =
+  Result.map
+    (fun () -> fst (run_oracle ~shards ?only_shard ~cfg func))
+    (shard_args ~shards only_shard)
 
 (* ---------- rounding intervals: computed, not a stage ---------- *)
 
@@ -448,58 +423,48 @@ type warm_report = {
 
 let warm ?(schemes = Polyeval.paper_schemes) ?(through = Verdict)
     ?(shards = 1) ?only_shard pairs =
-  if shards < 1 then Error (Diag.Error.Shard_range { index = 0; count = shards })
-  else
-    match only_shard with
-    | Some k when k < 0 || k >= shards ->
-        Error (Diag.Error.Shard_range { index = k; count = shards })
-    | _ ->
-        let depth =
-          (* A single-shard invocation is a distributed-driver slice of
-             the oracle stage: running any deeper stage would silently
-             trigger the full oracle computation the caller is trying to
-             split up. *)
-          match only_shard with Some _ -> rank Oracle | None -> rank through
-        in
-        let failed = ref [] in
-        let store_failed = ref [] in
-        let entries =
-          List.map
-            (fun (func, cfg) ->
-              let count, errs =
-                collect_store_errors (fun () ->
-                    let oracle, _ = run_oracle ~shards ?only_shard ~cfg func in
-                    if depth >= rank Constraints then
-                      ignore
-                        (constraints_stage ~cfg func
-                          : Rlibm.Constraints.build_result);
-                    if depth >= rank Poly then
-                      List.iter
-                        (fun scheme ->
-                          let outcome =
-                            if depth >= rank Verdict then
-                              Result.map ignore
-                                (verified ~cfg ~scheme func)
-                            else
-                              Result.map ignore
-                                (generate ~cfg ~scheme func)
-                          in
-                          match outcome with
-                          | Ok () -> ()
-                          | Error err ->
-                              failed := (func, scheme, err) :: !failed)
-                        schemes;
-                    Hashtbl.length oracle)
-              in
-              List.iter
-                (fun e -> store_failed := (func, e) :: !store_failed)
-                errs;
-              (func, count))
-            pairs
-        in
-        Ok
-          {
-            wm_entries = entries;
-            wm_failed = List.rev !failed;
-            wm_store_failed = List.rev !store_failed;
-          }
+  Result.map
+    (fun () ->
+      let depth =
+        (* A single-shard invocation is a distributed-driver slice of the
+           oracle stage: running any deeper stage would silently trigger
+           the full oracle computation the caller is trying to split
+           up. *)
+        match only_shard with Some _ -> rank Oracle | None -> rank through
+      in
+      let failed = ref [] in
+      let store_failed = ref [] in
+      let entries =
+        List.map
+          (fun (func, cfg) ->
+            let count, errs =
+              collect_store_errors (fun () ->
+                  let oracle, _ = run_oracle ~shards ?only_shard ~cfg func in
+                  if depth >= rank Constraints then
+                    ignore
+                      (constraints_stage ~cfg func
+                        : Rlibm.Constraints.build_result);
+                  if depth >= rank Poly then
+                    List.iter
+                      (fun scheme ->
+                        let outcome =
+                          if depth >= rank Verdict then
+                            Result.map ignore (verified ~cfg ~scheme func)
+                          else Result.map ignore (generate ~cfg ~scheme func)
+                        in
+                        match outcome with
+                        | Ok () -> ()
+                        | Error err -> failed := (func, scheme, err) :: !failed)
+                      schemes;
+                  Hashtbl.length oracle)
+            in
+            List.iter (fun e -> store_failed := (func, e) :: !store_failed) errs;
+            (func, count))
+          pairs
+      in
+      {
+        wm_entries = entries;
+        wm_failed = List.rev !failed;
+        wm_store_failed = List.rev !store_failed;
+      })
+    (shard_args ~shards only_shard)

@@ -25,7 +25,7 @@
     v}
 
     The stage bodies are the pure functions in {!Rlibm.Constraints}
-    ([ensure_oracle], then [rounding_intervals] and [combine] in memory),
+    ([oracle_range], then [rounding_intervals] and [combine] in memory),
     {!Rlibm.Generate} ([solve] / [assemble]) and {!Genlibm} ([verify]);
     this module only sequences, persists and reports them.  Parallel
     fan-out stays on {!Parallel} inside the bodies and every random walk
@@ -37,7 +37,8 @@
     configurations (the input set is every finite pattern of
     [cfg.tin]): the CLI, the benchmarks, {!Serve}, the examples and the
     tests all generate through it.  Its oracle stage is the only writer
-    of the shared oracle table ({!Rlibm.Constraints.oracle_table}); the
+    of the shared oracle table ({!Rlibm.Constraints.oracle_table}) and
+    the only publisher of the whole-table artifact; the
     polynomial and verdict stages hand that table to
     {!Rlibm.Generate.solve} and {!Genlibm.verify}, which only read it.
     The sampled binary32 path, {!Genlibm.generate_sampled}, runs the same
@@ -143,12 +144,15 @@ val oracle_stage :
   Oracle.func ->
   ((int64, int64) Hashtbl.t, Diag.Error.t) result
 (** Stage 1: the shared oracle table, complete for every finite
-    non-shortcut input of [cfg.tin].  [Hit] when the (memoized or
-    loaded) table already covered them; otherwise the missing Ziv loops
-    fan out and the table is republished.
+    non-shortcut input of [cfg.tin].  One loop fills it for every shard
+    count: each range of the {!shard_range} grid (one range when
+    [shards = 1]) that the (memoized or loaded) table does not yet cover
+    gets its pairs from {!Rlibm.Constraints.oracle_range}, installed in
+    input order, and the table is then republished.  [Hit] when every
+    range was already covered.
 
-    [shards > 1] (default [1]) splits the stage into the fixed
-    {!shard_range} grid: each shard loads from the store when published
+    [shards > 1] (default [1]) makes each range a shard artifact of its
+    own: each shard loads from the store when published
     ({e cooperative fill} — a killed or concurrent warmer's completed
     shards are never recomputed), computes and publishes otherwise, and
     the shards merge into the whole table in shard-index order — the
@@ -158,8 +162,9 @@ val oracle_stage :
     every [-j].  [only_shard] restricts the invocation to that single
     shard and skips the merge/republish — the distributed-driver mode;
     the returned table is then possibly partial.  [Error (Shard_range _)]
-    when [shards < 1] or [only_shard] is outside [\[0, shards)].  Each
-    shard emits an Info Diag event ["shard.done"] with [index], [count],
+    when [shards < 1] or [only_shard] is outside [\[0, shards)].  In a
+    sharded invocation ([shards > 1] or [only_shard]) each shard emits
+    an Info Diag event ["shard.done"] with [index], [count],
     [status] ([hit] / [rebuilt]), [entries], [seconds] and [key]. *)
 
 val intervals_stage :

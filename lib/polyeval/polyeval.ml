@@ -4,8 +4,11 @@
    reference semantics, the cost model and the code generator's input)
    and once as the degree-specialized C bodies behind [eval_into], the
    only runnable form — generation validates with it and serving runs
-   it.  The test suite checks bit-for-bit agreement between the two on
-   random inputs, so the specializations cannot drift. *)
+   it.  The C bodies stop at degree 6, where generation stops
+   (Config.max_degree) and where the paper's Knuth adaptation does, so
+   [compile] refuses anything longer; the DAG covers every degree.  The
+   test suite checks bit-for-bit agreement between the two on random
+   inputs, so the specializations cannot drift. *)
 
 type scheme = Horner | HornerFma | Knuth | Estrin | EstrinFma
 
@@ -90,10 +93,7 @@ let scheme_expr scheme ~degree =
    DAG's order, so every result is bit-for-bit [Expr.eval_float] of the
    scheme's DAG (enforced by the test suite), with [fma] a hardware
    instruction where the CPU has one.  The stub neither allocates nor
-   raises.
-
-   Lengths above 7 never occur in generated functions (Config.max_degree
-   is 6); they walk the DAG itself, which keeps the batch API total. *)
+   raises; longer data is rejected before it is called. *)
 
 let scheme_code = function
   | Horner -> 0
@@ -112,19 +112,16 @@ external sweep :
   unit = "rlibm_poly_sweep_byte" "rlibm_poly_sweep"
 [@@noalloc]
 
-let dag_into e (c : float array) (src : floatarray) (dst : floatarray) lo hi =
-  for i = lo to hi - 1 do
-    Float.Array.unsafe_set dst i
-      (Expr.eval_float e ~data:c (Float.Array.unsafe_get src i))
-  done
+let max_length = 7
 
 let eval_into scheme (data : float array) ~(src : floatarray)
     ~(dst : floatarray) ~lo ~hi =
   let n = Array.length data in
   match scheme with
-  | Knuth when n < 5 || n > 7 ->
+  | Knuth when n < 5 || n > max_length ->
       invalid_arg "Polyeval.eval_into: Knuth degree must be 4, 5 or 6"
-  | _ when n > 7 -> dag_into (scheme_expr scheme ~degree:(n - 1)) data src dst lo hi
+  | _ when n > max_length ->
+      invalid_arg "Polyeval.eval_into: degree must be at most 6"
   | _ -> sweep (scheme_code scheme) data src dst lo hi
 
 (* ---------- Knuth coefficient adaptation ---------- *)
@@ -202,7 +199,7 @@ let compile scheme coeffs =
      candidate buffer across trials, so [data] must not alias a
      caller-mutated array. *)
   let degree = Array.length coeffs - 1 in
-  if degree < 0 then None
+  if degree < 0 || degree >= max_length then None
   else
     Option.map
       (fun data -> { scheme; degree; data; expr = scheme_expr scheme ~degree })

@@ -31,9 +31,11 @@ type compiled = {
 }
 
 (** [compile scheme coeffs] prepares a polynomial for [scheme].  Returns [None] when the
-    scheme cannot handle the polynomial: Knuth adaptation is defined for
-    degrees 4–6 only (RLibm never generates higher degrees; lower ones are
-    cheap already) and requires the adapted coefficients to be finite. *)
+    scheme cannot handle the polynomial: no scheme runs above degree 6
+    (RLibm never generates higher degrees, and {!eval_into} has no body
+    for them); Knuth adaptation is defined for degrees 4–6 only (lower
+    ones are cheap already) and requires the adapted coefficients to be
+    finite.  {!scheme_expr} builds the DAG of any degree. *)
 val compile : scheme -> float array -> compiled option
 
 (** [of_data scheme data] rebuilds a compiled evaluator from the [data]
@@ -43,7 +45,8 @@ val compile : scheme -> float array -> compiled option
     coefficients, which are installed directly instead of re-running the
     adaptation.  The rebuilt polynomial is bit-identical to the original.
     [None] when the data cannot belong to a valid compilation of the
-    scheme (Knuth outside degrees 4–6, non-finite constants). *)
+    scheme (any degree above 6, Knuth outside degrees 4–6, non-finite
+    Knuth constants). *)
 val of_data : scheme -> float array -> compiled option
 
 val cost : compiled -> Expr.cost
@@ -55,7 +58,7 @@ val cost : compiled -> Expr.cost
     ~lo ~hi] evaluates the scheme's polynomial — [data] is a
     {!compiled}[.data] array: dense coefficients, or Knuth's adapted
     constants — on [src.(i)] for every [i] in [\[lo, hi)], writing the
-    results to [dst.(i)].  Lengths up to 7 run in a [[@@noalloc]] C stub
+    results to [dst.(i)].  It runs in a [[@@noalloc]] C stub
     (polyeval_stubs.c) with one straight-line body per (scheme, length)
     that performs the DAG's operations in the DAG's order, compiled with
     contraction off, so every result is bit-for-bit [Expr.eval_float
@@ -63,9 +66,10 @@ val cost : compiled -> Expr.cost
     the test suite).  Each [Fma] node is one fused operation: the
     hardware instruction on x86_64 CPUs with FMA, libm's correctly
     rounded [fma] elsewhere.  Nothing is allocated per element or per
-    call.  Lengths above 7 walk the DAG itself (never produced by
-    generation, where degrees stop at 6).
-    @raise Invalid_argument for [Knuth] data outside lengths 5–7. *)
+    call.
+    @raise Invalid_argument for data longer than 7 (degree above 6, which
+    generation never produces), and for [Knuth] data outside lengths
+    5–7. *)
 val eval_into :
   scheme ->
   float array ->

@@ -17,6 +17,10 @@
 #include <math.h>
 #include <string.h>
 #include <caml/mlvalues.h>
+#ifdef RLIBM_SANITIZE
+#include <stdio.h>
+#include <stdlib.h>
+#endif
 
 /* The coefficient and value arrays are read as flat C arrays of doubles. */
 #ifndef FLAT_FLOAT_ARRAY
@@ -168,10 +172,23 @@ static void sweep(intnat code, intnat len, const double *c,
 }
 
 /* Polyeval.sweep: [data] is a float array (flat doubles), [src] and
-   [dst] floatarrays; neither allocates nor raises. */
+   [dst] floatarrays; neither allocates nor raises.  Built with
+   -DRLIBM_SANITIZE (the dune `sanitize` profile), it first checks the
+   window against both blocks' sizes and aborts outside them: ASan sees
+   no overrun of a small pooled OCaml block. */
 value rlibm_poly_sweep(intnat code, value data, value src, value dst,
                        intnat lo, intnat hi)
 {
+#ifdef RLIBM_SANITIZE
+  if (lo < hi && ((uintnat) hi > Wosize_val(src) / Double_wosize
+                  || (uintnat) hi > Wosize_val(dst) / Double_wosize
+                  || Wosize_val(data) / Double_wosize > 8)) {
+    fprintf(stderr, "polyeval_stubs.c: window [%ld, %ld) or %lu coefficients"
+            " outside a block\n", (long) lo, (long) hi,
+            (unsigned long) (Wosize_val(data) / Double_wosize));
+    abort();
+  }
+#endif
   sweep(code, (intnat) (Wosize_val(data) / Double_wosize),
         (const double *) data, (const double *) src, (double *) dst, lo, hi);
   return Val_unit;

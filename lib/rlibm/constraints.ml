@@ -85,7 +85,8 @@ let reduced_interval ~oc ~inv (iv : Intervals.t) =
    files) so repeated runs of the tests, benchmarks and examples do not
    re-pay the Ziv loops.  Set RLIBM_NO_DISK_CACHE to disable persistence,
    RLIBM_CACHE_DIR to relocate it.  The pipeline's oracle stage is the
-   only writer of these tables; everything downstream only reads them. *)
+   only writer of these tables and publishes them; everything downstream
+   only reads them. *)
 let oracle_cache : (string, (int64, int64) Hashtbl.t) Hashtbl.t =
   Hashtbl.create 8
 
@@ -126,12 +127,6 @@ let oracle_table ~func ~(tin : Softfp.fmt) ~(tout : Softfp.fmt) =
       Hashtbl.replace oracle_cache key t;
       t
 
-let persist_oracle_table ~func ~(tin : Softfp.fmt) ~(tout : Softfp.fmt) =
-  let key = oracle_cache_key ~func ~tin ~tout in
-  match Hashtbl.find_opt oracle_cache key with
-  | Some t -> Cache.store ~kind:"oracle" ~key t
-  | None -> Ok ()
-
 (* ---------- stage bodies ----------
 
    Three separate pure bodies: the oracle evaluations, the
@@ -171,18 +166,16 @@ let tier_fields func fresh =
   ]
   @ List.map (fun (t, n) -> (Oracle.tier_name t, Diag.Int n)) levels
 
-(* Stage body 1, per-range form: the round-to-odd result of every
-   finite, non-shortcut input of [inputs.(lo .. hi-1)] not claimed by
-   [known], as (input, result) pairs in input order.  The Ziv loops fan
-   out across the domain pool; the pair list is assembled on the driver,
-   so the result is bit-identical at every job count.  With
-   [known = fun _ -> false] the output is a pure function of
-   (func, tin, tout, range) — which is what makes a range a
-   content-keyable shard artifact (lib/pipeline's oracle shards).  The
-   tier that decided each result is counted into one oracle.ziv event;
-   it never reaches the artifact. *)
+(* Stage body 1: the round-to-odd result of every finite, non-shortcut
+   input of [inputs.(lo .. hi-1)], as (input, result) pairs in input
+   order.  The Ziv loops fan out across the domain pool; the pair list is
+   assembled on the driver, so the result is bit-identical at every job
+   count.  The output is a pure function of (func, tin, tout, range) —
+   which is what makes a range a content-keyable shard artifact
+   (lib/pipeline's oracle shards).  The tier that decided each result is
+   counted into one oracle.ziv event; it never reaches the artifact. *)
 let oracle_range ~(cfg : Config.t) ~(family : Reduction.t)
-    ~(inputs : int64 array) ~lo ~hi ~(known : int64 -> bool) =
+    ~(inputs : int64 array) ~lo ~hi =
   let tin = cfg.tin and tout = Config.tout cfg in
   let slice = Array.sub inputs lo (Stdlib.max 0 (hi - lo)) in
   let fresh =
@@ -194,11 +187,9 @@ let oracle_range ~(cfg : Config.t) ~(family : Reduction.t)
           match family.shortcut xf with
           | Some _ -> None (* analytic fast path; checked during verification *)
           | None ->
-              if known x then None
-              else
-                let r = Oracle.make_rounder family.func (Softfp.to_rat tin x) in
-                let y, tier = Oracle.decide r ~fmt:tout ~mode:Softfp.RTO in
-                Some (x, y, tier))
+              let r = Oracle.make_rounder family.func (Softfp.to_rat tin x) in
+              let y, tier = Oracle.decide r ~fmt:tout ~mode:Softfp.RTO in
+              Some (x, y, tier))
       slice
   in
   let pairs = ref [] in
@@ -212,21 +203,6 @@ let oracle_range ~(cfg : Config.t) ~(family : Reduction.t)
     Diag.event "oracle.ziv" (fun () -> tier_fields family.func fresh);
   pairs
 
-(* Stage body 1: ensure [oracle] holds the round-to-odd result of every
-   finite, non-shortcut input.  Missing entries are computed by the pure
-   per-range body above (the table is read, never written, during the
-   sweep) and installed on the driver in input order.  Returns the
-   number of entries computed — 0 means the table was already
-   complete. *)
-let ensure_oracle ~(cfg : Config.t) ~(family : Reduction.t)
-    ~(inputs : int64 array) ~(oracle : (int64, int64) Hashtbl.t) =
-  let pairs =
-    oracle_range ~cfg ~family ~inputs ~lo:0 ~hi:(Array.length inputs)
-      ~known:(fun x -> Hashtbl.mem oracle x)
-  in
-  Array.iter (fun (x, y) -> Hashtbl.replace oracle x y) pairs;
-  Array.length pairs
-
 (* One covered input's rounding interval: the round-to-odd oracle result
    and the target interval it induces in H = binary64. *)
 type rounding_interval = {
@@ -238,9 +214,9 @@ type rounding_interval = {
 
 (* Stage body 2: CalcRndIntervals.  One entry per finite, non-shortcut
    input, in input order.  Derived entirely from the oracle table (which
-   must cover the inputs — [ensure_oracle] first), so it depends only on
-   (func, tin, tout).  Cheap and native: the constraints stage recomputes
-   it rather than storing it. *)
+   must cover the inputs — install [oracle_range]'s pairs first), so it
+   depends only on (func, tin, tout).  Cheap and native: the constraints
+   stage recomputes it rather than storing it. *)
 let rounding_intervals ~(cfg : Config.t) ~(family : Reduction.t)
     ~(inputs : int64 array) ~(oracle : (int64, int64) Hashtbl.t) =
   let tin = cfg.tin and tout = Config.tout cfg in

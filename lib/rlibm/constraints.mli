@@ -6,11 +6,12 @@
     compensation and repaired against the actual double OC; constraints
     that share a reduced input are intersected (CalculatePhi).
 
-    The three steps are separate pure stage bodies ({!ensure_oracle},
+    The three steps are separate pure stage bodies ({!oracle_range},
     {!rounding_intervals}, {!combine}) over an oracle table the caller
     owns.  The staged pipeline (lib/pipeline) is the one generation
     driver: its oracle stage fills the shared per-(func, tin, tout)
-    table ({!oracle_table}), persists it through the hardened {!Cache}
+    table ({!oracle_table}) with {!oracle_range}'s pairs, publishes it
+    under {!oracle_cache_key} through the hardened {!Cache}
     store (default ./.oracle-cache; relocate with RLIBM_CACHE_DIR,
     disable with RLIBM_NO_DISK_CACHE) since it is shared by all five
     evaluation schemes, and is that table's only writer.  Corrupt or
@@ -76,15 +77,14 @@ val reduced_interval :
     and every merge runs on the driver in input order, so each result is
     bit-identical for every job count. *)
 
-(** [oracle_range ~cfg ~family ~inputs ~lo ~hi ~known] computes the
+(** [oracle_range ~cfg ~family ~inputs ~lo ~hi] computes the
     round-to-odd result of every finite, non-shortcut input of
-    [inputs.(lo .. hi-1)] for which [known] is [false], as
-    [(input, result)] pairs in input order (parallel fan-out,
-    driver-ordered assembly).  [known] is a coverage predicate — pass
-    [Hashtbl.mem table] to skip entries a shared table already holds, or
-    [fun _ -> false] for the pure form whose output depends only on
-    [(func, tin, tout, lo, hi)]; the latter is what the staged
-    pipeline's content-keyed oracle {e shards} persist.
+    [inputs.(lo .. hi-1)], as [(input, result)] pairs in input order
+    (parallel fan-out, driver-ordered assembly).  The output depends
+    only on [(func, tin, tout, lo, hi)], which is what the staged
+    pipeline's content-keyed oracle {e shards} persist; installing the
+    pairs into a table ([Hashtbl.replace], in order) is the caller's
+    step.
 
     A call that evaluates at least one input emits one Info event
     ["oracle.ziv"] with fields [func], [inputs], [fast] (decided by the
@@ -98,21 +98,7 @@ val oracle_range :
   inputs:int64 array ->
   lo:int ->
   hi:int ->
-  known:(int64 -> bool) ->
   (int64 * int64) array
-
-(** [ensure_oracle ~cfg ~family ~inputs ~oracle] fills [oracle] with the
-    round-to-odd result of every finite, non-shortcut input that is not
-    already present ({!oracle_range} over the whole input set with
-    [known = Hashtbl.mem oracle], installed on the driver in input
-    order).  Returns the number of entries computed; [0] means the table
-    already covered the inputs. *)
-val ensure_oracle :
-  cfg:Config.t ->
-  family:Reduction.t ->
-  inputs:int64 array ->
-  oracle:(int64, int64) Hashtbl.t ->
-  int
 
 (** One covered input's rounding interval (CalcRndIntervals): the oracle
     round-to-odd bits and the interval they induce in H = binary64. *)
@@ -126,8 +112,8 @@ type rounding_interval = {
 (** [rounding_intervals ~cfg ~family ~inputs ~oracle] lists, in input
     order, the rounding interval of every finite non-shortcut input.
     Depends only on (func, tin, tout), never on the piece split or the
-    reduction table.  [oracle] must cover those inputs (fill it with
-    {!ensure_oracle} first).
+    reduction table.  [oracle] must cover those inputs (install
+    {!oracle_range}'s pairs first).
     @raise Not_found when it does not. *)
 val rounding_intervals :
   cfg:Config.t ->
@@ -156,24 +142,15 @@ val clear_memory_cache : unit -> unit
     if present, else loaded from the persistent store, else fresh and
     empty.  The same physical table is returned for the same triple, so
     every scheme of a function reads one table.  Only the pipeline's
-    oracle stage adds entries (through {!ensure_oracle}): once that stage
-    has run, the table covers every finite non-shortcut input of [tin],
-    and generation and verification only read it. *)
+    oracle stage adds entries (from {!oracle_range}) and publishes the
+    table under {!oracle_cache_key}: once that stage has run, the table
+    covers every finite non-shortcut input of [tin], and generation and
+    verification only read it. *)
 val oracle_table :
   func:Oracle.func ->
   tin:Softfp.fmt ->
   tout:Softfp.fmt ->
   (int64, int64) Hashtbl.t
-
-(** Publish the memoized oracle table of [(func, tin, tout)] through the
-    persistent store ([Ok ()] if the triple was never materialized).
-    [Error (Store_io _)] when the publish failed — callers that exist to
-    fill the store must propagate it instead of ignoring. *)
-val persist_oracle_table :
-  func:Oracle.func ->
-  tin:Softfp.fmt ->
-  tout:Softfp.fmt ->
-  (unit, Diag.Error.t) result
 
 (** The collision-free persistent-store key of the oracle table for
     [(func, tin, tout)]: covers both formats' exponent width {e and}

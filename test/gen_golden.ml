@@ -5,7 +5,8 @@
    Run after an intentional codegen change, review the diff, commit.
    Generation is deterministic (seeded RNG, fixed knobs), so the output
    is a pure function of the case list below — keep it in sync with
-   test_codegen.ml. *)
+   test_codegen.ml.  This executable cannot share test_main's modules,
+   so [tiny_cfg] is a copy of [Test_tmp.tiny_cfg]. *)
 
 let tiny_cfg =
   {

@@ -54,8 +54,9 @@ let test_mul_known () =
 
 let test_karatsuba_consistency () =
   let open Bigint.Infix in
-  (* Large operands cross the Karatsuba threshold; compare against a
-     decomposition identity instead of a second multiplier:
+  (* Operands of ~2,400 bits (80 limbs), far past any product the LP
+     forms; compare against a decomposition identity instead of a
+     second multiplier:
      (a*B + c)(d*B + e) = ad B^2 + (ae + cd) B + ce. *)
   let big = Bigint.pow (b "1234567890987654321") 40 in
   let a = Bigint.shift_right big 600 in

@@ -184,14 +184,7 @@ let test_concurrent_writers () =
 
 (* ---------- acceptance: poisoning never changes generated output ---------- *)
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_tmp.tiny_cfg
 
 (* Everything observable about a generated function and the oracle table
    it was generated from, as exact bits (same shape as the determinism

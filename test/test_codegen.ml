@@ -12,14 +12,7 @@
    review the diff and commit it.  Keep [cases] in sync with
    gen_golden.ml. *)
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_tmp.tiny_cfg
 
 (* Two pieces force the piecewise emission branch of both backends. *)
 let piecewise_log_cfg = { tiny_cfg with Rlibm.Config.pieces = 2 }
@@ -30,22 +23,11 @@ let cases =
     ("log2_piecewise", Oracle.Log2, Polyeval.Horner, piecewise_log_cfg);
   ]
 
-let gen_cache : (string, Rlibm.Generate.generated) Hashtbl.t = Hashtbl.create 4
-
 let generate_case (name, func, scheme, cfg) =
-  match Hashtbl.find_opt gen_cache name with
-  | Some g -> g
-  | None -> (
-      match
-        Cache.with_persistence false (fun () ->
-            Pipeline.generate ~cfg ~scheme func)
-      with
-      | Error msg ->
-          Alcotest.failf "%s: generation failed: %s" name
-            (Diag.Error.to_string msg)
-      | Ok g ->
-          Hashtbl.replace gen_cache name g;
-          g)
+  match Test_tmp.generate ~cfg ~scheme func with
+  | Error msg ->
+      Alcotest.failf "%s: generation failed: %s" name (Diag.Error.to_string msg)
+  | Ok g -> g
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -228,7 +210,7 @@ let test_c_runs () =
       List.map
         (fun (func, scheme) ->
           let cfg = Rlibm.Config.mini_for func in
-          match Cache.with_persistence false (fun () -> Pipeline.generate ~cfg ~scheme func) with
+          match Test_tmp.generate ~cfg ~scheme func with
           | Ok g -> (c_ident func scheme, g)
           | Error e ->
               Alcotest.failf "%s: generation failed: %s" (c_ident func scheme)

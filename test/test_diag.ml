@@ -26,14 +26,7 @@ let fresh_tmp_name prefix =
    suites share the process). *)
 let in_fresh_dir f = Test_tmp.with_store "rlibm-diag-test-" f
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_tmp.tiny_cfg
 
 (* ---------- error domain basics ---------- *)
 

@@ -28,14 +28,7 @@ let plan_of spec =
   | Ok p -> p
   | Error msg -> Alcotest.failf "plan %S rejected: %s" spec msg
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_tmp.tiny_cfg
 
 (* A silent sink so injected-failure warns do not spam the test log;
    returns the drained events for assertions. *)

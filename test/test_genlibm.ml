@@ -6,38 +6,15 @@
 
 (* An even smaller universe than Config.mini keeps the integration tests
    fast: 11-bit inputs, 13-bit round-to-odd target, 1984 finite inputs. *)
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_tmp.tiny_cfg
 
 let tiny = tiny_cfg.Rlibm.Config.tin
 let inputs = lazy (Genlibm.inputs_exhaustive tiny)
 
-(* Generation is expensive; several tests share the same function, so the
-   results are memoized for the whole suite run.  Persistence is off so
-   every run of the suite generates afresh rather than loading a stored
-   polynomial. *)
-let gen_cache : (Oracle.func * Polyeval.scheme, (Rlibm.Generate.generated, Diag.Error.t) result) Hashtbl.t =
-  Hashtbl.create 16
-
+(* Generation is expensive; several tests share the same function, so
+   they read the test run's memo. *)
 let generate_ok func scheme =
-  let r =
-    match Hashtbl.find_opt gen_cache (func, scheme) with
-    | Some r -> r
-    | None ->
-        let r =
-          Cache.with_persistence false (fun () ->
-              Pipeline.generate ~cfg:tiny_cfg ~scheme func)
-        in
-        Hashtbl.replace gen_cache (func, scheme) r;
-        r
-  in
-  match r with
+  match Test_tmp.generate ~cfg:tiny_cfg ~scheme func with
   | Ok g -> g
   | Error msg -> Alcotest.failf "generation failed: %s" (Diag.Error.to_string msg)
 

@@ -9,38 +9,14 @@
    shapes of the branch-free classification, and zero minor-heap
    allocation per call. *)
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_tmp.tiny_cfg
 
 let tiny = tiny_cfg.Rlibm.Config.tin
 
-(* Generation is expensive and several tests share a function; memoize
-   for the whole suite run (same idiom as test_genlibm). *)
-let gen_cache :
-    ( Oracle.func * Polyeval.scheme,
-      (Rlibm.Generate.generated, Diag.Error.t) result )
-    Hashtbl.t =
-  Hashtbl.create 16
-
+(* Generation is expensive and several tests share a function; they
+   read the test run's memo. *)
 let generate_ok func scheme =
-  let r =
-    match Hashtbl.find_opt gen_cache (func, scheme) with
-    | Some r -> r
-    | None ->
-        let r =
-          Cache.with_persistence false (fun () ->
-              Pipeline.generate ~cfg:tiny_cfg ~scheme func)
-        in
-        Hashtbl.replace gen_cache (func, scheme) r;
-        r
-  in
-  match r with
+  match Test_tmp.generate ~cfg:tiny_cfg ~scheme func with
   | Ok g -> g
   | Error msg ->
       Alcotest.failf "%s/%s generation failed: %s" (Oracle.name func)

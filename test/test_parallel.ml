@@ -196,14 +196,7 @@ let test_jobs_env_fallback () =
 
 (* ---------- end-to-end determinism: -j 1 vs -j 4 ---------- *)
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_tmp.tiny_cfg
 
 (* Everything observable about a generated function and the oracle table
    it was generated from, in canonical order and exact bit patterns. *)

@@ -7,14 +7,7 @@
 (* Run [f] against a fresh store directory, removed afterwards. *)
 let in_fresh_dir f = Test_tmp.with_store "rlibm-pipeline-test-" f
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_tmp.tiny_cfg
 
 (* The function's observable artifacts as exact bits: coefficients,
    degrees and the special table. *)

@@ -119,6 +119,18 @@ let test_depth_ordering () =
 
 (* ---------- bit-exact agreement: batch evaluator vs DAG ---------- *)
 
+(* Why [compile] may return [None]: no scheme compiles past degree 6
+   (the C bodies stop at 7 coefficients), and Knuth's adaptation needs
+   degree 4-6, a nonzero leading coefficient and finite results. *)
+let refused scheme coeffs =
+  let d = Array.length coeffs - 1 in
+  d > 6
+  || scheme = Polyeval.Knuth
+     && (d < 4 || coeffs.(d) = 0.0 || Polyeval.adapt_knuth coeffs = None)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
 let arb_coeffs_and_x =
   QCheck2.Gen.(
     let* d = int_range 0 8 in
@@ -141,11 +153,9 @@ let prop_eval_into_matches_dag scheme =
        (fun (coeffs, xs, lo) ->
          match Polyeval.compile scheme coeffs with
          | None ->
-             scheme = Polyeval.Knuth
-             && (Array.length coeffs - 1 < 4
-                || Array.length coeffs - 1 > 6
-                || coeffs.(Array.length coeffs - 1) = 0.0
-                || Polyeval.adapt_knuth coeffs = None)
+             refused scheme coeffs
+             && (Array.length coeffs <= 7
+                || raises_invalid (fun () -> eval1 scheme coeffs 0.5))
          | Some c ->
              let n = Array.length xs in
              (* pad the window on both sides: slots outside [lo, hi)
@@ -257,12 +267,7 @@ let prop_closure_matches_dag scheme =
        arb_coeffs_and_x
        (fun (coeffs, x) ->
          match Polyeval.compile scheme coeffs with
-         | None ->
-             scheme = Polyeval.Knuth
-             && (Array.length coeffs - 1 < 4
-                || Array.length coeffs - 1 > 6
-                || coeffs.(Array.length coeffs - 1) = 0.0
-                || Polyeval.adapt_knuth coeffs = None)
+         | None -> refused scheme coeffs
          | Some c ->
              let fast = scalar_closure c x in
              let reference =
@@ -315,6 +320,19 @@ let test_eval_into_knuth_bad_degree () =
     (Invalid_argument "Polyeval.eval_into: Knuth degree must be 4, 5 or 6")
     (fun () ->
       Polyeval.eval_into Polyeval.Knuth [| 1.0; 2.0 |] ~src ~dst ~lo:0 ~hi:1)
+
+let test_degree_7_refused () =
+  let c = Array.init 8 (fun i -> 1.0 /. float_of_int (i + 1)) in
+  List.iter
+    (fun scheme ->
+      let name = Polyeval.scheme_name scheme in
+      Alcotest.(check bool) (name ^ " compile") true
+        (Polyeval.compile scheme c = None);
+      Alcotest.(check bool) (name ^ " of_data") true
+        (Polyeval.of_data scheme c = None);
+      Alcotest.(check bool) (name ^ " eval_into raises") true
+        (raises_invalid (fun () -> eval1 scheme c 0.5)))
+    Polyeval.all_schemes
 
 (* ---------- algebraic identities ---------- *)
 
@@ -400,6 +418,7 @@ let suite =
     ("scheme names", `Quick, test_scheme_names);
     ("estrin = Algorithm 1 trace", `Quick, test_estrin_matches_algorithm1);
     ("eval_into knuth bad degree", `Quick, test_eval_into_knuth_bad_degree);
+    ("degree 7 refused by every scheme", `Quick, test_degree_7_refused);
     ("contraction witness: fma exactly where the DAG has one", `Quick, test_contraction_witness);
     prop_knuth_identity;
   ]

@@ -319,6 +319,16 @@ let check_pull what inv ~up q =
       (if up then "up" else "down")
       q got want
 
+(* A fresh oracle table covering [inputs]: stage body 1's pairs,
+   installed in input order. *)
+let fresh_oracle ~cfg ~family ~inputs =
+  let oracle = Hashtbl.create 4096 in
+  Array.iter
+    (fun (x, y) -> Hashtbl.replace oracle x y)
+    (Rlibm.Constraints.oracle_range ~cfg ~family ~inputs ~lo:0
+       ~hi:(Array.length inputs));
+  oracle
+
 (* Every covered input of [cfg]'s universe: the native pull-back of both
    rounding-interval endpoints equals the Rat route bit for bit (the
    nudge loop of [reduced_interval] is shared code, so equal pull-backs
@@ -326,8 +336,7 @@ let check_pull what inv ~up q =
 let pull_back_matches_rat func (cfg : Rlibm.Config.t) =
   let family = Rlibm.Generate.family ~cfg func in
   let inputs = Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin in
-  let oracle = Hashtbl.create 4096 in
-  ignore (Rlibm.Constraints.ensure_oracle ~cfg ~family ~inputs ~oracle : int);
+  let oracle = fresh_oracle ~cfg ~family ~inputs in
   let rivals =
     Rlibm.Constraints.rounding_intervals ~cfg ~family ~inputs ~oracle
   in
@@ -392,8 +401,7 @@ let test_pull_edges () =
 (* The constraint stage bodies over a fresh oracle table: the merged
    constraint set of [inputs] and the table it was built from. *)
 let build_fresh ~cfg ~family ~inputs =
-  let oracle = Hashtbl.create 1024 in
-  ignore (Rlibm.Constraints.ensure_oracle ~cfg ~family ~inputs ~oracle : int);
+  let oracle = fresh_oracle ~cfg ~family ~inputs in
   let rivals =
     Rlibm.Constraints.rounding_intervals ~cfg ~family ~inputs ~oracle
   in
@@ -526,11 +534,12 @@ let test_oracle_tier_events () =
           let cfg = Rlibm.Config.mini_for func in
           let family = Rlibm.Generate.family ~cfg func in
           let sink, drain = Diag.memory_sink ~min_level:Diag.Info () in
+          let inputs = Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin in
           let computed =
             Diag.with_sinks [ sink ] (fun () ->
-                Rlibm.Constraints.ensure_oracle ~cfg ~family
-                  ~inputs:(Genlibm.inputs_exhaustive cfg.Rlibm.Config.tin)
-                  ~oracle:(Hashtbl.create 16))
+                Array.length
+                  (Rlibm.Constraints.oracle_range ~cfg ~family ~inputs ~lo:0
+                     ~hi:(Array.length inputs)))
           in
           let name = Oracle.name func in
           match List.filter (fun e -> e.Diag.ev_name = "oracle.ziv") (drain ()) with

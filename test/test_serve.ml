@@ -4,14 +4,7 @@
    contract (bit-identical to scalar eval_bits at every job count and
    batch size, with small requests served on the calling domain). *)
 
-let tiny_cfg =
-  {
-    Rlibm.Config.default_mini with
-    Rlibm.Config.tin = Softfp.make_fmt ~ebits:4 ~prec:7;
-    table_bits = 3;
-    max_specials = 40;
-    max_rounds = 20;
-  }
+let tiny_cfg = Test_tmp.tiny_cfg
 
 let tiny = tiny_cfg.Rlibm.Config.tin
 

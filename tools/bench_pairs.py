@@ -49,6 +49,7 @@ LAYERS = [
     "pipeline.verdict_s",
     "generate.rounds",
     "lp.probe_s",
+    "bigint.mul_us.*",
     "genlibm.kernel_ns_per_eval.*",
     "genlibm.other_ns_per_eval.*",
     "polyeval.ns_per_eval.*",
@@ -56,7 +57,9 @@ LAYERS = [
     "polyeval.matched_ns.estrin-fma.d[456]",
 ]
 
-TRACED_PAIRS = 3
+# Three traced pairs read 10-50% moves on layers a change did not touch;
+# five give each side's quartiles from five runs.
+TRACED_PAIRS = 5
 
 
 def build(tree):

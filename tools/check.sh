@@ -1,7 +1,9 @@
 #!/bin/sh
 # Tier-1 gate for every PR: build, run the full test suite under a fresh
-# empty TMPDIR and fail if it leaves anything there, then smoke the CLI
-# contracts end to end:
+# empty TMPDIR and fail if it leaves anything there, run it again with
+# the C stubs under AddressSanitizer + UBSan (the `sanitize` dune
+# profile, built in _build_sanitize), then smoke the CLI contracts end
+# to end:
 # - determinism: -j 1 output is bit-identical to -j N;
 # - cache poisoning: corrupt entries are rejected, quarantined and
 #   regenerated without changing a single output bit;
@@ -52,6 +54,29 @@ if [ -n "$(ls -A "$testtmp")" ]; then
   echo "the test suite left files in its temp dir:"; ls -A "$testtmp"; exit 1
 fi
 echo "the test suite left its temp dir empty"
+
+echo "== test suite, C stubs under ASan + UBSan (fresh TMPDIR, left empty) =="
+# The `sanitize` profile (root dune file) builds both stub files with
+# -fsanitize=address,undefined,float-cast-overflow and their
+# block-bounds checks, into a build directory of its own so the normal
+# _build keeps its flags.  Leak reports are off: the OCaml runtime's
+# allocations at exit were never examined.  The suite's logs (where a
+# sanitizer report lands) go to _build_sanitize/test-logs.
+dune build --profile sanitize --build-dir _build_sanitize \
+  ./test/test_main.exe ./bin/rlibm_gen.exe
+santmp="$work/sanitizetmp" && mkdir "$santmp"
+sanlogs="_build_sanitize/test-logs" && rm -rf "$sanlogs" && mkdir "$sanlogs"
+if ! TMPDIR="$santmp" ASAN_OPTIONS=detect_leaks=0 \
+    ./_build_sanitize/default/test/test_main.exe -o "$sanlogs"; then
+  echo "the sanitized suite failed; reports in $sanlogs:"
+  grep -rh -A12 -e 'Sanitizer' -e 'runtime error' -e 'outside a block' \
+    "$sanlogs" | head -60
+  exit 1
+fi
+if [ -n "$(ls -A "$santmp")" ]; then
+  echo "the sanitized suite left files in its temp dir:"; ls -A "$santmp"; exit 1
+fi
+echo "the sanitized suite passed and left its temp dir empty"
 
 echo "== -j 1 vs -j $N smoke diff =="
 tmp1="$work/j1.out" && tmpN="$work/jN.out"
