@@ -68,13 +68,18 @@ val round_result : Softfp.fmt -> Softfp.mode -> float -> Softfp.bits
     without copying — and evaluation proceeds in passes over a chunk,
     each a [[@@noalloc]] C stub (genlibm_stubs.c) reading the
     {!Rlibm.Reduction.kernel} and decoder records' own fields: decode,
-    shortcut classification and range reduction, then the NaN/Inf and
-    special-table override; grouping by piece; one
-    {!Polyeval.eval_into} sweep per piece; the output compensation on
-    scatter.  OCaml keeps the bounds check, the per-domain scratch and
-    the dispatch; no closure runs per element.  The input format
-    satisfies {!Softfp.fits_double} ({!Rlibm.Generate.family} rejects
-    any other), so every finite input decodes exactly to a double. *)
+    shortcut classification, range reduction and NaN/Inf in one
+    branch-free loop, then the special table's scalar probe when it is
+    not empty; one {!Polyeval.eval_into} sweep per piece over the whole
+    chunk, each later piece's results selected where the element
+    belongs to it; the output compensation where the element is not
+    settled.  Every loop runs in SIMD lanes on x86_64 CPUs with AVX2
+    (an x86-64-v3 clone of each stub, picked once by the loader) and
+    gives the same bits everywhere.  OCaml keeps the bounds check, the
+    per-domain scratch and the dispatch; no closure runs per element.
+    The input format satisfies {!Softfp.fits_double}
+    ({!Rlibm.Generate.family} rejects any other), so every finite input
+    decodes exactly to a double. *)
 
 (** Input bit patterns (one per element, in the low bits of each
     [int64]). *)

@@ -8,10 +8,18 @@
    scheme is fused behind the DAG's back; the contraction witness in the
    test suite checks this.
 
-   On x86_64 the sweep is built twice (target_clones): an FMA clone,
-   where fma() is the vfmadd instruction, and a default clone, where it
-   is libm's correctly rounded fma.  Both give the same bits; the loader
-   picks the clone once, by the CPU's features. */
+   On x86_64 the sweep is built twice (target_clones): an x86-64-v3
+   clone (AVX2 and FMA), where fma() is the vfmadd instruction and each
+   body runs four elements per vector, and a baseline clone, where fma()
+   is libm's correctly rounded fma.  Both give the same bits: the lanes
+   of a vector perform each element's operations in the same order.
+   The loader picks the clone once, by the CPU's features.  Only gcc
+   builds the clones; any other compiler, and the sanitized build
+   (-DRLIBM_SANITIZE), compile the baseline code only, so the suite the
+   sanitized build runs covers the clone that hosts without AVX2 serve.
+   Besides -ffp-contract=off the file is compiled with
+   -fno-trapping-math, which changes no IEEE result (see the dune
+   file). */
 
 #define CAML_NAME_SPACE
 #include <math.h>
@@ -27,10 +35,11 @@
 #error "rlibm stubs need flat float arrays"
 #endif
 
-#if defined(__x86_64__) && defined(__GNUC__) && defined(__linux__)
-#define RLIBM_FMA_CLONES __attribute__((target_clones("fma", "default")))
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) \
+    && defined(__linux__) && !defined(RLIBM_SANITIZE)
+#define RLIBM_CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
 #else
-#define RLIBM_FMA_CLONES
+#define RLIBM_CLONES
 #endif
 
 /* Scheme codes, as Polyeval.scheme_code assigns them. */
@@ -123,13 +132,14 @@ static inline double knuth7(double x, const double *a)
   return (((w + z) + a[4]) * w + a[5]) * a[6];
 }
 
+/* vec: sweep (every case below is one loop) */
 #define SWEEP(F)                                                        \
   for (intnat i = lo; i < hi; i++) dst[i] = F(src[i], k);               \
   return
 
 /* [code] is a scheme code, [len] in 0..7 (Knuth: 5..7); the caller
    checks both.  Lengths 0 and 1 are the constants 0.0 and c[0]. */
-RLIBM_FMA_CLONES
+RLIBM_CLONES
 static void sweep(intnat code, intnat len, const double *c,
                   const double *src, double *dst, intnat lo, intnat hi)
 {

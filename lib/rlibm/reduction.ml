@@ -67,7 +67,6 @@ type decoder = {
   d_bias : int;
   d_emask : int;
   d_scale : float array;
-  d_mscale : float;
 }
 
 (* 2^e without an out-of-line Float.ldexp in the normal range; with the
@@ -87,7 +86,7 @@ let decoder (fmt : Softfp.fmt) =
     let w = pow2 ((if be = 0 then 1 else be) - bias - fw) in
     d_scale.(se) <- (if se > emask then -.w else w)
   done;
-  { d_fw = fw; d_bias = bias; d_emask = emask; d_scale; d_mscale = pow2 (-fw) }
+  { d_fw = fw; d_bias = bias; d_emask = emask; d_scale }
 
 type t = {
   func : Oracle.func;

@@ -85,9 +85,6 @@ type decoder = {
   d_bias : int;
   d_emask : int;  (** the all-ones exponent field *)
   d_scale : float array;
-  d_mscale : float;
-      (** [2^-d_fw]: scales an integer significand with its hidden bit
-          to the [\[1, 2)] mantissa *)
 }
 
 (** @raise Invalid_argument when the format fails

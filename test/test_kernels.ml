@@ -4,7 +4,8 @@
    subnormals, specials and shortcut inputs included) for every scheme
    on both families, Serve.eval_batch_into at -j 1 and -j 4, the
    kernel's table compensation against Reduction.compensate, seeded sampled
-   binary32 batches (multi-piece counting-sort path), the truncation
+   binary32 batches (the 16-piece path), the edges of the vector loops
+   (every window alignment and remainder), the truncation
    floor at t = -0.0, the table decode against Softfp.to_float, batch
    shapes of the branch-free classification, and zero minor-heap
    allocation per call. *)
@@ -451,6 +452,97 @@ let test_batch_shapes () =
             (Diag.Error.to_string e))
     [ Oracle.Exp2; Oracle.Log2 ]
 
+(* ---------- edges of the vector loops ---------- *)
+
+(* Every pass is a loop the compiler vectorizes, with a scalar prologue
+   and epilogue around the vector body.  Windows starting at lo = 0..8
+   (every alignment of the buffers) and of every length 0..33 (every
+   remainder past 4- and 8-lane bodies, and bodies that never run),
+   chunking the exhaustive mini patterns, must each equal the scalar
+   reference and leave the slots before lo untouched. *)
+let test_vector_edges () =
+  List.iter
+    (fun func ->
+      let g = generate_ok func Polyeval.Horner in
+      let patterns = all_patterns tiny in
+      let n = Array.length patterns in
+      let want = Array.map (fun x -> Int64.bits_of_float (Genlibm.eval_bits g x)) patterns in
+      let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
+      Array.iteri (fun i x -> Bigarray.Array1.set src i x) patterns;
+      for lo = 0 to 8 do
+        for len = 0 to 33 do
+          Bigarray.Array1.fill dst 42.0;
+          if len = 0 then Genlibm.eval_bits_into g ~src ~dst ~lo ~hi:lo
+          else begin
+            let at = ref lo in
+            while !at < n do
+              let hi = Stdlib.min n (!at + len) in
+              Genlibm.eval_bits_into g ~src ~dst ~lo:!at ~hi;
+              at := hi
+            done
+          end;
+          for i = 0 to n - 1 do
+            let got = Int64.bits_of_float (Bigarray.Array1.get dst i) in
+            let expect = if i < lo || len = 0 then Int64.bits_of_float 42.0 else want.(i) in
+            if not (Int64.equal got expect) then
+              Alcotest.failf "%s, lo %d, windows of %d: slot %d (input %Lx): %Lx, want %Lx"
+                (Oracle.name func) lo len i patterns.(i) got expect
+          done
+        done
+      done)
+    [ Oracle.Exp2; Oracle.Log ]
+
+(* binary32 exp2 (16 pieces) on one batch that mixes every settled kind
+   with polynomial inputs: +/-0, subnormals, +/-Inf, NaNs, and the
+   patterns at and around the shortcut's cuts (t = x for exp2), each
+   followed by a polynomial input.  A made-up special input among them
+   runs the scalar special-table pass after the vector pass. *)
+let test_binary32_mixed () =
+  let g, sampled = generate_b32 Oracle.Exp2 in
+  let ek =
+    match g.Rlibm.Generate.family.Rlibm.Reduction.kernel with
+    | Rlibm.Reduction.Exp_kernel ek -> ek
+    | Rlibm.Reduction.Log_kernel _ -> Alcotest.fail "exp2 has no exp kernel"
+  in
+  Alcotest.(check int) "binary32 exp2 pieces" 16 (Array.length g.Rlibm.Generate.pieces);
+  let fmt = Softfp.binary32 in
+  let pat x = Int64.logand (Int64.of_int32 (Int32.bits_of_float x)) 0xFFFF_FFFFL in
+  let around b = [ Int64.pred b; b; Int64.succ b ] in
+  let at_cut t = List.concat_map around [ pat t; pat (-.t) ] in
+  let settled =
+    [ 0L; 0x8000_0000L; 1L; 0x8000_0001L; 0x007F_FFFFL; 0x807F_FFFFL;
+      0x7F80_0000L; 0xFF80_0000L; 0x7FC0_0000L; 0xFFC0_0001L; 0x7F80_0001L ]
+    @ at_cut ek.Rlibm.Reduction.ek_hi_cut
+    @ at_cut ek.Rlibm.Reduction.ek_lo_cut
+    @ at_cut ek.Rlibm.Reduction.ek_near_cut
+  in
+  let poly =
+    List.filter
+      (fun x ->
+        g.Rlibm.Generate.family.Rlibm.Reduction.shortcut (Softfp.to_float fmt x) = None)
+      (Array.to_list sampled)
+  in
+  let special = List.hd poly in
+  let specials = Hashtbl.copy g.Rlibm.Generate.specials in
+  Hashtbl.replace specials special 0.5;
+  let pairs =
+    Hashtbl.fold (fun x v acc -> (Int64.to_int x, v) :: acc) specials []
+    |> List.sort compare |> Array.of_list
+  in
+  let g =
+    { g with
+      Rlibm.Generate.specials;
+      spec_keys = Array.map fst pairs;
+      spec_vals = Array.map snd pairs }
+  in
+  let rec interleave s p =
+    match (s, p) with
+    | x :: s', y :: p' -> x :: y :: interleave s' p'
+    | [], p -> p
+    | s, [] -> s
+  in
+  check_bit_identity "exp2/binary32 mixed" g (Array.of_list (interleave settled poly))
+
 let suite =
   List.map
     (fun (func, scheme) ->
@@ -479,4 +571,6 @@ let suite =
         test_log_subnormals_made_up );
       ("batch shapes: settled, polynomial, sorted, pieces, chunks", `Slow, test_batch_shapes);
       ("no minor allocation per 64-element call", `Slow, test_kernel_allocation_free);
+      ("vector loop edges: windows lo 0..8, length 0..33", `Slow, test_vector_edges);
+      ("exp2/binary32 mixed settled and polynomial batch", `Slow, test_binary32_mixed);
     ]

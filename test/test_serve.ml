@@ -64,11 +64,13 @@ let test_cold_warm_roundtrip () =
       Alcotest.(check int) "log batch length" (Array.length inputs)
         (Array.length out_log))
 
-(* Batches straddling the serving grain: inline below 2048 elements, two
-   chunks at 2048, the full grid at 2^16.  Inputs are seeded draws over
-   every pattern of the format, so each size mixes NaN/Inf, zeros,
-   shortcut and polynomial rows. *)
-let batch_sizes = [ 1; 63; 64; 511; 1023; 1024; 1025; 2047; 2048; 2049; 1 lsl 16 ]
+(* Batches straddling the serving grain (Genlibm.kernel_grain, 3072):
+   inline below 6144 elements, two chunks at 6144, the full grid at
+   2^16; the sizes around 1024 and 2048 straddled earlier grains.
+   Inputs are seeded draws over every pattern of the format, so each
+   size mixes NaN/Inf, zeros, shortcut and polynomial rows. *)
+let batch_sizes =
+  [ 1; 63; 64; 511; 1023; 1024; 1025; 2047; 2048; 2049; 6143; 6144; 6145; 1 lsl 16 ]
 
 let seeded_inputs n =
   let st = Random.State.make [| 1414; n |] in

@@ -23,6 +23,8 @@
 # - faults: an injected ENOSPC exits through the typed store-io code, and
 #   a process aborted mid-publish leaves a store that fsck repairs with
 #   nothing quarantined and a resumed run completes bit-identically;
+# - vectorization: every pass loop of the serving kernel's C stubs is
+#   vectorized in its x86-64-v3 clone (tools/vec_witness.sh);
 # - examples: quickstart, multi_rounding and emit_source run to exit 0
 #   against a fresh store;
 # - the paper harness (bench/main.exe) rejects unknown flags;
@@ -39,6 +41,9 @@ N="${1:-4}"
 
 echo "== dune build =="
 dune build
+
+echo "== vectorization witness =="
+tools/vec_witness.sh
 
 # Every temporary file and store lives under one scratch directory.
 work=$(mktemp -d)
