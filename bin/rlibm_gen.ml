@@ -70,6 +70,21 @@ let table_bits_arg =
 
 (* ---------- generate ---------- *)
 
+(* Print a verification report after [label], and exit with the typed
+   Verification_failed error when any result is wrong. *)
+let report_verdict ~label func scheme (rep : Genlibm.verify_report) =
+  Printf.printf "%s: %s\n" label
+    (Format.asprintf "%a" Genlibm.pp_verify_report rep);
+  if rep.wrong34 > 0 || rep.wrong_narrow > 0 then
+    Cli.exit_error
+      (Diag.Error.Verification_failed
+         {
+           func = Oracle.name func;
+           scheme = Polyeval.scheme_name scheme;
+           wrong34 = rep.wrong34;
+           wrong_narrow = rep.wrong_narrow;
+         })
+
 let generate_cmd =
   let run func scheme ebits prec pieces table_bits verify jobs cache_dir
       cache_stats log_level trace =
@@ -103,17 +118,7 @@ let generate_cmd =
       | Error err -> Cli.exit_error err
       | Ok (g, rep) ->
           print_generated g;
-          Printf.printf "verify: %s\n"
-            (Format.asprintf "%a" Genlibm.pp_verify_report rep);
-          if rep.Genlibm.wrong34 > 0 || rep.Genlibm.wrong_narrow > 0 then
-            Cli.exit_error
-              (Diag.Error.Verification_failed
-                 {
-                   func = Oracle.name func;
-                   scheme = Polyeval.scheme_name scheme;
-                   wrong34 = rep.Genlibm.wrong34;
-                   wrong_narrow = rep.Genlibm.wrong_narrow;
-                 })
+          report_verdict ~label:"verify" func scheme rep
     end
     else begin
       match Pipeline.generate ~cfg ~scheme func with
@@ -158,18 +163,7 @@ let stages_cmd =
     Cli.report_cache_stats cache_stats;
     match result with
     | Error err -> Cli.exit_error err
-    | Ok (_, rep) ->
-        Printf.printf "verdict: %s\n"
-          (Format.asprintf "%a" Genlibm.pp_verify_report rep);
-        if rep.Genlibm.wrong34 > 0 || rep.Genlibm.wrong_narrow > 0 then
-          Cli.exit_error
-            (Diag.Error.Verification_failed
-               {
-                 func = Oracle.name func;
-                 scheme = Polyeval.scheme_name scheme;
-                 wrong34 = rep.Genlibm.wrong34;
-                 wrong_narrow = rep.Genlibm.wrong_narrow;
-               })
+    | Ok (_, rep) -> report_verdict ~label:"verdict" func scheme rep
   in
   Cmd.v
     (Cmd.info "stages"

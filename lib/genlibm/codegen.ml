@@ -22,6 +22,10 @@ let float_lit lang v =
         (* OCaml accepts hex float literals directly. *)
         Printf.sprintf "%h" v
 
+(* An argument of an OCaml function application: a negative literal
+   needs parentheses, or [f -0x1p-2 r] parses as a subtraction. *)
+let ml_arg a = if String.length a > 0 && a.[0] = '-' then "(" ^ a ^ ")" else a
+
 (* ---------- polynomial body from the Expr DAG ---------- *)
 
 let emit_poly lang buf (piece : Polyeval.compiled) ~arg ~indent =
@@ -59,7 +63,9 @@ let emit_poly lang buf (piece : Polyeval.compiled) ~arg ~indent =
                   let a = go a and b = go b and c = go c in
                   (match lang with
                   | C -> Printf.sprintf "fma(%s, %s, %s)" a b c
-                  | Ml -> Printf.sprintf "Float.fma %s %s %s" a b c)
+                  | Ml ->
+                      Printf.sprintf "Float.fma %s %s %s" (ml_arg a) (ml_arg b)
+                        (ml_arg c))
               | Expr.Var | Expr.Const _ -> assert false
             in
             let n = fresh () in
@@ -265,7 +271,7 @@ let to_ocaml (g : Rlibm.Generate.generated) ~name =
       if k.lk_exact then pr "  let c = float_of_int k +. %s_tbl.(j) in\n" name
       else
         pr "  let c = Float.fma (float_of_int k) %s %s_tbl.(j) in\n"
-          (lit k.lk_scale) name;
+          (ml_arg (lit k.lk_scale)) name;
       emit_pieces Ml buf pieces ~indent:"  " ~scale:[ tsize ];
       pr "  c +. p\n");
   pr "  end\n";

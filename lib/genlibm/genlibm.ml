@@ -103,53 +103,16 @@ type dst_buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.
 let create_src n : src_buf = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n
 let create_dst n : dst_buf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
 
-(* Reusable per-domain scratch for [eval_bits_into].  A chunk runs on one
-   domain at a time, and the Parallel pool never runs two chunks
-   concurrently on the same domain, so one scratch per domain suffices;
-   holding it in DLS means steady-state batches allocate nothing at all
-   (growth is amortized over the largest chunk ever seen).  The C passes
-   store tagged ints into the int arrays. *)
-type kscratch = {
-  mutable kr : floatarray;  (* reduced input per element *)
-  mutable kv : floatarray;  (* polynomial result of the element's piece *)
-  mutable kt : floatarray;  (* one later piece's sweep, before the select *)
-  mutable kc : floatarray;  (* log-family compensation addend *)
-  mutable kn : int array;  (* exp-family power-of-two table index *)
-  mutable kp : int array;  (* piece index; -1 = settled in the first pass *)
-}
-
-let kscratch_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        kr = Float.Array.create 0;
-        kv = Float.Array.create 0;
-        kt = Float.Array.create 0;
-        kc = Float.Array.create 0;
-        kn = [||];
-        kp = [||];
-      })
-
-let ensure_kscratch ks len =
-  if Float.Array.length ks.kr < len then begin
-    ks.kr <- Float.Array.create len;
-    ks.kv <- Float.Array.create len;
-    ks.kt <- Float.Array.create len;
-    ks.kc <- Float.Array.create len;
-    ks.kn <- Array.make len 0;
-    ks.kp <- Array.make len 0
-  end
-
-(* The C passes of the kernel (genlibm_stubs.c).  None allocates or
-   raises; the constants are the kernel and decoder records' own fields
-   and arrays. *)
-external exp_reduce :
+(* The batch kernel of each family (genlibm_stubs.c): every pass over
+   the chunk in one call.  Neither allocates or raises; the constants
+   are the kernel and decoder records' own fields and arrays. *)
+external exp_kernel :
   src_buf ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   dst_buf ->
-  floatarray ->
-  int array ->
-  int array ->
+  (int[@untagged]) ->
+  float array array ->
   float array ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -159,23 +122,23 @@ external exp_reduce :
   (float[@unboxed]) ->
   float array ->
   (int[@untagged]) ->
-  (int[@untagged]) ->
+  float array ->
+  float array ->
   int array ->
   float array ->
   (int[@untagged]) ->
   (float[@unboxed]) ->
   (float[@unboxed]) ->
-  unit = "rlibm_exp_reduce_byte" "rlibm_exp_reduce"
+  unit = "rlibm_exp_kernel_byte" "rlibm_exp_kernel"
 [@@noalloc]
 
-external log_reduce :
+external log_kernel :
   src_buf ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   dst_buf ->
-  floatarray ->
-  floatarray ->
-  int array ->
+  (int[@untagged]) ->
+  float array array ->
   float array ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -185,43 +148,11 @@ external log_reduce :
   (float[@unboxed]) ->
   (int[@untagged]) ->
   float array ->
-  (int[@untagged]) ->
   int array ->
   float array ->
   (float[@unboxed]) ->
   (float[@unboxed]) ->
-  unit = "rlibm_log_reduce_byte" "rlibm_log_reduce"
-[@@noalloc]
-
-external kernel_select :
-  int array ->
-  (int[@untagged]) ->
-  floatarray ->
-  floatarray ->
-  (int[@untagged]) ->
-  unit = "rlibm_kernel_select_byte" "rlibm_kernel_select"
-[@@noalloc]
-
-external exp_compensate :
-  dst_buf ->
-  (int[@untagged]) ->
-  int array ->
-  floatarray ->
-  int array ->
-  float array ->
-  float array ->
-  (int[@untagged]) ->
-  unit = "rlibm_exp_compensate_byte" "rlibm_exp_compensate"
-[@@noalloc]
-
-external log_compensate :
-  dst_buf ->
-  (int[@untagged]) ->
-  int array ->
-  floatarray ->
-  floatarray ->
-  (int[@untagged]) ->
-  unit = "rlibm_log_compensate_byte" "rlibm_log_compensate"
+  unit = "rlibm_log_kernel_byte" "rlibm_log_kernel"
 [@@noalloc]
 
 (* The double a finite pattern of the decoder's format denotes, equal to
@@ -242,9 +173,9 @@ let decode_bits (d : Rlibm.Reduction.decoder) x =
 
 (* [eval_bits_into g ~src ~dst ~lo ~hi] is [eval_bits] over the chunk
    [\[lo, hi)] of [src], bit for bit, with zero allocation.  OCaml keeps
-   the bounds check, the scratch and the dispatch; every pass runs over
-   the whole chunk in one branch-free C loop that gcc vectorizes
-   (genlibm_stubs.c):
+   the bounds check and the dispatch: one C call per chunk runs every
+   pass (genlibm_stubs.c), block by block over stack scratch, each pass
+   one branch-free loop that gcc vectorizes:
 
    pass 1  for every element, decode through [g.decode] and run the
            family's shortcut tests and range reduction from the
@@ -256,12 +187,12 @@ let decode_bits (d : Rlibm.Reduction.decoder) x =
            discarded.  NaN/Inf inputs override the result by select;
            then, only when the special table is not empty, a scalar
            loop probes it and settles its hits;
-   pass 2  per piece, one {!Polyeval.eval_into} sweep over the whole
-           chunk: piece 0's results go straight to [kv], each later
-           piece's are selected into [kv] where the element's piece is
-           that piece.  A chunk pays every piece's sweep on every
-           element, which at the one or two pieces of most functions is
-           cheaper than grouping the elements by piece;
+   pass 2  per piece, one sweep of {!Polyeval.eval_into}'s evaluator
+           over the block: piece 0's results are kept, each later
+           piece's are selected where the element's piece is that
+           piece.  A block pays every piece's sweep on every element,
+           which at the one or two pieces of most functions is cheaper
+           than grouping the elements by piece;
    pass 3  the output compensation [v *. 2^n] through the power-of-two
            tables, or [c +. v], written where the piece is not -1.
 
@@ -278,34 +209,19 @@ let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
     || hi > Bigarray.Array1.dim src
     || hi > Bigarray.Array1.dim dst
   then invalid_arg "Genlibm.eval_bits_into: chunk outside the buffers";
-  let len = hi - lo in
-  if len > 0 then begin
-    let ks = Domain.DLS.get kscratch_key in
-    ensure_kscratch ks len;
-    let kr = ks.kr and kv = ks.kv and kt = ks.kt and kc = ks.kc in
-    let kn = ks.kn and kp = ks.kp in
-    let d = g.decode in
-    let sign_shift = Softfp.width g.cfg.tin - 1 in
-    let pieces = g.family.pieces in
-    (match g.family.kernel with
-    | Rlibm.Reduction.Exp_kernel ek ->
-        exp_reduce src lo len dst kr kn kp d.d_scale d.d_fw d.d_emask
-          ek.ek_scale ek.ek_hi_cut ek.ek_lo_cut ek.ek_near_cut ek.ek_settled
-          ek.ek_n_lo pieces g.spec_keys g.spec_vals sign_shift Float.nan 0.0
-    | Rlibm.Reduction.Log_kernel lk ->
-        log_reduce src lo len dst kr kc kp d.d_scale d.d_fw d.d_emask
-          d.d_bias sign_shift lk.lk_table lk.lk_scale
-          (Bool.to_int lk.lk_exact) lk.lk_settled pieces g.spec_keys
-          g.spec_vals Float.nan Float.nan);
-    Polyeval.eval_into g.scheme g.pieces.(0).data ~src:kr ~dst:kv ~lo:0 ~hi:len;
-    for p = 1 to Array.length g.pieces - 1 do
-      Polyeval.eval_into g.scheme g.pieces.(p).data ~src:kr ~dst:kt ~lo:0 ~hi:len;
-      kernel_select kp p kt kv len
-    done;
-    match g.family.kernel with
-    | Rlibm.Reduction.Exp_kernel ek -> exp_compensate dst lo kp kv kn ek.ek_pow ek.ek_pow_lo len
-    | Rlibm.Reduction.Log_kernel _ -> log_compensate dst lo kp kv kc len
-  end
+  let d = g.decode and code = Polyeval.scheme_code g.scheme in
+  let sign_shift = Softfp.width g.cfg.tin - 1 in
+  match g.family.kernel with
+  | Rlibm.Reduction.Exp_kernel ek ->
+      exp_kernel src lo (hi - lo) dst code g.piece_data d.d_scale d.d_fw
+        d.d_emask ek.ek_scale ek.ek_hi_cut ek.ek_lo_cut ek.ek_near_cut
+        ek.ek_settled ek.ek_n_lo ek.ek_pow ek.ek_pow_lo g.spec_keys
+        g.spec_vals sign_shift Float.nan 0.0
+  | Rlibm.Reduction.Log_kernel lk ->
+      log_kernel src lo (hi - lo) dst code g.piece_data d.d_scale d.d_fw
+        d.d_emask d.d_bias sign_shift lk.lk_table lk.lk_scale
+        (Bool.to_int lk.lk_exact) lk.lk_settled g.spec_keys g.spec_vals
+        Float.nan Float.nan
 
 (* The smallest chunk worth handing to another domain.  A fan-out costs
    a few microseconds (queueing, waking a worker, the pool mutex per

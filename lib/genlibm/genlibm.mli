@@ -65,18 +65,20 @@ val round_result : Softfp.fmt -> Softfp.mode -> float -> Softfp.bits
 
     The serving hot path.  Inputs and outputs live in C-layout
     {!Bigarray} buffers — flat, unboxed, shareable across domains
-    without copying — and evaluation proceeds in passes over a chunk,
-    each a [[@@noalloc]] C stub (genlibm_stubs.c) reading the
-    {!Rlibm.Reduction.kernel} and decoder records' own fields: decode,
+    without copying — and a chunk is one [[@@noalloc]] C call per
+    family (genlibm_stubs.c) reading the {!Rlibm.Reduction.kernel} and
+    decoder records' own fields and
+    {!Rlibm.Generate.generated.piece_data}.  It runs every pass over
+    blocks of the chunk whose scratch is on the C stack: decode,
     shortcut classification, range reduction and NaN/Inf in one
     branch-free loop, then the special table's scalar probe when it is
-    not empty; one {!Polyeval.eval_into} sweep per piece over the whole
-    chunk, each later piece's results selected where the element
-    belongs to it; the output compensation where the element is not
-    settled.  Every loop runs in SIMD lanes on x86_64 CPUs with AVX2
-    (an x86-64-v3 clone of each stub, picked once by the loader) and
-    gives the same bits everywhere.  OCaml keeps the bounds check, the
-    per-domain scratch and the dispatch; no closure runs per element.
+    not empty; one sweep of {!Polyeval.eval_into}'s evaluator per piece
+    over the block, each later piece's results selected where the
+    element belongs to it; the output compensation where the element
+    is not settled.  Every loop runs in SIMD lanes on x86_64 CPUs with
+    AVX2 (an x86-64-v3 clone of each loop's worker, picked once by the
+    loader) and gives the same bits everywhere.  OCaml keeps the bounds
+    check and the dispatch; no closure runs per element.
     The input format satisfies {!Softfp.fits_double}
     ({!Rlibm.Generate.family} rejects any other), so every finite input
     decodes exactly to a double. *)
@@ -93,8 +95,8 @@ val create_dst : int -> dst_buf
 
 (** [eval_bits_into g ~src ~dst ~lo ~hi] evaluates patterns
     [src.{lo} .. src.{hi-1}] into the same slots of [dst].  Bit-identical
-    to {!eval_bits} on every input, with zero per-element heap
-    allocation (per-domain scratch is reused across calls).  Other
+    to {!eval_bits} on every input, with no heap allocation at all
+    (the kernel's scratch is on the C stack).  Other
     slots of [dst] are untouched, so disjoint chunks can be filled
     concurrently from different domains.
     @raise Invalid_argument when [\[lo, hi)] falls outside either

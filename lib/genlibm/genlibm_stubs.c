@@ -1,18 +1,22 @@
-/* The per-element passes of the batch kernel (Genlibm.eval_bits_into).
+/* The batch kernel (Genlibm.eval_bits_into): one C call per chunk.
 
-   genlibm.ml keeps the bounds check, the per-domain scratch and the
-   per-piece polynomial sweeps (Polyeval.eval_into, each over the whole
-   chunk); every other loop over the elements of a chunk is here:
+   genlibm.ml keeps the bounds check and the dispatch; each family has
+   one entry point that runs every pass over the chunk, in blocks of
+   BLOCK elements whose scratch lives on the C stack:
 
-     rlibm_exp_reduce /      pass 1: decode, shortcut classification,
-     rlibm_log_reduce        range reduction (and the logarithm's
+     rlibm_exp_kernel /      per block:
+     rlibm_log_kernel        pass 1: decode, shortcut classification,
+                             range reduction (and the logarithm's
                              fma(k, k_scale, T[j]) addend), NaN/Inf;
                              then, only when the special table is not
                              empty, its scalar probe;
-     rlibm_kernel_select     after the sweep of piece p > 0: keep its
-                             results where the element's piece is p;
-     rlibm_exp_compensate /  the output compensation v * 2^n or c + v,
-     rlibm_log_compensate    written where the piece is not -1.
+                             pass 2: piece 0's polynomial sweep
+                             (rlibm_sweep, polyeval_stubs.c) into kv,
+                             then for each later piece p a sweep into
+                             kt and a select of it where the element's
+                             piece is p;
+                             pass 3: the output compensation v * 2^n or
+                             c + v, written where the piece is not -1.
 
    Each loop is one branch-free body in a static worker over plain
    restrict pointers, so gcc vectorizes it: every choice is a select,
@@ -37,9 +41,9 @@
 
    Representation notes.  A pattern is read as OCaml's Int64.to_int
    read it: its low 63 bits, sign-extended from bit 62 to form the key
-   of the special table.  The int array scratch (kp, kn) holds tagged
-   OCaml ints, which the GC may scan.  No function here allocates,
-   raises or calls back into OCaml. */
+   of the special table.  The block scratch is plain C (kn and kp hold
+   untagged integers); OCaml never sees it.  No function here
+   allocates, raises or calls back into OCaml. */
 
 #define CAML_NAME_SPACE
 #include <math.h>
@@ -66,11 +70,13 @@
 #endif
 
 /* Built with -DRLIBM_SANITIZE (the dune `sanitize` profile, under ASan
-   and UBSan), each stub checks its window against every block it
-   touches, and the largest index each worker used in every table it
-   gathers from, and aborts outside them.  ASan alone sees an overrun
-   only past a block OCaml allocated with malloc (a large one); small
-   pooled blocks have no redzones.  Otherwise the checks are nothing. */
+   and UBSan), each kernel checks its window against the src and dst
+   buffers, each piece's coefficient count, and the largest index each
+   worker used in every table it gathers from, and aborts outside them.
+   ASan alone sees an overrun only past a block OCaml allocated with
+   malloc (a large one); small pooled blocks have no redzones.  The
+   block scratch needs no check: ASan puts redzones around stack
+   arrays.  Otherwise the checks are nothing. */
 #ifdef RLIBM_SANITIZE
 #include <stdio.h>
 #include <stdlib.h>
@@ -129,10 +135,6 @@ static inline double of_int51(int64_t i)
 {
   return of_bits(MAGIC_BITS + (uint64_t) i) - MAGIC;
 }
-
-/* Tagged OCaml ints (Val_long / Long_val on the scratch's words). */
-#define TAG(x) ((x) * 2 + 1)
-#define UNTAG(w) ((w) >> 1)
 
 /* Decoder fields (Reduction.decoder), plus [hidden_off] = 2^52 - 2^fw;
    the weight table is passed on its own, as a restrict pointer. */
@@ -197,7 +199,7 @@ static void specials(value keys, value vals, const int64_t *src,
     intnat si = find_special(WORDS(keys), n, u);
     if (si >= 0 && ((u >> fw) & emask) != emask) {
       BELOW("special value", si, NDOUBLES(vals));
-      kp[o] = TAG(-1);
+      kp[o] = -1;
       d[o] = DOUBLES(vals)[si];
     }
   }
@@ -272,50 +274,9 @@ static void exp_pass(intnat len, const int64_t *restrict src,
     double fix = of_bits(-(uint64_t) above & ONE_BITS); /* 1.0 or 0.0 */
     double r = fabs(tc - (near - fix));
     kr[o] = r;
-    kn[o] = TAG((int64_t) ((uint64_t) (n - e.n_lo) & keep));
-    kp[o] = TAG(piece_of(r * fpieces, e.pieces - 1) | -settle);
+    kn[o] = (int64_t) ((uint64_t) (n - e.n_lo) & keep);
+    kp[o] = piece_of(r * fpieces, e.pieces - 1) | -settle;
   }
-}
-
-value rlibm_exp_reduce(value src, intnat lo, intnat len, value dst,
-                       value kr, value kn, value kp,
-                       value dscale, intnat fw, intnat emask,
-                       double scale, double hi_cut, double lo_cut,
-                       double near_cut, value settled, intnat n_lo,
-                       intnat pieces, value keys, value vals,
-                       intnat sign_shift, double nan_v, double neg_inf_v)
-{
-  const int64_t *s = (const int64_t *) Caml_ba_data_val(src) + lo;
-  double *d = (double *) Caml_ba_data_val(dst) + lo;
-  struct exp_consts e = { scale, hi_cut, lo_cut, near_cut, nan_v, neg_inf_v,
-                        n_lo, pieces, (int) sign_shift };
-  struct reach reach = { 0, 0, 0 };
-  WITHIN("exp src", lo + len, BA_DIM(src));
-  WITHIN("exp dst", lo + len, BA_DIM(dst));
-  WITHIN("exp kr", len, NDOUBLES(kr));
-  WITHIN("exp kn", len, Wosize_val(kn));
-  WITHIN("exp kp", len, Wosize_val(kp));
-  exp_pass(len, s, d, DOUBLES(kr), WORDS(kn), WORDS(kp), DOUBLES(dscale),
-           DOUBLES(settled), decoder(fw, emask), e, &reach);
-  if (len > 0) {
-    BELOW("exp decode scale", reach.scale, NDOUBLES(dscale));
-    BELOW("exp settled", reach.settled, NDOUBLES(settled));
-  }
-  specials(keys, vals, s, d, WORDS(kp), len, (int) fw, (uint64_t) emask);
-  return Val_unit;
-}
-
-value rlibm_exp_reduce_byte(value *argv, int argn)
-{
-  (void) argn;
-  return rlibm_exp_reduce(argv[0], Long_val(argv[1]), Long_val(argv[2]),
-                          argv[3], argv[4], argv[5], argv[6], argv[7],
-                          Long_val(argv[8]), Long_val(argv[9]),
-                          Double_val(argv[10]), Double_val(argv[11]),
-                          Double_val(argv[12]), Double_val(argv[13]),
-                          argv[14], Long_val(argv[15]), Long_val(argv[16]),
-                          argv[17], argv[18], Long_val(argv[19]),
-                          Double_val(argv[20]), Double_val(argv[21]));
 }
 
 /* Pass 1, logarithm family (Reduction.log_family): x = 2^k * m with m
@@ -379,83 +340,47 @@ static void log_pass(intnat len, const int64_t *restrict src,
     double kf = of_int51(k);
     kr[o] = r;
     kc[o] = l.k_exact ? kf + tbl[j] : fma(kf, l.k_scale, tbl[j]);
-    kp[o] = TAG(neg | zero | inf_nan ? -1
-                : piece_of(r * tsize * fpieces, l.pieces - 1));
+    kp[o] = neg | zero | inf_nan ? -1
+            : piece_of(r * tsize * fpieces, l.pieces - 1);
   }
-}
-
-value rlibm_log_reduce(value src, intnat lo, intnat len, value dst,
-                       value kr, value kc, value kp,
-                       value dscale, intnat fw, intnat emask, intnat bias,
-                       intnat sign_shift, value table,
-                       double k_scale, intnat k_exact, value settled,
-                       intnat pieces, value keys, value vals,
-                       double nan_v, double neg_inf_v)
-{
-  const int64_t *s = (const int64_t *) Caml_ba_data_val(src) + lo;
-  double *d = (double *) Caml_ba_data_val(dst) + lo;
-  uintnat tsize = NDOUBLES(table);
-  int tbits = 0;
-  while (((uintnat) 1 << tbits) < tsize) tbits++; /* T has 2^J entries */
-  struct log_consts l = { k_scale, DOUBLES(dscale)[0], nan_v, neg_inf_v,
-                        bias, pieces, k_exact, (int) sign_shift, tbits };
-  struct reach reach = { 0, 0, 0 };
-  WITHIN("log src", lo + len, BA_DIM(src));
-  WITHIN("log dst", lo + len, BA_DIM(dst));
-  WITHIN("log kr", len, NDOUBLES(kr));
-  WITHIN("log kc", len, NDOUBLES(kc));
-  WITHIN("log kp", len, Wosize_val(kp));
-  log_pass(len, s, d, DOUBLES(kr), DOUBLES(kc), WORDS(kp), DOUBLES(table),
-           DOUBLES(settled), decoder(fw, emask), l, &reach);
-  if (len > 0) {
-    BELOW("log table", reach.table, tsize);
-    BELOW("log settled", reach.settled, NDOUBLES(settled));
-  }
-  specials(keys, vals, s, d, WORDS(kp), len, (int) fw, (uint64_t) emask);
-  return Val_unit;
-}
-
-value rlibm_log_reduce_byte(value *argv, int argn)
-{
-  (void) argn;
-  return rlibm_log_reduce(
-      argv[0], Long_val(argv[1]), Long_val(argv[2]), argv[3], argv[4],
-      argv[5], argv[6], argv[7], Long_val(argv[8]), Long_val(argv[9]),
-      Long_val(argv[10]), Long_val(argv[11]), argv[12], Double_val(argv[13]),
-      Long_val(argv[14]), argv[15], Long_val(argv[16]), argv[17], argv[18],
-      Double_val(argv[19]), Double_val(argv[20]));
 }
 
 /* After the sweep of piece [p] > 0 into [kt]: kv takes its results
    where the element's piece is p (piece 0's sweep wrote kv whole). */
 RLIBM_CLONES
-static void select_pass(intnat len, const intnat *restrict kp, intnat tag,
+static void select_pass(intnat len, const intnat *restrict kp, intnat p,
                         const double *restrict kt, double *restrict kv)
 {
   for (intnat o = 0; o < len; o++) /* vec: select */
-    kv[o] = kp[o] == tag ? kt[o] : kv[o];
+    kv[o] = kp[o] == p ? kt[o] : kv[o];
 }
 
-value rlibm_kernel_select(value kp, intnat p, value kt, value kv, intnat len)
-{
-  WITHIN("select kp", len, Wosize_val(kp));
-  WITHIN("select kt", len, NDOUBLES(kt));
-  WITHIN("select kv", len, NDOUBLES(kv));
-  select_pass(len, WORDS(kp), TAG(p), DOUBLES(kt), DOUBLES(kv));
-  return Val_unit;
-}
+/* The one polynomial evaluator, polyeval_stubs.c (Polyeval.eval_into's
+   sweep). */
+void rlibm_sweep(intnat code, intnat len, const double *c,
+                 const double *src, double *dst, intnat lo, intnat hi);
 
-value rlibm_kernel_select_byte(value *argv, int argn)
+/* Pass 2 over a block: each piece of [piece_data] (one coefficient
+   array per piece) sweeps the whole block; piece 0's results go to kv,
+   each later piece's to kt and are selected into kv.  At the one or
+   two pieces of most functions this is cheaper than grouping the
+   elements by piece. */
+static void poly_pass(intnat code, value piece_data, intnat len,
+                      const double *kr, const intnat *kp, double *kv,
+                      double *kt)
 {
-  (void) argn;
-  return rlibm_kernel_select(argv[0], Long_val(argv[1]), argv[2], argv[3],
-                             Long_val(argv[4]));
+  for (intnat p = 0; p < (intnat) Wosize_val(piece_data); p++) {
+    value c = Field(piece_data, p);
+    WITHIN("piece coefficients", NDOUBLES(c), 8);
+    rlibm_sweep(code, (intnat) NDOUBLES(c), DOUBLES(c), kr, p == 0 ? kv : kt,
+                0, len);
+    if (p > 0) select_pass(len, kp, p, kt, kv);
+  }
 }
 
 /* Compensation, exponential family: dst = v * 2^n as v * pow[i] *
-   pow_lo[i] (Reduction.exp_consts), where the piece is not -1 (a
-   tagged -1 is the only negative word); a settled element's index is
-   0, in range. */
+   pow_lo[i] (Reduction.exp_consts), where the piece is not -1; a
+   settled element's index is 0, in range. */
 RLIBM_CLONES
 static void exp_compensate(intnat len, double *restrict d,
                            const intnat *restrict kp,
@@ -466,36 +391,11 @@ static void exp_compensate(intnat len, double *restrict d,
 {
   (void) reach;
   for (intnat o = 0; o < len; o++) { /* vec: exp compensate */
-    intnat i = UNTAG(kn[o]);
+    intnat i = kn[o];
     TRACK(reach->table, i);
     double c = kv[o] * hi[i] * lo_f[i];
     d[o] = kp[o] >= 0 ? c : d[o];
   }
-}
-
-value rlibm_exp_compensate(value dst, intnat lo, value kp, value kv,
-                           value kn, value pow, value pow_lo, intnat len)
-{
-  struct reach reach = { 0, 0, 0 };
-  WITHIN("exp compensate dst", lo + len, BA_DIM(dst));
-  WITHIN("exp compensate kp", len, Wosize_val(kp));
-  WITHIN("exp compensate kv", len, NDOUBLES(kv));
-  WITHIN("exp compensate kn", len, Wosize_val(kn));
-  exp_compensate(len, (double *) Caml_ba_data_val(dst) + lo, WORDS(kp),
-                 DOUBLES(kv), WORDS(kn), DOUBLES(pow), DOUBLES(pow_lo),
-                 &reach);
-  if (len > 0) {
-    BELOW("exp pow", reach.table, NDOUBLES(pow));
-    BELOW("exp pow_lo", reach.table, NDOUBLES(pow_lo));
-  }
-  return Val_unit;
-}
-
-value rlibm_exp_compensate_byte(value *argv, int argn)
-{
-  (void) argn;
-  return rlibm_exp_compensate(argv[0], Long_val(argv[1]), argv[2], argv[3],
-                              argv[4], argv[5], argv[6], Long_val(argv[7]));
 }
 
 /* Compensation, logarithm family: dst = c + v where the piece is not
@@ -510,23 +410,108 @@ static void log_compensate(intnat len, double *restrict d,
     d[o] = kp[o] >= 0 ? kc[o] + kv[o] : d[o];
 }
 
-value rlibm_log_compensate(value dst, intnat lo, value kp, value kv,
-                           value kc, intnat len)
+/* Elements per block.  The fastest of 256..2048 in a one-domain probe
+   at 16 pieces, within 3% at one or two (DESIGN.md); its scratch (kr,
+   kv, kt, kp, and kn or kc) is 5 * BLOCK * 8 B = 20 KB of stack. */
+#define BLOCK 512
+
+value rlibm_exp_kernel(value src, intnat lo, intnat len, value dst,
+                       intnat code, value piece_data, value dscale,
+                       intnat fw, intnat emask, double scale, double hi_cut,
+                       double lo_cut, double near_cut, value settled,
+                       intnat n_lo, value pow, value pow_lo, value keys,
+                       value vals, intnat sign_shift, double nan_v,
+                       double neg_inf_v)
 {
-  WITHIN("log compensate dst", lo + len, BA_DIM(dst));
-  WITHIN("log compensate kp", len, Wosize_val(kp));
-  WITHIN("log compensate kv", len, NDOUBLES(kv));
-  WITHIN("log compensate kc", len, NDOUBLES(kc));
-  log_compensate(len, (double *) Caml_ba_data_val(dst) + lo, WORDS(kp),
-                 DOUBLES(kv), DOUBLES(kc));
+  const int64_t *s = (const int64_t *) Caml_ba_data_val(src) + lo;
+  double *d = (double *) Caml_ba_data_val(dst) + lo;
+  const struct decoder dc = decoder(fw, emask);
+  const struct exp_consts e = { scale, hi_cut, lo_cut, near_cut, nan_v,
+                                neg_inf_v, n_lo,
+                                (intnat) Wosize_val(piece_data),
+                                (int) sign_shift };
+  struct reach reach = { 0, 0, 0 };
+  double kr[BLOCK], kv[BLOCK], kt[BLOCK];
+  intnat kn[BLOCK], kp[BLOCK];
+  WITHIN("exp src", lo + len, BA_DIM(src));
+  WITHIN("exp dst", lo + len, BA_DIM(dst));
+  for (intnat b = 0; b < len; b += BLOCK) {
+    intnat n = len - b < BLOCK ? len - b : BLOCK;
+    exp_pass(n, s + b, d + b, kr, kn, kp, DOUBLES(dscale), DOUBLES(settled),
+             dc, e, &reach);
+    specials(keys, vals, s + b, d + b, kp, n, (int) fw, (uint64_t) emask);
+    poly_pass(code, piece_data, n, kr, kp, kv, kt);
+    exp_compensate(n, d + b, kp, kv, kn, DOUBLES(pow), DOUBLES(pow_lo),
+                   &reach);
+  }
+  if (len > 0) {
+    BELOW("exp decode scale", reach.scale, NDOUBLES(dscale));
+    BELOW("exp settled", reach.settled, NDOUBLES(settled));
+    BELOW("exp pow", reach.table, NDOUBLES(pow));
+    BELOW("exp pow_lo", reach.table, NDOUBLES(pow_lo));
+  }
   return Val_unit;
 }
 
-value rlibm_log_compensate_byte(value *argv, int argn)
+value rlibm_exp_kernel_byte(value *argv, int argn)
 {
   (void) argn;
-  return rlibm_log_compensate(argv[0], Long_val(argv[1]), argv[2], argv[3],
-                              argv[4], Long_val(argv[5]));
+  return rlibm_exp_kernel(argv[0], Long_val(argv[1]), Long_val(argv[2]),
+                          argv[3], Long_val(argv[4]), argv[5], argv[6],
+                          Long_val(argv[7]), Long_val(argv[8]),
+                          Double_val(argv[9]), Double_val(argv[10]),
+                          Double_val(argv[11]), Double_val(argv[12]),
+                          argv[13], Long_val(argv[14]), argv[15], argv[16],
+                          argv[17], argv[18], Long_val(argv[19]),
+                          Double_val(argv[20]), Double_val(argv[21]));
+}
+
+value rlibm_log_kernel(value src, intnat lo, intnat len, value dst,
+                       intnat code, value piece_data, value dscale,
+                       intnat fw, intnat emask, intnat bias,
+                       intnat sign_shift, value table, double k_scale,
+                       intnat k_exact, value settled, value keys, value vals,
+                       double nan_v, double neg_inf_v)
+{
+  const int64_t *s = (const int64_t *) Caml_ba_data_val(src) + lo;
+  double *d = (double *) Caml_ba_data_val(dst) + lo;
+  const struct decoder dc = decoder(fw, emask);
+  uintnat tsize = NDOUBLES(table);
+  int tbits = 0;
+  while (((uintnat) 1 << tbits) < tsize) tbits++; /* T has 2^J entries */
+  const struct log_consts l = { k_scale, DOUBLES(dscale)[0], nan_v,
+                                neg_inf_v, bias,
+                                (intnat) Wosize_val(piece_data), k_exact,
+                                (int) sign_shift, tbits };
+  struct reach reach = { 0, 0, 0 };
+  double kr[BLOCK], kv[BLOCK], kt[BLOCK], kc[BLOCK];
+  intnat kp[BLOCK];
+  WITHIN("log src", lo + len, BA_DIM(src));
+  WITHIN("log dst", lo + len, BA_DIM(dst));
+  for (intnat b = 0; b < len; b += BLOCK) {
+    intnat n = len - b < BLOCK ? len - b : BLOCK;
+    log_pass(n, s + b, d + b, kr, kc, kp, DOUBLES(table), DOUBLES(settled),
+             dc, l, &reach);
+    specials(keys, vals, s + b, d + b, kp, n, (int) fw, (uint64_t) emask);
+    poly_pass(code, piece_data, n, kr, kp, kv, kt);
+    log_compensate(n, d + b, kp, kv, kc);
+  }
+  if (len > 0) {
+    BELOW("log table", reach.table, tsize);
+    BELOW("log settled", reach.settled, NDOUBLES(settled));
+  }
+  return Val_unit;
+}
+
+value rlibm_log_kernel_byte(value *argv, int argn)
+{
+  (void) argn;
+  return rlibm_log_kernel(
+      argv[0], Long_val(argv[1]), Long_val(argv[2]), argv[3],
+      Long_val(argv[4]), argv[5], argv[6], Long_val(argv[7]),
+      Long_val(argv[8]), Long_val(argv[9]), Long_val(argv[10]), argv[11],
+      Double_val(argv[12]), Long_val(argv[13]), argv[14], argv[15],
+      argv[16], Double_val(argv[17]), Double_val(argv[18]));
 }
 
 /* Genlibm.decode_bits: the decode above on one pattern. */

@@ -22,6 +22,10 @@ val all_schemes : scheme list
 val scheme_name : scheme -> string
 val scheme_of_name : string -> scheme option
 
+(** The scheme's number in the C evaluator (polyeval_stubs.c), which
+    the batch kernel's C passes the evaluator per piece. *)
+val scheme_code : scheme -> int
+
 type compiled = {
   scheme : scheme;
   degree : int;
@@ -54,7 +58,8 @@ val cost : compiled -> Expr.cost
 (** {1 Batch evaluators}
 
     The only runnable evaluator: generation validates candidates with
-    it and the serving kernel runs it.  [eval_into scheme data ~src ~dst
+    it, and the serving kernel runs its C sweep ([rlibm_sweep]) per
+    piece.  [eval_into scheme data ~src ~dst
     ~lo ~hi] evaluates the scheme's polynomial — [data] is a
     {!compiled}[.data] array: dense coefficients, or Knuth's adapted
     constants — on [src.(i)] for every [i] in [\[lo, hi)], writing the

@@ -1,4 +1,6 @@
-/* Native batch evaluators of the five schemes (Polyeval.eval_into).
+/* Native batch evaluators of the five schemes: rlibm_sweep, which
+   Polyeval.eval_into calls through rlibm_poly_sweep and the batch
+   kernel (genlibm_stubs.c) calls directly, once per piece and block.
 
    One straight-line body per (scheme, length), for lengths 0..7.  Each
    body performs the operations of the scheme's Expr DAG (polyeval.ml's
@@ -137,11 +139,12 @@ static inline double knuth7(double x, const double *a)
   for (intnat i = lo; i < hi; i++) dst[i] = F(src[i], k);               \
   return
 
-/* [code] is a scheme code, [len] in 0..7 (Knuth: 5..7); the caller
+/* dst[i] = the polynomial c[0 .. len-1] at src[i], for i in [lo, hi).
+   [code] is a scheme code, [len] in 0..7 (Knuth: 5..7); the caller
    checks both.  Lengths 0 and 1 are the constants 0.0 and c[0]. */
 RLIBM_CLONES
-static void sweep(intnat code, intnat len, const double *c,
-                  const double *src, double *dst, intnat lo, intnat hi)
+void rlibm_sweep(intnat code, intnat len, const double *c,
+                 const double *src, double *dst, intnat lo, intnat hi)
 {
   double k[8] = { 0.0 };
   memcpy(k, c, (size_t) len * sizeof(double));
@@ -199,8 +202,9 @@ value rlibm_poly_sweep(intnat code, value data, value src, value dst,
     abort();
   }
 #endif
-  sweep(code, (intnat) (Wosize_val(data) / Double_wosize),
-        (const double *) data, (const double *) src, (double *) dst, lo, hi);
+  rlibm_sweep(code, (intnat) (Wosize_val(data) / Double_wosize),
+              (const double *) data, (const double *) src, (double *) dst,
+              lo, hi);
   return Val_unit;
 }
 

@@ -309,6 +309,7 @@ type generated = {
   decode : Reduction.decoder;  (* the batch kernel's decode of cfg.tin *)
   scheme : Polyeval.scheme;
   pieces : Polyeval.compiled array;
+  piece_data : float array array;  (* each piece's data, for the C kernel *)
   specials : (int64, float) Hashtbl.t;  (* input bits -> double result *)
   spec_keys : int array;  (* the same specials, sorted by bit pattern… *)
   spec_vals : float array;  (* …for the binary-search hot path *)
@@ -457,6 +458,12 @@ let family ?table ~(cfg : Config.t) func =
    recompile each piece's constants and rebuild the range reduction. *)
 let assemble ?table ~(cfg : Config.t) ~scheme ~func (sv : solved) =
   let family = family ?table ~cfg func in
+  (* The batch kernel takes the piece count from the data; the range
+     reduction splits the domain into cfg.pieces. *)
+  if Array.length sv.sv_data <> cfg.pieces then
+    invalid_arg
+      (Printf.sprintf "Generate.assemble: data for %d pieces, %d configured"
+         (Array.length sv.sv_data) cfg.pieces);
   let pieces =
     Array.map
       (fun d ->
@@ -490,6 +497,7 @@ let assemble ?table ~(cfg : Config.t) ~scheme ~func (sv : solved) =
     decode = Reduction.decoder cfg.tin;
     scheme;
     pieces;
+    piece_data = Array.map (fun (p : Polyeval.compiled) -> p.data) pieces;
     specials;
     spec_keys;
     spec_vals;

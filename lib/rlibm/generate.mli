@@ -32,6 +32,9 @@ type generated = {
           sees only the output format) *)
   scheme : Polyeval.scheme;
   pieces : Polyeval.compiled array;  (** one compiled evaluator per piece *)
+  piece_data : float array array;
+      (** each piece's {!Polyeval.compiled}[.data], the same arrays: the
+          batch kernel's coefficients, and its piece count *)
   specials : (int64, float) Hashtbl.t;
       (** input bits -> stored double result (decoded oracle value) *)
   spec_keys : int array;
@@ -107,7 +110,8 @@ val family : ?table:float array -> cfg:Config.t -> Oracle.func -> Reduction.t
     implementation from the closure-free artifact: recompiles each piece
     and rebuilds the range reduction ({!family} with [table]).
     @raise Invalid_argument when [sv]'s data cannot compile for
-    [scheme] (a stale or foreign artifact), or as {!family} does. *)
+    [scheme] (a stale or foreign artifact) or has other than
+    [cfg.pieces] pieces, or as {!family} does. *)
 val assemble :
   ?table:float array ->
   cfg:Config.t ->

@@ -1,6 +1,7 @@
 (* Codegen coverage: golden-snapshot tests for the emitted C and OCaml
    (an exponential and a piecewise logarithm), hex-literal round-trips,
-   and a compile smoke of the emitted C when a C compiler is on PATH.
+   a compile smoke of the emitted C, and both languages' emitted source
+   run against the served kernel when their compiler is on PATH.
 
    The goldens live in test/golden/*.golden and are committed:
    generation is deterministic (seeded RNG, fixed knobs), so the emitted
@@ -166,14 +167,15 @@ let test_c_compiles () =
             Alcotest.(check int) (name ^ " compiles") 0 rc))
       cases
 
-(* ---------- the emitted C, run ---------- *)
+(* ---------- the emitted source, run ---------- *)
 
 (* The six functions x five schemes on mini, each at its per-function
-   preset: the emitted C, compiled with contraction off and run on every
-   pattern of the format, must return the served kernel's bits
-   ([Genlibm.eval_bits_into]), NaN payloads included.  A small C main
-   (the runner) reads the inputs as double bit patterns (NaN patterns as the
-   kernel's [Float.nan]) and prints each function's result bits. *)
+   preset: the emitted source, compiled (C with contraction off) and run
+   on every pattern of the format, must return the served kernel's bits
+   ([Genlibm.eval_bits_into]), NaN payloads included.  A small main in
+   the same language (the runner) reads the inputs as double bit
+   patterns (NaN patterns as the kernel's [Float.nan]) and prints each
+   function's result bits. *)
 let mini_grid =
   List.concat_map
     (fun func -> List.map (fun scheme -> (func, scheme)) Polyeval.all_schemes)
@@ -203,72 +205,110 @@ let c_runner idents =
   pr "  return 0;\n}\n";
   Buffer.contents b
 
+(* The OCaml runner, a second module next to [Emitted]. *)
+let ml_runner idents =
+  let b = Buffer.create 4096 in
+  let pr fmt = Printf.bprintf b fmt in
+  pr "let fns = [|\n";
+  List.iter (pr "  Emitted.%s;\n") idents;
+  pr "|]\n\n";
+  pr "let () =\n";
+  pr "  let xs =\n    Array.of_list\n";
+  pr "      (List.map (fun l -> Int64.float_of_bits (Int64.of_string (\"0x\" ^ l)))\n";
+  pr "         (In_channel.input_lines stdin))\n  in\n";
+  pr "  Array.iter\n";
+  pr "    (fun f ->\n";
+  pr "      Array.iter\n";
+  pr "        (fun x -> Printf.printf \"%%016Lx\\n\" (Int64.bits_of_float (f x))) xs)\n";
+  pr "    fns\n";
+  Buffer.contents b
+
+(* Emits every function of [mini_grid] into emitted[ext], writes the
+   runner beside it and the inputs, builds both with [compile ~exe
+   ~dir sources] (one shell command), runs the program and compares
+   every result with the kernel's. *)
+let check_emitted_runs ~lang ~ext ~emit ~runner ~compile =
+  let gens =
+    List.map
+      (fun (func, scheme) ->
+        let cfg = Rlibm.Config.mini_for func in
+        match Test_tmp.generate ~cfg ~scheme func with
+        | Ok g -> (c_ident func scheme, g)
+        | Error e ->
+            Alcotest.failf "%s: generation failed: %s" (c_ident func scheme)
+              (Diag.Error.to_string e))
+      mini_grid
+  in
+  let tin = Rlibm.Config.default_mini.Rlibm.Config.tin in
+  let n = 1 lsl Softfp.width tin in
+  let patterns = Array.init n Int64.of_int in
+  Test_tmp.with_dir "rlibm-codegen-run-" (fun dir ->
+      let file f = Filename.concat dir f in
+      Out_channel.with_open_bin (file ("emitted" ^ ext)) (fun oc ->
+          List.iter (fun (id, g) -> Out_channel.output_string oc (emit g ~name:id)) gens);
+      Out_channel.with_open_bin (file ("runner" ^ ext)) (fun oc ->
+          Out_channel.output_string oc (runner (List.map fst gens)));
+      Out_channel.with_open_bin (file "inputs.txt") (fun oc ->
+          Array.iter
+            (fun b -> Printf.fprintf oc "%Lx\n" (Int64.bits_of_float (Softfp.to_float tin b)))
+            patterns);
+      let q = Filename.quote in
+      let rc =
+        Sys.command
+          (compile ~exe:(q (file "run")) ~dir:(q dir)
+             [ q (file ("emitted" ^ ext)); q (file ("runner" ^ ext)) ])
+      in
+      Alcotest.(check int) ("emitted " ^ lang ^ " and runner compile") 0 rc;
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s < %s > %s" (q (file "run")) (q (file "inputs.txt"))
+             (q (file "outputs.txt")))
+      in
+      Alcotest.(check int) "runner runs" 0 rc;
+      let lines = In_channel.with_open_bin (file "outputs.txt") In_channel.input_lines in
+      Alcotest.(check int) "one result per function and pattern" (n * List.length gens)
+        (List.length lines);
+      let outputs = Array.of_list lines in
+      let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
+      Array.iteri (Bigarray.Array1.set src) patterns;
+      List.iteri
+        (fun f (id, g) ->
+          Genlibm.eval_bits_into g ~src ~dst ~lo:0 ~hi:n;
+          let mismatches = ref 0 and first = ref None in
+          Array.iteri
+            (fun i b ->
+              let k = Int64.bits_of_float (Bigarray.Array1.get dst i) in
+              let c = Int64.of_string ("0x" ^ outputs.((f * n) + i)) in
+              if not (Int64.equal k c) then begin
+                incr mismatches;
+                if !first = None then first := Some (b, k, c)
+              end)
+            patterns;
+          match !first with
+          | None -> ()
+          | Some (b, k, c) ->
+              Alcotest.failf "%s: %d mismatches; first at pattern %Lx: kernel %Lx, %s %Lx" id
+                !mismatches b k lang c)
+        gens)
+
 let test_c_runs () =
   if not (have_cc ()) then skip_no_cc ()
-  else begin
-    let gens =
-      List.map
-        (fun (func, scheme) ->
-          let cfg = Rlibm.Config.mini_for func in
-          match Test_tmp.generate ~cfg ~scheme func with
-          | Ok g -> (c_ident func scheme, g)
-          | Error e ->
-              Alcotest.failf "%s: generation failed: %s" (c_ident func scheme)
-                (Diag.Error.to_string e))
-        mini_grid
-    in
-    let tin = Rlibm.Config.default_mini.Rlibm.Config.tin in
-    let n = 1 lsl Softfp.width tin in
-    let patterns = Array.init n Int64.of_int in
-    Test_tmp.with_dir "rlibm-codegen-run-" (fun dir ->
-        let file f = Filename.concat dir f in
-        Out_channel.with_open_bin (file "emitted.c") (fun oc ->
-            List.iter (fun (id, g) -> Out_channel.output_string oc (Codegen.to_c g ~name:id)) gens);
-        Out_channel.with_open_bin (file "runner.c") (fun oc ->
-            Out_channel.output_string oc (c_runner (List.map fst gens)));
-        Out_channel.with_open_bin (file "inputs.txt") (fun oc ->
-            Array.iter
-              (fun b -> Printf.fprintf oc "%Lx\n" (Int64.bits_of_float (Softfp.to_float tin b)))
-              patterns);
-        let q = Filename.quote in
-        let rc =
-          Sys.command
-            (Printf.sprintf "cc -O2 -std=c99 -ffp-contract=off -o %s %s %s -lm" (q (file "run"))
-               (q (file "emitted.c")) (q (file "runner.c")))
-        in
-        Alcotest.(check int) "emitted C and runner compile" 0 rc;
-        let rc =
-          Sys.command
-            (Printf.sprintf "%s < %s > %s" (q (file "run")) (q (file "inputs.txt"))
-               (q (file "outputs.txt")))
-        in
-        Alcotest.(check int) "runner runs" 0 rc;
-        let lines = In_channel.with_open_bin (file "outputs.txt") In_channel.input_lines in
-        Alcotest.(check int) "one result per function and pattern" (n * List.length gens)
-          (List.length lines);
-        let outputs = Array.of_list lines in
-        let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
-        Array.iteri (Bigarray.Array1.set src) patterns;
-        List.iteri
-          (fun f (id, g) ->
-            Genlibm.eval_bits_into g ~src ~dst ~lo:0 ~hi:n;
-            let mismatches = ref 0 and first = ref None in
-            Array.iteri
-              (fun i b ->
-                let k = Int64.bits_of_float (Bigarray.Array1.get dst i) in
-                let c = Int64.of_string ("0x" ^ outputs.((f * n) + i)) in
-                if not (Int64.equal k c) then begin
-                  incr mismatches;
-                  if !first = None then first := Some (b, k, c)
-                end)
-              patterns;
-            match !first with
-            | None -> ()
-            | Some (b, k, c) ->
-                Alcotest.failf "%s: %d mismatches; first at pattern %Lx: kernel %Lx, C %Lx" id
-                  !mismatches b k c)
-          gens)
-  end
+  else
+    check_emitted_runs ~lang:"C" ~ext:".c" ~emit:Codegen.to_c ~runner:c_runner
+      ~compile:(fun ~exe ~dir:_ sources ->
+        Printf.sprintf "cc -O2 -std=c99 -ffp-contract=off -o %s %s -lm" exe
+          (String.concat " " sources))
+
+(* One ocamlopt call builds both modules; [-I dir] lets the runner see
+   the emitted module's interface. *)
+let test_ml_runs () =
+  if Sys.command "command -v ocamlopt >/dev/null 2>&1" <> 0 then
+    print_endline "skipped: no OCaml native compiler (ocamlopt) on PATH"
+  else
+    check_emitted_runs ~lang:"OCaml" ~ext:".ml" ~emit:Codegen.to_ocaml
+      ~runner:ml_runner ~compile:(fun ~exe ~dir sources ->
+        Printf.sprintf "ocamlopt -w -a -I %s -o %s %s" dir exe
+          (String.concat " " sources))
 
 let suite =
   let golden_tests =
@@ -286,4 +326,5 @@ let suite =
       ("constants emitted verbatim", `Slow, test_constants_emitted);
       ("emitted C compiles (cc smoke)", `Slow, test_c_compiles);
       ("emitted C = served kernel (6 functions x 5 schemes, mini)", `Slow, test_c_runs);
+      ("emitted OCaml = served kernel (6 functions x 5 schemes, mini)", `Slow, test_ml_runs);
     ]

@@ -5,10 +5,10 @@
    on both families, Serve.eval_batch_into at -j 1 and -j 4, the
    kernel's table compensation against Reduction.compensate, seeded sampled
    binary32 batches (the 16-piece path), the edges of the vector loops
-   (every window alignment and remainder), the truncation
-   floor at t = -0.0, the table decode against Softfp.to_float, batch
-   shapes of the branch-free classification, and zero minor-heap
-   allocation per call. *)
+   and the kernel's blocks (every window alignment and remainder), the
+   truncation floor at t = -0.0, the table decode against
+   Softfp.to_float, batch shapes of the branch-free classification,
+   and zero minor-heap allocation per call. *)
 
 let tiny_cfg = Test_tmp.tiny_cfg
 
@@ -338,16 +338,24 @@ let test_log_subnormals_made_up () =
       let g =
         Rlibm.Generate.assemble ~table ~cfg ~scheme:Polyeval.EstrinFma ~func sv
       in
-      check_bit_identity (Oracle.name func ^ " (11, 4)") g (all_patterns tin))
+      check_bit_identity (Oracle.name func ^ " (11, 4)") g (all_patterns tin);
+      (* the kernel takes the piece count from the data, the reduction
+         from cfg: they must agree *)
+      Alcotest.check_raises "data for one piece, two configured"
+        (Invalid_argument "Generate.assemble: data for 1 pieces, 2 configured")
+        (fun () ->
+          ignore
+            (Rlibm.Generate.assemble ~table ~cfg ~scheme:Polyeval.EstrinFma ~func
+               { sv with sv_data = [| sv.Rlibm.Generate.sv_data.(0) |] })))
     [ (Oracle.Log2, Float.log2); (Oracle.Log, Float.log) ]
 
 (* ---------- no allocation per call ---------- *)
 
-(* A 64-element request is the common serving case: after the first call
-   has sized the per-domain scratch, a call must not touch the minor
-   heap at all — not per element, and not per call either.  Zeros and
-   subnormals are included so the log pass's zero/subnormal branch runs
-   too. *)
+(* A 64-element request is the common serving case: after a warm-up
+   call, a call must not touch the minor heap at all — not per element,
+   and not per call either (the kernel's scratch is on the C stack).
+   Zeros and subnormals are included so the log pass's zero/subnormal
+   branch runs too. *)
 let test_kernel_allocation_free () =
   let n = 64 and calls = 200 in
   let st = Random.State.make [| 64 |] in
@@ -452,12 +460,17 @@ let test_batch_shapes () =
             (Diag.Error.to_string e))
     [ Oracle.Exp2; Oracle.Log2 ]
 
-(* ---------- edges of the vector loops ---------- *)
+(* ---------- edges of the vector loops and of the blocks ---------- *)
+
+(* The kernel's block length, BLOCK in genlibm_stubs.c. *)
+let block = 512
 
 (* Every pass is a loop the compiler vectorizes, with a scalar prologue
-   and epilogue around the vector body.  Windows starting at lo = 0..8
-   (every alignment of the buffers) and of every length 0..33 (every
-   remainder past 4- and 8-lane bodies, and bodies that never run),
+   and epilogue around the vector body, run block by block.  Windows
+   starting at lo = 0..8 (every alignment of the buffers) and of every
+   length 0..33 (every remainder past 4- and 8-lane bodies, and bodies
+   that never run), plus windows of BLOCK - 1, BLOCK, BLOCK + 1 and
+   2 BLOCK + 3 elements at lo 0 and 7 (a last block of every kind),
    chunking the exhaustive mini patterns, must each equal the scalar
    reference and leave the slots before lo untouched. *)
 let test_vector_edges () =
@@ -469,8 +482,14 @@ let test_vector_edges () =
       let want = Array.map (fun x -> Int64.bits_of_float (Genlibm.eval_bits g x)) patterns in
       let src = Genlibm.create_src n and dst = Genlibm.create_dst n in
       Array.iteri (fun i x -> Bigarray.Array1.set src i x) patterns;
-      for lo = 0 to 8 do
-        for len = 0 to 33 do
+      let windows =
+        List.concat_map (fun lo -> List.init 34 (fun len -> (lo, len))) (List.init 9 Fun.id)
+        @ List.concat_map
+            (fun lo -> List.map (fun len -> (lo, len)) [ block - 1; block; block + 1; (2 * block) + 3 ])
+            [ 0; 7 ]
+      in
+      List.iter
+        (fun (lo, len) ->
           Bigarray.Array1.fill dst 42.0;
           if len = 0 then Genlibm.eval_bits_into g ~src ~dst ~lo ~hi:lo
           else begin
@@ -487,16 +506,17 @@ let test_vector_edges () =
             if not (Int64.equal got expect) then
               Alcotest.failf "%s, lo %d, windows of %d: slot %d (input %Lx): %Lx, want %Lx"
                 (Oracle.name func) lo len i patterns.(i) got expect
-          done
-        done
-      done)
+          done)
+        windows)
     [ Oracle.Exp2; Oracle.Log ]
 
 (* binary32 exp2 (16 pieces) on one batch that mixes every settled kind
    with polynomial inputs: +/-0, subnormals, +/-Inf, NaNs, and the
    patterns at and around the shortcut's cuts (t = x for exp2), each
    followed by a polynomial input.  A made-up special input among them
-   runs the scalar special-table pass after the vector pass. *)
+   runs the scalar special-table pass after the vector pass.  The mix
+   is repeated until the batch spans more than two blocks, so it meets
+   every block of the call, at different offsets. *)
 let test_binary32_mixed () =
   let g, sampled = generate_b32 Oracle.Exp2 in
   let ek =
@@ -541,7 +561,11 @@ let test_binary32_mixed () =
     | [], p -> p
     | s, [] -> s
   in
-  check_bit_identity "exp2/binary32 mixed" g (Array.of_list (interleave settled poly))
+  let mix = Array.of_list (interleave settled poly) in
+  let batch = Array.concat (List.init ((2 * block / Array.length mix) + 1) (fun _ -> mix)) in
+  Alcotest.(check bool) "mixed batch spans more than two blocks" true
+    (Array.length batch > 2 * block);
+  check_bit_identity "exp2/binary32 mixed" g batch
 
 let suite =
   List.map
@@ -571,6 +595,8 @@ let suite =
         test_log_subnormals_made_up );
       ("batch shapes: settled, polynomial, sorted, pieces, chunks", `Slow, test_batch_shapes);
       ("no minor allocation per 64-element call", `Slow, test_kernel_allocation_free);
-      ("vector loop edges: windows lo 0..8, length 0..33", `Slow, test_vector_edges);
+      ( "vector loop edges: windows lo 0..8, lengths 0..33 and around BLOCK",
+        `Slow,
+        test_vector_edges );
       ("exp2/binary32 mixed settled and polynomial batch", `Slow, test_binary32_mixed);
     ]

@@ -100,10 +100,9 @@ let test_batch_matches_scalar_at_any_j () =
         [ Oracle.Exp2; Oracle.Log2 ])
 
 (* The serving path allocates per chunk, never per element: at -j 1,
-   once a warm-up call has sized the per-domain scratch, a 2^10-element
-   request (one kernel sweep) stays within 0.03 minor words per element
-   (about 0.016 today).  A table built per call or a float boxed per
-   element breaks this bound. *)
+   after a warm-up call, a 2^10-element request (one kernel call) stays
+   within 0.03 minor words per element (about 0.016 today).  A table
+   built per call or a float boxed per element breaks this bound. *)
 let test_batch_minor_words () =
   with_cache_dir (fun _dir ->
       let snap = build_ok specs in
