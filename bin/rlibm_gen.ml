@@ -46,6 +46,13 @@ let cfg_for func ~ebits ~prec ~pieces ~table_bits =
   if not (Softfp.fits_double tin) then
     bad "--ebits %d --prec %d: every input must be a binary64 double: need \
          ebits <= 11 and prec <= 53" ebits prec;
+  (* Generation enumerates every finite input, and a 32-bit universe
+     does not fit in memory. *)
+  if Softfp.width tin > 16 then
+    bad "--ebits %d --prec %d: %d-bit inputs: generation enumerates every \
+         finite input, so at most 16 bits (binary16, bfloat16); \
+         examples/float32_demo.exe samples binary32" ebits prec
+      (Softfp.width tin);
   let cfg = { preset with Rlibm.Config.tin; pieces; table_bits } in
   (* the round-to-odd target must be a format too *)
   (try ignore (Rlibm.Config.tout cfg)

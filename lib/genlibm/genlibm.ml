@@ -104,15 +104,15 @@ let create_src n : src_buf = Bigarray.Array1.create Bigarray.int64 Bigarray.c_la
 let create_dst n : dst_buf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
 
 (* The batch kernel of each family (genlibm_stubs.c): every pass over
-   the chunk in one call.  Neither allocates or raises; the constants
-   are the kernel and decoder records' own fields and arrays. *)
+   the chunk in one call.  Neither allocates or raises; the pieces and
+   constants are the function's compiled records and the kernel and
+   decoder records' own fields and arrays. *)
 external exp_kernel :
   src_buf ->
   (int[@untagged]) ->
   (int[@untagged]) ->
   dst_buf ->
-  (int[@untagged]) ->
-  float array array ->
+  Polyeval.compiled array ->
   float array ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -137,8 +137,7 @@ external log_kernel :
   (int[@untagged]) ->
   (int[@untagged]) ->
   dst_buf ->
-  (int[@untagged]) ->
-  float array array ->
+  Polyeval.compiled array ->
   float array ->
   (int[@untagged]) ->
   (int[@untagged]) ->
@@ -188,7 +187,9 @@ let decode_bits (d : Rlibm.Reduction.decoder) x =
            then, only when the special table is not empty, a scalar
            loop probes it and settles its hits;
    pass 2  per piece, one sweep of {!Polyeval.eval_into}'s evaluator
-           over the block: piece 0's results are kept, each later
+           over the block, with the scheme and data of the piece's
+           compiled record in [g.pieces] (the record [eval_bits]
+           evaluates): piece 0's results are kept, each later
            piece's are selected where the element's piece is that
            piece.  A block pays every piece's sweep on every element,
            which at the one or two pieces of most functions is cheaper
@@ -209,17 +210,17 @@ let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
     || hi > Bigarray.Array1.dim src
     || hi > Bigarray.Array1.dim dst
   then invalid_arg "Genlibm.eval_bits_into: chunk outside the buffers";
-  let d = g.decode and code = Polyeval.scheme_code g.scheme in
+  let d = g.decode in
   let sign_shift = Softfp.width g.cfg.tin - 1 in
   match g.family.kernel with
   | Rlibm.Reduction.Exp_kernel ek ->
-      exp_kernel src lo (hi - lo) dst code g.piece_data d.d_scale d.d_fw
-        d.d_emask ek.ek_scale ek.ek_hi_cut ek.ek_lo_cut ek.ek_near_cut
+      exp_kernel src lo (hi - lo) dst g.pieces d.d_scale d.d_fw d.d_emask
+        ek.ek_scale ek.ek_hi_cut ek.ek_lo_cut ek.ek_near_cut
         ek.ek_settled ek.ek_n_lo ek.ek_pow ek.ek_pow_lo g.spec_keys
         g.spec_vals sign_shift Float.nan 0.0
   | Rlibm.Reduction.Log_kernel lk ->
-      log_kernel src lo (hi - lo) dst code g.piece_data d.d_scale d.d_fw
-        d.d_emask d.d_bias sign_shift lk.lk_table lk.lk_scale
+      log_kernel src lo (hi - lo) dst g.pieces d.d_scale d.d_fw d.d_emask
+        d.d_bias sign_shift lk.lk_table lk.lk_scale
         (Bool.to_int lk.lk_exact) lk.lk_settled g.spec_keys g.spec_vals
         Float.nan Float.nan
 

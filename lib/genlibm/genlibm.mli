@@ -67,8 +67,10 @@ val round_result : Softfp.fmt -> Softfp.mode -> float -> Softfp.bits
     {!Bigarray} buffers — flat, unboxed, shareable across domains
     without copying — and a chunk is one [[@@noalloc]] C call per
     family (genlibm_stubs.c) reading the {!Rlibm.Reduction.kernel} and
-    decoder records' own fields and
-    {!Rlibm.Generate.generated.piece_data}.  It runs every pass over
+    decoder records' own fields and each piece's scheme and data in
+    place from {!Rlibm.Generate.generated.pieces}, the records
+    {!eval_bits} evaluates, so a function rebuilt with other pieces
+    serves exactly those.  It runs every pass over
     blocks of the chunk whose scratch is on the C stack: decode,
     shortcut classification, range reduction and NaN/Inf in one
     branch-free loop, then the special table's scalar probe when it is

@@ -41,9 +41,11 @@
 
    Representation notes.  A pattern is read as OCaml's Int64.to_int
    read it: its low 63 bits, sign-extended from bit 62 to form the key
-   of the special table.  The block scratch is plain C (kn and kp hold
-   untagged integers); OCaml never sees it.  No function here
-   allocates, raises or calls back into OCaml. */
+   of the special table.  Each piece's scheme and coefficients are read
+   in place from the Polyeval.compiled records the scalar reference
+   evaluates.  The block scratch is plain C (kn and kp hold untagged
+   integers); OCaml never sees it.  No function here allocates, raises
+   or calls back into OCaml. */
 
 #define CAML_NAME_SPACE
 #include <math.h>
@@ -360,20 +362,23 @@ static void select_pass(intnat len, const intnat *restrict kp, intnat p,
 void rlibm_sweep(intnat code, intnat len, const double *c,
                  const double *src, double *dst, intnat lo, intnat hi);
 
-/* Pass 2 over a block: each piece of [piece_data] (one coefficient
-   array per piece) sweeps the whole block; piece 0's results go to kv,
-   each later piece's to kt and are selected into kv.  At the one or
-   two pieces of most functions this is cheaper than grouping the
-   elements by piece. */
-static void poly_pass(intnat code, value piece_data, intnat len,
-                      const double *kr, const intnat *kp, double *kv,
-                      double *kt)
+/* Fields of a Polyeval.compiled record (layout in polyeval.mli); a
+   scheme's constructor index is its sweep code. */
+#define PIECE_SCHEME(c) Long_val(Field((c), 0))
+#define PIECE_DATA(c) Field((c), 2)
+
+/* Pass 2 over a block: each piece of [pieces] sweeps the whole block;
+   piece 0's results go to kv, each later piece's to kt and are
+   selected into kv.  At the one or two pieces of most functions this
+   is cheaper than grouping the elements by piece. */
+static void poly_pass(value pieces, intnat len, const double *kr,
+                      const intnat *kp, double *kv, double *kt)
 {
-  for (intnat p = 0; p < (intnat) Wosize_val(piece_data); p++) {
-    value c = Field(piece_data, p);
-    WITHIN("piece coefficients", NDOUBLES(c), 8);
-    rlibm_sweep(code, (intnat) NDOUBLES(c), DOUBLES(c), kr, p == 0 ? kv : kt,
-                0, len);
+  for (intnat p = 0; p < (intnat) Wosize_val(pieces); p++) {
+    value c = Field(pieces, p), data = PIECE_DATA(c);
+    WITHIN("piece coefficients", NDOUBLES(data), 8);
+    rlibm_sweep(PIECE_SCHEME(c), (intnat) NDOUBLES(data), DOUBLES(data), kr,
+                p == 0 ? kv : kt, 0, len);
     if (p > 0) select_pass(len, kp, p, kt, kv);
   }
 }
@@ -416,19 +421,18 @@ static void log_compensate(intnat len, double *restrict d,
 #define BLOCK 512
 
 value rlibm_exp_kernel(value src, intnat lo, intnat len, value dst,
-                       intnat code, value piece_data, value dscale,
-                       intnat fw, intnat emask, double scale, double hi_cut,
-                       double lo_cut, double near_cut, value settled,
-                       intnat n_lo, value pow, value pow_lo, value keys,
-                       value vals, intnat sign_shift, double nan_v,
-                       double neg_inf_v)
+                       value pieces, value dscale, intnat fw, intnat emask,
+                       double scale, double hi_cut, double lo_cut,
+                       double near_cut, value settled, intnat n_lo,
+                       value pow, value pow_lo, value keys, value vals,
+                       intnat sign_shift, double nan_v, double neg_inf_v)
 {
   const int64_t *s = (const int64_t *) Caml_ba_data_val(src) + lo;
   double *d = (double *) Caml_ba_data_val(dst) + lo;
   const struct decoder dc = decoder(fw, emask);
   const struct exp_consts e = { scale, hi_cut, lo_cut, near_cut, nan_v,
                                 neg_inf_v, n_lo,
-                                (intnat) Wosize_val(piece_data),
+                                (intnat) Wosize_val(pieces),
                                 (int) sign_shift };
   struct reach reach = { 0, 0, 0 };
   double kr[BLOCK], kv[BLOCK], kt[BLOCK];
@@ -440,7 +444,7 @@ value rlibm_exp_kernel(value src, intnat lo, intnat len, value dst,
     exp_pass(n, s + b, d + b, kr, kn, kp, DOUBLES(dscale), DOUBLES(settled),
              dc, e, &reach);
     specials(keys, vals, s + b, d + b, kp, n, (int) fw, (uint64_t) emask);
-    poly_pass(code, piece_data, n, kr, kp, kv, kt);
+    poly_pass(pieces, n, kr, kp, kv, kt);
     exp_compensate(n, d + b, kp, kv, kn, DOUBLES(pow), DOUBLES(pow_lo),
                    &reach);
   }
@@ -457,21 +461,21 @@ value rlibm_exp_kernel_byte(value *argv, int argn)
 {
   (void) argn;
   return rlibm_exp_kernel(argv[0], Long_val(argv[1]), Long_val(argv[2]),
-                          argv[3], Long_val(argv[4]), argv[5], argv[6],
-                          Long_val(argv[7]), Long_val(argv[8]),
+                          argv[3], argv[4], argv[5], Long_val(argv[6]),
+                          Long_val(argv[7]), Double_val(argv[8]),
                           Double_val(argv[9]), Double_val(argv[10]),
-                          Double_val(argv[11]), Double_val(argv[12]),
-                          argv[13], Long_val(argv[14]), argv[15], argv[16],
-                          argv[17], argv[18], Long_val(argv[19]),
-                          Double_val(argv[20]), Double_val(argv[21]));
+                          Double_val(argv[11]), argv[12], Long_val(argv[13]),
+                          argv[14], argv[15], argv[16], argv[17],
+                          Long_val(argv[18]), Double_val(argv[19]),
+                          Double_val(argv[20]));
 }
 
 value rlibm_log_kernel(value src, intnat lo, intnat len, value dst,
-                       intnat code, value piece_data, value dscale,
-                       intnat fw, intnat emask, intnat bias,
-                       intnat sign_shift, value table, double k_scale,
-                       intnat k_exact, value settled, value keys, value vals,
-                       double nan_v, double neg_inf_v)
+                       value pieces, value dscale, intnat fw, intnat emask,
+                       intnat bias, intnat sign_shift, value table,
+                       double k_scale, intnat k_exact, value settled,
+                       value keys, value vals, double nan_v,
+                       double neg_inf_v)
 {
   const int64_t *s = (const int64_t *) Caml_ba_data_val(src) + lo;
   double *d = (double *) Caml_ba_data_val(dst) + lo;
@@ -481,7 +485,7 @@ value rlibm_log_kernel(value src, intnat lo, intnat len, value dst,
   while (((uintnat) 1 << tbits) < tsize) tbits++; /* T has 2^J entries */
   const struct log_consts l = { k_scale, DOUBLES(dscale)[0], nan_v,
                                 neg_inf_v, bias,
-                                (intnat) Wosize_val(piece_data), k_exact,
+                                (intnat) Wosize_val(pieces), k_exact,
                                 (int) sign_shift, tbits };
   struct reach reach = { 0, 0, 0 };
   double kr[BLOCK], kv[BLOCK], kt[BLOCK], kc[BLOCK];
@@ -493,7 +497,7 @@ value rlibm_log_kernel(value src, intnat lo, intnat len, value dst,
     log_pass(n, s + b, d + b, kr, kc, kp, DOUBLES(table), DOUBLES(settled),
              dc, l, &reach);
     specials(keys, vals, s + b, d + b, kp, n, (int) fw, (uint64_t) emask);
-    poly_pass(code, piece_data, n, kr, kp, kv, kt);
+    poly_pass(pieces, n, kr, kp, kv, kt);
     log_compensate(n, d + b, kp, kv, kc);
   }
   if (len > 0) {
@@ -507,11 +511,11 @@ value rlibm_log_kernel_byte(value *argv, int argn)
 {
   (void) argn;
   return rlibm_log_kernel(
-      argv[0], Long_val(argv[1]), Long_val(argv[2]), argv[3],
-      Long_val(argv[4]), argv[5], argv[6], Long_val(argv[7]),
-      Long_val(argv[8]), Long_val(argv[9]), Long_val(argv[10]), argv[11],
-      Double_val(argv[12]), Long_val(argv[13]), argv[14], argv[15],
-      argv[16], Double_val(argv[17]), Double_val(argv[18]));
+      argv[0], Long_val(argv[1]), Long_val(argv[2]), argv[3], argv[4],
+      argv[5], Long_val(argv[6]), Long_val(argv[7]), Long_val(argv[8]),
+      Long_val(argv[9]), argv[10], Double_val(argv[11]), Long_val(argv[12]),
+      argv[13], argv[14], argv[15], Double_val(argv[16]),
+      Double_val(argv[17]));
 }
 
 /* Genlibm.decode_bits: the decode above on one pattern. */

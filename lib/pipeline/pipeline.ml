@@ -380,11 +380,13 @@ let solved_stage ~cfg ~scheme func =
          ~func ~built ~oracle:(shared_oracle ~cfg func) ())
     : (Rlibm.Generate.solved, Diag.Error.t) result * event)
 
+let solved ~cfg ~scheme func = fst (solved_stage ~cfg ~scheme func)
+
 let assemble ~cfg ~scheme func solved =
   Result.map (Rlibm.Generate.assemble ~cfg ~scheme ~func) solved
 
 let generate ~cfg ~scheme func =
-  assemble ~cfg ~scheme func (fst (solved_stage ~cfg ~scheme func))
+  assemble ~cfg ~scheme func (solved ~cfg ~scheme func)
 
 (* ---------- stage 4: verified function ---------- *)
 

@@ -183,15 +183,23 @@ val constraints_stage :
 (** Stage 2: reduced, merged constraints — the rounding intervals
     ({!intervals_stage}), pulled back and merged (CalculatePhi). *)
 
+val solved :
+  cfg:Rlibm.Config.t ->
+  scheme:Polyeval.scheme ->
+  Oracle.func ->
+  (Rlibm.Generate.solved, Diag.Error.t) result
+(** Stage 3: the LP polynomial for one scheme, as the closure-free
+    {!Rlibm.Generate.solved} record the stage persists (including typed
+    [Error] outcomes — generation is deterministic, so a failure is a
+    property of the knobs, not of the run). *)
+
 val generate :
   cfg:Rlibm.Config.t ->
   scheme:Polyeval.scheme ->
   Oracle.func ->
   (Rlibm.Generate.generated, Diag.Error.t) result
-(** Stage 3: the LP polynomial for one scheme, assembled into a runnable
-    implementation.  Persists {!Rlibm.Generate.solved} (including typed
-    [Error] outcomes — generation is deterministic, so a failure is a
-    property of the knobs, not of the run). *)
+(** {!solved}, assembled into a runnable implementation
+    ({!Rlibm.Generate.assemble}). *)
 
 val verified :
   ?narrow:bool ->

@@ -93,17 +93,11 @@ let scheme_expr scheme ~degree =
    DAG's order, so every result is bit-for-bit [Expr.eval_float] of the
    scheme's DAG (enforced by the test suite), with [fma] a hardware
    instruction where the CPU has one.  The stub neither allocates nor
-   raises; longer data is rejected before it is called. *)
-
-let scheme_code = function
-  | Horner -> 0
-  | HornerFma -> 1
-  | Knuth -> 2
-  | Estrin -> 3
-  | EstrinFma -> 4
+   raises; longer data is rejected before it is called.  The C reads
+   the scheme as its constructor index (polyeval.mli, [compiled]). *)
 
 external sweep :
-  (int[@untagged]) ->
+  scheme ->
   float array ->
   floatarray ->
   floatarray ->
@@ -122,7 +116,7 @@ let eval_into scheme (data : float array) ~(src : floatarray)
       invalid_arg "Polyeval.eval_into: Knuth degree must be 4, 5 or 6"
   | _ when n > max_length ->
       invalid_arg "Polyeval.eval_into: degree must be at most 6"
-  | _ -> sweep (scheme_code scheme) data src dst lo hi
+  | _ -> sweep scheme data src dst lo hi
 
 (* ---------- Knuth coefficient adaptation ---------- *)
 

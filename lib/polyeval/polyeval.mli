@@ -22,10 +22,11 @@ val all_schemes : scheme list
 val scheme_name : scheme -> string
 val scheme_of_name : string -> scheme option
 
-(** The scheme's number in the C evaluator (polyeval_stubs.c), which
-    the batch kernel's C passes the evaluator per piece. *)
-val scheme_code : scheme -> int
-
+(** Layout read by C.  The batch kernel (genlibm_stubs.c) reads each
+    piece's [scheme] (field 0) and [data] (field 2) straight from the
+    record, and a scheme reaches C as its constructor index, [Horner] = 0
+    to [EstrinFma] = 4 (polyeval_stubs.c's scheme codes).  Reordering the
+    constructors or these two fields changes what C reads. *)
 type compiled = {
   scheme : scheme;
   degree : int;

@@ -44,7 +44,7 @@
 #define RLIBM_CLONES
 #endif
 
-/* Scheme codes, as Polyeval.scheme_code assigns them. */
+/* Scheme codes: the constructor index of Polyeval.scheme. */
 enum { HORNER = 0, HORNER_FMA = 1, KNUTH = 2, ESTRIN = 3, ESTRIN_FMA = 4 };
 
 /* Horner: acc <- Add (Const i, Mul (acc, Var)), from acc = c[d]. */
@@ -184,12 +184,13 @@ void rlibm_sweep(intnat code, intnat len, const double *c,
   }
 }
 
-/* Polyeval.sweep: [data] is a float array (flat doubles), [src] and
-   [dst] floatarrays; neither allocates nor raises.  Built with
+/* Polyeval.sweep: [scheme] is a constant constructor, its index the
+   scheme code; [data] is a float array (flat doubles), [src] and [dst]
+   floatarrays; neither allocates nor raises.  Built with
    -DRLIBM_SANITIZE (the dune `sanitize` profile), it first checks the
    window against both blocks' sizes and aborts outside them: ASan sees
    no overrun of a small pooled OCaml block. */
-value rlibm_poly_sweep(intnat code, value data, value src, value dst,
+value rlibm_poly_sweep(value scheme, value data, value src, value dst,
                        intnat lo, intnat hi)
 {
 #ifdef RLIBM_SANITIZE
@@ -202,7 +203,7 @@ value rlibm_poly_sweep(intnat code, value data, value src, value dst,
     abort();
   }
 #endif
-  rlibm_sweep(code, (intnat) (Wosize_val(data) / Double_wosize),
+  rlibm_sweep(Long_val(scheme), (intnat) (Wosize_val(data) / Double_wosize),
               (const double *) data, (const double *) src, (double *) dst,
               lo, hi);
   return Val_unit;
@@ -211,6 +212,6 @@ value rlibm_poly_sweep(intnat code, value data, value src, value dst,
 value rlibm_poly_sweep_byte(value *argv, int argn)
 {
   (void) argn;
-  return rlibm_poly_sweep(Long_val(argv[0]), argv[1], argv[2], argv[3],
+  return rlibm_poly_sweep(argv[0], argv[1], argv[2], argv[3],
                           Long_val(argv[4]), Long_val(argv[5]));
 }

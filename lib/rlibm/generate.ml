@@ -308,8 +308,7 @@ type generated = {
   family : Reduction.t;
   decode : Reduction.decoder;  (* the batch kernel's decode of cfg.tin *)
   scheme : Polyeval.scheme;
-  pieces : Polyeval.compiled array;
-  piece_data : float array array;  (* each piece's data, for the C kernel *)
+  pieces : Polyeval.compiled array;  (* the C kernel reads them in place *)
   specials : (int64, float) Hashtbl.t;  (* input bits -> double result *)
   spec_keys : int array;  (* the same specials, sorted by bit pattern… *)
   spec_vals : float array;  (* …for the binary-search hot path *)
@@ -446,19 +445,14 @@ let family ?table ~(cfg : Config.t) func =
       (Printf.sprintf
          "Generate.family: ebits %d, prec %d: input values are not all doubles"
          tin.Softfp.ebits tin.Softfp.prec);
-  let table =
-    match table with
-    | Some t -> Lazy.from_val t
-    | None -> lazy (Reduction.log_table func ~table_bits:cfg.table_bits)
-  in
-  Reduction.make func ~out_fmt:(Config.tout cfg) ~pieces:cfg.pieces
-    ~table_bits:cfg.table_bits ~table
+  Reduction.make ?table func ~out_fmt:(Config.tout cfg) ~pieces:cfg.pieces
+    ~table_bits:cfg.table_bits
 
 (* Rebuild the runnable implementation from the closure-free artifact:
    recompile each piece's constants and rebuild the range reduction. *)
 let assemble ?table ~(cfg : Config.t) ~scheme ~func (sv : solved) =
   let family = family ?table ~cfg func in
-  (* The batch kernel takes the piece count from the data; the range
+  (* The batch kernel takes the piece count from the pieces; the range
      reduction splits the domain into cfg.pieces. *)
   if Array.length sv.sv_data <> cfg.pieces then
     invalid_arg
@@ -497,7 +491,6 @@ let assemble ?table ~(cfg : Config.t) ~scheme ~func (sv : solved) =
     decode = Reduction.decoder cfg.tin;
     scheme;
     pieces;
-    piece_data = Array.map (fun (p : Polyeval.compiled) -> p.data) pieces;
     specials;
     spec_keys;
     spec_vals;

@@ -31,10 +31,10 @@ type generated = {
       (** the batch kernel's decode table for [cfg.tin] (the reduction
           sees only the output format) *)
   scheme : Polyeval.scheme;
-  pieces : Polyeval.compiled array;  (** one compiled evaluator per piece *)
-  piece_data : float array array;
-      (** each piece's {!Polyeval.compiled}[.data], the same arrays: the
-          batch kernel's coefficients, and its piece count *)
+  pieces : Polyeval.compiled array;
+      (** one compiled evaluator per piece: the only copy of its scheme
+          and coefficients, which the scalar reference and the batch
+          kernel both read, and the kernel's piece count *)
   specials : (int64, float) Hashtbl.t;
       (** input bits -> stored double result (decoded oracle value) *)
   spec_keys : int array;

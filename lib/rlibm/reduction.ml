@@ -265,12 +265,14 @@ let log_family func (k : log_consts) ~pieces =
   in
   { func; pieces; kernel = Log_kernel k; shortcut; reduce_into }
 
-let make func ~out_fmt ~pieces ~table_bits ~table =
+let make ?table func ~out_fmt ~pieces ~table_bits =
   match (Funcspec.get func).Funcspec.family with
   | Funcspec.Exp_family { log2_base } ->
       exp_family func (exp_consts ~scale:log2_base ~out_fmt) ~pieces
   | Funcspec.Log_family { k_scale; k_exact } ->
-      let lk_table = Lazy.force table in
+      let lk_table =
+        match table with Some t -> t | None -> log_table func ~table_bits
+      in
       if Array.length lk_table <> 1 lsl table_bits then
         invalid_arg "Reduction.make: wrong table size";
       log_family func ~pieces

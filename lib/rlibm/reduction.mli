@@ -123,16 +123,18 @@ val compensate : t -> scratch -> float -> float
     under kind ["table"]; this is the memo's only writer. *)
 val log_table : Oracle.func -> table_bits:int -> float array
 
-(** [make func ~out_fmt ~pieces ~table_bits ~table] builds the reduction
-    family for [func], dispatching on the {!Funcspec} registry's family
-    record; [out_fmt] fixes the exponentials' cut-offs and settled
-    values.  [table] supplies the logarithms' [T[j]] (such as
-    {!log_table}); it is forced only for the logarithm family.
-    @raise Invalid_argument when the table is not [2^table_bits] long. *)
+(** [make ?table func ~out_fmt ~pieces ~table_bits] builds the
+    reduction family for [func], dispatching on the {!Funcspec}
+    registry's family record; [out_fmt] fixes the exponentials' cut-offs
+    and settled values.  [table] supplies the logarithms' [T[j]] (a
+    stored copy); without it they read {!log_table}.  The exponentials
+    use no table.
+    @raise Invalid_argument when the logarithms' table is not
+    [2^table_bits] long. *)
 val make :
+  ?table:float array ->
   Oracle.func ->
   out_fmt:Softfp.fmt ->
   pieces:int ->
   table_bits:int ->
-  table:float array Lazy.t ->
   t

@@ -61,31 +61,12 @@ let key t = t.t_key
 let entries t = t.t_entries
 let find t func = Hashtbl.find_opt t.t_index (Oracle.name func)
 
-(* Canonical closure-free form of an assembled implementation.  The
-   specials are sorted by input bits: the hash table they rebuild into
-   is order-insensitive, and sorting makes the stored blob a pure
-   function of the entry's content. *)
-let solved_of_generated (g : Rlibm.Generate.generated) : Rlibm.Generate.solved
-    =
-  let specials =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) g.Rlibm.Generate.specials []
-    |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
-  in
-  {
-    Rlibm.Generate.sv_data =
-      Array.map
-        (fun (p : Polyeval.compiled) -> p.Polyeval.data)
-        g.Rlibm.Generate.pieces;
-    sv_degrees = g.Rlibm.Generate.degrees;
-    sv_rounds = g.Rlibm.Generate.rounds;
-    sv_n_constraints = g.Rlibm.Generate.n_constraints;
-    sv_specials = specials;
-  }
-
-let table_of_generated (g : Rlibm.Generate.generated) =
-  match g.Rlibm.Generate.family.Rlibm.Reduction.kernel with
-  | Rlibm.Reduction.Exp_kernel _ -> None
-  | Rlibm.Reduction.Log_kernel k -> Some k.Rlibm.Reduction.lk_table
+(* The logarithms' reduction table, which the stored entry carries so
+   that a warm load needs no other store entry; the one
+   Generate.family would read without it. *)
+let table_of ~(cfg : Rlibm.Config.t) func =
+  if Funcspec.is_exp_family func then None
+  else Some (Rlibm.Reduction.log_table func ~table_bits:cfg.table_bits)
 
 (* Rebuild the runnable entry from stored data only: the stored table
    goes straight into the reduction.
@@ -158,16 +139,16 @@ let build ?(strict = false) specs =
             let rec resolve acc = function
               | [] -> Ok (List.rev acc)
               | (f, scheme, cfg) :: rest -> (
-                  match Pipeline.generate ~cfg ~scheme f with
+                  match Pipeline.solved ~cfg ~scheme f with
                   | Error _ as e -> e
-                  | Ok g ->
+                  | Ok sv ->
                       let se =
                         {
                           se_func = f;
                           se_scheme = scheme;
                           se_cfg = cfg;
-                          se_solved = solved_of_generated g;
-                          se_table = table_of_generated g;
+                          se_solved = sv;
+                          se_table = table_of ~cfg f;
                         }
                       in
                       resolve (se :: acc) rest)
@@ -175,9 +156,12 @@ let build ?(strict = false) specs =
             match resolve [] specs with
             | Error e -> Error e
             | Ok stored ->
+                (* Assembled before the store: an entry that does not
+                   assemble is never persisted. *)
+                let entries = List.map assemble_stored stored in
                 ignore (Cache.store ~kind:"snapshot" ~key stored);
                 snapshot_event "persisted";
-                Ok (mk key (List.map assemble_stored stored)))
+                Ok (mk key entries))
       in
       match
         (Cache.load ~kind:"snapshot" ~key

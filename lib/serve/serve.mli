@@ -3,13 +3,13 @@
     solver, or even the per-stage artifacts.
 
     A snapshot is built from a list of [(func, scheme, cfg)] requests.
-    Each request resolves through {!Pipeline.generate} — a warm artifact
+    Each request resolves through {!Pipeline.solved} — a warm artifact
     store satisfies it from the persisted polynomial stage (zero oracle
     evaluations, zero LP solves); a cold store runs the full staged
     pipeline once.  The resolved snapshot is then persisted through
-    {!Cache} under kind ["snapshot"] as closure-free data
-    ({!Rlibm.Generate.solved} records plus the logarithm reduction
-    tables), keyed by a digest of every entry's polynomial-stage key —
+    {!Cache} under kind ["snapshot"] as closure-free data (each
+    {!Rlibm.Generate.solved} record as the polynomial stage produced
+    it, plus the logarithm reduction tables) and assembled once, keyed by a digest of every entry's polynomial-stage key —
     any knob change anywhere upstream changes the snapshot key.
 
     Loading a warm snapshot therefore reads exactly one store entry:
@@ -49,7 +49,7 @@ val snapshot_key :
 
 (** [build specs] loads the persisted snapshot for [specs] if present
     (validating that every stored entry matches its request), otherwise
-    resolves each request through {!Pipeline.generate} and persists the
+    resolves each request through {!Pipeline.solved} and persists the
     result.  Failures are typed: the first request whose generation
     failed propagates its {!Diag.Error.t} (nothing is persisted then),
     and a spec list naming the same function twice is rejected with

@@ -253,24 +253,29 @@ let arb_bigint =
     let s = String.concat "" (List.map string_of_int (1 :: chunks)) in
     return (Bigint.of_string (if neg then "-" ^ s else s)))
 
-let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name gen f)
+let big = Bigint.to_string
+
+let prop ~print name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name ~print gen f)
 
 let props =
   let beq = Bigint.equal in
   let badd = Bigint.add and bmul = Bigint.mul in
   [
-    prop "string round-trip" arb_bigint (fun x ->
+    prop ~print:big "string round-trip" arb_bigint (fun x ->
         beq (Bigint.of_string (Bigint.to_string x)) x);
-    prop "add comm" (QCheck2.Gen.pair arb_bigint arb_bigint) (fun (a, bb) ->
-        beq (badd a bb) (badd bb a));
-    prop "mul_int agrees with mul" (QCheck2.Gen.pair arb_bigint QCheck2.Gen.int)
+    prop ~print:print_pair "add comm" (QCheck2.Gen.pair arb_bigint arb_bigint)
+      (fun (a, bb) -> beq (badd a bb) (badd bb a));
+    prop ~print:QCheck2.Print.(pair big int) "mul_int agrees with mul"
+      (QCheck2.Gen.pair arb_bigint QCheck2.Gen.int)
       (fun (a, n) -> beq (Bigint.mul_int a n) (bmul a (Bigint.of_int n)));
-    prop "mul comm" (QCheck2.Gen.pair arb_bigint arb_bigint) (fun (a, bb) ->
-        beq (bmul a bb) (bmul bb a));
-    prop "distributivity"
+    prop ~print:print_pair "mul comm" (QCheck2.Gen.pair arb_bigint arb_bigint)
+      (fun (a, bb) -> beq (bmul a bb) (bmul bb a));
+    prop ~print:QCheck2.Print.(triple big big big) "distributivity"
       (QCheck2.Gen.triple arb_bigint arb_bigint arb_bigint)
       (fun (a, bb, c) -> beq (bmul a (badd bb c)) (badd (bmul a bb) (bmul a c)));
-    prop "divmod invariant" (QCheck2.Gen.pair arb_bigint arb_bigint)
+    prop ~print:print_pair "divmod invariant"
+      (QCheck2.Gen.pair arb_bigint arb_bigint)
       (fun (a, bb) ->
         Bigint.is_zero bb
         ||
@@ -278,16 +283,19 @@ let props =
         beq a (badd (bmul q bb) r)
         && Bigint.compare (Bigint.abs r) (Bigint.abs bb) < 0
         && (Bigint.is_zero r || Bigint.sign r = Bigint.sign a));
-    prop "fdivmod invariant" (QCheck2.Gen.pair arb_bigint arb_bigint)
+    prop ~print:print_pair "fdivmod invariant"
+      (QCheck2.Gen.pair arb_bigint arb_bigint)
       (fun (a, bb) ->
         Bigint.is_zero bb
         ||
         let q, r = Bigint.fdivmod a bb in
         beq a (badd (bmul q bb) r)
         && (Bigint.is_zero r || Bigint.sign r = Bigint.sign bb));
-    prop "shift inverse" (QCheck2.Gen.pair arb_bigint (QCheck2.Gen.int_bound 200))
+    prop ~print:QCheck2.Print.(pair big int) "shift inverse"
+      (QCheck2.Gen.pair arb_bigint (QCheck2.Gen.int_bound 200))
       (fun (a, k) -> beq (Bigint.shift_right (Bigint.shift_left a k) k) a);
-    prop "gcd divides" (QCheck2.Gen.pair arb_bigint arb_bigint) (fun (a, bb) ->
+    prop ~print:print_pair "gcd divides"
+      (QCheck2.Gen.pair arb_bigint arb_bigint) (fun (a, bb) ->
         (Bigint.is_zero a && Bigint.is_zero bb)
         ||
         let g = Bigint.gcd a bb in
@@ -297,13 +305,14 @@ let props =
          ~name:"gcd agrees with Euclid (1-1100 bits)" arb_gcd_pair (fun (x, y) ->
            let g = Bigint.gcd x y in
            Bigint.sign g >= 0 && Bigint.equal g (euclid x y)));
-    prop "numbits bound" arb_bigint (fun a ->
+    prop ~print:big "numbits bound" arb_bigint (fun a ->
         Bigint.is_zero a
         ||
         let n = Bigint.numbits a in
         Bigint.compare (Bigint.abs a) (Bigint.pow2 n) < 0
         && Bigint.compare (Bigint.pow2 (n - 1)) (Bigint.abs a) <= 0);
-    prop "compare antisym" (QCheck2.Gen.pair arb_bigint arb_bigint)
+    prop ~print:print_pair "compare antisym"
+      (QCheck2.Gen.pair arb_bigint arb_bigint)
       (fun (a, bb) -> Bigint.compare a bb = -Bigint.compare bb a);
   ]
 

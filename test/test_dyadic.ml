@@ -100,6 +100,8 @@ let test_ival_enclosure_property () =
   in
   let test =
     QCheck2.Test.make ~count:300 ~name:"interval ops enclose exact values"
+      ~print:QCheck2.Print.(quad Rat.to_string Rat.to_string Rat.to_string
+                              Rat.to_string)
       QCheck2.Gen.(quad gen gen gen gen)
       (fun (a, b, c, d) ->
         let prec = 30 in
@@ -138,7 +140,8 @@ let prop_round_enclosure =
       return (Rat.of_ints n d, p))
   in
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:400 ~name:"of_rat directed brackets" gen
+    (QCheck2.Test.make ~count:400 ~name:"of_rat directed brackets"
+       ~print:QCheck2.Print.(pair Rat.to_string int) gen
        (fun (q, prec) ->
          let lo = D.of_rat D.Down ~prec q and hi = D.of_rat D.Up ~prec q in
          Rat.compare (dq lo) q <= 0
@@ -177,6 +180,7 @@ let prop_fixed_ops =
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:500 ~name:"fixed-point ops enclose exact values"
+       ~print:QCheck2.Print.(tup5 int int int int int)
        gen (fun (x, y, d, k, sh) ->
          let q v = Rat.mul_pow2 (Rat.of_int v) (-Fixed.frac_bits) in
          let px = Fixed.make x x and py = Fixed.make y y in

@@ -232,6 +232,9 @@ let test_tilt_unbounded_falls_back () =
   | Lp.Unsat -> ()
   | Lp.Sat _ -> Alcotest.fail "disjoint windows at one x"
 
+(* (n, m, row-major entries, rhs, objective) of a random LP. *)
+let print_lp = QCheck2.Print.(tup5 int int (list int) (list int) (list int))
+
 (* Random LP property: simplex result is feasible, and no better feasible
    point exists among random samples (soundness of optimality). *)
 let prop_simplex_sound =
@@ -245,7 +248,8 @@ let prop_simplex_sound =
       return (n, m, entries, rhs, obj))
   in
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:300 ~name:"simplex optimum dominates samples" gen
+    (QCheck2.Test.make ~count:300 ~name:"simplex optimum dominates samples"
+       ~print:print_lp gen
        (fun (n, m, entries, rhs, obj) ->
          let a = Array.of_list (List.map r entries) in
          let rows =
@@ -387,7 +391,8 @@ let prop_simplex_vs_vertices =
       return (n, m, entries, rhs, obj))
   in
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:500 ~name:"simplex = vertex enumeration" gen
+    (QCheck2.Test.make ~count:500 ~name:"simplex = vertex enumeration"
+       ~print:print_lp gen
        (fun (n, m, entries, rhs, obj) ->
          let a = Array.of_list (List.map r entries) in
          let rows =

@@ -173,8 +173,48 @@ let test_name_round_trip () =
   Alcotest.(check bool) "ln alias" true (Oracle.of_name "ln" = Some Oracle.Log);
   Alcotest.(check bool) "unknown" true (Oracle.of_name "sin" = None)
 
-(* Ziv loop correctness property: the rounded result of correctly_round
-   decodes to a value within one ulp of the enclosure. *)
+(* The neighbour of [b] toward [next] whose value differs from [b]'s:
+   -0 and +0 are neighbouring patterns of one value. *)
+let rec distinct_neighbour next b =
+  let s = next fmt16 b in
+  if
+    Softfp.is_finite fmt16 s
+    && Rat.equal (Softfp.to_rat fmt16 s) (Softfp.to_rat fmt16 b)
+  then distinct_neighbour next s
+  else s
+
+(* Ziv loop correctness: the rounded result of correctly_round decodes
+   to a value within one ulp of the enclosure, expressed format-side:
+   the enclosure intersects the open interval between b's neighbours
+   of other values.  Non-finite neighbours satisfy their side
+   vacuously. *)
+let brackets_enclosure f q =
+  (not (Oracle.domain_ok f q))
+  ||
+  let b = Oracle.correctly_round f q ~fmt:fmt16 ~mode:Softfp.RNE in
+  (not (Softfp.is_finite fmt16 b))
+  ||
+  let iv = Oracle.enclosure f q ~prec:96 in
+  let lo, hi = Ival.to_rats iv in
+  let above_ok =
+    let s = distinct_neighbour Softfp.succ b in
+    (not (Softfp.is_finite fmt16 s))
+    || Rat.compare lo (Softfp.to_rat fmt16 s) < 0
+  in
+  let below_ok =
+    let p = distinct_neighbour Softfp.pred b in
+    (not (Softfp.is_finite fmt16 p))
+    || Rat.compare (Softfp.to_rat fmt16 p) hi < 0
+  in
+  above_ok && below_ok
+
+(* log_b 1 = +0, whose pattern neighbour below is -0. *)
+let test_brackets_at_zero () =
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Oracle.name f) true (brackets_enclosure f Rat.one))
+    [ Oracle.Log; Oracle.Log2; Oracle.Log10 ]
+
 let prop_correctly_round_brackets =
   let gen =
     QCheck2.Gen.(
@@ -197,33 +237,11 @@ let prop_correctly_round_brackets =
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:120 ~name:"correctly_round brackets enclosure"
+       ~print:(fun (f, q) -> Oracle.name f ^ " " ^ Rat.to_string q)
        gen
        (fun (f, q) ->
          QCheck2.assume (Rat.sign q <> 0 || Oracle.domain_ok f q);
-         if not (Oracle.domain_ok f q) then true
-         else begin
-           let b = Oracle.correctly_round f q ~fmt:fmt16 ~mode:Softfp.RNE in
-           if not (Softfp.is_finite fmt16 b) then true
-           else begin
-             (* The result must be within one ulp of the enclosure,
-                expressed format-side: the enclosure intersects the open
-                interval (pred b, succ b).  Non-finite neighbours satisfy
-                their side vacuously. *)
-             let iv = Oracle.enclosure f q ~prec:96 in
-             let lo, hi = Ival.to_rats iv in
-             let above_ok =
-               let s = Softfp.succ fmt16 b in
-               (not (Softfp.is_finite fmt16 s))
-               || Rat.compare lo (Softfp.to_rat fmt16 s) < 0
-             in
-             let below_ok =
-               let p = Softfp.pred fmt16 b in
-               (not (Softfp.is_finite fmt16 p))
-               || Rat.compare (Softfp.to_rat fmt16 p) hi < 0
-             in
-             above_ok && below_ok
-           end
-         end))
+         brackets_enclosure f q))
 
 (* ---------- the native first tier ---------- *)
 
@@ -378,5 +396,6 @@ let suite =
     ("non-dyadic input falls back", `Quick, test_non_dyadic_falls_back);
     ("exp10 range shortcut skips the exact value", `Quick,
       test_exp10_shortcut_allocation);
+    ("correctly_round brackets log_b 1 = +0", `Quick, test_brackets_at_zero);
     prop_correctly_round_brackets;
   ]

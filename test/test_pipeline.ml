@@ -457,13 +457,17 @@ let test_bad_knobs_rejected () =
             "warm --table-bits=-1";
             "serve --func exp2 --ebits=0";
           ]
-        (* a valid format whose values are not all doubles *)
-        @ List.map
-            (fun cmd -> cmd ^ " --ebits 12 --prec 4")
-            [
-              "generate --func log2"; "stages --func log2"; "warm --func log2";
-              "serve --func log2";
-            ]);
+        (* a valid format whose values are not all doubles, and one too
+           wide to enumerate *)
+        @ List.concat_map
+            (fun fmt ->
+              List.map
+                (fun cmd -> cmd ^ fmt)
+                [
+                  "generate --func log2"; "stages --func log2";
+                  "warm --func log2"; "serve --func log2";
+                ])
+            [ " --ebits 12 --prec 4"; " --ebits 8 --prec 24" ]);
       Sys.remove (dir ^ ".log");
       Alcotest.(check (array string)) "store untouched" [||] (Sys.readdir dir))
 

@@ -26,6 +26,12 @@ let test_cubic_known_roots () =
     (Invalid_argument "Cubic.real_root: degree < 3") (fun () ->
       ignore (Cubic.real_root ~c3:0.0 ~c2:1.0 ~c1:0.0 ~c0:0.0))
 
+(* Counterexample printers, floats in hex so that a failure reproduces
+   bit for bit. *)
+let hexf = Printf.sprintf "%h"
+let print_coeffs_x = QCheck2.Print.(pair (array hexf) hexf)
+let print_coeffs_xs_lo = QCheck2.Print.(triple (array hexf) (array hexf) int)
+
 let prop_cubic_random =
   let gen =
     QCheck2.Gen.(
@@ -36,7 +42,8 @@ let prop_cubic_random =
       return (c3, c2, c1, c0))
   in
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:500 ~name:"cubic root residual is tiny" gen
+    (QCheck2.Test.make ~count:500 ~name:"cubic root residual is tiny"
+       ~print:QCheck2.Print.(quad hexf hexf hexf hexf) gen
        (fun (c3, c2, c1, c0) ->
          QCheck2.assume (Float.abs c3 > 0.01);
          let x = Cubic.real_root ~c3 ~c2 ~c1 ~c0 in
@@ -144,6 +151,7 @@ let prop_eval_into_matches_dag scheme =
        ~name:
          (Printf.sprintf "%s eval_into = DAG semantics"
             (Polyeval.scheme_name scheme))
+       ~print:print_coeffs_xs_lo
        QCheck2.Gen.(
          let* d = int_range 0 10 in
          let* coeffs = array_size (return (d + 1)) (float_range (-4.0) 4.0) in
@@ -264,7 +272,7 @@ let prop_closure_matches_dag scheme =
        ~name:
          (Printf.sprintf "%s closure = DAG semantics"
             (Polyeval.scheme_name scheme))
-       arb_coeffs_and_x
+       ~print:print_coeffs_x arb_coeffs_and_x
        (fun (coeffs, x) ->
          match Polyeval.compile scheme coeffs with
          | None -> refused scheme coeffs
@@ -284,6 +292,7 @@ let prop_eval_into_matches_closure scheme =
        ~name:
          (Printf.sprintf "%s eval_into = scalar closure"
             (Polyeval.scheme_name scheme))
+       ~print:print_coeffs_xs_lo
        QCheck2.Gen.(
          let* d = int_range 0 10 in
          let* coeffs = array_size (return (d + 1)) (float_range (-4.0) 4.0) in
@@ -342,7 +351,7 @@ let prop_exact_value_is_dense scheme =
        ~name:
          (Printf.sprintf "%s algebraic value = dense polynomial"
             (Polyeval.scheme_name scheme))
-       arb_coeffs_and_x
+       ~print:print_coeffs_x arb_coeffs_and_x
        (fun (coeffs, x) ->
          match Polyeval.compile scheme coeffs with
          | None -> true
@@ -355,6 +364,7 @@ let prop_knuth_identity =
      polynomial within solver/rounding tolerance of the original. *)
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:400 ~name:"knuth adaptation is a near-identity"
+       ~print:print_coeffs_x
        QCheck2.Gen.(
          let* d = int_range 4 6 in
          let* coeffs = array_size (return (d + 1)) (float_range (-3.0) 3.0) in

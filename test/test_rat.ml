@@ -175,8 +175,12 @@ let arb_finite_float =
     let x = Int64.float_of_bits bits in
     if Float.is_finite x then return x else return 1.5)
 
-let prop name gen f =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name gen f)
+(* Counterexample printers: rationals in decimal, floats in hex. *)
+let rat = Rat.to_string
+let hexf = Printf.sprintf "%h"
+
+let prop ~print name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:500 ~name ~print gen f)
 
 (* Pairs of rationals with 400-650-bit numerators and denominators, the
    size of the simplex tableau entries.  Common factors are planted across
@@ -210,37 +214,42 @@ let denotes r n d =
 let props =
   let req = Rat.equal in
   [
-    prop "field: a + (-a) = 0" arb_rat (fun a -> req (Rat.sub a a) Rat.zero);
-    prop "field: a * inv a = 1" arb_rat (fun a ->
+    prop ~print:rat "field: a + (-a) = 0" arb_rat (fun a ->
+        req (Rat.sub a a) Rat.zero);
+    prop ~print:rat "field: a * inv a = 1" arb_rat (fun a ->
         Rat.is_zero a || req (Rat.div a a) Rat.one);
-    prop "add assoc" (QCheck2.Gen.triple arb_rat arb_rat arb_rat)
+    prop ~print:QCheck2.Print.(triple rat rat rat) "add assoc"
+      (QCheck2.Gen.triple arb_rat arb_rat arb_rat)
       (fun (a, b, c) -> req (Rat.add (Rat.add a b) c) (Rat.add a (Rat.add b c)));
-    prop "mul distributes" (QCheck2.Gen.triple arb_rat arb_rat arb_rat)
+    prop ~print:QCheck2.Print.(triple rat rat rat) "mul distributes"
+      (QCheck2.Gen.triple arb_rat arb_rat arb_rat)
       (fun (a, b, c) ->
         req (Rat.mul a (Rat.add b c)) (Rat.add (Rat.mul a b) (Rat.mul a c)));
-    prop "of_float exact round-trip" arb_finite_float (fun x ->
+    prop ~print:hexf "of_float exact round-trip" arb_finite_float (fun x ->
         Rat.to_float (Rat.of_float x) = x);
-    prop "to_float_dir brackets" arb_rat (fun a ->
+    prop ~print:rat "to_float_dir brackets" arb_rat (fun a ->
         let lo = Rat.to_float_dir Rat.Down a and hi = Rat.to_float_dir Rat.Up a in
         lo <= hi
         && (not (Float.is_finite lo) || Rat.compare (Rat.of_float lo) a <= 0)
         && (not (Float.is_finite hi) || Rat.compare a (Rat.of_float hi) <= 0));
-    prop "to_float is Down or Up" arb_rat (fun a ->
+    prop ~print:rat "to_float is Down or Up" arb_rat (fun a ->
         let n = Rat.to_float a in
         n = Rat.to_float_dir Rat.Down a || n = Rat.to_float_dir Rat.Up a);
-    prop "native ops are correctly rounded (cross-check)"
+    prop ~print:QCheck2.Print.(pair hexf hexf)
+      "native ops are correctly rounded (cross-check)"
       (QCheck2.Gen.pair arb_finite_float arb_finite_float) (fun (x, y) ->
         let s = x +. y in
         (not (Float.is_finite s))
         || Rat.to_float (Rat.add (Rat.of_float x) (Rat.of_float y)) = s);
-    prop "mul_pow2 exactness" (QCheck2.Gen.pair arb_rat (QCheck2.Gen.int_range (-80) 80))
+    prop ~print:QCheck2.Print.(pair rat int) "mul_pow2 exactness"
+      (QCheck2.Gen.pair arb_rat (QCheck2.Gen.int_range (-80) 80))
       (fun (a, k) -> req (Rat.mul_pow2 (Rat.mul_pow2 a k) (-k)) a);
-    prop "floor <= x < floor+1" arb_rat (fun a ->
+    prop ~print:rat "floor <= x < floor+1" arb_rat (fun a ->
         let f = Rat.of_bigint (Rat.floor a) in
         Rat.compare f a <= 0 && Rat.compare a (Rat.add f Rat.one) < 0);
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:200 ~name:"canonical form at LP sizes (400-650 bits)"
-         arb_lp_pair (fun (a, b) ->
+         ~print:QCheck2.Print.(pair rat rat) arb_lp_pair (fun (a, b) ->
            let open Bigint.Infix in
            let an = Rat.num a and ad = Rat.den a and bn = Rat.num b and bd = Rat.den b in
            let sum = Rat.add a b and diff = Rat.sub a b
@@ -253,7 +262,8 @@ let props =
            denotes quot
              (Bigint.mul_int (an * bd) (Bigint.sign bn))
              (ad * Bigint.abs bn)));
-    prop "approx contract" (QCheck2.Gen.pair arb_rat (QCheck2.Gen.int_range 1 80))
+    prop ~print:QCheck2.Print.(pair rat int) "approx contract"
+      (QCheck2.Gen.pair arb_rat (QCheck2.Gen.int_range 1 80))
       (fun (a, bits) ->
         Rat.is_zero a
         ||

@@ -52,7 +52,6 @@ let test_interval_rejects_nonfinite () =
 
 let family f =
   Rlibm.Reduction.make f ~out_fmt:tout ~pieces:2 ~table_bits:4
-    ~table:(lazy (Rlibm.Reduction.log_table f ~table_bits:4))
 
 (* The reference reduction of [x]: the reduced input, and the output
    compensation of that element. *)

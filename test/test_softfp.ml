@@ -383,24 +383,26 @@ let arb_rat_small =
     let* s = int_range (-20) 20 in
     return (Rat.mul_pow2 (Rat.of_ints n d) s))
 
-let prop name gen f =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:400 ~name gen f)
+let rat = Rat.to_string
+
+let prop ~print name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:400 ~name ~print gen f)
 
 let decode_ok fmt bits = is_finite fmt bits
 
 let props =
   [
-    prop "rounding is monotone (RNE, b16)"
+    prop ~print:QCheck2.Print.(pair rat rat) "rounding is monotone (RNE, b16)"
       (QCheck2.Gen.pair arb_rat_small arb_rat_small) (fun (a, b) ->
         let a, b = if Rat.compare a b <= 0 then (a, b) else (b, a) in
         let fa = of_rat b16 RNE a and fb = of_rat b16 RNE b in
         (not (decode_ok b16 fa && decode_ok b16 fb))
         || ordinal b16 fa <= ordinal b16 fb);
-    prop "RTD <= RNE <= RTU (b16)" arb_rat_small (fun a ->
+    prop ~print:rat "RTD <= RNE <= RTU (b16)" arb_rat_small (fun a ->
         let d = of_rat b16 RTD a and n = of_rat b16 RNE a and u = of_rat b16 RTU a in
         (not (decode_ok b16 d && decode_ok b16 n && decode_ok b16 u))
         || (ordinal b16 d <= ordinal b16 n && ordinal b16 n <= ordinal b16 u));
-    prop "idempotent re-rounding (all modes)" arb_rat_small (fun a ->
+    prop ~print:rat "idempotent re-rounding (all modes)" arb_rat_small (fun a ->
         List.for_all
           (fun m ->
             let b = of_rat b16 m a in
@@ -410,12 +412,13 @@ let props =
             || classify b16 b = Zero
             || Int64.equal b (of_rat b16 m (to_rat b16 b)))
           (RTO :: all_standard_modes));
-    prop "RTO inexact results are odd" arb_rat_small (fun a ->
+    prop ~print:rat "RTO inexact results are odd" arb_rat_small (fun a ->
         let b = of_rat b16 RTO a in
         (not (decode_ok b16 b))
         || Rat.equal (to_rat b16 b) a
         || frac_odd b16 b);
-    prop "round-to-odd double rounding = direct rounding"
+    prop ~print:QCheck2.Print.(pair rat int)
+      "round-to-odd double rounding = direct rounding"
       (QCheck2.Gen.pair arb_rat_small (QCheck2.Gen.int_range 7 11))
       (fun (a, k) ->
         (* wide = (11+2)-sig-bit format, narrow = k bits total with 5 ebits *)
@@ -428,7 +431,8 @@ let props =
               (of_rat narrow_fmt m a)
               (narrow ~src:wide ~dst:narrow_fmt m wide_ro))
           all_standard_modes);
-    prop "ordinal respects value order" (QCheck2.Gen.pair arb_rat_small arb_rat_small)
+    prop ~print:QCheck2.Print.(pair rat rat) "ordinal respects value order"
+      (QCheck2.Gen.pair arb_rat_small arb_rat_small)
       (fun (a, b) ->
         let fa = of_rat b16 RNE a and fb = of_rat b16 RNE b in
         (not (decode_ok b16 fa && decode_ok b16 fb))
