@@ -81,10 +81,10 @@ let emit_poly lang buf (piece : Polyeval.compiled) ~arg ~indent =
 
 let specials_list (g : Rlibm.Generate.generated) =
   let tin = g.Rlibm.Generate.cfg.Rlibm.Config.tin in
-  Hashtbl.fold
-    (fun bits v acc -> (Softfp.to_float tin bits, v) :: acc)
-    g.Rlibm.Generate.specials []
-  |> List.sort compare
+  Array.map2
+    (fun bits v -> (Softfp.to_float tin (Int64.of_int bits), v))
+    g.Rlibm.Generate.spec_keys g.spec_vals
+  |> Array.to_list |> List.sort compare
 
 (* ---------- shared pieces of the wrappers ---------- *)
 

@@ -81,8 +81,8 @@ let eval_bits (g : t) (x : int64) =
         if Funcspec.is_exp_family g.family.func then 0.0 else Float.nan
       else Float.infinity
   | Softfp.Zero | Softfp.Subnormal | Softfp.Normal -> (
-      match Hashtbl.find_opt g.specials x with
-      | Some v -> v
+      match Array.find_index (Int.equal (Int64.to_int x)) g.spec_keys with
+      | Some i -> g.spec_vals.(i)
       | None ->
           let xf = Softfp.to_float tin x in
           match g.family.shortcut xf with
@@ -103,55 +103,12 @@ type dst_buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.
 let create_src n : src_buf = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout n
 let create_dst n : dst_buf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
 
-(* The batch kernel of each family (genlibm_stubs.c): every pass over
-   the chunk in one call.  Neither allocates or raises; the pieces and
-   constants are the function's compiled records and the kernel and
-   decoder records' own fields and arrays. *)
-external exp_kernel :
-  src_buf ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  dst_buf ->
-  Polyeval.compiled array ->
-  float array ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  float array ->
-  (int[@untagged]) ->
-  float array ->
-  float array ->
-  int array ->
-  float array ->
-  (int[@untagged]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  unit = "rlibm_exp_kernel_byte" "rlibm_exp_kernel"
-[@@noalloc]
-
-external log_kernel :
-  src_buf ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  dst_buf ->
-  Polyeval.compiled array ->
-  float array ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  float array ->
-  (float[@unboxed]) ->
-  (int[@untagged]) ->
-  float array ->
-  int array ->
-  float array ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  unit = "rlibm_log_kernel_byte" "rlibm_log_kernel"
+(* The batch kernel (genlibm_stubs.c): every pass over the chunk
+   [\[lo, lo + len)] in one call, reading the function's pieces, decode
+   table, family constants and special table in place from [t].  It
+   neither allocates nor raises. *)
+external kernel : src_buf -> int -> int -> dst_buf -> t -> unit
+  = "rlibm_kernel"
 [@@noalloc]
 
 (* The double a finite pattern of the decoder's format denotes, equal to
@@ -159,22 +116,15 @@ external log_kernel :
    exponent field is 0) times a signed table weight, one exact multiply
    (the format fits in binary64).  The kernel's pass 1 decodes with the
    same C function. *)
-external decode :
-  float array ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int64[@unboxed]) ->
-  (float[@unboxed]) = "rlibm_decode_byte" "rlibm_decode"
-[@@noalloc]
-
-let decode_bits (d : Rlibm.Reduction.decoder) x =
-  decode d.d_scale d.d_fw d.d_emask x
+external decode_bits : Rlibm.Reduction.decoder -> int64 -> float
+  = "rlibm_decode"
 
 (* [eval_bits_into g ~src ~dst ~lo ~hi] is [eval_bits] over the chunk
    [\[lo, hi)] of [src], bit for bit, with zero allocation.  OCaml keeps
-   the bounds check and the dispatch: one C call per chunk runs every
-   pass (genlibm_stubs.c), block by block over stack scratch, each pass
-   one branch-free loop that gcc vectorizes:
+   the bounds check: one C call per chunk runs every pass
+   (genlibm_stubs.c), block by block over stack scratch, each pass one
+   branch-free loop that gcc vectorizes, the family's passes chosen by
+   [g.family.kernel]'s tag once per block:
 
    pass 1  for every element, decode through [g.decode] and run the
            family's shortcut tests and range reduction from the
@@ -183,9 +133,10 @@ let decode_bits (d : Rlibm.Reduction.decoder) x =
            constant table (stored unconditionally; the compensation
            overwrites it for polynomial elements) and force the piece
            to -1.  A settled element's reduction is computed and
-           discarded.  NaN/Inf inputs override the result by select;
-           then, only when the special table is not empty, a scalar
-           loop probes it and settles its hits;
+           discarded.  NaN/Inf inputs override the result by select
+           (the settled table's NaN and -Inf results); then, only when
+           [g.spec_keys] is not empty, a scalar loop probes it and
+           settles its hits;
    pass 2  per piece, one sweep of {!Polyeval.eval_into}'s evaluator
            over the block, with the scheme and data of the piece's
            compiled record in [g.pieces] (the record [eval_bits]
@@ -210,19 +161,7 @@ let eval_bits_into (g : t) ~(src : src_buf) ~(dst : dst_buf) ~lo ~hi =
     || hi > Bigarray.Array1.dim src
     || hi > Bigarray.Array1.dim dst
   then invalid_arg "Genlibm.eval_bits_into: chunk outside the buffers";
-  let d = g.decode in
-  let sign_shift = Softfp.width g.cfg.tin - 1 in
-  match g.family.kernel with
-  | Rlibm.Reduction.Exp_kernel ek ->
-      exp_kernel src lo (hi - lo) dst g.pieces d.d_scale d.d_fw d.d_emask
-        ek.ek_scale ek.ek_hi_cut ek.ek_lo_cut ek.ek_near_cut
-        ek.ek_settled ek.ek_n_lo ek.ek_pow ek.ek_pow_lo g.spec_keys
-        g.spec_vals sign_shift Float.nan 0.0
-  | Rlibm.Reduction.Log_kernel lk ->
-      log_kernel src lo (hi - lo) dst g.pieces d.d_scale d.d_fw d.d_emask
-        d.d_bias sign_shift lk.lk_table lk.lk_scale
-        (Bool.to_int lk.lk_exact) lk.lk_settled g.spec_keys g.spec_vals
-        Float.nan Float.nan
+  kernel src lo (hi - lo) dst g
 
 (* The smallest chunk worth handing to another domain.  A fan-out costs
    a few microseconds (queueing, waking a worker, the pool mutex per

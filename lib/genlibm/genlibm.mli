@@ -65,13 +65,14 @@ val round_result : Softfp.fmt -> Softfp.mode -> float -> Softfp.bits
 
     The serving hot path.  Inputs and outputs live in C-layout
     {!Bigarray} buffers — flat, unboxed, shareable across domains
-    without copying — and a chunk is one [[@@noalloc]] C call per
-    family (genlibm_stubs.c) reading the {!Rlibm.Reduction.kernel} and
-    decoder records' own fields and each piece's scheme and data in
-    place from {!Rlibm.Generate.generated.pieces}, the records
-    {!eval_bits} evaluates, so a function rebuilt with other pieces
-    serves exactly those.  It runs every pass over
-    blocks of the chunk whose scratch is on the C stack: decode,
+    without copying — and a chunk is one [[@@noalloc]] C call
+    (genlibm_stubs.c) that takes the function itself: it reads the
+    decoder, the {!Rlibm.Reduction.kernel} constants, the special
+    arrays and each piece's scheme and data in place from the
+    {!Rlibm.Generate.generated} record, the fields {!eval_bits} reads,
+    so a function rebuilt with other pieces or specials serves exactly
+    those.  It runs every pass over blocks of the chunk whose scratch is
+    on the C stack, the family's passes chosen once per block: decode,
     shortcut classification, range reduction and NaN/Inf in one
     branch-free loop, then the special table's scalar probe when it is
     not empty; one sweep of {!Polyeval.eval_into}'s evaluator per piece
@@ -80,7 +81,7 @@ val round_result : Softfp.fmt -> Softfp.mode -> float -> Softfp.bits
     is not settled.  Every loop runs in SIMD lanes on x86_64 CPUs with
     AVX2 (an x86-64-v3 clone of each loop's worker, picked once by the
     loader) and gives the same bits everywhere.  OCaml keeps the bounds
-    check and the dispatch; no closure runs per element.
+    check; no closure runs per element.
     The input format satisfies {!Softfp.fits_double}
     ({!Rlibm.Generate.family} rejects any other), so every finite input
     decodes exactly to a double. *)
@@ -110,7 +111,7 @@ val eval_bits_into : t -> src:src_buf -> dst:dst_buf -> lo:int -> hi:int -> unit
 val kernel_grain : int
 
 (** [decode_bits d x] is the batch kernel's decode (the same C
-    function) of the finite pattern [x] through the table [d]; it equals
+    function, reading [d] in place) of the finite pattern [x]; it equals
     [Softfp.to_float].  A test hook. *)
 val decode_bits : Rlibm.Reduction.decoder -> int64 -> float
 

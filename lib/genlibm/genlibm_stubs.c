@@ -1,22 +1,20 @@
 /* The batch kernel (Genlibm.eval_bits_into): one C call per chunk.
 
-   genlibm.ml keeps the bounds check and the dispatch; each family has
-   one entry point that runs every pass over the chunk, in blocks of
-   BLOCK elements whose scratch lives on the C stack:
+   genlibm.ml keeps the bounds check; rlibm_kernel reads the function
+   it serves in place from its Generate.generated record (the fields
+   named below) and runs every pass over the chunk, in blocks of BLOCK
+   elements whose scratch lives on the C stack:
 
-     rlibm_exp_kernel /      per block:
-     rlibm_log_kernel        pass 1: decode, shortcut classification,
-                             range reduction (and the logarithm's
-                             fma(k, k_scale, T[j]) addend), NaN/Inf;
-                             then, only when the special table is not
-                             empty, its scalar probe;
-                             pass 2: piece 0's polynomial sweep
-                             (rlibm_sweep, polyeval_stubs.c) into kv,
-                             then for each later piece p a sweep into
-                             kt and a select of it where the element's
-                             piece is p;
-                             pass 3: the output compensation v * 2^n or
-                             c + v, written where the piece is not -1.
+     per block:  pass 1: the family's decode, shortcut classification,
+                 range reduction (and the logarithm's fma(k, k_scale,
+                 T[j]) addend), NaN/Inf; then, only when the special
+                 table is not empty, its scalar probe;
+                 pass 2: piece 0's polynomial sweep (rlibm_sweep,
+                 polyeval_stubs.c) into kv, then for each later piece
+                 p a sweep into kt and a select of it where the
+                 element's piece is p;
+                 pass 3: the family's output compensation v * 2^n or
+                 c + v, written where the piece is not -1.
 
    Each loop is one branch-free body in a static worker over plain
    restrict pointers, so gcc vectorizes it: every choice is a select,
@@ -41,11 +39,11 @@
 
    Representation notes.  A pattern is read as OCaml's Int64.to_int
    read it: its low 63 bits, sign-extended from bit 62 to form the key
-   of the special table.  Each piece's scheme and coefficients are read
-   in place from the Polyeval.compiled records the scalar reference
-   evaluates.  The block scratch is plain C (kn and kp hold untagged
-   integers); OCaml never sees it.  No function here allocates, raises
-   or calls back into OCaml. */
+   of the special table.  The NaN and -Inf results are doubles of the
+   family's settled table, so their bits are OCaml's.  The block
+   scratch is plain C (kn and kp hold untagged integers); OCaml never
+   sees it.  No function here allocates, raises or calls back into
+   OCaml, except the decode_bits test hook, which boxes its result. */
 
 #define CAML_NAME_SPACE
 #include <math.h>
@@ -55,7 +53,7 @@
 #include <caml/alloc.h>
 #include <caml/bigarray.h>
 
-/* Every float array argument is read as a flat C array of doubles. */
+/* Every float array is read as a flat C array of doubles. */
 #ifndef FLAT_FLOAT_ARRAY
 #error "rlibm stubs need flat float arrays"
 #endif
@@ -72,13 +70,16 @@
 #endif
 
 /* Built with -DRLIBM_SANITIZE (the dune `sanitize` profile, under ASan
-   and UBSan), each kernel checks its window against the src and dst
-   buffers, each piece's coefficient count, and the largest index each
-   worker used in every table it gathers from, and aborts outside them.
-   ASan alone sees an overrun only past a block OCaml allocated with
-   malloc (a large one); small pooled blocks have no redzones.  The
-   block scratch needs no check: ASan puts redzones around stack
-   arrays.  Otherwise the checks are nothing. */
+   and UBSan), the kernel checks the size of every record it reads and
+   its kernel's tag, its window against the src and dst buffers, each
+   piece's coefficient count, and the largest index each worker used in
+   every table it gathers from, and aborts outside them.  A record with
+   a field added or removed is caught by its size; fields of one type
+   reordered are caught by the exhaustive bit-identity tests.  ASan
+   alone sees an overrun only past a block OCaml allocated with malloc
+   (a large one); small pooled blocks have no redzones.  The block
+   scratch needs no check: ASan puts redzones around stack arrays.
+   Otherwise the checks are nothing. */
 #ifdef RLIBM_SANITIZE
 #include <stdio.h>
 #include <stdlib.h>
@@ -88,17 +89,69 @@ static void outside(const char *what, uintnat i, uintnat size)
           what, (unsigned long) i, (unsigned long) size);
   abort();
 }
+static void layout(const char *what, value v, uintnat size)
+{
+  if (Wosize_val(v) == size) return;
+  fprintf(stderr, "genlibm_stubs.c: layout: %s has %lu fields, not %lu\n",
+          what, (unsigned long) Wosize_val(v), (unsigned long) size);
+  abort();
+}
 /* [n] elements from index 0 (a window), or index [i] (a maximum). */
 #define WITHIN(what, i, size) \
   ((uintnat) (i) <= (uintnat) (size) ? (void) 0 : outside(what, (i), (size)))
 #define BELOW(what, i, size) \
   ((uintnat) (i) < (uintnat) (size) ? (void) 0 : outside(what, (i), (size)))
 #define TRACK(m, i) ((m) = (uintnat) (i) > (m) ? (uintnat) (i) : (m))
+#define LAYOUT(what, v, size) layout(what, (v), (size))
 #else
 #define WITHIN(what, i, size) ((void) 0)
 #define BELOW(what, i, size) ((void) 0)
 #define TRACK(m, i) ((void) 0)
+#define LAYOUT(what, v, size) ((void) 0)
 #endif
+
+/* Fields of the records the kernel reads, and each record's size
+   (layouts in generate.mli, reduction.mli and polyeval.mli).  A float
+   field of a mixed record is boxed; a kernel's constructor index is
+   its family (Exp_kernel 0, Log_kernel 1) and a scheme's its sweep
+   code. */
+#define GEN_FAMILY(g) Field((g), 1)
+#define GEN_DECODE(g) Field((g), 2)
+#define GEN_PIECES(g) Field((g), 4)
+#define GEN_SPEC_KEYS(g) Field((g), 6)
+#define GEN_SPEC_VALS(g) Field((g), 7)
+#define GEN_SIZE 11
+#define FAMILY_KERNEL(f) Field((f), 2)
+#define FAMILY_SIZE 5
+#define KERNEL_CONSTS(k) Field((k), 0)
+#define LOG_KERNEL 1
+#define DEC_FW(d) Long_val(Field((d), 0))
+#define DEC_BIAS(d) Long_val(Field((d), 1))
+#define DEC_EMASK(d) Long_val(Field((d), 2))
+#define DEC_SCALE(d) Field((d), 3)
+#define DEC_SIZE 4
+#define EK_SCALE(k) Double_val(Field((k), 0))
+#define EK_HI_CUT(k) Double_val(Field((k), 1))
+#define EK_LO_CUT(k) Double_val(Field((k), 2))
+#define EK_NEAR_CUT(k) Double_val(Field((k), 3))
+#define EK_SETTLED(k) Field((k), 4)
+#define EK_N_LO(k) Long_val(Field((k), 5))
+#define EK_POW(k) Field((k), 6)
+#define EK_POW_LO(k) Field((k), 7)
+#define EK_SIZE 8
+#define LK_TABLE(k) Field((k), 0)
+#define LK_SCALE(k) Double_val(Field((k), 1))
+#define LK_EXACT(k) Bool_val(Field((k), 2))
+#define LK_SETTLED(k) Field((k), 3)
+#define LK_SIZE 4
+#define PIECE_SCHEME(c) Long_val(Field((c), 0))
+#define PIECE_DATA(c) Field((c), 2)
+#define PIECE_SIZE 4
+/* The settled slots of the non-finite results: exp's NaN and -Inf
+   (0.0), log's NaN (also its -Inf result). */
+#define EK_NAN 5
+#define EK_NEG_INF 0
+#define LK_NAN 1
 
 /* The largest index a worker gathered with, per table (sanitize only). */
 struct reach {
@@ -172,8 +225,8 @@ static inline uint64_t sign_exp(struct decoder d, uint64_t u)
   return (u >> d.fw) & (2 * d.emask + 1);
 }
 
-/* The special-table probe (Genlibm.find_special): a branch-free binary
-   search over the sorted keys, comparing tagged words (tagging keeps
+/* The special-table probe: a branch-free binary search over the
+   sorted keys (Generate.generated.spec_keys), comparing tagged words (tagging keeps
    the order).  The index of the key, or -1. */
 static inline intnat find_special(const intnat *keys, intnat n, uint64_t u)
 {
@@ -362,11 +415,6 @@ static void select_pass(intnat len, const intnat *restrict kp, intnat p,
 void rlibm_sweep(intnat code, intnat len, const double *c,
                  const double *src, double *dst, intnat lo, intnat hi);
 
-/* Fields of a Polyeval.compiled record (layout in polyeval.mli); a
-   scheme's constructor index is its sweep code. */
-#define PIECE_SCHEME(c) Long_val(Field((c), 0))
-#define PIECE_DATA(c) Field((c), 2)
-
 /* Pass 2 over a block: each piece of [pieces] sweeps the whole block;
    piece 0's results go to kv, each later piece's to kt and are
    selected into kv.  At the one or two pieces of most functions this
@@ -376,6 +424,7 @@ static void poly_pass(value pieces, intnat len, const double *kr,
 {
   for (intnat p = 0; p < (intnat) Wosize_val(pieces); p++) {
     value c = Field(pieces, p), data = PIECE_DATA(c);
+    LAYOUT("Polyeval.compiled", c, PIECE_SIZE);
     WITHIN("piece coefficients", NDOUBLES(data), 8);
     rlibm_sweep(PIECE_SCHEME(c), (intnat) NDOUBLES(data), DOUBLES(data), kr,
                 p == 0 ? kv : kt, 0, len);
@@ -417,117 +466,91 @@ static void log_compensate(intnat len, double *restrict d,
 
 /* Elements per block.  The fastest of 256..2048 in a one-domain probe
    at 16 pieces, within 3% at one or two (DESIGN.md); its scratch (kr,
-   kv, kt, kp, and kn or kc) is 5 * BLOCK * 8 B = 20 KB of stack. */
+   kv, kt, kp, and kn or kc in one array) is 5 * BLOCK * 8 B = 20 KB of stack. */
 #define BLOCK 512
 
-value rlibm_exp_kernel(value src, intnat lo, intnat len, value dst,
-                       value pieces, value dscale, intnat fw, intnat emask,
-                       double scale, double hi_cut, double lo_cut,
-                       double near_cut, value settled, intnat n_lo,
-                       value pow, value pow_lo, value keys, value vals,
-                       intnat sign_shift, double nan_v, double neg_inf_v)
+/* Genlibm.eval_bits_into: the chunk [lo, lo + len) of src into the same
+   slots of dst, through the function g (a Generate.generated). */
+value rlibm_kernel(value src, value vlo, value vlen, value dst, value g)
 {
+  LAYOUT("Generate.generated", g, GEN_SIZE);
+  LAYOUT("Reduction.t", GEN_FAMILY(g), FAMILY_SIZE);
+  LAYOUT("Reduction.decoder", GEN_DECODE(g), DEC_SIZE);
+  const intnat lo = Long_val(vlo), len = Long_val(vlen);
   const int64_t *s = (const int64_t *) Caml_ba_data_val(src) + lo;
   double *d = (double *) Caml_ba_data_val(dst) + lo;
-  const struct decoder dc = decoder(fw, emask);
-  const struct exp_consts e = { scale, hi_cut, lo_cut, near_cut, nan_v,
-                                neg_inf_v, n_lo,
-                                (intnat) Wosize_val(pieces),
-                                (int) sign_shift };
+  const value dec = GEN_DECODE(g), pieces = GEN_PIECES(g);
+  const value kernel = FAMILY_KERNEL(GEN_FAMILY(g)), k = KERNEL_CONSTS(kernel);
+  const value keys = GEN_SPEC_KEYS(g), vals = GEN_SPEC_VALS(g);
+  const int is_log = Tag_val(kernel) == LOG_KERNEL;
+  BELOW("Reduction.kernel tag", Tag_val(kernel), 2);
+  LAYOUT("Reduction.kernel", kernel, 1);
+  LAYOUT(is_log ? "Reduction.log_consts" : "Reduction.exp_consts", k,
+         is_log ? LK_SIZE : EK_SIZE);
+  const value dscale = DEC_SCALE(dec);
+  const value settled = is_log ? LK_SETTLED(k) : EK_SETTLED(k);
+  const double *sv = DOUBLES(settled);
+  const struct decoder dc = decoder(DEC_FW(dec), DEC_EMASK(dec));
+  int sign_shift = dc.fw; /* fw + ebits: the top bit of the pattern */
+  for (uint64_t m = dc.emask; m != 0; m >>= 1) sign_shift++;
+  const intnat npieces = (intnat) Wosize_val(pieces);
+  struct exp_consts e = { 0 };
+  struct log_consts l = { 0 };
+  if (is_log) {
+    int tbits = 0; /* T has 2^J entries */
+    while (((uintnat) 1 << tbits) < NDOUBLES(LK_TABLE(k))) tbits++;
+    BELOW("log settled", LK_NAN, NDOUBLES(settled));
+    l = (struct log_consts) { LK_SCALE(k), DOUBLES(dscale)[0], sv[LK_NAN],
+                              sv[LK_NAN], DEC_BIAS(dec), npieces,
+                              LK_EXACT(k), sign_shift, tbits };
+  } else {
+    BELOW("exp settled", EK_NAN, NDOUBLES(settled));
+    e = (struct exp_consts) { EK_SCALE(k), EK_HI_CUT(k), EK_LO_CUT(k),
+                              EK_NEAR_CUT(k), sv[EK_NAN], sv[EK_NEG_INF],
+                              EK_N_LO(k), npieces, sign_shift };
+  }
   struct reach reach = { 0, 0, 0 };
   double kr[BLOCK], kv[BLOCK], kt[BLOCK];
-  intnat kn[BLOCK], kp[BLOCK];
-  WITHIN("exp src", lo + len, BA_DIM(src));
-  WITHIN("exp dst", lo + len, BA_DIM(dst));
-  for (intnat b = 0; b < len; b += BLOCK) {
-    intnat n = len - b < BLOCK ? len - b : BLOCK;
-    exp_pass(n, s + b, d + b, kr, kn, kp, DOUBLES(dscale), DOUBLES(settled),
-             dc, e, &reach);
-    specials(keys, vals, s + b, d + b, kp, n, (int) fw, (uint64_t) emask);
-    poly_pass(pieces, n, kr, kp, kv, kt);
-    exp_compensate(n, d + b, kp, kv, kn, DOUBLES(pow), DOUBLES(pow_lo),
-                   &reach);
-  }
-  if (len > 0) {
-    BELOW("exp decode scale", reach.scale, NDOUBLES(dscale));
-    BELOW("exp settled", reach.settled, NDOUBLES(settled));
-    BELOW("exp pow", reach.table, NDOUBLES(pow));
-    BELOW("exp pow_lo", reach.table, NDOUBLES(pow_lo));
-  }
-  return Val_unit;
-}
-
-value rlibm_exp_kernel_byte(value *argv, int argn)
-{
-  (void) argn;
-  return rlibm_exp_kernel(argv[0], Long_val(argv[1]), Long_val(argv[2]),
-                          argv[3], argv[4], argv[5], Long_val(argv[6]),
-                          Long_val(argv[7]), Double_val(argv[8]),
-                          Double_val(argv[9]), Double_val(argv[10]),
-                          Double_val(argv[11]), argv[12], Long_val(argv[13]),
-                          argv[14], argv[15], argv[16], argv[17],
-                          Long_val(argv[18]), Double_val(argv[19]),
-                          Double_val(argv[20]));
-}
-
-value rlibm_log_kernel(value src, intnat lo, intnat len, value dst,
-                       value pieces, value dscale, intnat fw, intnat emask,
-                       intnat bias, intnat sign_shift, value table,
-                       double k_scale, intnat k_exact, value settled,
-                       value keys, value vals, double nan_v,
-                       double neg_inf_v)
-{
-  const int64_t *s = (const int64_t *) Caml_ba_data_val(src) + lo;
-  double *d = (double *) Caml_ba_data_val(dst) + lo;
-  const struct decoder dc = decoder(fw, emask);
-  uintnat tsize = NDOUBLES(table);
-  int tbits = 0;
-  while (((uintnat) 1 << tbits) < tsize) tbits++; /* T has 2^J entries */
-  const struct log_consts l = { k_scale, DOUBLES(dscale)[0], nan_v,
-                                neg_inf_v, bias,
-                                (intnat) Wosize_val(pieces), k_exact,
-                                (int) sign_shift, tbits };
-  struct reach reach = { 0, 0, 0 };
-  double kr[BLOCK], kv[BLOCK], kt[BLOCK], kc[BLOCK];
+  union { intnat n[BLOCK]; double c[BLOCK]; } kx; /* exp's kn, log's kc */
   intnat kp[BLOCK];
-  WITHIN("log src", lo + len, BA_DIM(src));
-  WITHIN("log dst", lo + len, BA_DIM(dst));
+  WITHIN("src", lo + len, BA_DIM(src));
+  WITHIN("dst", lo + len, BA_DIM(dst));
   for (intnat b = 0; b < len; b += BLOCK) {
     intnat n = len - b < BLOCK ? len - b : BLOCK;
-    log_pass(n, s + b, d + b, kr, kc, kp, DOUBLES(table), DOUBLES(settled),
-             dc, l, &reach);
-    specials(keys, vals, s + b, d + b, kp, n, (int) fw, (uint64_t) emask);
+    if (is_log)
+      log_pass(n, s + b, d + b, kr, kx.c, kp, DOUBLES(LK_TABLE(k)), sv, dc, l,
+               &reach);
+    else
+      exp_pass(n, s + b, d + b, kr, kx.n, kp, DOUBLES(dscale), sv, dc, e,
+               &reach);
+    specials(keys, vals, s + b, d + b, kp, n, dc.fw, dc.emask);
     poly_pass(pieces, n, kr, kp, kv, kt);
-    log_compensate(n, d + b, kp, kv, kc);
+    if (is_log)
+      log_compensate(n, d + b, kp, kv, kx.c);
+    else
+      exp_compensate(n, d + b, kp, kv, kx.n, DOUBLES(EK_POW(k)),
+                     DOUBLES(EK_POW_LO(k)), &reach);
   }
   if (len > 0) {
-    BELOW("log table", reach.table, tsize);
-    BELOW("log settled", reach.settled, NDOUBLES(settled));
+    BELOW("settled", reach.settled, NDOUBLES(settled));
+    if (is_log) {
+      BELOW("log table", reach.table, NDOUBLES(LK_TABLE(k)));
+    } else {
+      BELOW("exp decode scale", reach.scale, NDOUBLES(dscale));
+      BELOW("exp pow", reach.table, NDOUBLES(EK_POW(k)));
+      BELOW("exp pow_lo", reach.table, NDOUBLES(EK_POW_LO(k)));
+    }
   }
   return Val_unit;
 }
 
-value rlibm_log_kernel_byte(value *argv, int argn)
+/* Genlibm.decode_bits: the decode above on one pattern, through the
+   decoder d. */
+value rlibm_decode(value d, value x)
 {
-  (void) argn;
-  return rlibm_log_kernel(
-      argv[0], Long_val(argv[1]), Long_val(argv[2]), argv[3], argv[4],
-      argv[5], Long_val(argv[6]), Long_val(argv[7]), Long_val(argv[8]),
-      Long_val(argv[9]), argv[10], Double_val(argv[11]), Long_val(argv[12]),
-      argv[13], argv[14], argv[15], Double_val(argv[16]),
-      Double_val(argv[17]));
-}
-
-/* Genlibm.decode_bits: the decode above on one pattern. */
-double rlibm_decode(value dscale, intnat fw, intnat emask, int64_t x)
-{
-  const struct decoder dc = decoder(fw, emask);
-  uint64_t u = (uint64_t) x & UINT64_C(0x7fffffffffffffff);
-  return decode(DOUBLES(dscale), dc, u, sign_exp(dc, u));
-}
-
-value rlibm_decode_byte(value dscale, value fw, value emask, value x)
-{
-  return caml_copy_double(rlibm_decode(dscale, Long_val(fw), Long_val(emask),
-                                       Int64_val(x)));
+  LAYOUT("Reduction.decoder", d, DEC_SIZE);
+  const struct decoder dc = decoder(DEC_FW(d), DEC_EMASK(d));
+  uint64_t u = (uint64_t) Int64_val(x) & UINT64_C(0x7fffffffffffffff);
+  return caml_copy_double(decode(DOUBLES(DEC_SCALE(d)), dc, u,
+                                 sign_exp(dc, u)));
 }

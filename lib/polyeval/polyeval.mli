@@ -25,7 +25,8 @@ val scheme_of_name : string -> scheme option
 (** Layout read by C.  The batch kernel (genlibm_stubs.c) reads each
     piece's [scheme] (field 0) and [data] (field 2) straight from the
     record, and a scheme reaches C as its constructor index, [Horner] = 0
-    to [EstrinFma] = 4 (polyeval_stubs.c's scheme codes).  Reordering the
+    to [EstrinFma] = 4 (polyeval_stubs.c's scheme codes); its sanitized
+    build checks that the record has 4 fields.  Reordering the
     constructors or these two fields changes what C reads. *)
 type compiled = {
   scheme : scheme;

@@ -309,15 +309,15 @@ type generated = {
   decode : Reduction.decoder;  (* the batch kernel's decode of cfg.tin *)
   scheme : Polyeval.scheme;
   pieces : Polyeval.compiled array;  (* the C kernel reads them in place *)
-  specials : (int64, float) Hashtbl.t;  (* input bits -> double result *)
-  spec_keys : int array;  (* the same specials, sorted by bit pattern… *)
-  spec_vals : float array;  (* …for the binary-search hot path *)
+  specials : (int64, float) Hashtbl.t;  (* for the benchmark only *)
+  spec_keys : int array;  (* the special inputs, sorted by bit pattern… *)
+  spec_vals : float array;  (* …and their results *)
   degrees : int array;  (* per piece *)
   rounds : int array;  (* per piece *)
   n_constraints : int array;  (* per piece *)
 }
 
-let n_specials g = Hashtbl.length g.specials
+let n_specials g = Array.length g.spec_keys
 
 (* Closure-free product of the LP/adapt/validate/constrain loop: what the
    staged pipeline persists for the polynomial stage.  [sv_data] holds
@@ -471,13 +471,12 @@ let assemble ?table ~(cfg : Config.t) ~scheme ~func (sv : solved) =
   in
   let specials = Hashtbl.create 16 in
   List.iter (fun (x, v) -> Hashtbl.replace specials x v) sv.sv_specials;
-  (* Sorted-array mirror of the special table, probed by binary search on
-     the hot path (Genlibm.eval_bits and the batch kernels) instead of a
-     per-call Hashtbl.find_opt that allocates an option.  Patterns occupy
-     the low <= 63 bits of the int64 (a Softfp.make_fmt invariant), so a
+  (* The special table as sorted arrays, which the batch kernel probes
+     by binary search and Genlibm.eval_bits scans.  Patterns occupy the
+     low <= 63 bits of the int64 (a Softfp.make_fmt invariant), so a
      native-int key array gives unboxed comparisons.  Built from the
-     table, not the discovery-order list, so duplicate discoveries
-     collapse exactly as the Hashtbl replace semantics dictate. *)
+     Hashtbl, not the discovery-order list, so duplicate discoveries
+     collapse exactly as its replace semantics dictate. *)
   let spec_pairs =
     Hashtbl.fold (fun x v acc -> (Int64.to_int x, v) :: acc) specials []
     |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)

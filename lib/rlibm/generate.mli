@@ -24,6 +24,11 @@
 val first_round_lp :
   degree:int -> Constraints.point array -> Lp.system_result
 
+(** Layout read by C.  The batch kernel (genlibm_stubs.c) reads
+    [family] (field 1), [decode] (2), [pieces] (4), [spec_keys] (6) and
+    [spec_vals] (7) in place, and its sanitized build checks that the
+    record has 11 fields.  Reordering or adding fields changes what C
+    reads. *)
 type generated = {
   cfg : Config.t;
   family : Reduction.t;
@@ -36,11 +41,16 @@ type generated = {
           and coefficients, which the scalar reference and the batch
           kernel both read, and the kernel's piece count *)
   specials : (int64, float) Hashtbl.t;
-      (** input bits -> stored double result (decoded oracle value) *)
+      (** the special table as a hash table, built once by {!assemble}
+          and read by nothing in [lib/]; it stays for the benchmark's
+          path classification until that moves to [spec_keys] *)
   spec_keys : int array;
-      (** the same special inputs as native ints (patterns fit 63 bits),
-          sorted ascending — the binary-search probe of the hot path *)
-  spec_vals : float array;  (** results matching [spec_keys] by index *)
+      (** the special inputs as native ints (patterns fit 63 bits),
+          sorted ascending: the one special table the scalar reference,
+          the batch kernel's binary search and the emitted source read *)
+  spec_vals : float array;
+      (** stored double results (decoded oracle values) matching
+          [spec_keys] by index *)
   degrees : int array;  (** per piece *)
   rounds : int array;  (** generation rounds used, per piece *)
   n_constraints : int array;  (** merged constraint points, per piece *)

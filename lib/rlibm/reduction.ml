@@ -127,6 +127,7 @@ let exp_consts ~scale ~out_fmt =
       Float.ldexp 1.0 (emin - prec - 2);
       1.0 -. Float.ldexp 1.0 (-(prec + 2));
       1.0 +. Float.ldexp 1.0 (-(prec + 1));
+      Float.nan;
     |]
   in
   (* 2^n as a two-factor product, one factor per table: exactly 2^n

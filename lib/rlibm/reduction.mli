@@ -45,15 +45,23 @@ val scratch : unit -> scratch
 
 (** The family's constants, built once by {!make}: settled values in
     small tables indexed by comparison bits, so the batch kernel's
-    classification takes no data-dependent branch. *)
+    classification takes no data-dependent branch.
+
+    Layout read by C.  The batch kernel (genlibm_stubs.c) reads every
+    field of [exp_consts] and [log_consts] by position, a {!kernel}'s
+    constructor index as its family ([Exp_kernel] 0, [Log_kernel] 1)
+    and {!t.kernel} as field 2 of {!t}; its sanitized build checks
+    each record's field count.  Reordering or adding fields or
+    constructors changes what C reads. *)
 type exp_consts = {
   ek_scale : float;  (** log2 of the base: t = x * ek_scale *)
   ek_hi_cut : float;  (** t above this overflows *)
   ek_lo_cut : float;  (** t below this underflows *)
   ek_near_cut : float;  (** 0 < |t| below this: the result hugs 1 *)
   ek_settled : float array;
-      (** the shortcut's results, by index: 1 overflow, 2 underflow,
-          3 just below 1 (x < 0), 4 just above 1 (x > 0); 0 is unused *)
+      (** the settled results, by index: 0 the -inf input's (0.0),
+          1 overflow, 2 underflow, 3 just below 1 (x < 0), 4 just above
+          1 (x > 0), 5 NaN inputs' *)
   ek_n_lo : int;  (** smallest [n = floor t] of a polynomial-path input *)
   ek_pow : float array;
   ek_pow_lo : float array;
@@ -68,8 +76,9 @@ type log_consts = {
   lk_scale : float;  (** log_b 2 *)
   lk_exact : bool;  (** [k * lk_scale] is exact (log2) *)
   lk_settled : float array;
-      (** the shortcut's results, indexed by [neg lor (zero lsl 1)]:
-          NaN for negative inputs, -inf for zeros; 0 is unused *)
+      (** the settled results, indexed by [neg lor (zero lsl 1)]:
+          NaN for negative inputs (also the NaN and -inf inputs'),
+          -inf for zeros; 0 is unused *)
 }
 
 type kernel = Exp_kernel of exp_consts | Log_kernel of log_consts
@@ -79,7 +88,8 @@ type kernel = Exp_kernel of exp_consts | Log_kernel of log_consts
     signed weight [+/-2^(max(be, 1) - d_bias - d_fw)] of the integer
     significand.  The format satisfies {!Softfp.fits_double}, so every
     weight is a finite, nonzero double and the product of a significand
-    and its weight is the exact value. *)
+    and its weight is the exact value.  Layout read by C: the batch
+    kernel reads all four fields by position. *)
 type decoder = {
   d_fw : int;  (** fraction width, [prec - 1] *)
   d_bias : int;

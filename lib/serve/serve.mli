@@ -19,9 +19,10 @@
 
     {!eval_batch_into} runs the zero-allocation batch kernel
     ({!Genlibm.eval_bits_into}) over caller-owned buffers.  A small
-    request (below 2048 elements) runs on the calling domain; a larger
-    one fans out over the {!Parallel} pool, each chunk (at least 1024
-    elements) sweeping its disjoint slice.  This kernel is the code
+    request (below 6144 elements, twice {!Genlibm.kernel_grain}) runs on
+    the calling domain; a larger one fans out over the {!Parallel} pool,
+    each chunk (at least [kernel_grain] = 3072 elements) sweeping its
+    disjoint slice.  This kernel is the code
     {!Genlibm.verify} checks, it is bit-identical to the DAG reference
     {!Genlibm.eval_bits} per element, and the {!Parallel} determinism
     contract applies, so results are bit-identical to the reference for
@@ -88,9 +89,9 @@ val find : t -> Oracle.func -> entry option
 (** [eval_batch_into t func ~src ~dst] evaluates the served
     implementation of [func] on every pattern of [src], writing
     [dst.{i}] for each [i] in [\[0, dim src)].  The serving hot path:
-    below 2048 elements one kernel sweep on the calling domain, above
-    it chunks of the batch run the zero-allocation kernel concurrently
-    into disjoint slices of [dst]; results are the ones
+    below 6144 elements one kernel sweep on the calling domain, above
+    it chunks of at least 3072 elements run the zero-allocation kernel
+    concurrently into disjoint slices of [dst]; results are the ones
     {!Genlibm.verify} checks, bit-identical to the DAG reference
     {!Genlibm.eval_bits} at every job count and batch size.
     @raise Invalid_argument when the snapshot does not serve [func] or

@@ -45,6 +45,20 @@ let check_bit_identity name g patterns =
         Alcotest.failf "%s: input %Lx: scalar %Lx, kernel %Lx" name x s kb.(i))
     patterns
 
+(* [g] rebuilt with the special input [x] settled to [v], through the
+   sorted special arrays alone: the one special table the scalar
+   reference and the kernel read. *)
+let with_special (g : Rlibm.Generate.generated) x v =
+  let key = Int64.to_int x in
+  let spec_keys, spec_vals =
+    (key, v)
+    :: List.filter
+         (fun (k, _) -> k <> key)
+         (Array.to_list (Array.combine g.spec_keys g.spec_vals))
+    |> List.sort compare |> Array.of_list |> Array.split
+  in
+  { g with Rlibm.Generate.spec_keys; spec_vals }
+
 (* ---------- exhaustive kernel = scalar, per (func, scheme) ---------- *)
 
 (* exp2/log2 cover every scheme; the remaining four functions ride on
@@ -67,6 +81,29 @@ let test_exhaustive func scheme () =
     Printf.sprintf "%s/%s" (Oracle.name func) (Polyeval.scheme_name scheme)
   in
   check_bit_identity name g (all_patterns tiny)
+
+(* A mini function rebuilt with one more special input, a polynomial
+   path input of each family: both paths serve the new result, and they
+   agree on every pattern. *)
+let test_rebuilt_special () =
+  List.iter
+    (fun func ->
+      let g = generate_ok func Polyeval.Horner in
+      let poly =
+        List.filter
+          (fun x ->
+            Softfp.is_finite tiny x
+            && g.Rlibm.Generate.family.Rlibm.Reduction.shortcut (Softfp.to_float tiny x)
+               = None
+            && not (Array.mem (Int64.to_int x) g.Rlibm.Generate.spec_keys))
+          (Array.to_list (all_patterns tiny))
+      in
+      let x = List.nth poly (List.length poly / 2) in
+      let g = with_special g x 0.5 in
+      let name = Oracle.name func ^ " with one more special" in
+      Alcotest.(check (float 0.0)) (name ^ ": scalar") 0.5 (Genlibm.eval_bits g x);
+      check_bit_identity name g (all_patterns tiny))
+    [ Oracle.Exp2; Oracle.Log2 ]
 
 (* ---------- chunk windows ---------- *)
 
@@ -542,19 +579,7 @@ let test_binary32_mixed () =
         g.Rlibm.Generate.family.Rlibm.Reduction.shortcut (Softfp.to_float fmt x) = None)
       (Array.to_list sampled)
   in
-  let special = List.hd poly in
-  let specials = Hashtbl.copy g.Rlibm.Generate.specials in
-  Hashtbl.replace specials special 0.5;
-  let pairs =
-    Hashtbl.fold (fun x v acc -> (Int64.to_int x, v) :: acc) specials []
-    |> List.sort compare |> Array.of_list
-  in
-  let g =
-    { g with
-      Rlibm.Generate.specials;
-      spec_keys = Array.map fst pairs;
-      spec_vals = Array.map snd pairs }
-  in
+  let g = with_special g (List.hd poly) 0.5 in
   let rec interleave s p =
     match (s, p) with
     | x :: s', y :: p' -> x :: y :: interleave s' p'
@@ -599,4 +624,5 @@ let suite =
         `Slow,
         test_vector_edges );
       ("exp2/binary32 mixed settled and polynomial batch", `Slow, test_binary32_mixed);
+      ("a special added through spec_keys alone", `Slow, test_rebuilt_special);
     ]

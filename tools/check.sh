@@ -25,7 +25,8 @@
 #   nothing quarantined and a resumed run completes bit-identically;
 # - vectorization: every pass loop of the serving kernel's C stubs is
 #   vectorized in its x86-64-v3 clone (tools/vec_witness.sh);
-# - examples: quickstart, multi_rounding and emit_source run to exit 0
+# - examples: quickstart, multi_rounding, emit_source and the paper
+#   harness's E3 (bench/main.exe --post-process --quick) run to exit 0
 #   against a fresh store;
 # - the paper harness (bench/main.exe) rejects unknown flags;
 # and finally run the repository benchmark's own tests (every workload
@@ -75,6 +76,7 @@ if ! TMPDIR="$santmp" ASAN_OPTIONS=detect_leaks=0 \
     ./_build_sanitize/default/test/test_main.exe -o "$sanlogs"; then
   echo "the sanitized suite failed; reports in $sanlogs:"
   grep -rh -A12 -e 'Sanitizer' -e 'runtime error' -e 'outside a block' \
+    -e 'layout:' \
     "$sanlogs" | head -60
   exit 1
 fi
@@ -411,7 +413,12 @@ done
   || { echo "examples/emit_source.exe failed"; exit 1; }
 [ -s "$exdir/generated/exp2_estrin_fma.c" ] \
   || { echo "emit_source wrote no C source"; exit 1; }
-echo "quickstart, multi_rounding, emit_source: exit 0"
+# E3 (§6.3): the post-processed functions served through the kernel.
+dune exec --no-build bench/main.exe -- --post-process --quick \
+  --cache-dir "$exstore" > "$exdir/post_process.out" 2>&1 \
+  || { echo "bench/main.exe --post-process failed:"
+       cat "$exdir/post_process.out"; exit 1; }
+echo "quickstart, multi_rounding, emit_source, E3 post-process: exit 0"
 
 echo "== paper harness flags =="
 # An experiment flag runs; an unknown flag (such as a deleted timing
