@@ -157,8 +157,9 @@ let log_level_arg =
     "Verbosity of the human-readable diagnostic stream on stderr: \
      $(b,quiet), $(b,error), $(b,warn) (default), $(b,info) (stage and \
      store activity, shard.done, gen.degree per degree tried, \
-     serve.snapshot), $(b,debug) (gen.round and lp.round per round, LP \
-     statistics, parallel fan-out, batch evals).  Diagnostics never \
+     lp.system and lp.solved with their seconds, serve.snapshot), \
+     $(b,debug) (gen.round and lp.round per round, the LP tableau's \
+     largest entry, parallel fan-out, batch evals).  Diagnostics never \
      touch stdout and never influence artifacts."
   in
   Arg.(value & opt log_level_conv Diag.Warn & info [ "log-level" ] ~docv:"LEVEL" ~doc)

@@ -15,11 +15,14 @@
     stderr sink, a human-readable stderr sink at [--log-level], and a
     schema-versioned JSONL trace file via [--trace FILE].  This is the
     only progress channel: no layer takes a string-logging callback.
-    The generate / validate / constrain loop speaks four events of its
+    The generate / validate / constrain loop speaks five events of its
     own — ["gen.degree"] (Info: func, scheme, piece, degree,
     constraints), ["gen.round"] (Debug: degree, round, outcome
-    [infeasible|violated], violated), ["lp.round"] (Debug: round,
-    outcome, violations, working) — the oracle speaks ["oracle.ziv"]
+    [infeasible|violated], violated), ["lp.system"] (Info: points,
+    powers, seconds; once per build or extension of a piece's LP
+    system), ["lp.solved"] (Info: rows, columns, pivots, phase1_pivots,
+    seconds, plus maxbits at Debug; once per LP solve), ["lp.round"]
+    (Debug: round, outcome, violations, working) — the oracle speaks ["oracle.ziv"]
     (Info: func, inputs, fast, analytic, fallbacks, [ziv<prec>] per
     fallback level) once per evaluated range, and snapshot resolution
     speaks ["serve.snapshot"] (Info: key, status

@@ -2,6 +2,7 @@
    RLibm-style column-generation driver for interval systems. *)
 
 module R = Rat
+module B = Bigint
 
 type status = Optimal of Rat.t array * Rat.t | Infeasible | Unbounded
 
@@ -267,27 +268,32 @@ let phase1 tb =
 let primal tb =
   Array.init tb.rows (fun k -> if tb.neg.(k) then tb.zrow.(k) else R.neg tb.zrow.(k))
 
-(* Per-solve statistics are Debug-level diagnostics; the maxbits scan is
-   quadratic in the tableau, so it only runs when a sink actually listens
-   (the [Diag.event] thunk is not forced otherwise). *)
-let solved_event tb ~phase1_pivots =
-  Diag.event ~level:Diag.Debug "lp.solved" (fun () ->
-      let maxbits = ref 0 in
-      Array.iter
-        (Array.iter (fun e ->
-             maxbits :=
-               Stdlib.max !maxbits
-                 (Bigint.numbits (R.num e) + Bigint.numbits (R.den e))))
-        tb.t;
+(* One Info event per solve: its shape, pivots and wall-clock seconds
+   since [t0].  The maxbits scan is quadratic in the tableau, so it only
+   runs when a sink listens at Debug. *)
+let solved_event tb ~phase1_pivots ~t0 =
+  Diag.event "lp.solved" (fun () ->
+      let maxbits () =
+        let maxbits = ref 0 in
+        Array.iter
+          (Array.iter (fun e ->
+               maxbits :=
+                 Stdlib.max !maxbits
+                   (Bigint.numbits (R.num e) + Bigint.numbits (R.den e))))
+          tb.t;
+        [ ("maxbits", Diag.Int !maxbits) ]
+      in
       [
         ("rows", Diag.Int tb.rows);
         ("columns", Diag.Int (tb.width - tb.rows));
         ("pivots", Diag.Int tb.pivots);
         ("phase1_pivots", Diag.Int phase1_pivots);
-        ("maxbits", Diag.Int !maxbits);
-      ])
+        ("seconds", Diag.Float (Unix.gettimeofday () -. t0));
+      ]
+      @ if Diag.enabled Diag.Debug then maxbits () else [])
 
 let maximize ~obj ~rows =
+  let t0 = Unix.gettimeofday () in
   let n = Array.length obj in
   Array.iter
     (fun (a, _) ->
@@ -299,7 +305,7 @@ let maximize ~obj ~rows =
   if phase1 tb then begin
     let phase1_pivots = tb.pivots in
     let result = run_phase tb in
-    solved_event tb ~phase1_pivots;
+    solved_event tb ~phase1_pivots ~t0;
     match result with
     | `Unbounded -> Infeasible (* dual unbounded: no primal point *)
     | `Optimal ->
@@ -344,37 +350,203 @@ let round_bits q bits =
     R.mul_pow2 (R.of_bigint (if R.sign q < 0 then Bigint.neg m else m)) e
   end
 
+(* ---------- the per-piece system ----------
+
+   Every LP call over a piece reads one system: per point, the float
+   shadows of its monomials x^p (the violation scan's currency) and,
+   made on demand and memoized, their rationals (for the columns and
+   exact confirmation), for p = 0 .. powers - 1.  [next_power p] makes
+   power p's row — its shadows and a maker of each point's rational —
+   and is called once per power, in increasing order, so a degree
+   escalation adds rows instead of rebuilding. *)
+
+type memo = { keys : float array; rats : R.t array }
+
+type system = {
+  size : int;
+  order : int -> int -> int;  (* the seed spread's order over points *)
+  next_power : int -> float array * (int -> R.t);
+  mutable shadows : float array array;  (* per power, per point *)
+  mutable makers : (int -> R.t) array;  (* per power *)
+  mutable monos : R.t option array array;  (* per power, per point *)
+  lo_memo : memo;  (* the rational of each point's last [lo] double *)
+  hi_memo : memo;
+}
+
+let make_system ~size ~order next_power =
+  let memo () = { keys = Array.make size Float.nan; rats = Array.make size R.zero } in
+  {
+    size;
+    order;
+    next_power;
+    shadows = [||];
+    makers = [||];
+    monos = [||];
+    lo_memo = memo ();
+    hi_memo = memo ();
+  }
+
+(* Make powers 0 .. count - 1 available; one Info "lp.system" event per
+   call that adds any. *)
+let extend sys count =
+  let have = Array.length sys.shadows in
+  if count > have then begin
+    let t0 = Unix.gettimeofday () in
+    let rows = Array.init (count - have) (fun k -> sys.next_power (have + k)) in
+    sys.shadows <- Array.append sys.shadows (Array.map fst rows);
+    sys.makers <- Array.append sys.makers (Array.map snd rows);
+    sys.monos <-
+      Array.append sys.monos (Array.map (fun _ -> Array.make sys.size None) rows);
+    Diag.event "lp.system" (fun () ->
+        [
+          ("points", Diag.Int sys.size);
+          ("powers", Diag.Int count);
+          ("seconds", Diag.Float (Unix.gettimeofday () -. t0));
+        ])
+  end
+
+let mono sys p i =
+  match sys.monos.(p).(i) with
+  | Some q -> q
+  | None ->
+      let q = sys.makers.(p) i in
+      sys.monos.(p).(i) <- Some q;
+      q
+
+(* The exact order of two doubles, with -0 = +0: the outcomes
+   [R.compare] gives on their rationals. *)
+let compare_doubles (a : float) b = if a < b then -1 else if a > b then 1 else 0
+
+let seed_order xs =
+  let order = Array.init (Array.length xs) Fun.id in
+  Array.sort (fun i j -> compare_doubles xs.(i) xs.(j)) order;
+  order
+
+(* The round-to-nearest-even double of m * 2^e (m >= 0 with at most 64
+   bits), with gradual underflow and overflow to infinity: [R.to_float]
+   of that dyadic, without building it. *)
+let float_of_dyadic m e =
+  if B.is_zero m then 0.0
+  else begin
+    let nb = B.numbits m in
+    let top = e + nb - 1 in
+    let prec = if top < -1022 then 53 - (-1022 - top) else 53 in
+    let drop = nb - prec in
+    if drop <= 0 then Float.ldexp (B.to_float m) e
+    else begin
+      let kept = B.shift_right m drop in
+      let rbit = B.testbit m (drop - 1) in
+      let sticky = B.trailing_zeros m < drop - 1 in
+      let kept = if rbit && (sticky || B.is_odd kept) then B.succ kept else kept in
+      Float.ldexp (B.to_float kept) (e + drop)
+    end
+  end
+
+(* The system over the doubles [rs].  With r = s * m * 2^e (m its 53-bit
+   significand), r^p is s^p * m^p * 2^(p e): m^p is one exact product
+   with the previous power's, truncated toward zero to 64 significant
+   bits (what [round_bits (R.pow (R.of_float r) p) 64] gives), and its
+   shadow is one rounding of that truncated mantissa.  No gcd, no
+   division; the rational is only made when the LP asks for it. *)
+let system rs =
+  let size = Array.length rs in
+  let sig_ = Array.make size B.zero and sexp = Array.make size 0 in
+  let prod = Array.make size B.one in
+  let next_power p =
+    if p = 1 then
+      Array.iteri
+        (fun i r ->
+          let m, e = Float.frexp (Float.abs r) in
+          sig_.(i) <- B.of_int (Float.to_int (Float.ldexp m 53));
+          sexp.(i) <- e - 53)
+        rs;
+    let mant = Array.make size B.zero and mexp = Array.make size 0 in
+    let shadow =
+      Array.init size (fun i ->
+          if p > 0 then prod.(i) <- B.mul prod.(i) sig_.(i);
+          let x = prod.(i) in
+          let s = B.numbits x - 64 in
+          let e = p * sexp.(i) in
+          let m, e = if s > 0 then (B.shift_right x s, e + s) else (x, e) in
+          mant.(i) <- m;
+          mexp.(i) <- e;
+          let f = float_of_dyadic m e in
+          if rs.(i) < 0.0 && p land 1 = 1 then -.f else f)
+    in
+    let exact i =
+      let m = if rs.(i) < 0.0 && p land 1 = 1 then B.neg mant.(i) else mant.(i) in
+      R.mul_pow2 (R.of_bigint m) mexp.(i)
+    in
+    (shadow, exact)
+  in
+  make_system ~size ~order:(fun i j -> compare_doubles rs.(i) rs.(j)) next_power
+
+(* The system over rational points, monomials rounded as [mono_bits]
+   says: what [solve_interval_system] reads. *)
+let system_of_points ?mono_bits points =
+  let next_power p =
+    let q =
+      Array.map
+        (fun pt ->
+          let m = R.pow pt.x p in
+          match mono_bits with None -> m | Some b -> round_bits m b)
+        points
+    in
+    (Array.map R.to_float q, fun i -> q.(i))
+  in
+  make_system ~size:(Array.length points)
+    ~order:(fun i j -> R.compare points.(i).x points.(j).x)
+    next_power
+
+let monomial sys i p =
+  extend sys (p + 1);
+  (mono sys p i, sys.shadows.(p).(i))
+
+(* The rational of double [x] as point [i]'s bound, from the memo when
+   [x] is the bound it last converted. *)
+let bound memo i x =
+  if memo.keys.(i) = x then memo.rats.(i)
+  else begin
+    let q = R.of_float x in
+    memo.keys.(i) <- x;
+    memo.rats.(i) <- q;
+    q
+  end
+
+(* What one LP call reads: the points at view positions 0 .. n - 1
+   ([idx] maps a position to its system point) with their working
+   bounds, as shadows and as rationals.  Positions are what the working
+   set, the column tags and [Sat]'s indices speak. *)
+type view = {
+  sys : system;
+  idx : int array;
+  lo_f : float array;
+  hi_f : float array;
+  lo_q : int -> R.t;
+  hi_q : int -> R.t;
+}
+
 (* How many violated points, most violated first, join the working set
    per round. *)
 let max_added_per_round = 16
 
-let solve_interval_system ?(initial_working = []) ?tilt ?mono_bits ~powers
-    points =
+let solve_view ?(initial_working = []) ?tilt ~powers view =
   let d = Array.length powers in
-  let n_points = Array.length points in
+  let n_points = Array.length view.idx in
   if n_points = 0 then Sat (Array.make d R.zero, [])
   else begin
-    let monos =
-      Array.map
-        (fun pt ->
-          Array.map
-            (fun p ->
-              let m = R.pow pt.x p in
-              match mono_bits with
-              | None -> m
-              | Some b -> round_bits m b)
-            powers)
-        points
-    in
+    let sys = view.sys in
+    extend sys (1 + Array.fold_left Stdlib.max 0 powers);
+    let t0 = Unix.gettimeofday () in
     (* Float shadows of the system: the per-round violation scan runs in
        doubles, with exact confirmation only for points near an interval
        boundary.  A point misclassified by less than the float margin is
        immaterial: the pipeline's acceptance criterion is the *double*
        evaluation of the compiled scheme, and false positives merely add a
        harmless constraint. *)
-    let monos_f = Array.map (Array.map R.to_float) monos in
-    let lo_f = Array.map (fun pt -> R.to_float pt.lo) points in
-    let hi_f = Array.map (fun pt -> R.to_float pt.hi) points in
+    let shadows = Array.map (fun p -> sys.shadows.(p)) powers in
+    let monos pos = Array.map (fun p -> mono sys p view.idx.(pos)) powers in
+    let lo_f = view.lo_f and hi_f = view.hi_f in
     (* value = round at which the constraint joined *)
     let working : (int, int) Hashtbl.t = Hashtbl.create 64 in
     let seeds = ref [] (* the round-0 members, most recent first *) in
@@ -390,7 +562,7 @@ let solve_interval_system ?(initial_working = []) ?tilt ?mono_bits ~powers
     if Hashtbl.length working < d + 1 then begin
       (* Seed: spread evenly over the x-sorted points. *)
       let order = Array.init n_points (fun i -> i) in
-      Array.sort (fun i j -> R.compare points.(i).x points.(j).x) order;
+      Array.sort (fun i j -> sys.order view.idx.(i) view.idx.(j)) order;
       let initial = Stdlib.min n_points (Stdlib.max (2 * (d + 1)) 8) in
       for k = 0 to initial - 1 do
         seed order.(k * (n_points - 1) / Stdlib.max 1 (initial - 1))
@@ -401,10 +573,10 @@ let solve_interval_system ?(initial_working = []) ?tilt ?mono_bits ~powers
        -p(x) + delta <= -lo  (tag 2i + 1); one more row keeps delta >= 0. *)
     let lift v last = Array.init (d + 1) (fun k -> if k < d then v k else last) in
     let point_columns idx =
-      let m = monos.(idx) in
+      let m = monos idx in
       [
-        (2 * idx, lift (fun k -> m.(k)) R.one, points.(idx).hi);
-        (2 * idx + 1, lift (fun k -> R.neg m.(k)) R.one, R.neg points.(idx).lo);
+        (2 * idx, lift (fun k -> m.(k)) R.one, view.hi_q idx);
+        (2 * idx + 1, lift (fun k -> R.neg m.(k)) R.one, R.neg (view.lo_q idx));
       ]
     in
     let delta_nonneg = (-1, lift (fun _ -> R.zero) R.minus_one, R.zero) in
@@ -439,17 +611,16 @@ let solve_interval_system ?(initial_working = []) ?tilt ?mono_bits ~powers
           | false, _ -> assert false)
     in
     let eval_f coeffs_f idx =
-      let m = monos_f.(idx) in
+      let i = view.idx.(idx) in
       let acc = ref 0.0 in
       for k = 0 to d - 1 do
-        acc := !acc +. (coeffs_f.(k) *. m.(k))
+        acc := !acc +. (coeffs_f.(k) *. shadows.(k).(i))
       done;
       !acc
     in
     let exact_violation coeffs idx =
-      let pt = points.(idx) in
-      let v = dot coeffs monos.(idx) in
-      let worst = R.max (R.sub pt.lo v) (R.sub v pt.hi) in
+      let p = dot coeffs (monos idx) in
+      let worst = R.max (R.sub (view.lo_q idx) p) (R.sub p (view.hi_q idx)) in
       if R.sign worst > 0 then Some (R.to_float worst) else None
     in
     (* Slack-constraint pruning keeps the tableau narrow.  Only points
@@ -558,6 +729,32 @@ let solve_interval_system ?(initial_working = []) ?tilt ?mono_bits ~powers
               loop (round + 1))
     in
     let result = loop 1 in
-    solved_event tb ~phase1_pivots;
+    solved_event tb ~phase1_pivots ~t0;
     result
   end
+
+let solve_system ?initial_working ?tilt ~powers sys ~idx ~lo ~hi =
+  (* The bounds are their own shadows ([R.to_float] of a double's
+     rational gives the double back, up to the sign of a zero, which no
+     comparison of the scan sees). *)
+  solve_view ?initial_working ?tilt ~powers
+    {
+      sys;
+      idx;
+      lo_f = lo;
+      hi_f = hi;
+      lo_q = (fun pos -> bound sys.lo_memo idx.(pos) lo.(pos));
+      hi_q = (fun pos -> bound sys.hi_memo idx.(pos) hi.(pos));
+    }
+
+let solve_interval_system ?initial_working ?tilt ?mono_bits ~powers points =
+  let n = Array.length points in
+  solve_view ?initial_working ?tilt ~powers
+    {
+      sys = system_of_points ?mono_bits points;
+      idx = Array.init n Fun.id;
+      lo_f = Array.map (fun pt -> R.to_float pt.lo) points;
+      hi_f = Array.map (fun pt -> R.to_float pt.hi) points;
+      lo_q = (fun pos -> points.(pos).lo);
+      hi_q = (fun pos -> points.(pos).hi);
+    }

@@ -359,10 +359,10 @@ let constraints_stage ~cfg func = fst (constraints_staged ~cfg func)
 (* Round 1's LP per (piece, degree), content-keyed under the constraint
    set: the first scheme of a function publishes it, every later scheme
    loads it instead of re-solving (kind "lp-seed"). *)
-let lp_seed ~cfg func ~piece ~degree points =
+let lp_seed ~cfg func ~piece ~degree compute =
   let v, status =
     load_or_compute ~kind:"lp-seed" ~key:(lp_seed_key ~cfg ~piece ~degree func)
-      (fun () -> Rlibm.Generate.first_round_lp ~degree points)
+      compute
   in
   Diag.event "lp.seed" (fun () ->
       [

@@ -128,6 +128,15 @@ let approx q ~bits =
   if is_zero q then invalid_arg "Rat.approx: zero";
   if bits <= 0 then invalid_arg "Rat.approx: bits <= 0";
   let n = B.abs q.num and d = q.den in
+  if is_pow2 d then begin
+    (* Dyadic fast path, as in [canon]: |q| = n * 2^-k, so m is n shifted
+       to [bits] bits and exactness is a trailing-zero count. *)
+    let s = B.numbits n - bits in
+    let e = s - (B.numbits d - 1) in
+    if s <= 0 then (B.shift_left n (-s), e, true)
+    else (B.shift_right n s, e, B.trailing_zeros n >= s)
+  end
+  else
   let k = B.numbits n - B.numbits d in
   (* 2^(k-1) <= |q| < 2^(k+1); target m in [2^(bits-1), 2^bits). *)
   let attempt e =

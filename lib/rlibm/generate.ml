@@ -33,22 +33,20 @@ let copy_points pts =
 
 let powers_of degree = Array.init (degree + 1) Fun.id
 
-let lp_points pts idxs =
-  Array.map
-    (fun i ->
-      let p = pts.(i) in
-      { Lp.x = Rat.of_float p.Constraints.r;
-        lo = Rat.of_float p.Constraints.lo;
-        hi = Rat.of_float p.Constraints.hi })
-    idxs
-
 (* Round 1 of [solve_piece]: the LP over the piece's original intervals,
    with no warm-start working set and no objective tilt, before any
-   scheme-specific validation.  A pure function of the points and the
-   degree, shared by every scheme. *)
-let first_round_lp ~degree (points : Constraints.point array) =
-  Lp.solve_interval_system ~mono_bits:64 ~powers:(powers_of degree)
-    (lp_points points (Array.init (Array.length points) Fun.id))
+   scheme-specific validation.  A pure function of the points (read
+   through their system [sys]) and the degree, shared by every scheme. *)
+let round1 sys ~degree (points : Constraints.point array) =
+  Lp.solve_system ~powers:(powers_of degree) sys
+    ~idx:(Array.init (Array.length points) Fun.id)
+    ~lo:(Array.map (fun (p : Constraints.point) -> p.lo) points)
+    ~hi:(Array.map (fun (p : Constraints.point) -> p.hi) points)
+
+let lp_system (points : Constraints.point array) =
+  Lp.system (Array.map (fun (p : Constraints.point) -> p.r) points)
+
+let first_round_lp ~degree points = round1 (lp_system points) ~degree points
 
 (* Solve one piece at a fixed degree.
 
@@ -63,15 +61,11 @@ let first_round_lp ~degree (points : Constraints.point array) =
    (not reduced points): when the round budget runs out, that candidate
    ships and its violated inputs become the special cases — this is how
    the artifact's generator "searches for a polynomial with the minimum
-   number of special inputs".  [first_round] supplies round 1's LP
-   result, which must equal [first_round_lp ~degree points]. *)
-let solve_piece ?first_round ~scheme ~degree ~max_rounds ~max_specials
+   number of special inputs".  Every LP reads [sys], the piece's system
+   over [points]; [first_round compute] supplies round 1's LP result,
+   where [compute ()] solves it. *)
+let solve_piece ~first_round ~sys ~scheme ~degree ~max_rounds ~max_specials
     (points : Constraints.point array) =
-  let first_round =
-    match first_round with
-    | Some f -> f
-    | None -> fun () -> first_round_lp ~degree points
-  in
   let n = Array.length points in
   let pts = copy_points points in
   let orig_lo = Array.map (fun (p : Constraints.point) -> p.lo) points in
@@ -202,13 +196,18 @@ let solve_piece ?first_round ~scheme ~degree ~max_rounds ~max_specials
             (fun g -> Hashtbl.find_opt pos_of_global g)
             !warm_global
         in
-        Lp.solve_interval_system ~initial_working ~tilt:(random_tilt ())
-          ~mono_bits:64 ~powers (lp_points pts act_idx)
+        Lp.solve_system ~initial_working ~tilt:(random_tilt ()) ~powers sys
+          ~idx:act_idx
+          ~lo:(Array.map (fun i -> pts.(i).Constraints.lo) act_idx)
+          ~hi:(Array.map (fun i -> pts.(i).Constraints.hi) act_idx)
       in
       (* Round 1 has every point active and nothing shrunk yet, so
          act_idx is the identity and the caller's [first_round] stands
          in for the solve. *)
-      match if round = 1 then first_round () else solve_round () with
+      match
+        if round = 1 then first_round (fun () -> round1 sys ~degree points)
+        else solve_round ()
+      with
       | Lp.Unsat ->
           round_event round "infeasible" 0;
           finish ~lp_infeasible:(round = 1) ()
@@ -334,7 +333,8 @@ type solved = {
 (* Pure stage body: solve every piece over an already-built constraint
    set.  All randomness (vertex tilt, dither) is seeded per piece and
    degree, so the result is a deterministic function of the inputs. *)
-let solve ?first_round ~(cfg : Config.t) ~scheme ~func
+let solve ?(first_round = fun ~piece:_ ~degree:_ compute -> compute ())
+    ~(cfg : Config.t) ~scheme ~func
     ~(built : Constraints.build_result) ~(oracle : (int64, int64) Hashtbl.t)
     () =
   let tin = cfg.tin and tout = Config.tout cfg in
@@ -367,6 +367,8 @@ let solve ?first_round ~(cfg : Config.t) ~scheme ~func
         degrees.(pi) <- 0
       end
       else begin
+        (* One LP system per piece, for every round and degree. *)
+        let sys = lp_system pts in
         (* Degree escalation; Knuth only exists for 4-6, so start there. *)
         let d0 =
           match scheme with
@@ -403,11 +405,7 @@ let solve ?first_round ~(cfg : Config.t) ~scheme ~func
                   ("constraints", Diag.Int (Array.length pts));
                 ]);
             match
-              solve_piece
-                ?first_round:
-                  (Option.map
-                     (fun f () -> f ~piece:pi ~degree:d pts)
-                     first_round)
+              solve_piece ~first_round:(first_round ~piece:pi ~degree:d) ~sys
                 ~scheme ~degree:d ~max_rounds:cfg.max_rounds
                 ~max_specials:cfg.max_specials pts
             with

@@ -20,7 +20,9 @@
     loop: the LP over the points' original intervals, with no warm-start
     working set and no objective tilt.  It depends only on [points] and
     [degree] — not on the scheme, and not on the tilt RNG — so every
-    scheme of a function can share one solve per (piece, degree). *)
+    scheme of a function can share one solve per (piece, degree).  It
+    builds a fresh {!Lp.system} over [points]; {!solve} computes the same
+    result over the piece's shared one. *)
 val first_round_lp :
   degree:int -> Constraints.point array -> Lp.system_result
 
@@ -90,13 +92,16 @@ type solved = {
     [degree], [round], [outcome] ([infeasible] / [violated]) and
     [violated] (inputs the candidate missed).
 
-    [first_round ~piece ~degree points] supplies each round-1 LP result
-    (see {!first_round_lp}, the default); the staged pipeline passes a
-    load-or-compute through its store, so a function's second scheme
-    reuses the first scheme's solves. *)
+    Each piece builds one {!Lp.system} over its reduced inputs, which
+    every round and degree reads (the degree escalation extends it).
+    [first_round ~piece ~degree compute] supplies each round-1 LP result
+    (see {!first_round_lp}), where [compute ()] solves it over the
+    piece's system; the default calls [compute].  The staged pipeline
+    wraps [compute] in a load-or-compute through its store, so a
+    function's second scheme reuses the first scheme's solves. *)
 val solve :
   ?first_round:
-    (piece:int -> degree:int -> Constraints.point array -> Lp.system_result) ->
+    (piece:int -> degree:int -> (unit -> Lp.system_result) -> Lp.system_result) ->
   cfg:Config.t ->
   scheme:Polyeval.scheme ->
   func:Oracle.func ->

@@ -408,6 +408,140 @@ let prop_simplex_vs_vertices =
              && Array.for_all (fun (ai, bi) -> Rat.compare (dot ai x) bi <= 0) rows
          | _ -> false))
 
+(* ---------- per-piece systems over doubles ---------- *)
+
+(* What [~mono_bits:64] makes of a monomial: truncation toward zero to 64
+   significant bits. *)
+let round_bits64 q =
+  if Rat.is_zero q then q
+  else
+    let m, e, _ = Rat.approx q ~bits:64 in
+    Rat.mul_pow2 (Rat.of_bigint (if Rat.sign q < 0 then Bigint.neg m else m)) e
+
+(* An odd o with o^2 = 2049 (mod 8192): for o in [2^32, 2^32.5), o^2 has
+   65 bits and its truncation to 64 ends in 0x400 — a binary64 rounding
+   tie that the exact square is not — with an even bit above it, so the
+   tie rounds down where the exact square rounds up.  Adding multiples
+   of 2048 keeps the tie and alternates that bit. *)
+let tie_root =
+  let rec find o = if o * o land 8191 = 2049 then o else find (o + 2) in
+  find 1
+
+(* Doubles of every shape the monomials must survive: random finite bit
+   patterns, signed zeros, negatives, full 53-bit significands, values
+   whose sixth power falls below 2^-1022, and values whose square
+   truncates to a tie. *)
+let gen_reduced =
+  QCheck2.Gen.(
+    let finite =
+      map
+        (fun b -> let x = Int64.float_of_bits b in if Float.is_finite x then x else 1.5)
+        int64
+    in
+    let full =
+      map2
+        (fun m e -> Float.ldexp (Float.of_int ((1 lsl 52) lor m lor 1)) (e - 52))
+        (int_bound ((1 lsl 52) - 1)) (int_range (-20) 20)
+    in
+    let tiny =
+      map2 (fun m e -> Float.ldexp (1.0 +. m) e) (float_bound_exclusive 1.0)
+        (int_range (-183) (-171))
+    in
+    let tie =
+      map2
+        (fun t s ->
+          Float.ldexp (Float.of_int (tie_root + (2048 * (2097152 + t)))) s)
+        (int_bound 800000) (int_range (-40) 40)
+    in
+    let any = frequency [ (3, finite); (2, full); (2, tiny); (2, tie); (1, oneofl [ 0.0; -0.0 ]) ] in
+    map2 (fun x neg -> if neg then -.x else x) any bool)
+
+let prop_monomials =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"system monomial = round_bits (pow r p) 64, shadow = to_float"
+       ~print:QCheck2.Print.(list (fun x -> Printf.sprintf "%h" x))
+       QCheck2.Gen.(list_size (int_range 1 8) gen_reduced)
+       (fun rs ->
+         let xs = Array.of_list rs in
+         let sys = Lp.system xs in
+         let ok = ref true in
+         for p = 0 to 6 do
+           Array.iteri
+             (fun i x ->
+               let want = round_bits64 (Rat.pow (Rat.of_float x) p) in
+               let q, f = Lp.monomial sys i p in
+               let wf = Rat.to_float want in
+               if not (Rat.equal q want && Int64.equal (Int64.bits_of_float f)
+                                             (Int64.bits_of_float wf))
+               then ok := false)
+             xs
+         done;
+         !ok))
+
+(* The tie generator does reach ties: the square's shadow rounds the
+   truncated mantissa to even, the exact square rounds up. *)
+let test_truncated_tie () =
+  let x = Float.of_int (tie_root + (2048 * 2097152)) in
+  let _, f = Lp.monomial (Lp.system [| x |]) 0 2 in
+  let exact = Rat.to_float (Rat.pow (Rat.of_float x) 2) in
+  Alcotest.(check bool) "double rounding differs" true (f <> exact);
+  Alcotest.(check (float 0.0)) "shadow of the truncation"
+    (Rat.to_float (round_bits64 (Rat.pow (Rat.of_float x) 2))) f
+
+let prop_seed_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"seed order by doubles = by Rat.compare"
+       ~print:QCheck2.Print.(list (fun x -> Printf.sprintf "%h" x))
+       QCheck2.Gen.(
+         list_size (int_range 0 40)
+           (oneof [ oneofl [ 0.0; -0.0; 1.0; -1.0 ]; float_range (-4.0) 4.0 ]))
+       (fun l ->
+         let xs = Array.of_list (0.0 :: -0.0 :: l) in
+         let by_rat = Array.init (Array.length xs) Fun.id in
+         Array.sort
+           (fun i j -> Rat.compare (Rat.of_float xs.(i)) (Rat.of_float xs.(j)))
+           by_rat;
+         Lp.seed_order xs = by_rat))
+
+(* The system over doubles solves exactly what solve_interval_system
+   solves over the same points as rationals, at ~mono_bits:64 — through
+   a view that skips and reorders nothing but starts mid-array. *)
+let test_system_matches_rational () =
+  let n = 300 in
+  let rs = Array.init n (fun i -> if i = 150 then -0.0 else Float.of_int (i - 150) *. 0.00337) in
+  let f x = Float.exp x in
+  let lo = Array.map (fun x -> f x -. 1e-4) rs and hi = Array.map (fun x -> f x +. 1e-4) rs in
+  let sys = Lp.system rs in
+  let points =
+    Array.init n (fun i ->
+        { Lp.x = Rat.of_float rs.(i); lo = Rat.of_float lo.(i); hi = Rat.of_float hi.(i) })
+  in
+  let same name a b =
+    match (a, b) with
+    | Lp.Unsat, Lp.Unsat -> ()
+    | Lp.Sat (c, w), Lp.Sat (c', w') ->
+        Alcotest.(check bool) (name ^ ": coefficients") true (Array.for_all2 Rat.equal c c');
+        Alcotest.(check (list int)) (name ^ ": working set") w w'
+    | _ -> Alcotest.fail (name ^ ": verdicts differ")
+  in
+  List.iter
+    (fun degree ->
+      let powers = Array.init (degree + 1) Fun.id in
+      let idx = Array.init n Fun.id in
+      let mine = Lp.solve_system ~powers sys ~idx ~lo ~hi in
+      same (Printf.sprintf "degree %d" degree) mine
+        (Lp.solve_interval_system ~mono_bits:64 ~powers points);
+      let tilt = Array.init (degree + 1) (fun k -> Rat.mul_pow2 (Rat.of_int (k - 2)) (-40)) in
+      let working = match mine with Lp.Sat (_, w) -> w | Lp.Unsat -> [] in
+      let sub = Array.init (n - 7) (fun k -> k + 7) in
+      same (Printf.sprintf "degree %d, tilted view" degree)
+        (Lp.solve_system ~initial_working:working ~tilt ~powers sys ~idx:sub
+           ~lo:(Array.map (fun i -> lo.(i)) sub) ~hi:(Array.map (fun i -> hi.(i)) sub))
+        (Lp.solve_interval_system ~initial_working:working ~tilt ~mono_bits:64 ~powers
+           (Array.map (fun i -> points.(i)) sub)))
+    [ 1; 3; 4 ]
+
 let suite =
   [
     ("basic maximization", `Quick, test_basic_max);
@@ -425,6 +559,10 @@ let suite =
     ("degenerate window under tilt", `Quick, test_degenerate_with_tilt);
     ("unbounded tilt falls back to max-delta", `Quick,
       test_tilt_unbounded_falls_back);
+    ("truncated monomial on a tie", `Quick, test_truncated_tie);
+    ("system over doubles = rational system", `Quick, test_system_matches_rational);
+    prop_monomials;
+    prop_seed_order;
     prop_simplex_sound;
     prop_simplex_vs_vertices;
   ]

@@ -211,9 +211,48 @@ let canonical r =
 let denotes r n d =
   Bigint.equal (Bigint.mul (Rat.num r) d) (Bigint.mul n (Rat.den r))
 
+(* [Rat.approx]'s definition by floor division, which its dyadic fast
+   path must reproduce. *)
+let approx_by_fdiv q ~bits =
+  let n = Bigint.abs (Rat.num q) and d = Rat.den q in
+  let k = Bigint.numbits n - Bigint.numbits d in
+  let attempt e =
+    ( (if e >= 0 then Bigint.fdiv n (Bigint.shift_left d e)
+       else Bigint.fdiv (Bigint.shift_left n (-e)) d),
+      e )
+  in
+  let m, e =
+    let m, e = attempt (k - bits) in
+    if Bigint.numbits m > bits then attempt (k - bits + 1)
+    else if Bigint.numbits m < bits then attempt (k - bits - 1)
+    else (m, e)
+  in
+  (m, e, Rat.equal (Rat.mul_pow2 (Rat.of_bigint m) e) (Rat.abs q))
+
+(* Dyadics n / 2^k with up to ~190-bit numerators, trailing zeros
+   planted now and then so the exact case comes up. *)
+let arb_dyadic =
+  QCheck2.Gen.(
+    let* limbs = list_size (int_range 1 6) (int_bound ((1 lsl 30) - 1)) in
+    let* zeros = int_range 0 70 in
+    let* k = int_range (-40) 200 in
+    let* neg = bool in
+    let n =
+      List.fold_left
+        (fun acc l -> Bigint.add (Bigint.shift_left acc 30) (Bigint.of_int l))
+        Bigint.one limbs
+    in
+    let n = Bigint.shift_left n zeros in
+    return (Rat.mul_pow2 (Rat.of_bigint (if neg then Bigint.neg n else n)) (-k)))
+
 let props =
   let req = Rat.equal in
   [
+    prop ~print:QCheck2.Print.(pair rat int) "approx of a dyadic = its fdiv definition"
+      (QCheck2.Gen.pair arb_dyadic (QCheck2.Gen.int_range 1 80))
+      (fun (q, bits) ->
+        let m, e, x = Rat.approx q ~bits and m', e', x' = approx_by_fdiv q ~bits in
+        Bigint.equal m m' && e = e' && x = x');
     prop ~print:rat "field: a + (-a) = 0" arb_rat (fun a ->
         req (Rat.sub a a) Rat.zero);
     prop ~print:rat "field: a * inv a = 1" arb_rat (fun a ->

@@ -19,7 +19,9 @@
 #   that loads, never recomputes, the published shards;
 # - stdout purity: with --trace /dev/stdout, stdout is one JSONL stream
 #   and the --log-level narration goes to stderr;
-# - trace: cold/warm traces carry the typed events, tracing moves no bit;
+# - trace: cold/warm traces carry the typed events, tracing moves no bit,
+#   and a cold trace's lp.system / lp.solved seconds fit inside its poly
+#   stage span (a warm trace has none);
 # - faults: an injected ENOSPC exits through the typed store-io code, and
 #   a process aborted mid-publish leaves a store that fsck repairs with
 #   nothing quarantined and a resumed run completes bit-identically;
@@ -335,8 +337,27 @@ for events in (cold, warm):
     assert top, "no top-level stage spans"
     wall = max(e["ts"] for e in events) - min(e["ts"] for e in events)
     assert sum(top) <= wall + 0.25, (sum(top), wall)
+# The LP's own timing: a cold run builds each piece's LP system
+# (lp.system) and solves on it (lp.solved), each event with numeric
+# seconds >= 0 that together fit inside the poly stage's span; a warm
+# run solves nothing, so it has neither.
+poly_spans = {e["span"] for e in cold
+              if e["ev"] == "stage.begin" and e["fields"].get("stage") == "poly"}
+poly_s = sum(e["fields"]["seconds"] for e in stage_ends(cold)
+             if e["span"] in poly_spans)
+lp_s = 0.0
+for name in ("lp.system", "lp.solved"):
+    evs = [e for e in cold if e["ev"] == name]
+    assert evs, f"cold trace has no {name}"
+    for e in evs:
+        s = e["fields"].get("seconds")
+        assert isinstance(s, (int, float)) and not isinstance(s, bool) \
+            and s >= 0.0, (name, e["fields"])
+        lp_s += s
+    assert count(warm, name) == 0, f"warm trace has {count(warm, name)} {name}"
+assert poly_spans and lp_s <= poly_s, (lp_s, poly_s)
 EOF
-echo "trace: schema OK, cold run has loop and oracle.ziv events, warm run all-hit with none, output bit-identical with tracing on"
+echo "trace: schema OK, cold run has loop, LP (seconds within the poly span) and oracle.ziv events, warm run all-hit with none, output bit-identical with tracing on"
 
 echo "== fault smoke (injected ENOSPC, kill-point resume, fsck) =="
 # Fault artifacts live at a stable path (like the trace smoke) so CI can
