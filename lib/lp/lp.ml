@@ -272,6 +272,7 @@ let primal tb =
    since [t0].  The maxbits scan is quadratic in the tableau, so it only
    runs when a sink listens at Debug. *)
 let solved_event tb ~phase1_pivots ~t0 =
+  let seconds = Unix.gettimeofday () -. t0 in
   Diag.event "lp.solved" (fun () ->
       let maxbits () =
         let maxbits = ref 0 in
@@ -288,7 +289,7 @@ let solved_event tb ~phase1_pivots ~t0 =
         ("columns", Diag.Int (tb.width - tb.rows));
         ("pivots", Diag.Int tb.pivots);
         ("phase1_pivots", Diag.Int phase1_pivots);
-        ("seconds", Diag.Float (Unix.gettimeofday () -. t0));
+        ("seconds", Diag.Float seconds);
       ]
       @ if Diag.enabled Diag.Debug then maxbits () else [])
 
@@ -397,11 +398,12 @@ let extend sys count =
     sys.makers <- Array.append sys.makers (Array.map snd rows);
     sys.monos <-
       Array.append sys.monos (Array.map (fun _ -> Array.make sys.size None) rows);
+    let seconds = Unix.gettimeofday () -. t0 in
     Diag.event "lp.system" (fun () ->
         [
           ("points", Diag.Int sys.size);
           ("powers", Diag.Int count);
-          ("seconds", Diag.Float (Unix.gettimeofday () -. t0));
+          ("seconds", Diag.Float seconds);
         ])
   end
 
@@ -417,9 +419,11 @@ let mono sys p i =
    [R.compare] gives on their rationals. *)
 let compare_doubles (a : float) b = if a < b then -1 else if a > b then 1 else 0
 
-let seed_order xs =
-  let order = Array.init (Array.length xs) Fun.id in
-  Array.sort (fun i j -> compare_doubles xs.(i) xs.(j)) order;
+(* The positions of [idx] in their points' order.  A heap sort: the
+   permutation depends only on the comparison's outcomes. *)
+let sorted_positions sys idx =
+  let order = Array.init (Array.length idx) Fun.id in
+  Array.sort (fun i j -> sys.order idx.(i) idx.(j)) order;
   order
 
 (* The round-to-nearest-even double of m * 2^e (m >= 0 with at most 64
@@ -498,6 +502,8 @@ let system_of_points ?mono_bits points =
     ~order:(fun i j -> R.compare points.(i).x points.(j).x)
     next_power
 
+let seed_order xs = sorted_positions (system xs) (Array.init (Array.length xs) Fun.id)
+
 let monomial sys i p =
   extend sys (p + 1);
   (mono sys p i, sys.shadows.(p).(i))
@@ -561,8 +567,7 @@ let solve_view ?(initial_working = []) ?tilt ~powers view =
       initial_working;
     if Hashtbl.length working < d + 1 then begin
       (* Seed: spread evenly over the x-sorted points. *)
-      let order = Array.init n_points (fun i -> i) in
-      Array.sort (fun i j -> sys.order view.idx.(i) view.idx.(j)) order;
+      let order = sorted_positions sys view.idx in
       let initial = Stdlib.min n_points (Stdlib.max (2 * (d + 1)) 8) in
       for k = 0 to initial - 1 do
         seed order.(k * (n_points - 1) / Stdlib.max 1 (initial - 1))
