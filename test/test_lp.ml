@@ -429,8 +429,8 @@ let tie_root =
 
 (* Doubles of every shape the monomials must survive: random finite bit
    patterns, signed zeros, negatives, full 53-bit significands, values
-   whose sixth power falls below 2^-1022, and values whose square
-   truncates to a tie. *)
+   whose powers fall below 2^-1022 (subnormal or zero shadows), and
+   values whose square truncates to a tie. *)
 let gen_reduced =
   QCheck2.Gen.(
     let finite =
@@ -443,9 +443,12 @@ let gen_reduced =
         (fun m e -> Float.ldexp (Float.of_int ((1 lsl 52) lor m lor 1)) (e - 52))
         (int_bound ((1 lsl 52) - 1)) (int_range (-20) 20)
     in
+    (* r^p lands at or below 2^-1022 for some p in 2 .. 6, often just
+       below it, where the shadow keeps most but not all of its bits. *)
     let tiny =
-      map2 (fun m e -> Float.ldexp (1.0 +. m) e) (float_bound_exclusive 1.0)
-        (int_range (-183) (-171))
+      map3
+        (fun m p j -> Float.ldexp (1.0 +. m) (-((1022 + j) / p) - 1))
+        (float_bound_exclusive 1.0) (int_range 2 6) (int_range 0 60)
     in
     let tie =
       map2

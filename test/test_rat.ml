@@ -249,7 +249,16 @@ let props =
   let req = Rat.equal in
   [
     prop ~print:QCheck2.Print.(pair rat int) "approx of a dyadic = its fdiv definition"
-      (QCheck2.Gen.pair arb_dyadic (QCheck2.Gen.int_range 1 80))
+      QCheck2.Gen.(
+        let* q = arb_dyadic in
+        (* Half the cases sit at the fewest bits that hold q exactly, or
+           one bit below: where the exactness flag turns. *)
+        let n = Bigint.abs (Rat.num q) in
+        let fit = Bigint.numbits n - Bigint.trailing_zeros n in
+        let* bits =
+          oneof [ int_range 1 80; map (fun k -> Stdlib.max 1 (fit - k)) (int_range 0 1) ]
+        in
+        return (q, bits))
       (fun (q, bits) ->
         let m, e, x = Rat.approx q ~bits and m', e', x' = approx_by_fdiv q ~bits in
         Bigint.equal m m' && e = e' && x = x');
